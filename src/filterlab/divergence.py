@@ -79,17 +79,14 @@ def density_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(outside, 0.0, p / np.where(outside, 1.0, q))
 
 
-def _chi2_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _divergence_batch(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """chi2, kl and tv of stacked pairs (..., d) from one density_ratio call."""
     g = density_ratio(p, q)
-    inside = q >= SUPPORT_EPS
-    return (((g - 1.0) ** 2) * np.where(inside, q, 0.0)).sum(axis=-1)
-
-
-def _kl_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    g = density_ratio(p, q)
-    terms = np.where(g > 0.0, g * np.log(np.where(g > 0.0, g, 1.0)), 0.0)
-    inside = q >= SUPPORT_EPS
-    return (terms * np.where(inside, q, 0.0)).sum(axis=-1)
+    q_inside = np.where(q >= SUPPORT_EPS, q, 0.0)
+    chi2_v = (((g - 1.0) ** 2) * q_inside).sum(axis=-1)
+    log_terms = np.where(g > 0.0, g * np.log(np.where(g > 0.0, g, 1.0)), 0.0)
+    kl_v = (log_terms * q_inside).sum(axis=-1)
+    return chi2_v, kl_v, _tv_batch(p, q)
 
 
 def _tv_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -98,12 +95,12 @@ def _tv_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def chi2(p, q) -> float:
     """Chi-square divergence sum (gamma - 1)^2 q over supp(q)."""
-    return float(_chi2_batch(np.asarray(p, float), np.asarray(q, float)))
+    return float(_divergence_batch(np.asarray(p, float), np.asarray(q, float))[0])
 
 
 def kl(p, q) -> float:
     """Relative entropy sum gamma log(gamma) q over supp(q), 0 log 0 = 0."""
-    return float(_kl_batch(np.asarray(p, float), np.asarray(q, float)))
+    return float(_divergence_batch(np.asarray(p, float), np.asarray(q, float))[1])
 
 
 def tv(p, q) -> float:
@@ -199,12 +196,9 @@ def divergence_series(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(trajs_p),):
         raise DimensionMismatch(f"weights must have shape ({len(trajs_p)},)")
+    chi2_v, kl_v, tv_v = _divergence_batch(p, q)
     return DivergenceSeries(
-        times=trajs_p[0].times,
-        chi2=_chi2_batch(p, q),
-        kl=_kl_batch(p, q),
-        tv=_tv_batch(p, q),
-        weights=weights,
+        times=trajs_p[0].times, chi2=chi2_v, kl=kl_v, tv=tv_v, weights=weights
     )
 
 

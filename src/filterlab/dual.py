@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _chi2_batch, chi2, density_ratio
+from .divergence import _divergence_batch, chi2, density_ratio
 from .ensemble import sample_path_batch, terminal_filter_states
 from .errors import AssumptionA1Violated, DimensionMismatch
 from .model import HmmModel, as_simplex
@@ -116,7 +116,7 @@ def _per_state_samples(
         gamma = density_ratio(terminal[:, 0, :], terminal[:, 1, :])
         plain[row] = gamma[np.arange(n_paths), batch.terminal_states]
         rb[row] = (terminal[:, 2, :] * gamma).sum(axis=1)
-        chi2_T[row] = _chi2_batch(terminal[:, 0, :], terminal[:, 1, :])
+        chi2_T[row] = _divergence_batch(terminal[:, 0, :], terminal[:, 1, :])[0]
     return _StateSamples(
         states=np.array(kept, dtype=int),
         plain=plain,

@@ -17,14 +17,12 @@ import numpy as np
 
 from .divergence import (
     DivergenceSeries,
-    _chi2_batch,
-    _kl_batch,
-    _tv_batch,
+    _divergence_batch,
     chi2_drift_batch,
     density_ratio,
 )
 from .errors import DimensionMismatch, NonPositiveNoise
-from .filtering import evolve_ensemble, run_exact_noiseless_filter
+from .filtering import evolve_ensemble, evolve_noiseless_ensemble
 from .model import HmmModel, as_simplex
 from .sim import (
     StatePath,
@@ -152,38 +150,6 @@ class EnsembleDivergence:
         return self.series._mean_se(values)
 
 
-def _noiseless_divergence(
-    model: HmmModel,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    batch: PathBatch,
-    weights: np.ndarray,
-    n_steps: int,
-) -> EnsembleDivergence:
-    n_paths = batch.n_paths
-    chi2_v = np.empty((n_paths, n_steps + 1))
-    kl_v = np.empty((n_paths, n_steps + 1))
-    tv_v = np.empty((n_paths, n_steps + 1))
-    terminal = np.empty((n_paths, 2, model.d))
-    for i, sp in enumerate(batch.state_paths):
-        traj_mu = run_exact_noiseless_filter(mu, sp, model, batch.dt)
-        traj_nu = run_exact_noiseless_filter(nu, sp, model, batch.dt)
-        chi2_v[i] = _chi2_batch(traj_mu.pis, traj_nu.pis)
-        kl_v[i] = _kl_batch(traj_mu.pis, traj_nu.pis)
-        tv_v[i] = _tv_batch(traj_mu.pis, traj_nu.pis)
-        terminal[i, 0] = traj_mu.pis[-1]
-        terminal[i, 1] = traj_nu.pis[-1]
-    times = np.arange(n_steps + 1) * batch.dt
-    series = DivergenceSeries(times=times, chi2=chi2_v, kl=kl_v, tv=tv_v, weights=weights)
-    return EnsembleDivergence(
-        series=series,
-        signal_integral=None,
-        drift_integral=None,
-        terminal_pis=terminal,
-        initial_states=batch.initial_states,
-    )
-
-
 def run_divergence_ensemble(
     model: HmmModel,
     mu,
@@ -210,6 +176,8 @@ def run_divergence_ensemble(
     nu = as_simplex(nu, d=model.d)
     if sample_under not in ("mu", "nu-reweighted"):
         raise DimensionMismatch(f"unknown sampling mode {sample_under!r}")
+    if model.noiseless and record_drift:
+        raise NonPositiveNoise("drift recording needs a noisy observation model")
     law = mu if sample_under == "mu" else nu
     n_steps = int(round(T / dt))
     batch = sample_path_batch(
@@ -227,86 +195,55 @@ def run_divergence_ensemble(
         weights = np.ones(n_paths)
     else:
         weights = density_ratio(mu, nu)[x0]
-    if model.noiseless:
-        if record_drift:
-            raise NonPositiveNoise("drift recording needs a noisy observation model")
-        return _noiseless_divergence(model, mu, nu, batch, weights, n_steps)
-
     chi2_v = np.empty((n_paths, n_steps + 1))
     kl_v = np.empty((n_paths, n_steps + 1))
     tv_v = np.empty((n_paths, n_steps + 1))
-    signal = np.empty((n_paths, n_steps + 1))
+    signal = None if model.noiseless else np.empty((n_paths, n_steps + 1))
     drift = np.empty((n_paths, n_steps + 1)) if record_drift else None
-    signal_acc = np.zeros(n_paths)
-    drift_acc = np.zeros(n_paths)
     hu = model.h_unit
 
-    def observer(step: int, t: float, pis: np.ndarray) -> None:
-        p, q = pis[:, 0, :], pis[:, 1, :]
-        chi2_v[:, step] = _chi2_batch(p, q)
-        kl_v[:, step] = _kl_batch(p, q)
-        tv_v[:, step] = _tv_batch(p, q)
-        signal[:, step] = signal_acc
-        if drift is not None:
-            drift[:, step] = drift_acc
-        if step < n_steps:
-            gap = (p - q) @ hu
-            signal_acc[:] += (gap**2).sum(axis=1) * dt
-            if drift is not None:
-                drift_acc[:] += chi2_drift_batch(p, q, model) * dt
+    def make_observer(rows: slice):
+        """Observer writing the per-path records of the paths in rows."""
+        signal_acc = np.zeros(rows.stop - rows.start)
+        drift_acc = np.zeros(rows.stop - rows.start)
 
-    terminal = np.empty((n_paths, 2, model.d))
-    blocks = _block_ranges(n_paths, workers)
-    if len(blocks) <= 1:
-        terminal[:] = evolve_ensemble(
-            np.stack([mu, nu]), batch.increments, dt, model, observer=observer
+        def observer(step: int, t: float, pis: np.ndarray) -> None:
+            p, q = pis[:, 0, :], pis[:, 1, :]
+            chi2_v[rows, step], kl_v[rows, step], tv_v[rows, step] = _divergence_batch(p, q)
+            if signal is None:
+                return
+            signal[rows, step] = signal_acc
+            if drift is not None:
+                drift[rows, step] = drift_acc
+            if step < n_steps:
+                gap = (p - q) @ hu
+                signal_acc[:] += (gap**2).sum(axis=1) * dt
+                if drift is not None:
+                    drift_acc[:] += chi2_drift_batch(p, q, model) * dt
+
+        return observer
+
+    priors = np.stack([mu, nu])
+    if model.noiseless:
+        terminal = evolve_noiseless_ensemble(
+            priors, batch.state_paths, dt, model, observer=make_observer(slice(0, n_paths))
         )
     else:
-        results: list[np.ndarray | None] = [None] * len(blocks)
+        terminal = np.empty((n_paths, 2, model.d))
 
-        def run_block(idx: int) -> None:
-            block = blocks[idx]
-            local_chi2 = np.empty((len(block), n_steps + 1))
-            local_kl = np.empty_like(local_chi2)
-            local_tv = np.empty_like(local_chi2)
-            local_signal = np.empty_like(local_chi2)
-            local_drift = np.empty_like(local_chi2) if record_drift else None
-            sig_acc = np.zeros(len(block))
-            dr_acc = np.zeros(len(block))
-
-            def local_observer(step: int, t: float, pis: np.ndarray) -> None:
-                p, q = pis[:, 0, :], pis[:, 1, :]
-                local_chi2[:, step] = _chi2_batch(p, q)
-                local_kl[:, step] = _kl_batch(p, q)
-                local_tv[:, step] = _tv_batch(p, q)
-                local_signal[:, step] = sig_acc
-                if local_drift is not None:
-                    local_drift[:, step] = dr_acc
-                if step < n_steps:
-                    gap = (p - q) @ hu
-                    sig_acc[:] += (gap**2).sum(axis=1) * dt
-                    if local_drift is not None:
-                        dr_acc[:] += chi2_drift_batch(p, q, model) * dt
-
-            results[idx] = evolve_ensemble(
-                np.stack([mu, nu]),
-                batch.increments[block.start : block.stop],
-                dt,
-                model,
-                observer=local_observer,
+        def run_block(block: range) -> None:
+            rows = slice(block.start, block.stop)
+            terminal[rows] = evolve_ensemble(
+                priors, batch.increments[rows], dt, model, observer=make_observer(rows)
             )
-            sl = slice(block.start, block.stop)
-            chi2_v[sl] = local_chi2
-            kl_v[sl] = local_kl
-            tv_v[sl] = local_tv
-            signal[sl] = local_signal
-            if drift is not None:
-                drift[sl] = local_drift
 
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            list(pool.map(run_block, range(len(blocks))))
-        for block, res in zip(blocks, results):
-            terminal[block.start : block.stop] = res
+        blocks = _block_ranges(n_paths, workers)
+        if len(blocks) <= 1:
+            for block in blocks:
+                run_block(block)
+        else:
+            with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+                list(pool.map(run_block, blocks))
 
     times = np.arange(n_steps + 1) * dt
     series = DivergenceSeries(times=times, chi2=chi2_v, kl=kl_v, tv=tv_v, weights=weights)

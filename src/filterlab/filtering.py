@@ -16,10 +16,15 @@ All stepping routines broadcast over arbitrary leading axes, so one pass can
 evolve several priors on one observation path, or a whole ensemble of paths,
 at identical per-path results.
 
-For exactly noiseless observations (r = 0) the conditional law is computed by
-a different, exact mechanism: forward evolution conditioned on the observed
-level set of h, with mass transferred along the generator's cross-level flux
-at observed level changes.
+For exactly noiseless observations (r = 0) the conditional law is computed
+exactly, without time discretization.  Between observed level changes the
+unnormalized law is pi_tau expm(A_LL (t - tau)), where A_LL is the generator
+restricted to the observed level set L of h; at an observed level change
+mass moves along the generator's cross-level flux into the new level.  The
+restricted exponentials are computed in numpy by uniformization with
+scaling and squaring: every term of that series is nonnegative, so it has
+no cancellation, and it keeps scipy.linalg (about 10 MB of resident memory
+and a quarter second of import time) out of the simulate path.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ __all__ = [
     "wonham_step",
     "run_filter",
     "evolve_ensemble",
+    "evolve_noiseless_ensemble",
     "run_exact_noiseless_filter",
     "conditional_moments",
     "write_trajectory_csv",
@@ -196,12 +202,121 @@ def evolve_ensemble(
     return pis
 
 
-def _restrict(p: np.ndarray, mask: np.ndarray, context: str) -> np.ndarray:
-    kept = np.where(mask, np.clip(p, 0.0, None), 0.0)
-    total = kept.sum()
-    if not np.isfinite(total) or total <= 0.0:
+def _subgenerator_expm(Q: np.ndarray, t: float) -> np.ndarray:
+    """exp(Q t) for a sub-generator Q (off-diagonal >= 0, row sums <= 0).
+
+    Uniformization (Jensen's method): with lam = max_x -Q(x, x) and the
+    substochastic P = I + Q / lam, exp(Q t) = e^{-lam t} sum_n (lam t)^n / n!
+    P^n.  The series runs on t / 2^s with lam t / 2^s <= 1 until every entry
+    of a term is below rounding of the partial sum, and the result is
+    squared s times.  All terms and products are nonnegative.
+    """
+    d = Q.shape[0]
+    lam = float(np.max(-np.diag(Q)))
+    if lam <= 0.0 or t <= 0.0:
+        return np.eye(d)
+    squarings = max(0, int(np.ceil(np.log2(lam * t))))
+    x = lam * t / 2.0**squarings
+    P = np.eye(d) + Q / lam
+    term = np.eye(d)
+    total = np.eye(d)
+    n = 0
+    while n < d or np.any(term > np.finfo(float).eps * total):
+        n += 1
+        term = (term @ P) * (x / n)
+        total += term
+    out = np.exp(-x) * total
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _level_propagator(A: np.ndarray, level: np.ndarray, t: float) -> np.ndarray:
+    """expm(A_LL t) embedded as a d x d matrix that is zero outside L x L."""
+    idx = np.flatnonzero(level)
+    out = np.zeros(A.shape)
+    out[np.ix_(idx, idx)] = _subgenerator_expm(A[np.ix_(idx, idx)], t)
+    return out
+
+
+def _normalized(pis: np.ndarray, context: str) -> np.ndarray:
+    mass = pis.sum(axis=-1)
+    if not np.all(np.isfinite(mass)) or np.any(mass <= 0.0):
         raise EmptyLevelSet(f"{context}: no mass on the observed level")
-    return kept / total
+    return pis / mass[..., None]
+
+
+def evolve_noiseless_ensemble(
+    priors: np.ndarray,
+    state_paths,
+    dt: float,
+    model: HmmModel,
+    observer=None,
+) -> np.ndarray:
+    """Exact conditional laws for noiseless observation Y_t = h(X_t).
+
+    priors is (k, d) and state_paths a sequence of P paths on a common
+    horizon T; the filter state array has shape (P, k, d).  The law at t = 0
+    is each prior conditioned on the observed initial level, since
+    Y_0 = h(X_0) is data.  Each grid step is one batched product with the
+    precomputed propagator expm(A_LL dt) of every path's current level L.
+    The few paths whose observed level changes in (t_k, t_{k+1}] are redone
+    exactly: propagate to the change time tau with the level's semigroup,
+    move mass along the flux pi+(y) propto sum_x pi(x) A(x, y) over y in the
+    new level, and continue to t_{k+1}.  A change landing exactly on a grid
+    point belongs to the earlier step.  observer(step, t, pis) is called as
+    in evolve_ensemble.  Returns the terminal state array.  Raises
+    EmptyLevelSet when conditioning annihilates all mass (the model cannot
+    produce the observed level), naming the time, and GridMismatch when dt
+    does not divide T.
+    """
+    priors = np.stack([as_simplex(p, d=model.d) for p in np.asarray(priors, float)])
+    A, H = model.A, model.H
+    T = state_paths[0].T
+    if any(sp.T != T for sp in state_paths):
+        raise GridMismatch("state paths have different horizons")
+    n_float = T / dt
+    n_steps = int(round(n_float))
+    if n_steps < 1 or abs(n_float - n_steps) > 1e-9:
+        raise GridMismatch(f"dt = {dt} does not divide T = {T}")
+    grid = np.arange(n_steps + 1) * dt
+
+    same = np.all(H[:, None, :] == H[None, :, :], axis=-1)
+    reps, level_of = np.unique(same.argmax(axis=1), return_inverse=True)
+    levels = same[reps]
+    props = np.stack([_level_propagator(A, lv, dt) for lv in levels])
+
+    # events[step][path]: the path's observed level changes (tau, new level)
+    events: dict[int, dict[int, list]] = {}
+    for p, sp in enumerate(state_paths):
+        lv = level_of[sp.states]
+        changes = np.flatnonzero(lv[1:] != lv[:-1]) + 1
+        steps = np.searchsorted(grid, sp.jump_times[changes], side="left") - 1
+        for j, step in zip(changes, np.maximum(steps, 0)):
+            if step < n_steps:
+                per_path = events.setdefault(int(step), {}).setdefault(p, [])
+                per_path.append((float(sp.jump_times[j]), int(lv[j])))
+
+    level = np.array([level_of[sp.states[0]] for sp in state_paths])
+    pis = _normalized(priors[None, :, :] * levels[level][:, None, :], "t = 0")
+    if observer is not None:
+        observer(0, 0.0, pis)
+    for step in range(n_steps):
+        t_end = float(grid[step + 1])
+        new = pis @ props[level]
+        for p, changes in events.get(step, {}).items():
+            pi, t, lv = pis[p], float(grid[step]), level[p]
+            for tau, to_level in changes:
+                if tau > t:
+                    pi = _normalized(pi @ _level_propagator(A, levels[lv], tau - t), f"t = {tau}")
+                pi = _normalized((pi @ A) * levels[to_level], f"level jump at t = {tau}")
+                t, lv = tau, to_level
+            new[p] = pi @ _level_propagator(A, levels[lv], t_end - t) if t_end > t else pi
+            level[p] = lv
+        pis = _normalized(new, f"t = {t_end}")
+        if observer is not None:
+            observer(step + 1, t_end, pis)
+    return pis
 
 
 def run_exact_noiseless_filter(
@@ -209,57 +324,27 @@ def run_exact_noiseless_filter(
 ) -> FilterTrajectory:
     """Exact conditional law for noiseless observation Y_t = h(X_t).
 
-    Between observed level changes the law evolves by the forward equation
-    conditioned on the current level set at every substep; at an observed
+    The single-path trajectory of evolve_noiseless_ensemble: between
+    observed level changes the law is pi_tau expm(A_LL (t - tau)) with A_LL
+    the generator restricted to the observed level set, and at an observed
     level change mass moves along the generator flux into the new level:
-    pi+(y) propto sum_x pi(x) A(x, y) over y in the new level.  pis[0] is
-    the prior conditioned on the initial observed level, since Y_0 = h(X_0)
-    is part of the data.  A jump landing exactly on a grid point belongs to
-    the earlier step.  Raises EmptyLevelSet when conditioning annihilates
-    all mass (the model cannot produce the observed level).
+    pi+(y) propto sum_x pi(x) A(x, y) over y in the new level.  The
+    exponentials come from numpy uniformization, not scipy.linalg (see the
+    module docstring).  pis[0] is the prior conditioned on the initial
+    observed level.  A jump landing exactly on a grid point belongs to the
+    earlier step.  Raises EmptyLevelSet when conditioning annihilates all
+    mass (the model cannot produce the observed level) and GridMismatch
+    when dt does not divide T.
     """
-    A = model.A
-    H = model.H
-    d = model.d
-    pi = as_simplex(prior, d=d)
-    n_float = state_path.T / dt
-    n_steps = int(round(n_float))
-    if n_steps < 1 or abs(n_float - n_steps) > 1e-9:
-        raise GridMismatch(f"dt = {dt} does not divide T = {state_path.T}")
-
-    def level_mask(x: int) -> np.ndarray:
-        return np.all(H == H[x][None, :], axis=1)
-
-    jump_times = state_path.jump_times
-    states = state_path.states
-    cur_state = int(states[0])
-    mask = level_mask(cur_state)
-    pi = _restrict(pi, mask, "t = 0")
-    pis = np.empty((n_steps + 1, d))
-    pis[0] = pi
-    next_jump = 1
-    t_cur = 0.0
-    for step in range(n_steps):
-        t_end = (step + 1) * dt
-        while next_jump < len(jump_times) and jump_times[next_jump] <= t_end:
-            tau = float(jump_times[next_jump])
-            delta = tau - t_cur
-            if delta > 0.0:
-                pi = _restrict(pi + delta * (pi @ A), mask, f"t = {tau}")
-            new_state = int(states[next_jump])
-            new_mask = level_mask(new_state)
-            if not np.array_equal(new_mask, mask):
-                pi = _restrict(pi @ A, new_mask, f"level jump at t = {tau}")
-                mask = new_mask
-            cur_state = new_state
-            t_cur = tau
-            next_jump += 1
-        delta = t_end - t_cur
-        if delta > 0.0:
-            pi = _restrict(pi + delta * (pi @ A), mask, f"t = {t_end}")
-            t_cur = t_end
-        pis[step + 1] = pi
-    return FilterTrajectory(dt=float(dt), pis=pis, label=label)
+    rows = []
+    evolve_noiseless_ensemble(
+        np.asarray(prior, dtype=float)[None, :],
+        [state_path],
+        dt,
+        model,
+        observer=lambda step, t, pis: rows.append(pis[0, 0].copy()),
+    )
+    return FilterTrajectory(dt=float(dt), pis=np.stack(rows), label=label)
 
 
 def conditional_moments(pi, f, g=None) -> ConditionalMoments:

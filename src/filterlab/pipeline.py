@@ -35,7 +35,7 @@ from .errors import (
     NonUniqueInvariantMeasure,
     WindowTooShort,
 )
-from .filtering import run_exact_noiseless_filter, run_filter
+from .filtering import FilterTrajectory, evolve_noiseless_ensemble, run_filter
 from .model import (
     HmmModel,
     invariant_measure,
@@ -99,18 +99,30 @@ def _pi_trajectories(
     """A few dedicated filter paths from nu for the conditional-PI sweep.
 
     Streams start beyond the ensemble block so they never collide with the
-    divergence paths of the same sweep value.
+    divergence paths of the same sweep value.  Noiseless paths run through
+    the exact filter in one batched call.
     """
     trajs = []
+    paths = []
     for i in range(PI_TRAJECTORY_PATHS):
         rng = spawn_rng(cfg.master_seed, cfg.n_paths + i).generator()
         x0 = sample_initial_state(nu, rng, model.d)
         sp = sample_ctmc_path(model.A, x0, cfg.T, rng)
         if model.noiseless:
-            trajs.append(run_exact_noiseless_filter(nu, sp, model, cfg.dt))
+            paths.append(sp)
         else:
             obs = integrate_observation(sp, model, cfg.dt, rng)
             trajs.append(run_filter(nu, obs, model))
+    if model.noiseless:
+        rows = []
+        evolve_noiseless_ensemble(
+            nu[None, :],
+            paths,
+            cfg.dt,
+            model,
+            observer=lambda step, t, pis: rows.append(pis[:, 0, :].copy()),
+        )
+        trajs = [FilterTrajectory(dt=float(cfg.dt), pis=p) for p in np.stack(rows, axis=1)]
     return trajs
 
 

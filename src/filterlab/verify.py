@@ -20,9 +20,7 @@ import numpy as np
 from . import dual as dual_mod
 from .config import preset_config, load_config, save_config
 from .divergence import (
-    _chi2_batch,
-    _kl_batch,
-    _tv_batch,
+    _divergence_batch,
     chi2,
     chi2_drift_terms,
     divergence_series,
@@ -121,9 +119,7 @@ def check_divergence_chain(seed: int) -> CheckResult:
     worst_lo, worst_hi = np.inf, np.inf
     for d in range(2, 9):
         p, q = _random_simplex_pairs(rng, 1500, d)
-        c = _chi2_batch(p, q)
-        k = _kl_batch(p, q)
-        t = _tv_batch(p, q)
+        c, k, t = _divergence_batch(p, q)
         worst_lo = min(worst_lo, float((k - 2.0 * t**2).min()))
         worst_hi = min(worst_hi, float((c - k).min()))
     passed = worst_lo >= 0.0 and worst_hi >= 0.0

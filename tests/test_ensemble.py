@@ -1,7 +1,14 @@
 """Ensemble orchestration: stream layout, worker invariance, recorders."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+
+import filterlab
 
 from conftest import CYCLE_MU, CYCLE_NU
 from filterlab.divergence import chi2, density_ratio
@@ -178,3 +185,30 @@ class TestRunDivergenceEnsemble:
             run_divergence_ensemble(
                 cycle_noiseless, CYCLE_MU, CYCLE_NU, 2, 0.5, 1e-3, 0, record_drift=True
             )
+
+    def test_noiseless_route_leaves_scipy_linalg_unimported(self):
+        # scipy.linalg costs about 10 MB of resident memory and a quarter
+        # second of import time, so the noiseless engine does without it
+        code = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from filterlab.ensemble import run_divergence_ensemble
+            from filterlab.model import validate_model
+
+            A = np.array([[-1.0, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [1, 0, 0, -1]])
+            model = validate_model(A, np.array([1.0, 0, 1, 0]), 0.0, allow_noiseless=True)
+            run_divergence_ensemble(model, [0.35, 0.35, 0.15, 0.15], [0.25] * 4, 4, 0.2, 1e-3, 0)
+            print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(filterlab.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"

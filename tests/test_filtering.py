@@ -15,8 +15,10 @@ from filterlab.errors import (
     NonPositiveNoise,
 )
 from filterlab.filtering import (
+    _subgenerator_expm,
     conditional_moments,
     evolve_ensemble,
+    evolve_noiseless_ensemble,
     read_trajectory_csv,
     run_exact_noiseless_filter,
     run_filter,
@@ -24,7 +26,7 @@ from filterlab.filtering import (
     write_trajectory_csv,
 )
 from filterlab.model import validate_model
-from filterlab.sim import ObservationPath, sample_ctmc_path, spawn_rng
+from filterlab.sim import ObservationPath, StatePath, sample_ctmc_path, spawn_rng
 
 
 def _noise_obs(rng, n_steps, m, dt, scale=1.0):
@@ -230,6 +232,136 @@ class TestExactNoiselessFilter:
         sp = sample_ctmc_path(CYCLE_A, 0, 1.0, rng)
         with pytest.raises(GridMismatch):
             run_exact_noiseless_filter(CYCLE_MU, sp, cycle_noiseless, 0.3)
+
+
+# The 4-state model of test_support_tracks_observed_level: levels {0, 2} and
+# {1, 3}, with transitions inside each level, so the conditioned law is not
+# a roll of the prior as on the cycle.
+OFF_CYCLE_A = np.array(
+    [
+        [-1.0, 0.5, 0.5, 0.0],
+        [1.0, -2.0, 0.0, 1.0],
+        [0.3, 0.0, -0.6, 0.3],
+        [0.0, 2.0, 1.0, -3.0],
+    ]
+)
+OFF_CYCLE_H = np.array([1.0, 0.0, 1.0, 0.0])
+
+
+def _expm_oracle(prior, sp, A, h, dt):
+    """Noiseless filter from scipy.linalg.expm on every piece between grid
+    points and observed level changes, with the flux transfer at changes."""
+
+    def propagator(level, span):
+        idx = np.flatnonzero(h == level)
+        out = np.zeros(A.shape)
+        out[np.ix_(idx, idx)] = expm(A[np.ix_(idx, idx)] * span)
+        return out
+
+    levels = h[sp.states]
+    observed = np.r_[True, levels[1:] != levels[:-1]]
+    taus, levels = sp.jump_times[observed], levels[observed]
+    pi = np.where(h == levels[0], prior, 0.0)
+    pi = pi / pi.sum()
+    rows, t, j = [pi], 0.0, 1
+    for t_end in np.arange(1, int(round(sp.T / dt)) + 1) * dt:
+        while j < len(taus) and taus[j] <= t_end:
+            pi = pi @ propagator(levels[j - 1], taus[j] - t)
+            pi = (pi @ A) * (h == levels[j])
+            pi, t, j = pi / pi.sum(), taus[j], j + 1
+        pi = pi @ propagator(levels[j - 1], t_end - t)
+        pi, t = pi / pi.sum(), t_end
+        rows.append(pi)
+    return np.stack(rows)
+
+
+class TestNoiselessEngine:
+    @pytest.fixture(scope="class")
+    def model(self):
+        return validate_model(OFF_CYCLE_A, OFF_CYCLE_H, 0.0, allow_noiseless=True)
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3])
+    def test_matches_expm_oracle_off_the_cycle(self, model, dt):
+        sp = sample_ctmc_path(OFF_CYCLE_A, 0, 3.0, spawn_rng(6, 0).generator())
+        levels = OFF_CYCLE_H[sp.states]
+        assert np.count_nonzero(levels[1:] != levels[:-1]) >= 3
+        prior = np.array([0.1, 0.2, 0.3, 0.4])
+        traj = run_exact_noiseless_filter(prior, sp, model, dt)
+        oracle = _expm_oracle(prior, sp, OFF_CYCLE_A, OFF_CYCLE_H, dt)
+        np.testing.assert_allclose(traj.pis, oracle, rtol=0.0, atol=1e-12)
+
+    def test_batch_equals_single_path_calls(self, model):
+        dt = 1e-2
+        grid = np.arange(6) * dt
+        paths = [
+            # two observed level changes inside step 1
+            StatePath(np.array([0.0, 0.012, 0.017]), np.array([0, 1, 0]), 0.05),
+            # an observed level change exactly on the grid point t_3
+            StatePath(np.array([0.0, grid[3]]), np.array([2, 3]), 0.05),
+            # a jump inside a level, then an observed level change
+            StatePath(np.array([0.0, 0.025, 0.041]), np.array([0, 2, 3]), 0.05),
+            sample_ctmc_path(OFF_CYCLE_A, 1, 0.05, spawn_rng(3, 1).generator()),
+            StatePath(np.array([0.0]), np.array([3]), 0.05),
+        ]
+        priors = np.stack([np.full(4, 0.25), np.array([0.1, 0.2, 0.3, 0.4])])
+        seen = []
+
+        def observer(step, t, pis):
+            seen.append((step, t, pis.copy()))
+
+        terminal = evolve_noiseless_ensemble(priors, paths, dt, model, observer)
+        assert terminal.shape == (5, 2, 4)
+        assert [(step, t) for step, t, _ in seen] == [(k, k * dt) for k in range(6)]
+        batch = np.stack([pis for _, _, pis in seen], axis=2)  # (P, k, n + 1, d)
+        assert np.array_equal(batch[:, :, -1], terminal)
+        for p, sp in enumerate(paths):
+            for k, prior in enumerate(priors):
+                alone = run_exact_noiseless_filter(prior, sp, model, dt)
+                assert np.array_equal(batch[p, k], alone.pis)
+                oracle = _expm_oracle(prior, sp, OFF_CYCLE_A, OFF_CYCLE_H, dt)
+                np.testing.assert_allclose(alone.pis, oracle, rtol=0.0, atol=1e-12)
+
+    def test_empty_level_set_inside_batch(self):
+        # each state is its own level and the chain only moves 0 -> 1 -> 2 -> 0,
+        # so an observed jump 0 -> 2 leaves no mass to transfer
+        ring = validate_model(
+            np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]]),
+            np.array([0.0, 1.0, 2.0]),
+            0.0,
+            allow_noiseless=True,
+        )
+        paths = [
+            StatePath(np.array([0.0, 0.02]), np.array([0, 1]), 0.1),
+            StatePath(np.array([0.0, 0.031]), np.array([0, 2]), 0.1),
+        ]
+        with pytest.raises(EmptyLevelSet, match="t = 0.031"):
+            evolve_noiseless_ensemble(np.full((1, 3), 1 / 3), paths, 1e-2, ring)
+
+    def test_mismatched_horizons_rejected(self, model):
+        paths = [StatePath(np.array([0.0]), np.array([0]), T) for T in (0.1, 0.2)]
+        with pytest.raises(GridMismatch):
+            evolve_noiseless_ensemble(np.full((1, 4), 0.25), paths, 1e-2, model)
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_subgenerator_expm_matches_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 7))
+        Q = rng.uniform(0.0, 1.0, (d, d)) * 10.0 ** rng.uniform(-2.0, 3.0, (d, d))
+        Q *= rng.random((d, d)) < 0.6
+        # zero-rate (absorbing) states, and killing that leaves row sums < 0
+        Q[rng.random(d) < 0.3] = 0.0
+        np.fill_diagonal(Q, 0.0)
+        killing = rng.uniform(0.0, 2.0, d) * (rng.random(d) < 0.5)
+        np.fill_diagonal(Q, -(Q.sum(axis=1) + killing))
+        t = 10.0 ** rng.uniform(-6.0, 0.0)
+        ref = expm(Q * t)
+        out = _subgenerator_expm(Q, t)
+        assert np.all(out >= 0.0)
+        np.testing.assert_allclose(out, ref, rtol=1e-11, atol=1e-12 * ref.max())
+
+    def test_subgenerator_expm_of_zero_block_is_identity(self):
+        assert np.array_equal(_subgenerator_expm(np.zeros((3, 3)), 0.5), np.eye(3))
 
 
 class TestConditionalMoments:
