@@ -56,7 +56,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument(
-        "--workers", type=int, default=None, help="override the worker count"
+        "--workers", type=int, default=None, help="worker count (accepted; has no effect)"
     )
     p.add_argument(
         "--out",

@@ -44,6 +44,7 @@ class ExperimentConfig:
     A and H are the base generator and observation matrix; r is the base
     noise level.  sweep_kind is "sigma2", "k", or None (single run at the
     base model).  T_list is used by the backward-map command only.
+    workers is accepted and recorded but has no effect.
     """
 
     A: np.ndarray

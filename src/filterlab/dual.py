@@ -18,6 +18,8 @@ The energy integral in the exact variance balance
 E^nu chi2_T = var_nu(y0) + integral(energy) is never discretized directly;
 it is always recovered as the variance gap var_nu(gamma_T) - var_nu(y0),
 which the balance makes exact.
+
+The workers argument of the public functions is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ def _per_state_samples(
     master_seed: int,
     dt: float,
     stream_base: int,
-    workers: int,
 ) -> _StateSamples:
     kept = [x for x in range(model.d) if nu[x] >= SKIP_EPS]
     skipped = tuple(x for x in range(model.d) if nu[x] < SKIP_EPS)
@@ -108,11 +109,8 @@ def _per_state_samples(
             master_seed,
             initial_state=x,
             stream_offset=stream_base + row * n_paths,
-            workers=workers,
         )
-        terminal = terminal_filter_states(
-            model, np.stack([mu, nu, point]), batch, workers=workers
-        )
+        terminal = terminal_filter_states(model, np.stack([mu, nu, point]), batch)
         gamma = density_ratio(terminal[:, 0, :], terminal[:, 1, :])
         plain[row] = gamma[np.arange(n_paths), batch.terminal_states]
         rb[row] = (terminal[:, 2, :] * gamma).sum(axis=1)
@@ -124,6 +122,23 @@ def _per_state_samples(
         chi2_T=chi2_T,
         skipped=skipped,
     )
+
+
+def _horizon_samples(
+    model: HmmModel,
+    mu: np.ndarray,
+    nu: np.ndarray,
+    T_list,
+    n_paths: int,
+    master_seed: int,
+    dt: float,
+):
+    """Yield (T, state samples) per horizon; horizon i uses the stream block
+    that starts at i * d * n_paths."""
+    for ti, T in enumerate(T_list):
+        yield T, _per_state_samples(
+            model, mu, nu, T, n_paths, master_seed, dt, ti * model.d * n_paths
+        )
 
 
 def _estimate_from(samples: _StateSamples, values: np.ndarray, d: int, T: float, kind: str) -> BackwardMapEstimate:
@@ -165,9 +180,7 @@ def estimate_backward_map(
     density_ratio(mu, nu)
     if kind not in ("plain", "rao-blackwell"):
         raise DimensionMismatch(f"unknown estimator kind {kind!r}")
-    samples = _per_state_samples(
-        model, mu, nu, T, n_paths, master_seed, dt, 0, workers
-    )
+    samples = _per_state_samples(model, mu, nu, T, n_paths, master_seed, dt, 0)
     values = samples.plain if kind == "plain" else samples.rb
     return _estimate_from(samples, values, model.d, T, kind)
 
@@ -191,9 +204,7 @@ def backward_map_pair(
     mu = as_simplex(mu, d=model.d)
     nu = as_simplex(nu, d=model.d)
     density_ratio(mu, nu)
-    samples = _per_state_samples(
-        model, mu, nu, T, n_paths, master_seed, dt, 0, workers
-    )
+    samples = _per_state_samples(model, mu, nu, T, n_paths, master_seed, dt, 0)
     return (
         _estimate_from(samples, samples.plain, model.d, T, "plain"),
         _estimate_from(samples, samples.rb, model.d, T, "rao-blackwell"),
@@ -240,6 +251,74 @@ class DecayDiagnostics:
     skipped_states: tuple[int, ...]
 
 
+def _decay_from(samples: _StateSamples, mu: np.ndarray, nu: np.ndarray, T: float) -> DecayDiagnostics:
+    """Variance-decay diagnostics at horizon T from one set of state samples."""
+    chi2_prior = chi2(mu, nu)
+    kept = samples.states
+    w_nu = nu[kept]
+    w_mu = mu[kept]
+    n = samples.rb.shape[1]
+    m_chi2 = samples.chi2_T.mean(axis=1)
+    v_chi2 = samples.chi2_T.var(axis=1, ddof=1) / n
+    y0 = samples.rb.mean(axis=1)
+    v_y0 = samples.rb.var(axis=1, ddof=1) / n
+
+    var_gam = float(w_nu @ m_chi2)
+    var_gam_se = float(np.sqrt(w_nu**2 @ v_chi2))
+    mean_mu = float(w_mu @ m_chi2)
+    mean_mu_se = float(np.sqrt(w_mu**2 @ v_chi2))
+
+    dev2 = (y0 - 1.0) ** 2
+    var_y0 = float(w_nu @ (dev2 - v_y0))
+    var_y0_se = float(np.sqrt(w_nu**2 @ (4.0 * dev2 * v_y0 + 2.0 * v_y0**2)))
+
+    if var_gam > 0.0:
+        r = mean_mu / var_gam
+        cov_uv = float((w_mu * w_nu) @ v_chi2)
+        rel = (
+            mean_mu_se**2 / mean_mu**2
+            + var_gam_se**2 / var_gam**2
+            - 2.0 * cov_uv / (mean_mu * var_gam)
+        ) if mean_mu > 0.0 else np.nan
+        r_se = abs(r) * float(np.sqrt(max(rel, 0.0))) if np.isfinite(rel) else np.nan
+    else:
+        r, r_se = float("nan"), float("nan")
+
+    cs_slack = var_y0 * chi2_prior - mean_mu**2
+    cs_slack_se = float(
+        np.sqrt((chi2_prior * var_y0_se) ** 2 + (2.0 * mean_mu * mean_mu_se) ** 2)
+    )
+    gap = var_gam - var_y0
+    gap_se = float(np.sqrt(var_gam_se**2 + var_y0_se**2))
+    if np.isfinite(r):
+        ub_slack = chi2_prior - r**2 * gap
+        ub_slack_se = float(
+            np.sqrt((2.0 * r * gap * r_se) ** 2 + (r**2 * gap_se) ** 2)
+        )
+    else:
+        ub_slack, ub_slack_se = float("nan"), float("nan")
+
+    return DecayDiagnostics(
+        T=T,
+        var_nu_y0=var_y0,
+        var_nu_y0_se=var_y0_se,
+        var_nu_gammaT=var_gam,
+        var_nu_gammaT_se=var_gam_se,
+        mean_mu_chi2=mean_mu,
+        mean_mu_chi2_se=mean_mu_se,
+        r_T=r,
+        r_T_se=r_se,
+        a_lower=essential_infimum_ratio(mu, nu),
+        chi2_prior=chi2_prior,
+        cauchy_schwarz_slack=cs_slack,
+        cauchy_schwarz_slack_se=cs_slack_se,
+        uniform_bound_slack=ub_slack,
+        uniform_bound_slack_se=ub_slack_se,
+        n_paths_per_state=n,
+        skipped_states=samples.skipped,
+    )
+
+
 def decay_diagnostics(
     model: HmmModel,
     mu,
@@ -252,10 +331,10 @@ def decay_diagnostics(
 ) -> list[DecayDiagnostics]:
     """Variance-decay diagnostics over increasing horizons.
 
-    Each horizon uses its own independent blocks of random streams.  All
-    expectations are stratified over initial states (exact reweighting,
-    since path laws given X_0 = x do not depend on the prior), so the
-    numerator and denominator of R_T share paths.
+    Each horizon uses its own independent block of random streams (see
+    _horizon_samples).  All expectations are stratified over initial states
+    (exact reweighting, since path laws given X_0 = x do not depend on the
+    prior), so the numerator and denominator of R_T share paths.
     """
     mu = as_simplex(mu, d=model.d)
     nu = as_simplex(nu, d=model.d)
@@ -263,87 +342,10 @@ def decay_diagnostics(
     T_list = [float(T) for T in T_list]
     if any(b <= a for a, b in zip(T_list, T_list[1:])):
         raise DimensionMismatch("T_list must be strictly increasing")
-    chi2_prior = chi2(mu, nu)
-    a_lower = essential_infimum_ratio(mu, nu)
-    out = []
-    for ti, T in enumerate(T_list):
-        samples = _per_state_samples(
-            model,
-            mu,
-            nu,
-            T,
-            n_paths,
-            master_seed,
-            dt,
-            stream_base=ti * model.d * n_paths,
-            workers=workers,
-        )
-        kept = samples.states
-        w_nu = nu[kept]
-        w_mu = mu[kept]
-        n = n_paths
-        m_chi2 = samples.chi2_T.mean(axis=1)
-        v_chi2 = samples.chi2_T.var(axis=1, ddof=1) / n
-        y0 = samples.rb.mean(axis=1)
-        v_y0 = samples.rb.var(axis=1, ddof=1) / n
-
-        var_gam = float(w_nu @ m_chi2)
-        var_gam_se = float(np.sqrt(w_nu**2 @ v_chi2))
-        mean_mu = float(w_mu @ m_chi2)
-        mean_mu_se = float(np.sqrt(w_mu**2 @ v_chi2))
-
-        dev2 = (y0 - 1.0) ** 2
-        var_y0 = float(w_nu @ (dev2 - v_y0))
-        var_y0_se = float(np.sqrt(w_nu**2 @ (4.0 * dev2 * v_y0 + 2.0 * v_y0**2)))
-
-        if var_gam > 0.0:
-            r = mean_mu / var_gam
-            cov_uv = float((w_mu * w_nu) @ v_chi2)
-            rel = (
-                mean_mu_se**2 / mean_mu**2
-                + var_gam_se**2 / var_gam**2
-                - 2.0 * cov_uv / (mean_mu * var_gam)
-            ) if mean_mu > 0.0 else np.nan
-            r_se = abs(r) * float(np.sqrt(max(rel, 0.0))) if np.isfinite(rel) else np.nan
-        else:
-            r, r_se = float("nan"), float("nan")
-
-        cs_slack = var_y0 * chi2_prior - mean_mu**2
-        cs_slack_se = float(
-            np.sqrt((chi2_prior * var_y0_se) ** 2 + (2.0 * mean_mu * mean_mu_se) ** 2)
-        )
-        gap = var_gam - var_y0
-        gap_se = float(np.sqrt(var_gam_se**2 + var_y0_se**2))
-        if np.isfinite(r):
-            ub_slack = chi2_prior - r**2 * gap
-            ub_slack_se = float(
-                np.sqrt((2.0 * r * gap * r_se) ** 2 + (r**2 * gap_se) ** 2)
-            )
-        else:
-            ub_slack, ub_slack_se = float("nan"), float("nan")
-
-        out.append(
-            DecayDiagnostics(
-                T=T,
-                var_nu_y0=var_y0,
-                var_nu_y0_se=var_y0_se,
-                var_nu_gammaT=var_gam,
-                var_nu_gammaT_se=var_gam_se,
-                mean_mu_chi2=mean_mu,
-                mean_mu_chi2_se=mean_mu_se,
-                r_T=r,
-                r_T_se=r_se,
-                a_lower=a_lower,
-                chi2_prior=chi2_prior,
-                cauchy_schwarz_slack=cs_slack,
-                cauchy_schwarz_slack_se=cs_slack_se,
-                uniform_bound_slack=ub_slack,
-                uniform_bound_slack_se=ub_slack_se,
-                n_paths_per_state=n_paths,
-                skipped_states=samples.skipped,
-            )
-        )
-    return out
+    return [
+        _decay_from(samples, mu, nu, T)
+        for T, samples in _horizon_samples(model, mu, nu, T_list, n_paths, master_seed, dt)
+    ]
 
 
 @dataclass(frozen=True)

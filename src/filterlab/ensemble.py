@@ -1,16 +1,15 @@
 """Reproducible Monte Carlo ensembles of signal paths and filter statistics.
 
 Every path owns the random stream (master_seed, stream_offset + path_index),
-so its draws never depend on how paths are divided among workers.  Workers
-write per-path results into disjoint slices of preallocated arrays, and all
-ensemble reductions happen once, in path-index order, after the pool joins.
-Reports built on top of these arrays are therefore bit-identical for any
-worker count.
+so its draws depend only on its index.  All paths of an ensemble are
+filtered in one lockstep pass, and ensemble reductions happen once, in
+path-index order.  The workers argument is still accepted everywhere, so
+configs and callers that set it keep working, but it changes nothing:
+reports are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,17 +45,19 @@ class PathBatch:
     """A block of independent signal paths with their observation increments.
 
     increments has shape (n_paths, n_steps, m); state_paths[i] generated the
-    i-th row.  stream_ids records which random stream produced each path.
+    i-th row.  For a noiseless model increments is None: the observation
+    h(X_t) is read off state_paths, so no increments are integrated.
+    stream_ids records which random stream produced each path.
     """
 
     state_paths: tuple[StatePath, ...]
-    increments: np.ndarray
+    increments: np.ndarray | None
     dt: float
     stream_ids: np.ndarray
 
     @property
     def n_paths(self) -> int:
-        return self.increments.shape[0]
+        return len(self.state_paths)
 
     @property
     def terminal_states(self) -> np.ndarray:
@@ -65,12 +66,6 @@ class PathBatch:
     @property
     def initial_states(self) -> np.ndarray:
         return np.array([sp.states[0] for sp in self.state_paths], dtype=int)
-
-
-def _block_ranges(n: int, workers: int) -> list[range]:
-    workers = max(1, min(int(workers), n)) if n else 1
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    return [range(bounds[i], bounds[i + 1]) for i in range(workers) if bounds[i] < bounds[i + 1]]
 
 
 def sample_path_batch(
@@ -88,32 +83,22 @@ def sample_path_batch(
 
     Path i uses the stream (master_seed, stream_offset + i) for its initial
     state (from initial_law, unless initial_state pins it), its jump
-    skeleton, and its observation noise.  Either initial_law or
-    initial_state must be given.
+    skeleton, and its observation noise (none for a noiseless model, whose
+    batch carries no increments).  Either initial_law or initial_state must
+    be given.  workers is accepted and ignored.
     """
     if (initial_law is None) == (initial_state is None):
         raise DimensionMismatch("give exactly one of initial_law, initial_state")
     law = None if initial_law is None else as_simplex(initial_law, d=model.d)
     n_steps = int(round(T / dt))
-    paths: list[StatePath | None] = [None] * n_paths
-    increments = np.empty((n_paths, n_steps, model.m))
-
-    def fill(indices: range) -> None:
-        for i in indices:
-            rng = spawn_rng(master_seed, stream_offset + i).generator()
-            x0 = initial_state if law is None else sample_initial_state(law, rng, model.d)
-            sp = sample_ctmc_path(model.A, int(x0), T, rng)
-            obs = integrate_observation(sp, model, dt, rng)
-            paths[i] = sp
-            increments[i] = obs.increments
-
-    blocks = _block_ranges(n_paths, workers)
-    if len(blocks) <= 1:
-        for block in blocks:
-            fill(block)
-    else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            list(pool.map(fill, blocks))
+    paths = []
+    increments = None if model.noiseless else np.empty((n_paths, n_steps, model.m))
+    for i in range(n_paths):
+        rng = spawn_rng(master_seed, stream_offset + i).generator()
+        x0 = initial_state if law is None else sample_initial_state(law, rng, model.d)
+        paths.append(sample_ctmc_path(model.A, int(x0), T, rng))
+        if increments is not None:
+            increments[i] = integrate_observation(paths[i], model, dt, rng).increments
     return PathBatch(
         state_paths=tuple(paths),
         increments=increments,
@@ -170,7 +155,7 @@ def run_divergence_ensemble(
     importance weight gamma_0(X_0) = mu(X_0)/nu(X_0), so weighted means
     estimate expectations under the mu path law.  A noiseless model routes
     every path through the exact level-set filter (drift recording is not
-    defined there).
+    defined there).  workers is accepted and ignored.
     """
     mu = as_simplex(mu, d=model.d)
     nu = as_simplex(nu, d=model.d)
@@ -188,7 +173,6 @@ def run_divergence_ensemble(
         master_seed,
         initial_law=law,
         stream_offset=stream_offset,
-        workers=workers,
     )
     x0 = batch.initial_states
     if sample_under == "mu":
@@ -201,49 +185,28 @@ def run_divergence_ensemble(
     signal = None if model.noiseless else np.empty((n_paths, n_steps + 1))
     drift = np.empty((n_paths, n_steps + 1)) if record_drift else None
     hu = model.h_unit
+    signal_acc = np.zeros(n_paths)
+    drift_acc = np.zeros(n_paths)
 
-    def make_observer(rows: slice):
-        """Observer writing the per-path records of the paths in rows."""
-        signal_acc = np.zeros(rows.stop - rows.start)
-        drift_acc = np.zeros(rows.stop - rows.start)
-
-        def observer(step: int, t: float, pis: np.ndarray) -> None:
-            p, q = pis[:, 0, :], pis[:, 1, :]
-            chi2_v[rows, step], kl_v[rows, step], tv_v[rows, step] = _divergence_batch(p, q)
-            if signal is None:
-                return
-            signal[rows, step] = signal_acc
+    def observer(step: int, t: float, pis: np.ndarray) -> None:
+        p, q = pis[:, 0, :], pis[:, 1, :]
+        chi2_v[:, step], kl_v[:, step], tv_v[:, step] = _divergence_batch(p, q)
+        if signal is None:
+            return
+        signal[:, step] = signal_acc
+        if drift is not None:
+            drift[:, step] = drift_acc
+        if step < n_steps:
+            gap = (p - q) @ hu
+            signal_acc[:] += (gap**2).sum(axis=1) * dt
             if drift is not None:
-                drift[rows, step] = drift_acc
-            if step < n_steps:
-                gap = (p - q) @ hu
-                signal_acc[:] += (gap**2).sum(axis=1) * dt
-                if drift is not None:
-                    drift_acc[:] += chi2_drift_batch(p, q, model) * dt
-
-        return observer
+                drift_acc[:] += chi2_drift_batch(p, q, model) * dt
 
     priors = np.stack([mu, nu])
     if model.noiseless:
-        terminal = evolve_noiseless_ensemble(
-            priors, batch.state_paths, dt, model, observer=make_observer(slice(0, n_paths))
-        )
+        terminal = evolve_noiseless_ensemble(priors, batch.state_paths, dt, model, observer=observer)
     else:
-        terminal = np.empty((n_paths, 2, model.d))
-
-        def run_block(block: range) -> None:
-            rows = slice(block.start, block.stop)
-            terminal[rows] = evolve_ensemble(
-                priors, batch.increments[rows], dt, model, observer=make_observer(rows)
-            )
-
-        blocks = _block_ranges(n_paths, workers)
-        if len(blocks) <= 1:
-            for block in blocks:
-                run_block(block)
-        else:
-            with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-                list(pool.map(run_block, blocks))
+        terminal = evolve_ensemble(priors, batch.increments, dt, model, observer=observer)
 
     times = np.arange(n_steps + 1) * dt
     series = DivergenceSeries(times=times, chi2=chi2_v, kl=kl_v, tv=tv_v, weights=weights)
@@ -262,20 +225,9 @@ def terminal_filter_states(
     batch: PathBatch,
     workers: int = 1,
 ) -> np.ndarray:
-    """Terminal filter states (n_paths, k, d) for k priors on a shared batch."""
+    """Terminal filter states (n_paths, k, d) for k priors on a shared batch.
+
+    workers is accepted and ignored.
+    """
     priors = np.stack([as_simplex(p, d=model.d) for p in np.asarray(priors, float)])
-    n_paths = batch.n_paths
-    out = np.empty((n_paths, priors.shape[0], model.d))
-    blocks = _block_ranges(n_paths, workers)
-    if len(blocks) <= 1:
-        out[:] = evolve_ensemble(priors, batch.increments, batch.dt, model)
-        return out
-
-    def run_block(block: range) -> None:
-        out[block.start : block.stop] = evolve_ensemble(
-            priors, batch.increments[block.start : block.stop], batch.dt, model
-        )
-
-    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-        list(pool.map(run_block, blocks))
-    return out
+    return evolve_ensemble(priors, batch.increments, batch.dt, model)

@@ -181,6 +181,8 @@ def evolve_ensemble(
     step = 0 at t = 0 and then after every update; it must not mutate pis.
     Returns the terminal state array.
     """
+    if model.noiseless:
+        raise NonPositiveNoise("noiseless model: use evolve_noiseless_ensemble")
     priors = np.stack([as_simplex(p, d=model.d) for p in np.asarray(priors, float)])
     if increments.ndim != 3 or increments.shape[2] != model.m:
         raise DimensionMismatch(

@@ -35,9 +35,10 @@ from .errors import (
     NonUniqueInvariantMeasure,
     WindowTooShort,
 )
-from .filtering import FilterTrajectory, evolve_noiseless_ensemble, run_filter
+from .filtering import FilterTrajectory, evolve_ensemble, evolve_noiseless_ensemble
 from .model import (
     HmmModel,
+    as_simplex,
     invariant_measure,
     is_ergodic,
     nonergodic_limit_bounds,
@@ -45,12 +46,6 @@ from .model import (
     rate_bounds,
 )
 from .poincare import classical_pi_constant, trajectory_pi_infimum
-from .sim import (
-    integrate_observation,
-    sample_ctmc_path,
-    sample_initial_state,
-    spawn_rng,
-)
 
 __all__ = [
     "run_simulate",
@@ -99,31 +94,29 @@ def _pi_trajectories(
     """A few dedicated filter paths from nu for the conditional-PI sweep.
 
     Streams start beyond the ensemble block so they never collide with the
-    divergence paths of the same sweep value.  Noiseless paths run through
-    the exact filter in one batched call.
+    divergence paths of the same sweep value.  All paths run through the
+    filter in one batched call: the exact filter for a noiseless model, the
+    lockstep ensemble otherwise.
     """
-    trajs = []
-    paths = []
-    for i in range(PI_TRAJECTORY_PATHS):
-        rng = spawn_rng(cfg.master_seed, cfg.n_paths + i).generator()
-        x0 = sample_initial_state(nu, rng, model.d)
-        sp = sample_ctmc_path(model.A, x0, cfg.T, rng)
-        if model.noiseless:
-            paths.append(sp)
-        else:
-            obs = integrate_observation(sp, model, cfg.dt, rng)
-            trajs.append(run_filter(nu, obs, model))
+    batch = sample_path_batch(
+        model,
+        PI_TRAJECTORY_PATHS,
+        cfg.T,
+        cfg.dt,
+        cfg.master_seed,
+        initial_law=nu,
+        stream_offset=cfg.n_paths,
+    )
+    rows = []
+
+    def observer(step, t, pis):
+        rows.append(pis[:, 0, :].copy())
+
     if model.noiseless:
-        rows = []
-        evolve_noiseless_ensemble(
-            nu[None, :],
-            paths,
-            cfg.dt,
-            model,
-            observer=lambda step, t, pis: rows.append(pis[:, 0, :].copy()),
-        )
-        trajs = [FilterTrajectory(dt=float(cfg.dt), pis=p) for p in np.stack(rows, axis=1)]
-    return trajs
+        evolve_noiseless_ensemble(nu[None], batch.state_paths, cfg.dt, model, observer=observer)
+    else:
+        evolve_ensemble(nu[None], batch.increments, cfg.dt, model, observer=observer)
+    return [FilterTrajectory(dt=float(cfg.dt), pis=p) for p in np.stack(rows, axis=1)]
 
 
 def _fit_payload(series: DivergenceSeries, window) -> tuple[dict | None, str]:
@@ -316,8 +309,10 @@ def run_structure(model: HmmModel, out_dir: str | None = None) -> dict:
 def run_backward_map(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Backward-map and variance-decay pipeline at the base model.
 
-    Runs decay diagnostics over cfg.T_list and both backward-map estimators
-    at the largest horizon, dumping each estimator as CSV.
+    Runs decay diagnostics over cfg.T_list, with the stream layout of
+    dual.decay_diagnostics, and builds both backward-map estimators from the
+    largest horizon's diagnostic paths, so that horizon is simulated once.
+    Dumps each estimator as CSV.
     """
     t_start = time.perf_counter()
     model = model_for_sweep_value(cfg, None)
@@ -325,27 +320,15 @@ def run_backward_map(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         raise FilterLabError(
             "backward-map diagnostics need a noisy observation model (r > 0)"
         )
-    diags = dual_mod.decay_diagnostics(
-        model,
-        cfg.mu,
-        cfg.nu,
-        cfg.T_list,
-        cfg.n_paths,
-        cfg.master_seed,
-        dt=cfg.dt,
-        workers=cfg.workers,
-    )
-    plain, rb = dual_mod.backward_map_pair(
-        model,
-        cfg.mu,
-        cfg.nu,
-        cfg.T_list[-1],
-        cfg.n_paths,
-        cfg.master_seed,
-        dt=cfg.dt,
-        workers=cfg.workers,
-    )
-    nu = np.asarray(cfg.nu, dtype=float)
+    mu = as_simplex(cfg.mu, d=model.d)
+    nu = as_simplex(cfg.nu, d=model.d)
+    diags = []
+    for T, samples in dual_mod._horizon_samples(
+        model, mu, nu, cfg.T_list, cfg.n_paths, cfg.master_seed, cfg.dt
+    ):
+        diags.append(dual_mod._decay_from(samples, mu, nu, T))
+    plain = dual_mod._estimate_from(samples, samples.plain, model.d, T, "plain")
+    rb = dual_mod._estimate_from(samples, samples.rb, model.d, T, "rao-blackwell")
     artifacts = []
     per_t = []
     for dg in diags:

@@ -7,7 +7,7 @@ jump times, so the only discretization in the pipeline is the filter's.
 
 Randomness comes from counter-based streams: spawn_rng(master_seed, stream_id)
 keys an independent Philox generator, so any path can be regenerated in
-isolation and results never depend on how paths are split across workers.
+isolation and its draws never depend on which other paths are sampled.
 """
 
 from __future__ import annotations

@@ -58,6 +58,21 @@ class TestSamplePathBatch:
             assert np.array_equal(batch.state_paths[i].jump_times, sp.jump_times)
             assert np.array_equal(batch.increments[i], obs.increments)
 
+    def test_noiseless_batch_replays_streams_without_increments(self, cycle_noiseless):
+        offset = 8
+        batch = sample_path_batch(
+            cycle_noiseless, 6, 1.0, 1e-2, 9, initial_law=CYCLE_NU, stream_offset=offset
+        )
+        assert batch.increments is None
+        assert batch.n_paths == 6
+        for i in range(6):
+            rng = spawn_rng(9, offset + i).generator()
+            x0 = sample_initial_state(CYCLE_NU, rng, 4)
+            sp = sample_ctmc_path(cycle_noiseless.A, x0, 1.0, rng)
+            assert np.array_equal(batch.state_paths[i].jump_times, sp.jump_times)
+            assert np.array_equal(batch.state_paths[i].states, sp.states)
+            assert batch.state_paths[i].T == sp.T
+
     def test_worker_count_never_changes_output(self, cycle_model):
         batches = [
             sample_path_batch(
@@ -95,6 +110,12 @@ class TestTerminalFilterStates:
             assert np.array_equal(
                 base, terminal_filter_states(cycle_model, priors, batch, workers=w)
             )
+
+
+    def test_noiseless_batch_rejected(self, cycle_noiseless):
+        batch = sample_path_batch(cycle_noiseless, 3, 0.2, 1e-2, 1, initial_law=CYCLE_MU)
+        with pytest.raises(NonPositiveNoise):
+            terminal_filter_states(cycle_noiseless, np.stack([CYCLE_MU, CYCLE_NU]), batch)
 
 
 class TestRunDivergenceEnsemble:

@@ -1,0 +1,107 @@
+"""Experiment pipelines: the conditional-PI paths and the backward-map pass."""
+
+import numpy as np
+import pytest
+
+import filterlab.dual as dual_mod
+from filterlab.config import model_for_sweep_value, preset_config
+from filterlab.filtering import run_exact_noiseless_filter, run_filter
+from filterlab.pipeline import PI_TRAJECTORY_PATHS, _pi_trajectories, run_backward_map
+from filterlab.sim import (
+    integrate_observation,
+    sample_ctmc_path,
+    sample_initial_state,
+    spawn_rng,
+)
+
+
+def _cycle_cfg(**overrides):
+    base = dict(n_paths=30, T=0.4, dt=1e-3, master_seed=77)
+    base.update(overrides)
+    return preset_config("example-6.1").with_overrides(**base)
+
+
+def _oracle_paths(model, cfg, nu):
+    """The per-path stream recipe: initial state, then jump skeleton."""
+    for i in range(PI_TRAJECTORY_PATHS):
+        rng = spawn_rng(cfg.master_seed, cfg.n_paths + i).generator()
+        x0 = sample_initial_state(nu, rng, model.d)
+        yield sample_ctmc_path(model.A, x0, cfg.T, rng), rng
+
+
+class TestPiTrajectories:
+    @pytest.mark.parametrize("sigma2", [0.1, 1.0])
+    def test_noisy_batch_equals_per_path_filters(self, sigma2):
+        cfg = _cycle_cfg()
+        model = model_for_sweep_value(cfg, sigma2)
+        trajs = _pi_trajectories(model, cfg, cfg.nu)
+        assert len(trajs) == PI_TRAJECTORY_PATHS
+        for traj, (sp, rng) in zip(trajs, _oracle_paths(model, cfg, cfg.nu)):
+            obs = integrate_observation(sp, model, cfg.dt, rng)
+            expected = run_filter(cfg.nu, obs, model)
+            assert traj.dt == expected.dt
+            assert np.array_equal(traj.pis, expected.pis)
+
+    def test_noiseless_batch_equals_exact_single_path_filter(self):
+        cfg = _cycle_cfg()
+        model = model_for_sweep_value(cfg, 0.0)
+        trajs = _pi_trajectories(model, cfg, cfg.nu)
+        assert len(trajs) == PI_TRAJECTORY_PATHS
+        for traj, (sp, _) in zip(trajs, _oracle_paths(model, cfg, cfg.nu)):
+            expected = run_exact_noiseless_filter(cfg.nu, sp, model, dt=cfg.dt)
+            assert np.array_equal(traj.pis, expected.pis)
+
+
+class TestRunBackwardMap:
+    @pytest.mark.parametrize(
+        "priors, kept",
+        [
+            ({}, 4),
+            ({"mu": np.array([0.3, 0.7, 0.0, 0.0]), "nu": np.array([0.5, 0.5, 0.0, 0.0])}, 2),
+        ],
+    )
+    def test_each_horizon_is_sampled_once(self, monkeypatch, priors, kept):
+        calls = []
+        original = dual_mod.sample_path_batch
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["stream_offset"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dual_mod, "sample_path_batch", counting)
+        cfg = _cycle_cfg(n_paths=20, T_list=(0.1, 0.2, 0.3), dt=1e-2, **priors)
+        report = run_backward_map(cfg)
+        assert len(calls) == len(cfg.T_list) * kept
+        assert len(set(calls)) == len(calls)
+        assert [d["T"] for d in report["diagnostics"]] == list(cfg.T_list)
+
+    def test_estimates_come_from_the_largest_horizon(self):
+        cfg = _cycle_cfg(n_paths=40, T_list=(0.2, 0.5), dt=1e-2)
+        report = run_backward_map(cfg)
+        rb = report["estimates"]["rao-blackwell"]
+        assert rb["T"] == cfg.T_list[-1]
+        y0 = np.array(rb["y0"])
+        se = np.array(rb["stderr"])
+        nu = np.asarray(cfg.nu)
+        np.testing.assert_allclose(
+            nu @ ((y0 - 1.0) ** 2 - se**2),
+            report["diagnostics"][-1]["var_nu_y0"],
+            rtol=1e-12,
+        )
+
+    def test_diagnostics_match_decay_diagnostics(self):
+        cfg = _cycle_cfg(n_paths=20, T_list=(0.1, 0.3), dt=1e-2)
+        report = run_backward_map(cfg)
+        diags = dual_mod.decay_diagnostics(
+            model_for_sweep_value(cfg, None),
+            cfg.mu,
+            cfg.nu,
+            cfg.T_list,
+            cfg.n_paths,
+            cfg.master_seed,
+            dt=cfg.dt,
+        )
+        for entry, dg in zip(report["diagnostics"], diags):
+            assert entry["var_nu_y0"] == dg.var_nu_y0
+            assert entry["var_nu_gammaT"] == dg.var_nu_gammaT
+            assert entry["mean_mu_chi2"] == dg.mean_mu_chi2
