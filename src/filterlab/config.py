@@ -229,48 +229,25 @@ def _config_from_dict(data: dict, source: str) -> ExperimentConfig:
     for key in ("d", "A", "H", "r"):
         if key not in model_raw:
             raise ConfigError(f"{source}: model: missing key '{key}'")
+    for key in ("mu", "nu"):
+        if key not in data:
+            raise ConfigError(f"{source}: missing prior '{key}'")
     d = int(model_raw["d"])
     m = int(model_raw.get("m", 1))
-    A = _parse_matrix(model_raw["A"], d, d, "model.A")
-    H = _parse_matrix(model_raw["H"], d, m, "model.H")
-    r = float(model_raw["r"])
-    sweep_kind, sweep_values = _parse_sweep(data, source)
-    try:
-        mu = np.asarray(data["mu"], dtype=float)
-        nu = np.asarray(data["nu"], dtype=float)
-    except KeyError as exc:
-        raise ConfigError(f"{source}: missing prior {exc}") from exc
-    cfg = ExperimentConfig(
-        A=A,
-        H=H,
-        r=r,
-        mu=mu,
-        nu=nu,
-        T=float(data.get("T", 10.0)),
-        dt=float(data.get("dt", 1e-3)),
-        n_paths=int(data.get("n_paths", 200)),
-        master_seed=int(data.get("master_seed", 0)),
-        sweep_kind=sweep_kind,
-        sweep_values=sweep_values,
-        workers=int(data.get("workers", 1)),
-        out_dir=data.get("out_dir"),
-        rate_window=_parse_window(data.get("rate_window"), source),
-        T_list=tuple(float(t) for t in data.get("T_list", (2.0, 5.0, 10.0))),
-        label=str(data.get("label", "")),
+    base = ExperimentConfig(
+        A=_parse_matrix(model_raw["A"], d, d, "model.A"),
+        H=_parse_matrix(model_raw["H"], d, m, "model.H"),
+        r=float(model_raw["r"]),
+        mu=np.asarray(data["mu"], dtype=float),
+        nu=np.asarray(data["nu"], dtype=float),
+        T=10.0,
+        dt=1e-3,
+        n_paths=200,
+        master_seed=0,
+        sweep_kind=None,
+        sweep_values=(),
     )
-    return _validate(cfg)
-
-
-def _parse_sweep(data: dict, source: str) -> tuple[str | None, tuple[float, ...]]:
-    has_sigma = "sigma2_list" in data
-    has_k = "k_list" in data
-    if has_sigma and has_k:
-        raise ConfigError(f"{source}: give at most one of sigma2_list, k_list")
-    if has_sigma:
-        return "sigma2", tuple(float(v) for v in data["sigma2_list"])
-    if has_k:
-        return "k", tuple(float(v) for v in data["k_list"])
-    return None, ()
+    return _apply_overrides(base, {k: v for k, v in data.items() if k != "model"}, source)
 
 
 def _parse_window(raw, source: str) -> tuple[float, float] | None:
@@ -282,6 +259,13 @@ def _parse_window(raw, source: str) -> tuple[float, float] | None:
 
 
 def _apply_overrides(base: ExperimentConfig, overrides: dict, source: str) -> ExperimentConfig:
+    """Apply the top-level fields of a config file to a base configuration.
+
+    Both config shapes end here, so an unknown field or a second sweep list
+    is rejected the same way whether the base is a preset or a model.
+    """
+    if "sigma2_list" in overrides and "k_list" in overrides:
+        raise ConfigError(f"{source}: give at most one of sigma2_list, k_list")
     known_scalars = {
         "T": float,
         "dt": float,

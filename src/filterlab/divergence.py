@@ -23,7 +23,6 @@ drift = C1 + C3 . (pi_mu(h) - pi_nu(h)).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from .errors import (
     WindowTooShort,
 )
 from .filtering import FilterTrajectory
-from .model import HmmModel, carre_du_champ
+from .model import HmmModel, _read_table, _write_table, carre_du_champ
 
 __all__ = [
     "SUPPORT_EPS",
@@ -373,31 +372,17 @@ def write_series_csv(path: str, series: DivergenceSeries) -> None:
     chi2_m, chi2_s = series._mean_se(series.chi2)
     kl_m, kl_s = series._mean_se(series.kl)
     tv_m, tv_s = series._mean_se(series.tv)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SERIES_COLUMNS)
-        for i, t in enumerate(series.times):
-            writer.writerow(
-                [
-                    repr(float(t)),
-                    repr(float(chi2_m[i])),
-                    repr(float(chi2_s[i])),
-                    repr(float(kl_m[i])),
-                    repr(float(kl_s[i])),
-                    repr(float(tv_m[i])),
-                    repr(float(tv_s[i])),
-                    series.n_paths,
-                ]
-            )
+    n_paths = np.full(len(series.times), series.n_paths)
+    _write_table(
+        path, SERIES_COLUMNS, [series.times, chi2_m, chi2_s, kl_m, kl_s, tv_m, tv_s, n_paths]
+    )
 
 
 def read_series_csv(path: str) -> dict[str, np.ndarray]:
     """Parse a series CSV back into column arrays keyed by header name."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
+    header, body = _read_table(path)
     if header != SERIES_COLUMNS:
         raise DimensionMismatch(f"unexpected series header {header}")
-    cols = {name: np.array([float(r[i]) for r in body]) for i, name in enumerate(header)}
+    cols = dict(zip(header, body.T))
     cols["n_paths"] = cols["n_paths"].astype(int)
     return cols

@@ -24,7 +24,6 @@ The workers argument of the public functions is accepted and ignored.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ import numpy as np
 from .divergence import _divergence_batch, chi2, density_ratio
 from .ensemble import sample_path_batch, terminal_filter_states
 from .errors import AssumptionA1Violated, DimensionMismatch
-from .model import HmmModel, as_simplex
+from .model import HmmModel, _read_table, _write_table, as_simplex
 
 __all__ = [
     "SKIP_EPS",
@@ -422,22 +421,15 @@ BACKWARD_MAP_COLUMNS = ["x", "y0", "stderr"]
 
 def write_backward_map_csv(path: str, estimate: BackwardMapEstimate) -> None:
     """Dump the backward-map estimate as (x, y0, stderr) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BACKWARD_MAP_COLUMNS)
-        for x in range(estimate.y0.shape[0]):
-            writer.writerow([x, repr(float(estimate.y0[x])), repr(float(estimate.stderr[x]))])
+    x = np.arange(estimate.y0.shape[0])
+    _write_table(path, BACKWARD_MAP_COLUMNS, [x, estimate.y0, estimate.stderr])
 
 
 def read_backward_map_csv(path: str) -> dict[str, np.ndarray]:
     """Parse a backward-map CSV back into column arrays."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != BACKWARD_MAP_COLUMNS:
-        raise DimensionMismatch(f"unexpected backward-map header {rows[0]}")
-    body = rows[1:]
-    return {
-        "x": np.array([int(r[0]) for r in body]),
-        "y0": np.array([float(r[1]) for r in body]),
-        "stderr": np.array([float(r[2]) for r in body]),
-    }
+    header, body = _read_table(path)
+    if header != BACKWARD_MAP_COLUMNS:
+        raise DimensionMismatch(f"unexpected backward-map header {header}")
+    cols = dict(zip(header, body.T))
+    cols["x"] = cols["x"].astype(int)
+    return cols

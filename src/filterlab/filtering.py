@@ -29,13 +29,12 @@ and a quarter second of import time) out of the simulate path.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateMass, DimensionMismatch, EmptyLevelSet, GridMismatch, NonPositiveNoise
-from .model import HmmModel, as_simplex
+from .model import HmmModel, _read_table, _write_table, as_simplex
 from .sim import ObservationPath, StatePath
 
 __all__ = [
@@ -377,20 +376,13 @@ def conditional_moments(pi, f, g=None) -> ConditionalMoments:
 
 def write_trajectory_csv(path: str, traj: FilterTrajectory) -> None:
     """Dump a trajectory as CSV rows (t, pi_1, ..., pi_d); floats use repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"pi{x + 1}" for x in range(traj.d)])
-        times = traj.times
-        for k in range(traj.pis.shape[0]):
-            writer.writerow([repr(float(times[k]))] + [repr(float(v)) for v in traj.pis[k]])
+    header = ["t"] + [f"pi{x + 1}" for x in range(traj.d)]
+    _write_table(path, header, [traj.times, *traj.pis.T])
 
 
 def read_trajectory_csv(path: str, label: str = "") -> FilterTrajectory:
     """Inverse of write_trajectory_csv (exact round trip)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    if len(rows) < 2:
+    _, body = _read_table(path)
+    if body.shape[0] < 2:
         raise GridMismatch("trajectory dump needs at least two rows")
-    times = np.array([float(r[0]) for r in rows])
-    pis = np.array([[float(v) for v in r[1:]] for r in rows])
-    return FilterTrajectory(dt=float(times[1] - times[0]), pis=pis, label=label)
+    return FilterTrajectory(dt=float(body[1, 0] - body[0, 0]), pis=body[:, 1:], label=label)

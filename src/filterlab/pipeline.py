@@ -38,6 +38,7 @@ from .errors import (
 from .filtering import FilterTrajectory, evolve_ensemble, evolve_noiseless_ensemble
 from .model import (
     HmmModel,
+    _write_table,
     as_simplex,
     invariant_measure,
     is_ergodic,
@@ -234,10 +235,11 @@ def run_simulate(
                 lo, hi = fit_payload["window"]
                 mask = (series.times >= lo) & (series.times <= hi)
                 plot_path = os.path.join(out_dir, f"plotdata_{tag}.csv")
-                with open(plot_path, "w") as fh:
-                    fh.write("t,log_chi2_mean\n")
-                    for t, v in zip(series.times[mask], series.chi2_mean[mask]):
-                        fh.write(f"{t!r},{np.log(v)!r}\n")
+                _write_table(
+                    plot_path,
+                    ["t", "log_chi2_mean"],
+                    [series.times[mask], np.log(series.chi2_mean[mask])],
+                )
                 artifacts.append(plot_path)
         sweep_reports.append(entry)
 

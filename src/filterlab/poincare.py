@@ -15,8 +15,9 @@ measure this is the classical Markov Poincare constant; with rho a filter
 state it is the conditional variant whose infimum along trajectories feeds
 the decay envelope.
 
-The eigensolver is a self-contained cyclic Jacobi iteration, which is exact
-enough at these sizes (k <= 64) and keeps the whole reduction transparent.
+Both symmetric eigenproblems of the reduction (whitening the variance form,
+then the whitened energy form) go to LAPACK through np.linalg.eigh; numpy
+rather than scipy.linalg keeps scipy.linalg out of the simulate path.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVarianceForm, DimensionMismatch, FilterLabError, NotSymmetric
+from .errors import DegenerateVarianceForm, DimensionMismatch, NotSymmetric
 from .model import _as_rate_matrix, as_simplex
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
 
 SUPPORT_TOL = 1e-12
 PD_TOL = 1e-10
-JACOBI_MAX_SWEEPS = 64
 
 
 @dataclass(frozen=True)
@@ -57,61 +57,19 @@ class PiResult:
 
 
 def symmetric_eigensolver(S) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectrum of a small symmetric matrix by cyclic Jacobi rotations.
+    """Full spectrum of a small symmetric matrix by np.linalg.eigh.
 
-    Returns (eigenvalues ascending, eigenvectors as columns).  Iterates
-    sweeps until the off-diagonal Frobenius norm drops below 1e-12 ||S||.
-    Raises NotSymmetric if S deviates from its transpose beyond 1e-10.
+    Returns (eigenvalues ascending, eigenvectors as columns) of the
+    symmetrized matrix.  Raises NotSymmetric if S deviates from its
+    transpose beyond 1e-10 relative to max(1, max |S|).
     """
     S = np.array(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {S.shape}")
-    k = S.shape[0]
-    if k > 64:
-        raise DimensionMismatch(f"k = {k} exceeds the supported size 64")
     scale = max(1.0, float(np.abs(S).max()) if S.size else 1.0)
     if float(np.abs(S - S.T).max()) > 1e-10 * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-10")
-    a = (S + S.T) / 2.0
-    v = np.eye(k)
-    norm_s = float(np.linalg.norm(a))
-    if k == 1 or norm_s == 0.0:
-        return np.diag(a).copy(), v
-    target = 1e-12 * norm_s
-    off_mask = ~np.eye(k, dtype=bool)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = float(np.linalg.norm(a[off_mask]))
-        if off <= target:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = a[p, q]
-                if abs(apq) <= 1e-20 * norm_s:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                others = np.ones(k, dtype=bool)
-                others[p] = others[q] = False
-                aip = a[others, p].copy()
-                aiq = a[others, q].copy()
-                a[others, p] = a[p, others] = c * aip - s * aiq
-                a[others, q] = a[q, others] = s * aip + c * aiq
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        if float(np.linalg.norm(a[off_mask])) > target:
-            raise FilterLabError("Jacobi iteration did not converge in 64 sweeps")
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh((S + S.T) / 2.0)
 
 
 def _pi_eigenproblem(A: np.ndarray, rho: np.ndarray, support: np.ndarray) -> PiResult:

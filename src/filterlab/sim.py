@@ -12,13 +12,12 @@ isolation and its draws never depend on which other paths are sampled.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch
-from .model import HmmModel, as_simplex
+from .model import HmmModel, _read_table, _write_table, as_simplex
 
 __all__ = [
     "RngStream",
@@ -205,47 +204,32 @@ def integrate_observation(
 
 def write_observation_csv(path: str, obs: ObservationPath) -> None:
     """Dump increments as CSV rows (t_k, dZ_k[1..m]); floats use repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"dZ{j + 1}" for j in range(obs.m)])
-        for k in range(obs.n_steps):
-            writer.writerow(
-                [repr(k * obs.dt)] + [repr(float(v)) for v in obs.increments[k]]
-            )
+    header = ["t"] + [f"dZ{j + 1}" for j in range(obs.m)]
+    _write_table(path, header, [np.arange(obs.n_steps) * obs.dt, *obs.increments.T])
 
 
 def read_observation_csv(path: str) -> ObservationPath:
     """Inverse of write_observation_csv (exact round trip)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    if len(body) < 2:
+    _, body = _read_table(path)
+    if body.shape[0] < 2:
         raise GridMismatch("observation dump needs at least two rows")
-    times = np.array([float(r[0]) for r in body])
-    increments = np.array([[float(v) for v in r[1:]] for r in body])
-    if len(header) != increments.shape[1] + 1:
-        raise DimensionMismatch("observation dump header/body width mismatch")
-    dt = float(times[1] - times[0])
-    return ObservationPath(dt=dt, increments=increments)
+    return ObservationPath(dt=float(body[1, 0] - body[0, 0]), increments=body[:, 1:])
 
 
 def write_state_path_csv(path: str, sp: StatePath) -> None:
     """Sidecar dump of jump times and states, plus the horizon."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["jump_time", "state", "T"])
-        for i in range(len(sp.states)):
-            writer.writerow(
-                [repr(float(sp.jump_times[i])), int(sp.states[i]), repr(float(sp.T))]
-            )
+    _write_table(
+        path,
+        ["jump_time", "state", "T"],
+        [sp.jump_times, sp.states, np.full(len(sp.states), float(sp.T))],
+    )
 
 
 def read_state_path_csv(path: str) -> StatePath:
     """Inverse of write_state_path_csv (exact round trip)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    if not rows:
+    _, body = _read_table(path)
+    if body.shape[0] == 0:
         raise GridMismatch("state path dump is empty")
-    jump_times = np.array([float(r[0]) for r in rows])
-    states = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    return StatePath(jump_times=jump_times, states=states, T=float(rows[0][2]))
+    return StatePath(
+        jump_times=body[:, 0], states=body[:, 1].astype(np.int64), T=float(body[0, 2])
+    )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual as dual_mod
-from .config import preset_config, load_config, save_config
+from .config import load_config, model_for_sweep_value, preset_config, save_config
 from .divergence import (
     _divergence_batch,
     chi2,
@@ -78,28 +78,13 @@ def _result(name: str, kind: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, kind=kind, passed=bool(passed), detail=detail)
 
 
-def _cycle_model(r: float = 1.0):
-    A = np.array(
-        [
-            [-1.0, 1.0, 0.0, 0.0],
-            [0.0, -1.0, 1.0, 0.0],
-            [0.0, 0.0, -1.0, 1.0],
-            [1.0, 0.0, 0.0, -1.0],
-        ]
-    )
-    h = np.array([1.0, 0.0, 1.0, 0.0])
-    return validate_model(A, h, r, allow_noiseless=(r == 0.0))
+def _cycle_model(sigma2: float = 1.0):
+    """The example-6.1 cycle at noise intensity sigma2 (0 is noiseless)."""
+    return model_for_sweep_value(preset_config("example-6.1"), sigma2)
 
 
 def _blocks_A() -> np.ndarray:
-    return np.array(
-        [
-            [-1.0, 1.0, 0.0, 0.0],
-            [2.0, -2.0, 0.0, 0.0],
-            [0.0, 0.0, -1.0, 1.0],
-            [0.0, 0.0, 2.0, -2.0],
-        ]
-    )
+    return preset_config("example-6.2").A
 
 
 def _random_simplex_pairs(rng: np.random.Generator, n: int, d: int):
@@ -216,7 +201,7 @@ def check_eigensolver(seed: int) -> CheckResult:
         ordered &= bool(np.all(np.diff(w) >= -1e-12))
     passed = worst_rec <= 1e-9 and worst_orth <= 1e-9 and ordered
     return _result(
-        "jacobi-eigensolver",
+        "symmetric-eigensolver",
         "deterministic",
         passed,
         f"max reconstruction {worst_rec:.2e}, max orthogonality {worst_orth:.2e}",
@@ -270,7 +255,7 @@ def check_structure_examples(seed: int) -> CheckResult:
 
 def check_noiseless_identity(seed: int) -> CheckResult:
     """Level-set filter: alternation pattern and the constant-gap identity."""
-    model = _cycle_model(r=0.0)
+    model = _cycle_model(0.0)
     rng = spawn_rng(seed, 9006).generator()
     sp = sample_ctmc_path(model.A, 0, 5.0, rng)
     mu = np.array([0.35, 0.35, 0.15, 0.15])

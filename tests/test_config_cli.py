@@ -13,7 +13,9 @@ from filterlab.config import (
     preset_config,
     save_config,
 )
+from filterlab.divergence import read_series_csv
 from filterlab.errors import ConfigError
+from filterlab.model import _read_table
 
 
 class TestPresets:
@@ -145,6 +147,26 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_unknown_field_with_explicit_model(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            {
+                "model": {"d": 2, "A": [-1.0, 1.0, 2.0, -2.0], "H": [1.0, 0.0], "r": 1.0},
+                "mu": [0.5, 0.5],
+                "nu": [0.5, 0.5],
+                "n_pathz": 5,
+            },
+        )
+        with pytest.raises(ConfigError, match="n_pathz"):
+            load_config(path)
+
+    def test_both_sweeps_rejected_with_preset(self, tmp_path):
+        path = self._write(
+            tmp_path, {"preset": "example-6.1", "sigma2_list": [1.0], "k_list": [2.0]}
+        )
+        with pytest.raises(ConfigError, match="sigma2_list"):
+            load_config(path)
+
     def test_non_simplex_prior_rejected(self, tmp_path):
         path = self._write(tmp_path, {"preset": "example-6.1", "mu": [0.5, 0.5, 0.5, 0.5]})
         with pytest.raises(ConfigError):
@@ -251,6 +273,19 @@ class TestCliSimulate:
         ] is None
         text = capsys.readouterr().out
         assert "chi2(0) = 0.160000" in text
+
+    def test_plot_data_reads_back(self, tmp_path):
+        cfg = _tiny_config(tmp_path, rate_window=[0.05, 0.2])
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--plot-data"]) == 0
+        report = json.loads((out / "report_simulate.json").read_text())
+        lo, hi = report["sweep"][0]["rate_fit"]["window"]
+        series = read_series_csv(str(out / "series_sigma2=1.csv"))
+        mask = (series["t"] >= lo) & (series["t"] <= hi)
+        header, body = _read_table(str(out / "plotdata_sigma2=1.csv"))
+        assert header == ["t", "log_chi2_mean"]
+        np.testing.assert_array_equal(body[:, 0], series["t"][mask])
+        np.testing.assert_array_equal(body[:, 1], np.log(series["chi2_mean"][mask]))
 
     def test_seed_and_workers_do_not_change_results(self, tmp_path):
         cfg = _tiny_config(tmp_path)

@@ -6,14 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BLOCKS_A, CYCLE_A, CYCLE_H, random_generator_matrix
+from filterlab.divergence import read_series_csv
+from filterlab.dual import read_backward_map_csv
 from filterlab.errors import (
     DimensionMismatch,
+    GridMismatch,
     NegativeOffDiagonal,
     NonPositiveNoise,
     NonUniqueInvariantMeasure,
     RowSumNonZero,
 )
+from filterlab.filtering import read_trajectory_csv
 from filterlab.model import (
+    _read_table,
+    _write_table,
     as_simplex,
     carre_du_champ,
     invariant_measure,
@@ -25,6 +31,7 @@ from filterlab.model import (
     save_model,
     validate_model,
 )
+from filterlab.sim import read_observation_csv, read_state_path_csv
 
 
 class TestValidateModel:
@@ -217,3 +224,37 @@ class TestModelFileRoundTrip:
         path.write_text('{"d": 2, "m": 1, "A": [-1.0, 1.0, 1.0, -1.0], "H": [NaN, 0.0], "r": 1.0}')
         with pytest.raises((DimensionMismatch, ValueError)):
             load_model(str(path))
+
+
+class TestTableFormat:
+    def test_golden_text(self, tmp_path):
+        path = tmp_path / "table.csv"
+        ints = np.array([0, 1, 2, 3], dtype=np.int64)
+        floats = np.array([0.1, 5e-324, -0.0, 1.0 / 3.0])
+        _write_table(str(path), ["n", "x"], [ints, floats])
+        assert path.read_bytes() == (
+            b"n,x\r\n0,0.1\r\n1,5e-324\r\n2,-0.0\r\n3,0.3333333333333333\r\n"
+        )
+        header, body = _read_table(str(path))
+        assert header == ["n", "x"]
+        assert body.dtype == np.float64 and body.shape == (4, 2)
+        np.testing.assert_array_equal(body[:, 0], ints)
+        assert np.array_equal(body[:, 1].view(np.int64), floats.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "reader, text, error",
+        [
+            (read_observation_csv, "t,dZ1\r\n0.0,0.5\r\n", GridMismatch),
+            (read_observation_csv, "t,dZ1\r\n0.0,0.5,0.1\r\n0.1,0.2,0.3\r\n", DimensionMismatch),
+            (read_state_path_csv, "jump_time,state,T\r\n", GridMismatch),
+            (read_trajectory_csv, "t,pi1,pi2\r\n0.0,0.5,0.5\r\n", GridMismatch),
+            (read_series_csv, "t,chi2\r\n0.0,1.0\r\n", DimensionMismatch),
+            (read_backward_map_csv, "x,y\r\n0,1.0\r\n", DimensionMismatch),
+        ],
+        ids=["obs-one-row", "obs-width", "path-empty", "traj-one-row", "series-header", "map-header"],
+    )
+    def test_reader_errors(self, tmp_path, reader, text, error):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(error):
+            reader(str(path))
