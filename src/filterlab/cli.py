@@ -56,9 +56,6 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument(
-        "--workers", type=int, default=None, help="worker count (accepted; has no effect)"
-    )
-    p.add_argument(
         "--out",
         metavar="DIR",
         default=None,
@@ -110,12 +107,9 @@ def _load_experiment(args) -> "ExperimentConfig":
     if bool(args.config) == bool(args.preset):
         raise ConfigError("exactly one of --config or --preset is required")
     cfg = load_config(args.config) if args.config else preset_config(args.preset)
-    overrides = {}
     if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    return cfg.with_overrides(**overrides) if overrides else cfg
+        cfg = cfg.with_overrides(master_seed=args.seed)
+    return cfg
 
 
 def _cmd_simulate(args) -> int:

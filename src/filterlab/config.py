@@ -4,7 +4,9 @@ A configuration fixes the model, the prior pair, the grid, the ensemble
 size, the random seed, and exactly one sweep: either a list of noise
 intensities sigma2_list (the observation noise r = sqrt(sigma2), with
 sigma2 = 0 routed to the exact noiseless filter) or a list of observation
-gains k_list (the observation row H is scaled by k at unit noise).
+gains k_list (the observation row H is scaled by k at unit noise).  A
+"workers" field, which older configuration files carry, must still be an
+integer >= 1 but is otherwise ignored.
 
 Two presets embed the reference models used throughout:
 
@@ -44,7 +46,6 @@ class ExperimentConfig:
     A and H are the base generator and observation matrix; r is the base
     noise level.  sweep_kind is "sigma2", "k", or None (single run at the
     base model).  T_list is used by the backward-map command only.
-    workers is accepted and recorded but has no effect.
     """
 
     A: np.ndarray
@@ -58,7 +59,6 @@ class ExperimentConfig:
     master_seed: int
     sweep_kind: str | None
     sweep_values: tuple[float, ...]
-    workers: int = 1
     out_dir: str | None = None
     rate_window: tuple[float, float] | None = None
     T_list: tuple[float, ...] = (2.0, 5.0, 10.0)
@@ -102,7 +102,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     )
     _require(cfg.n_paths >= 1, "n_paths", "must be at least 1")
     _require(cfg.master_seed >= 0, "master_seed", "must be a nonnegative integer")
-    _require(cfg.workers >= 1, "workers", "must be at least 1")
     _require(
         cfg.sweep_kind in (None, "sigma2", "k"),
         "sweep_kind",
@@ -271,7 +270,6 @@ def _apply_overrides(base: ExperimentConfig, overrides: dict, source: str) -> Ex
         "dt": float,
         "n_paths": int,
         "master_seed": int,
-        "workers": int,
         "label": str,
     }
     kwargs: dict = {}
@@ -288,6 +286,8 @@ def _apply_overrides(base: ExperimentConfig, overrides: dict, source: str) -> Ex
         elif key == "k_list":
             kwargs["sweep_kind"] = "k"
             kwargs["sweep_values"] = tuple(float(v) for v in value)
+        elif key == "workers":
+            _require(int(value) >= 1, "workers", "must be at least 1")
         elif key == "rate_window":
             kwargs["rate_window"] = _parse_window(value, source)
         elif key == "T_list":
@@ -327,7 +327,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "dt": cfg.dt,
         "n_paths": cfg.n_paths,
         "master_seed": cfg.master_seed,
-        "workers": cfg.workers,
         "T_list": list(cfg.T_list),
         "label": cfg.label,
     }

@@ -19,7 +19,9 @@ E^nu chi2_T = var_nu(y0) + integral(energy) is never discretized directly;
 it is always recovered as the variance gap var_nu(gamma_T) - var_nu(y0),
 which the balance makes exact.
 
-The workers argument of the public functions is accepted and ignored.
+backward_map_study is the one engine: it simulates each horizon once and
+owns the stream layout; backward_map_pair and decay_diagnostics are views
+of it.
 """
 
 from __future__ import annotations
@@ -29,17 +31,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _divergence_batch, chi2, density_ratio
-from .ensemble import sample_path_batch, terminal_filter_states
+from .ensemble import sample_path_batch
 from .errors import AssumptionA1Violated, DimensionMismatch
+from .filtering import evolve_ensemble
 from .model import HmmModel, _read_table, _write_table, as_simplex
 
 __all__ = [
     "SKIP_EPS",
     "BackwardMapEstimate",
-    "estimate_backward_map",
     "backward_map_pair",
     "DecayDiagnostics",
     "decay_diagnostics",
+    "backward_map_study",
     "EnvelopeReport",
     "theorem2_envelope",
     "essential_infimum_ratio",
@@ -109,7 +112,7 @@ def _per_state_samples(
             initial_state=x,
             stream_offset=stream_base + row * n_paths,
         )
-        terminal = terminal_filter_states(model, np.stack([mu, nu, point]), batch)
+        terminal = evolve_ensemble(np.stack([mu, nu, point]), batch.increments, dt, model)
         gamma = density_ratio(terminal[:, 0, :], terminal[:, 1, :])
         plain[row] = gamma[np.arange(n_paths), batch.terminal_states]
         rb[row] = (terminal[:, 2, :] * gamma).sum(axis=1)
@@ -121,23 +124,6 @@ def _per_state_samples(
         chi2_T=chi2_T,
         skipped=skipped,
     )
-
-
-def _horizon_samples(
-    model: HmmModel,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    T_list,
-    n_paths: int,
-    master_seed: int,
-    dt: float,
-):
-    """Yield (T, state samples) per horizon; horizon i uses the stream block
-    that starts at i * d * n_paths."""
-    for ti, T in enumerate(T_list):
-        yield T, _per_state_samples(
-            model, mu, nu, T, n_paths, master_seed, dt, ti * model.d * n_paths
-        )
 
 
 def _estimate_from(samples: _StateSamples, values: np.ndarray, d: int, T: float, kind: str) -> BackwardMapEstimate:
@@ -153,60 +139,6 @@ def _estimate_from(samples: _StateSamples, values: np.ndarray, d: int, T: float,
         T=float(T),
         estimator_kind=kind,
         skipped_states=samples.skipped,
-    )
-
-
-def estimate_backward_map(
-    model: HmmModel,
-    mu,
-    nu,
-    T: float,
-    n_paths: int,
-    master_seed: int,
-    kind: str = "rao-blackwell",
-    dt: float = DEFAULT_DT,
-    workers: int = 1,
-) -> BackwardMapEstimate:
-    """Estimate y0(x) = E^nu(gamma_T(X_T) | X_0 = x) for every state.
-
-    kind selects the plain terminal-state estimator or its Rao-Blackwell
-    conditional expectation; both are unbiased.  Paths depend only on
-    (master_seed, state, path index), so the two kinds computed with the
-    same seed see identical observations.
-    """
-    mu = as_simplex(mu, d=model.d)
-    nu = as_simplex(nu, d=model.d)
-    density_ratio(mu, nu)
-    if kind not in ("plain", "rao-blackwell"):
-        raise DimensionMismatch(f"unknown estimator kind {kind!r}")
-    samples = _per_state_samples(model, mu, nu, T, n_paths, master_seed, dt, 0)
-    values = samples.plain if kind == "plain" else samples.rb
-    return _estimate_from(samples, values, model.d, T, kind)
-
-
-def backward_map_pair(
-    model: HmmModel,
-    mu,
-    nu,
-    T: float,
-    n_paths: int,
-    master_seed: int,
-    dt: float = DEFAULT_DT,
-    workers: int = 1,
-) -> tuple[BackwardMapEstimate, BackwardMapEstimate]:
-    """Both estimators from one shared set of paths: (plain, rao-blackwell).
-
-    The plain estimator is the brute-force cross-check of the Rao-Blackwell
-    one; on shared paths their difference has conditional mean zero, so the
-    combined standard error is a conservative scale for the comparison.
-    """
-    mu = as_simplex(mu, d=model.d)
-    nu = as_simplex(nu, d=model.d)
-    density_ratio(mu, nu)
-    samples = _per_state_samples(model, mu, nu, T, n_paths, master_seed, dt, 0)
-    return (
-        _estimate_from(samples, samples.plain, model.d, T, "plain"),
-        _estimate_from(samples, samples.rb, model.d, T, "rao-blackwell"),
     )
 
 
@@ -318,6 +250,60 @@ def _decay_from(samples: _StateSamples, mu: np.ndarray, nu: np.ndarray, T: float
     )
 
 
+def backward_map_study(
+    model: HmmModel,
+    mu,
+    nu,
+    T_list,
+    n_paths: int,
+    master_seed: int,
+    dt: float = DEFAULT_DT,
+) -> tuple[list[DecayDiagnostics], BackwardMapEstimate, BackwardMapEstimate]:
+    """Variance-decay diagnostics over increasing horizons, and both
+    backward-map estimators at the last one: (diagnostics, plain,
+    rao-blackwell).
+
+    Horizon i uses its own independent block of random streams, starting at
+    i * d * n_paths; the estimators reuse the last horizon's paths.  All
+    expectations are stratified over initial states (exact reweighting,
+    since path laws given X_0 = x do not depend on the prior), so the
+    numerator and denominator of R_T share paths.  The plain estimator is
+    the brute-force cross-check of the Rao-Blackwell one; on shared paths
+    their difference has conditional mean zero, so the combined standard
+    error is a conservative scale for the comparison.
+    """
+    mu = as_simplex(mu, d=model.d)
+    nu = as_simplex(nu, d=model.d)
+    density_ratio(mu, nu)
+    T_list = [float(T) for T in T_list]
+    if not T_list or any(b <= a for a, b in zip(T_list, T_list[1:])):
+        raise DimensionMismatch("T_list must be nonempty and strictly increasing")
+    diagnostics = []
+    for i, T in enumerate(T_list):
+        samples = _per_state_samples(
+            model, mu, nu, T, n_paths, master_seed, dt, i * model.d * n_paths
+        )
+        diagnostics.append(_decay_from(samples, mu, nu, T))
+    return (
+        diagnostics,
+        _estimate_from(samples, samples.plain, model.d, T, "plain"),
+        _estimate_from(samples, samples.rb, model.d, T, "rao-blackwell"),
+    )
+
+
+def backward_map_pair(
+    model: HmmModel,
+    mu,
+    nu,
+    T: float,
+    n_paths: int,
+    master_seed: int,
+    dt: float = DEFAULT_DT,
+) -> tuple[BackwardMapEstimate, BackwardMapEstimate]:
+    """Both estimators at one horizon T: (plain, rao-blackwell)."""
+    return backward_map_study(model, mu, nu, (T,), n_paths, master_seed, dt)[1:]
+
+
 def decay_diagnostics(
     model: HmmModel,
     mu,
@@ -326,25 +312,9 @@ def decay_diagnostics(
     n_paths: int,
     master_seed: int,
     dt: float = DEFAULT_DT,
-    workers: int = 1,
 ) -> list[DecayDiagnostics]:
-    """Variance-decay diagnostics over increasing horizons.
-
-    Each horizon uses its own independent block of random streams (see
-    _horizon_samples).  All expectations are stratified over initial states
-    (exact reweighting, since path laws given X_0 = x do not depend on the
-    prior), so the numerator and denominator of R_T share paths.
-    """
-    mu = as_simplex(mu, d=model.d)
-    nu = as_simplex(nu, d=model.d)
-    density_ratio(mu, nu)
-    T_list = [float(T) for T in T_list]
-    if any(b <= a for a, b in zip(T_list, T_list[1:])):
-        raise DimensionMismatch("T_list must be strictly increasing")
-    return [
-        _decay_from(samples, mu, nu, T)
-        for T, samples in _horizon_samples(model, mu, nu, T_list, n_paths, master_seed, dt)
-    ]
+    """Variance-decay diagnostics over increasing horizons."""
+    return backward_map_study(model, mu, nu, T_list, n_paths, master_seed, dt)[0]
 
 
 @dataclass(frozen=True)

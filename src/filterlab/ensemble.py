@@ -3,9 +3,7 @@
 Every path owns the random stream (master_seed, stream_offset + path_index),
 so its draws depend only on its index.  All paths of an ensemble are
 filtered in one lockstep pass, and ensemble reductions happen once, in
-path-index order.  The workers argument is still accepted everywhere, so
-configs and callers that set it keep working, but it changes nothing:
-reports are bit-identical for any worker count.
+path-index order.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ __all__ = [
     "sample_path_batch",
     "EnsembleDivergence",
     "run_divergence_ensemble",
-    "terminal_filter_states",
 ]
 
 
@@ -47,13 +44,11 @@ class PathBatch:
     increments has shape (n_paths, n_steps, m); state_paths[i] generated the
     i-th row.  For a noiseless model increments is None: the observation
     h(X_t) is read off state_paths, so no increments are integrated.
-    stream_ids records which random stream produced each path.
     """
 
     state_paths: tuple[StatePath, ...]
     increments: np.ndarray | None
     dt: float
-    stream_ids: np.ndarray
 
     @property
     def n_paths(self) -> int:
@@ -77,7 +72,6 @@ def sample_path_batch(
     initial_law=None,
     initial_state: int | None = None,
     stream_offset: int = 0,
-    workers: int = 1,
 ) -> PathBatch:
     """Sample n_paths signal paths and observation paths with owned streams.
 
@@ -85,7 +79,7 @@ def sample_path_batch(
     state (from initial_law, unless initial_state pins it), its jump
     skeleton, and its observation noise (none for a noiseless model, whose
     batch carries no increments).  Either initial_law or initial_state must
-    be given.  workers is accepted and ignored.
+    be given.
     """
     if (initial_law is None) == (initial_state is None):
         raise DimensionMismatch("give exactly one of initial_law, initial_state")
@@ -99,12 +93,7 @@ def sample_path_batch(
         paths.append(sample_ctmc_path(model.A, int(x0), T, rng))
         if increments is not None:
             increments[i] = integrate_observation(paths[i], model, dt, rng).increments
-    return PathBatch(
-        state_paths=tuple(paths),
-        increments=increments,
-        dt=float(dt),
-        stream_ids=np.arange(stream_offset, stream_offset + n_paths, dtype=np.int64),
-    )
+    return PathBatch(state_paths=tuple(paths), increments=increments, dt=float(dt))
 
 
 @dataclass(frozen=True)
@@ -130,10 +119,6 @@ class EnsembleDivergence:
     def weights(self) -> np.ndarray:
         return self.series.weights
 
-    def weighted_mean_se(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ensemble mean and standard error of per-path values (paths first)."""
-        return self.series._mean_se(values)
-
 
 def run_divergence_ensemble(
     model: HmmModel,
@@ -146,7 +131,6 @@ def run_divergence_ensemble(
     sample_under: str = "mu",
     record_drift: bool = False,
     stream_offset: int = 0,
-    workers: int = 1,
 ) -> EnsembleDivergence:
     """Divergence series between the filters started from mu and nu.
 
@@ -155,7 +139,7 @@ def run_divergence_ensemble(
     importance weight gamma_0(X_0) = mu(X_0)/nu(X_0), so weighted means
     estimate expectations under the mu path law.  A noiseless model routes
     every path through the exact level-set filter (drift recording is not
-    defined there).  workers is accepted and ignored.
+    defined there).
     """
     mu = as_simplex(mu, d=model.d)
     nu = as_simplex(nu, d=model.d)
@@ -217,17 +201,3 @@ def run_divergence_ensemble(
         terminal_pis=terminal,
         initial_states=x0,
     )
-
-
-def terminal_filter_states(
-    model: HmmModel,
-    priors: np.ndarray,
-    batch: PathBatch,
-    workers: int = 1,
-) -> np.ndarray:
-    """Terminal filter states (n_paths, k, d) for k priors on a shared batch.
-
-    workers is accepted and ignored.
-    """
-    priors = np.stack([as_simplex(p, d=model.d) for p in np.asarray(priors, float)])
-    return evolve_ensemble(priors, batch.increments, batch.dt, model)

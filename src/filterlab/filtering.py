@@ -92,7 +92,6 @@ def wonham_step(
     dz: np.ndarray,
     dt: float,
     model: HmmModel,
-    check_gain: bool = True,
 ) -> np.ndarray:
     """One Euler step of the conditional law, broadcast over leading axes.
 
@@ -112,11 +111,10 @@ def wonham_step(
             f"got {pi.shape} and {dz.shape}"
         )
     pih = pi @ hu
-    if check_gain:
-        gain_sums = (pi[..., None] * (hu - pih[..., None, :])).sum(axis=-2)
-        worst = float(np.max(np.abs(gain_sums))) if gain_sums.size else 0.0
-        if worst > GAIN_TOL:
-            raise DegenerateMass(f"gain rows sum to {worst:.3e} > {GAIN_TOL}")
+    gain_sums = (pi[..., None] * (hu - pih[..., None, :])).sum(axis=-2)
+    worst = float(np.max(np.abs(gain_sums))) if gain_sums.size else 0.0
+    if worst > GAIN_TOL:
+        raise DegenerateMass(f"gain rows sum to {worst:.3e} > {GAIN_TOL}")
     innov = dz / model.r - pih * dt
     signal = innov @ hu.T - (pih * innov).sum(axis=-1)[..., None]
     new = pi + dt * (pi @ model.A) + pi * signal
@@ -132,7 +130,6 @@ def run_filter(
     obs: ObservationPath,
     model: HmmModel,
     label: str = "",
-    check_gain: bool = True,
 ):
     """Evolve one or several priors through one observation path.
 
@@ -152,9 +149,7 @@ def run_filter(
     cur = priors
     for step in range(obs.n_steps):
         try:
-            cur = wonham_step(
-                cur, obs.increments[step][None, :], obs.dt, model, check_gain
-            )
+            cur = wonham_step(cur, obs.increments[step][None, :], obs.dt, model)
         except DegenerateMass as exc:
             raise DegenerateMass(f"step {step}: {exc}") from exc
         pis[step + 1] = cur
@@ -171,7 +166,6 @@ def evolve_ensemble(
     dt: float,
     model: HmmModel,
     observer=None,
-    check_gain: bool = True,
 ) -> np.ndarray:
     """Evolve k priors through P observation paths in lockstep.
 
@@ -193,9 +187,7 @@ def evolve_ensemble(
         observer(0, 0.0, pis)
     for step in range(n_steps):
         try:
-            pis = wonham_step(
-                pis, increments[:, step, :][:, None, :], dt, model, check_gain
-            )
+            pis = wonham_step(pis, increments[:, step, :][:, None, :], dt, model)
         except DegenerateMass as exc:
             raise DegenerateMass(f"step {step}: {exc}") from exc
         if observer is not None:

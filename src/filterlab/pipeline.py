@@ -3,9 +3,9 @@
 Each pipeline takes a validated ExperimentConfig, runs ensembles with
 per-path random streams, and produces a JSON-ready report plus optional CSV
 artifacts.  Everything in a report is derived from (config, master_seed)
-through per-path arrays reduced in path order, so reports are bit-identical
-for any worker count; wall-clock timing lives under the separate key
-"wall_clock_s" that determinism comparisons drop.
+through per-path arrays reduced in path order, so reruns are bit-identical;
+wall-clock timing lives under the separate key "wall_clock_s" that
+determinism comparisons drop.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import time
 
 import numpy as np
 
-from . import dual as dual_mod
 from .config import ExperimentConfig, config_to_dict, model_for_sweep_value
 from .divergence import (
     DivergenceSeries,
@@ -26,6 +25,7 @@ from .divergence import (
     tv,
     write_series_csv,
 )
+from .dual import backward_map_study, theorem2_envelope, write_backward_map_csv
 from .ensemble import run_divergence_ensemble, sample_path_batch
 from .errors import (
     AssumptionA1Violated,
@@ -175,7 +175,6 @@ def run_simulate(
             cfg.T,
             cfg.dt,
             cfg.master_seed,
-            workers=cfg.workers,
         )
         series = ens.series
         fit_payload, fit_note = _fit_payload(series, cfg.rate_window)
@@ -189,7 +188,7 @@ def run_simulate(
         c_env = max(c_inf, 0.0) if np.isfinite(c_inf) else 0.0
         envelope_payload = None
         try:
-            report = dual_mod.theorem2_envelope(
+            report = theorem2_envelope(
                 model, cfg.mu, cfg.nu, series, c_env, ENVELOPE_TAU
             )
             envelope_payload = {
@@ -311,10 +310,9 @@ def run_structure(model: HmmModel, out_dir: str | None = None) -> dict:
 def run_backward_map(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Backward-map and variance-decay pipeline at the base model.
 
-    Runs decay diagnostics over cfg.T_list, with the stream layout of
-    dual.decay_diagnostics, and builds both backward-map estimators from the
-    largest horizon's diagnostic paths, so that horizon is simulated once.
-    Dumps each estimator as CSV.
+    Decay diagnostics over cfg.T_list and both backward-map estimators at
+    the largest horizon, from one dual.backward_map_study pass.  Dumps each
+    estimator as CSV.
     """
     t_start = time.perf_counter()
     model = model_for_sweep_value(cfg, None)
@@ -322,15 +320,10 @@ def run_backward_map(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         raise FilterLabError(
             "backward-map diagnostics need a noisy observation model (r > 0)"
         )
-    mu = as_simplex(cfg.mu, d=model.d)
     nu = as_simplex(cfg.nu, d=model.d)
-    diags = []
-    for T, samples in dual_mod._horizon_samples(
-        model, mu, nu, cfg.T_list, cfg.n_paths, cfg.master_seed, cfg.dt
-    ):
-        diags.append(dual_mod._decay_from(samples, mu, nu, T))
-    plain = dual_mod._estimate_from(samples, samples.plain, model.d, T, "plain")
-    rb = dual_mod._estimate_from(samples, samples.rb, model.d, T, "rao-blackwell")
+    diags, plain, rb = backward_map_study(
+        model, cfg.mu, cfg.nu, cfg.T_list, cfg.n_paths, cfg.master_seed, cfg.dt
+    )
     artifacts = []
     per_t = []
     for dg in diags:
@@ -370,7 +363,7 @@ def run_backward_map(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         }
         if out_dir is not None:
             path = os.path.join(out_dir, f"backward_map_{est.estimator_kind}.csv")
-            dual_mod.write_backward_map_csv(path, est)
+            write_backward_map_csv(path, est)
             artifacts.append(path)
     report = {
         "command": "backward-map",

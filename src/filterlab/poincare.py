@@ -66,8 +66,8 @@ def symmetric_eigensolver(S) -> tuple[np.ndarray, np.ndarray]:
     S = np.array(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {S.shape}")
-    scale = max(1.0, float(np.abs(S).max()) if S.size else 1.0)
-    if float(np.abs(S - S.T).max()) > 1e-10 * scale:
+    scale = max(1.0, float(np.abs(S).max(initial=0.0)))
+    if float(np.abs(S - S.T).max(initial=0.0)) > 1e-10 * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-10")
     return np.linalg.eigh((S + S.T) / 2.0)
 

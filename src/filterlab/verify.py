@@ -275,22 +275,20 @@ def check_noiseless_identity(seed: int) -> CheckResult:
     )
 
 
-def check_worker_invariance(seed: int) -> CheckResult:
-    """Bit-identical per-path ensembles for 1 vs 4 workers."""
+def check_rerun_determinism(seed: int) -> CheckResult:
+    """Two same-seed ensembles are bit-identical."""
     model = _cycle_model()
     mu = [0.35, 0.35, 0.15, 0.15]
     nu = [0.25] * 4
-    a = run_divergence_ensemble(model, mu, nu, 12, 0.5, 1e-3, seed, workers=1)
-    b = run_divergence_ensemble(model, mu, nu, 12, 0.5, 1e-3, seed, workers=4)
+    a = run_divergence_ensemble(model, mu, nu, 12, 0.5, 1e-3, seed)
+    b = run_divergence_ensemble(model, mu, nu, 12, 0.5, 1e-3, seed)
     same = (
         np.array_equal(a.series.chi2, b.series.chi2)
         and np.array_equal(a.series.kl, b.series.kl)
         and np.array_equal(a.terminal_pis, b.terminal_pis)
         and np.array_equal(a.signal_integral, b.signal_integral)
     )
-    return _result(
-        "worker-invariance", "deterministic", same, "1 vs 4 workers bit-identical"
-    )
+    return _result("rerun-determinism", "deterministic", same, "two same-seed runs bit-identical")
 
 
 def check_round_trips(seed: int) -> CheckResult:
@@ -347,7 +345,7 @@ def check_kl_supermartingale_and_clark(seed: int, size: int) -> list[CheckResult
     cfg = preset_config("example-6.1")
     model = validate_model(cfg.A, cfg.H, 1.0)
     ens = run_divergence_ensemble(
-        model, cfg.mu, cfg.nu, size, 5.0, 1e-3, seed, workers=1
+        model, cfg.mu, cfg.nu, size, 5.0, 1e-3, seed
     )
     anchors = _anchor_indices(ens.series.times, 0.1)
     klv = ens.series.kl[:, anchors]
@@ -401,7 +399,7 @@ def check_weak_drift(seed: int, size: int) -> CheckResult:
     mu = 0.85 * rng.dirichlet(np.ones(d)) + 0.05
     nu = 0.85 * rng.dirichlet(np.ones(d)) + 0.05
     ens = run_divergence_ensemble(
-        model, mu, nu, size, 2.0, 1e-3, seed, record_drift=True, workers=1
+        model, mu, nu, size, 2.0, 1e-3, seed, record_drift=True
     )
     anchors = _anchor_indices(ens.series.times, 0.5)[1:]
     resid = (
@@ -532,7 +530,7 @@ DETERMINISTIC_CHECKS = [
     check_rate_fit,
     check_structure_examples,
     check_noiseless_identity,
-    check_worker_invariance,
+    check_rerun_determinism,
     check_round_trips,
 ]
 

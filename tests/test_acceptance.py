@@ -50,7 +50,7 @@ def sweep61(cycle_cfg):
     for sigma2 in (0.1, 1.0, 10.0):
         model = model_for_sweep_value(cycle_cfg, sigma2)
         out[sigma2] = run_divergence_ensemble(
-            model, cycle_cfg.mu, cycle_cfg.nu, 200, 10.0, 1e-3, SEED, workers=1
+            model, cycle_cfg.mu, cycle_cfg.nu, 200, 10.0, 1e-3, SEED
         )
     return out, time.perf_counter() - start
 
@@ -63,7 +63,7 @@ def sweep62(blocks_cfg):
     for k in (0.0, 1.0, 2.0, 4.0):
         model = model_for_sweep_value(blocks_cfg, k)
         out[k] = run_divergence_ensemble(
-            model, blocks_cfg.mu, blocks_cfg.nu, 200, 10.0, 1e-3, SEED, workers=1
+            model, blocks_cfg.mu, blocks_cfg.nu, 200, 10.0, 1e-3, SEED
         )
     return out, time.perf_counter() - start
 

@@ -185,6 +185,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_workers_field_still_validated(self, tmp_path):
+        path = self._write(tmp_path, {"preset": "example-6.1", "workers": 0})
+        with pytest.raises(ConfigError, match="workers"):
+            load_config(path)
+
     def test_bad_rate_window(self, tmp_path):
         path = self._write(
             tmp_path, {"preset": "example-6.1", "rate_window": [9.0, 2.0]}
@@ -193,11 +198,11 @@ class TestLoadConfig:
             load_config(path)
 
     def test_round_trip(self, tmp_path):
-        cfg = preset_config("example-6.2").with_overrides(n_paths=11, workers=2)
+        cfg = preset_config("example-6.2").with_overrides(n_paths=11)
         p = tmp_path / "saved.json"
         save_config(cfg, str(p))
         back = load_config(str(p))
-        assert back.n_paths == 11 and back.workers == 2
+        assert back.n_paths == 11
         assert back.sweep_kind == "k" and back.sweep_values == cfg.sweep_values
         assert np.array_equal(back.A, cfg.A)
         assert np.array_equal(back.H, cfg.H)
@@ -226,6 +231,11 @@ class TestCliExitCodes:
     def test_usage_error_is_config_exit(self, capsys):
         assert main(["not-a-command"]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_workers_flag_is_a_usage_error(self, tmp_path, capsys):
+        cfg = _tiny_config(tmp_path)
+        assert main(["simulate", "--config", cfg, "--workers", "2"]) == 1
+        assert "--workers" in capsys.readouterr().err
 
     def test_missing_experiment_source(self, capsys):
         assert main(["simulate"]) == 1
@@ -288,16 +298,18 @@ class TestCliSimulate:
         np.testing.assert_array_equal(body[:, 1], np.log(series["chi2_mean"][mask]))
 
     def test_seed_and_workers_do_not_change_results(self, tmp_path):
-        cfg = _tiny_config(tmp_path)
+        # An older config's "workers" field loads and changes nothing.
         outs = []
-        for w, name in (("1", "a"), ("3", "b")):
-            out = tmp_path / name
-            assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", w]) == 0
+        for extra, name in (({}, "a"), ({"workers": 3}, "b")):
+            (tmp_path / name).mkdir()
+            cfg = _tiny_config(tmp_path / name, **extra)
+            out = tmp_path / name / "out"
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
             report = json.loads((out / "report_simulate.json").read_text())
             report.pop("wall_clock_s")
-            report["config"].pop("workers")
             outs.append(report)
         assert outs[0] == outs[1]
+        assert "workers" not in outs[0]["config"]
 
 
 class TestCliStructureAndVerify:

@@ -7,9 +7,9 @@ from conftest import BLOCKS_MU, BLOCKS_NU, CYCLE_MU, CYCLE_NU
 from filterlab.divergence import DivergenceSeries, chi2
 from filterlab.dual import (
     backward_map_pair,
+    backward_map_study,
     decay_diagnostics,
     essential_infimum_ratio,
-    estimate_backward_map,
     read_backward_map_csv,
     theorem2_envelope,
     write_backward_map_csv,
@@ -37,35 +37,34 @@ class TestBackwardMapEstimators:
         plain2, rb2 = backward_map_pair(cycle_model, CYCLE_MU, CYCLE_NU, 1.0, 40, 5)
         assert np.array_equal(plain1.y0, plain2.y0)
         assert np.array_equal(rb1.y0, rb2.y0)
-        solo = estimate_backward_map(
-            cycle_model, CYCLE_MU, CYCLE_NU, 1.0, 40, 5, kind="rao-blackwell"
+        diags, solo_plain, solo = backward_map_study(
+            cycle_model, CYCLE_MU, CYCLE_NU, (1.0,), 40, 5
         )
-        assert np.array_equal(solo.y0, rb1.y0)
-        solo_plain = estimate_backward_map(
-            cycle_model, CYCLE_MU, CYCLE_NU, 1.0, 40, 5, kind="plain"
-        )
-        assert np.array_equal(solo_plain.y0, plain1.y0)
+        for one, two in ((solo_plain, plain1), (solo, rb1)):
+            assert np.array_equal(one.y0, two.y0)
+            assert np.array_equal(one.stderr, two.stderr)
+            assert one.estimator_kind == two.estimator_kind
+        assert [dg.T for dg in diags] == [1.0]
 
     def test_unknown_kind_rejected(self, cycle_model):
-        with pytest.raises(DimensionMismatch):
-            estimate_backward_map(
-                cycle_model, CYCLE_MU, CYCLE_NU, 1.0, 10, 0, kind="fancy"
-            )
-
-    def test_worker_invariance(self, cycle_model):
-        base = backward_map_pair(cycle_model, CYCLE_MU, CYCLE_NU, 0.5, 30, 9, workers=1)
-        multi = backward_map_pair(cycle_model, CYCLE_MU, CYCLE_NU, 0.5, 30, 9, workers=3)
-        for a, b in zip(base, multi):
-            assert np.array_equal(a.y0, b.y0)
-            assert np.array_equal(a.stderr, b.stderr)
+        # The pair carries exactly the two known kinds; no other can be asked for.
+        pair = backward_map_pair(cycle_model, CYCLE_MU, CYCLE_NU, 0.2, 5, 0)
+        assert [est.estimator_kind for est in pair] == ["plain", "rao-blackwell"]
+        with pytest.raises(TypeError):
+            backward_map_pair(cycle_model, CYCLE_MU, CYCLE_NU, 0.2, 5, 0, kind="fancy")
 
     def test_skipped_states_for_thin_nu_support(self, cycle_model):
         nu = np.array([0.5, 0.5, 0.0, 0.0])
         mu = np.array([0.3, 0.7, 0.0, 0.0])
-        est = estimate_backward_map(cycle_model, mu, nu, 0.5, 20, 1)
-        assert est.skipped_states == (2, 3)
-        assert est.y0[2] == 0.0 and est.y0[3] == 0.0
-        assert est.y0[0] != 0.0
+        for est in backward_map_pair(cycle_model, mu, nu, 0.5, 20, 1):
+            assert est.skipped_states == (2, 3)
+            assert est.y0[2] == 0.0 and est.y0[3] == 0.0
+            assert est.y0[0] != 0.0
+
+    def test_horizons_must_be_nonempty_and_increasing(self, cycle_model):
+        for T_list in ((), (1.0, 0.5), (0.5, 0.5)):
+            with pytest.raises(DimensionMismatch):
+                backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, T_list, 5, 0)
 
     def test_rao_blackwell_never_noisier(self, cycle_model):
         plain, rb = backward_map_pair(cycle_model, CYCLE_MU, CYCLE_NU, 1.0, 60, 13)
@@ -168,7 +167,7 @@ class TestTheorem2Envelope:
 
 class TestBackwardMapCsv:
     def test_round_trip(self, tmp_path, cycle_model):
-        est = estimate_backward_map(cycle_model, CYCLE_MU, CYCLE_NU, 0.5, 15, 2)
+        _, est = backward_map_pair(cycle_model, CYCLE_MU, CYCLE_NU, 0.5, 15, 2)
         p = tmp_path / "map.csv"
         write_backward_map_csv(str(p), est)
         cols = read_backward_map_csv(str(p))

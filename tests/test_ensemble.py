@@ -1,4 +1,4 @@
-"""Ensemble orchestration: stream layout, worker invariance, recorders."""
+"""Ensemble orchestration: stream layout, batched filtering, recorders."""
 
 import os
 import subprocess
@@ -12,13 +12,9 @@ import filterlab
 
 from conftest import CYCLE_MU, CYCLE_NU
 from filterlab.divergence import chi2, density_ratio
-from filterlab.ensemble import (
-    run_divergence_ensemble,
-    sample_path_batch,
-    terminal_filter_states,
-)
+from filterlab.ensemble import run_divergence_ensemble, sample_path_batch
 from filterlab.errors import DimensionMismatch, NonPositiveNoise
-from filterlab.filtering import run_filter
+from filterlab.filtering import evolve_ensemble, run_filter
 from filterlab.sim import (
     ObservationPath,
     integrate_observation,
@@ -73,17 +69,6 @@ class TestSamplePathBatch:
             assert np.array_equal(batch.state_paths[i].states, sp.states)
             assert batch.state_paths[i].T == sp.T
 
-    def test_worker_count_never_changes_output(self, cycle_model):
-        batches = [
-            sample_path_batch(
-                cycle_model, 7, 0.5, 1e-2, 21, initial_law=CYCLE_NU, workers=w
-            )
-            for w in (1, 2, 5)
-        ]
-        for other in batches[1:]:
-            assert np.array_equal(batches[0].increments, other.increments)
-            assert np.array_equal(batches[0].terminal_states, other.terminal_states)
-
     def test_terminal_states_match_paths(self, cycle_model):
         batch = sample_path_batch(cycle_model, 6, 0.5, 1e-2, 4, initial_law=CYCLE_MU)
         manual = [sp.states[-1] for sp in batch.state_paths]
@@ -94,7 +79,7 @@ class TestTerminalFilterStates:
     def test_matches_per_path_run_filter(self, cycle_model):
         batch = sample_path_batch(cycle_model, 5, 0.5, 1e-3, 2, initial_law=CYCLE_MU)
         priors = np.stack([CYCLE_MU, CYCLE_NU])
-        out = terminal_filter_states(cycle_model, priors, batch)
+        out = evolve_ensemble(priors, batch.increments, batch.dt, cycle_model)
         assert out.shape == (5, 2, 4)
         for i in range(5):
             obs = ObservationPath(dt=1e-3, increments=batch.increments[i])
@@ -102,20 +87,10 @@ class TestTerminalFilterStates:
                 traj = run_filter(prior, obs, cycle_model)
                 assert np.array_equal(out[i, k], traj.pis[-1])
 
-    def test_worker_invariance(self, cycle_model):
-        batch = sample_path_batch(cycle_model, 9, 0.3, 1e-3, 5, initial_law=CYCLE_MU)
-        priors = np.stack([CYCLE_MU, CYCLE_NU])
-        base = terminal_filter_states(cycle_model, priors, batch, workers=1)
-        for w in (2, 4):
-            assert np.array_equal(
-                base, terminal_filter_states(cycle_model, priors, batch, workers=w)
-            )
-
-
     def test_noiseless_batch_rejected(self, cycle_noiseless):
         batch = sample_path_batch(cycle_noiseless, 3, 0.2, 1e-2, 1, initial_law=CYCLE_MU)
         with pytest.raises(NonPositiveNoise):
-            terminal_filter_states(cycle_noiseless, np.stack([CYCLE_MU, CYCLE_NU]), batch)
+            evolve_ensemble(np.stack([CYCLE_MU, CYCLE_NU]), batch.increments, batch.dt, cycle_noiseless)
 
 
 class TestRunDivergenceEnsemble:
@@ -148,21 +123,6 @@ class TestRunDivergenceEnsemble:
         assert np.all(rec.drift_integral[:, 0] == 0.0)
         # recording must not perturb the filter path
         assert np.array_equal(plain.series.chi2, rec.series.chi2)
-
-    def test_worker_invariance_with_recorders(self, cycle_model):
-        kwargs = dict(record_drift=True)
-        a = run_divergence_ensemble(
-            cycle_model, CYCLE_MU, CYCLE_NU, 8, 0.3, 1e-3, 3, workers=1, **kwargs
-        )
-        b = run_divergence_ensemble(
-            cycle_model, CYCLE_MU, CYCLE_NU, 8, 0.3, 1e-3, 3, workers=3, **kwargs
-        )
-        assert np.array_equal(a.series.chi2, b.series.chi2)
-        assert np.array_equal(a.series.kl, b.series.kl)
-        assert np.array_equal(a.signal_integral, b.signal_integral)
-        assert np.array_equal(a.drift_integral, b.drift_integral)
-        assert np.array_equal(a.terminal_pis, b.terminal_pis)
-        assert np.array_equal(a.initial_states, b.initial_states)
 
     def test_reweighted_sampling_carries_density_ratio_weights(self, cycle_model):
         ens = run_divergence_ensemble(

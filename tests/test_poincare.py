@@ -22,6 +22,8 @@ class TestSymmetricEigensolver:
         w, v = symmetric_eigensolver(np.diag([3.0, -1.0, 2.0]))
         np.testing.assert_allclose(w, [-1.0, 2.0, 3.0], atol=1e-12)
         np.testing.assert_allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]], atol=1e-12)
+        w, v = symmetric_eigensolver(np.zeros((0, 0)))
+        assert w.shape == (0,) and v.shape == (0, 0)
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(NotSymmetric):
