@@ -201,8 +201,41 @@ def preset_config(name: str) -> ExperimentConfig:
     return _validate(cfg)
 
 
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _scalar(value, field_name: str, kind: type):
+    """value as kind, if it has that JSON type: an integer is also a
+    number, a bool is neither, and a fractional number is no integer."""
+    accepted = (int, float) if kind is float else kind
+    ok = isinstance(value, accepted) and not isinstance(value, bool)
+    _require(ok, field_name, f"must be {_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _numbers_only(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return all(_numbers_only(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _as_array(value, field_name: str) -> np.ndarray:
+    """A number or (nested) list of numbers as a float array."""
+    _require(_numbers_only(value), field_name, "must be a number or a list of numbers")
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:
+        raise ConfigError(f"{field_name}: rows must have equal lengths") from None
+
+
+def _as_floats(value, field_name: str) -> tuple[float, ...]:
+    arr = _as_array(value, field_name)
+    _require(arr.ndim == 1, field_name, "must be a list of numbers")
+    return tuple(float(v) for v in arr)
+
+
 def _parse_matrix(raw, d: int, cols: int, field_name: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
+    arr = _as_array(raw, field_name)
     if arr.ndim == 1 and arr.size == d * cols:
         arr = arr.reshape(d, cols)
     if arr.shape != (d, cols):
@@ -210,6 +243,16 @@ def _parse_matrix(raw, d: int, cols: int, field_name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{field_name}: entries must be finite")
     return arr
+
+
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
 def _config_from_dict(data: dict, source: str) -> ExperimentConfig:
@@ -223,22 +266,22 @@ def _config_from_dict(data: dict, source: str) -> ExperimentConfig:
     if model_raw is None:
         raise ConfigError(f"{source}: missing 'model' (or 'preset')")
     if isinstance(model_raw, str):
-        with open(model_raw) as fh:
-            model_raw = json.load(fh)
+        model_raw = _read_json(model_raw)
+    _require(isinstance(model_raw, dict), "model", "must be an object or a model file path")
     for key in ("d", "A", "H", "r"):
         if key not in model_raw:
             raise ConfigError(f"{source}: model: missing key '{key}'")
     for key in ("mu", "nu"):
         if key not in data:
             raise ConfigError(f"{source}: missing prior '{key}'")
-    d = int(model_raw["d"])
-    m = int(model_raw.get("m", 1))
+    d = _scalar(model_raw["d"], "model.d", int)
+    m = _scalar(model_raw.get("m", 1), "model.m", int)
     base = ExperimentConfig(
         A=_parse_matrix(model_raw["A"], d, d, "model.A"),
         H=_parse_matrix(model_raw["H"], d, m, "model.H"),
-        r=float(model_raw["r"]),
-        mu=np.asarray(data["mu"], dtype=float),
-        nu=np.asarray(data["nu"], dtype=float),
+        r=_scalar(model_raw["r"], "model.r", float),
+        mu=_as_array(data["mu"], "mu"),
+        nu=_as_array(data["nu"], "nu"),
         T=10.0,
         dt=1e-3,
         n_paths=200,
@@ -247,14 +290,6 @@ def _config_from_dict(data: dict, source: str) -> ExperimentConfig:
         sweep_values=(),
     )
     return _apply_overrides(base, {k: v for k, v in data.items() if k != "model"}, source)
-
-
-def _parse_window(raw, source: str) -> tuple[float, float] | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ConfigError(f"{source}: rate_window must be [lo, hi]")
-    return (float(raw[0]), float(raw[1]))
 
 
 def _apply_overrides(base: ExperimentConfig, overrides: dict, source: str) -> ExperimentConfig:
@@ -271,29 +306,25 @@ def _apply_overrides(base: ExperimentConfig, overrides: dict, source: str) -> Ex
         "n_paths": int,
         "master_seed": int,
         "label": str,
+        "out_dir": str,
     }
     kwargs: dict = {}
     for key, value in overrides.items():
         if key in known_scalars:
-            kwargs[key] = known_scalars[key](value)
-        elif key == "mu":
-            kwargs["mu"] = np.asarray(value, dtype=float)
-        elif key == "nu":
-            kwargs["nu"] = np.asarray(value, dtype=float)
-        elif key == "sigma2_list":
-            kwargs["sweep_kind"] = "sigma2"
-            kwargs["sweep_values"] = tuple(float(v) for v in value)
-        elif key == "k_list":
-            kwargs["sweep_kind"] = "k"
-            kwargs["sweep_values"] = tuple(float(v) for v in value)
+            kwargs[key] = _scalar(value, key, known_scalars[key])
+        elif key in ("mu", "nu"):
+            kwargs[key] = _as_array(value, key)
+        elif key in ("sigma2_list", "k_list"):
+            kwargs["sweep_kind"] = key.removesuffix("_list")
+            kwargs["sweep_values"] = _as_floats(value, key)
         elif key == "workers":
-            _require(int(value) >= 1, "workers", "must be at least 1")
+            _require(_scalar(value, key, int) >= 1, "workers", "must be at least 1")
         elif key == "rate_window":
-            kwargs["rate_window"] = _parse_window(value, source)
+            window = None if value is None else _as_floats(value, key)
+            _require(window is None or len(window) == 2, key, "must be [lo, hi]")
+            kwargs[key] = window
         elif key == "T_list":
-            kwargs["T_list"] = tuple(float(t) for t in value)
-        elif key == "out_dir":
-            kwargs["out_dir"] = value
+            kwargs[key] = _as_floats(value, key)
         else:
             raise ConfigError(f"{source}: unknown field '{key}'")
     return _validate(base.with_overrides(**kwargs))
@@ -301,14 +332,7 @@ def _apply_overrides(base: ExperimentConfig, overrides: dict, source: str) -> Ex
 
 def load_config(path: str) -> ExperimentConfig:
     """Read and validate a JSON experiment configuration."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return _config_from_dict(data, path)
+    return _config_from_dict(_read_json(path), path)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

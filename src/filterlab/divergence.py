@@ -115,27 +115,23 @@ def tv(p, q) -> float:
 class DivergenceSeries:
     """Ensemble divergence summaries on a common time grid.
 
-    Per-path arrays have shape (n_paths, len(times)); means and standard
-    errors are importance-weighted when weights are attached (weights of 1
-    reproduce the plain ensemble mean).
+    Per-path arrays have shape (n_paths, len(times)); the properties give
+    the ensemble mean over paths and its standard error.
     """
 
     times: np.ndarray
     chi2: np.ndarray
     kl: np.ndarray
     tv: np.ndarray
-    weights: np.ndarray
 
     @property
     def n_paths(self) -> int:
         return self.chi2.shape[0]
 
     def _mean_se(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = self.weights[:, None]
-        wsum = w.sum()
-        mean = (w * values).sum(axis=0) / wsum
-        resid = w * (values - mean[None, :])
-        se = np.sqrt((resid**2).sum(axis=0)) / wsum
+        n = values.shape[0]
+        mean = values.sum(axis=0) / n
+        se = np.sqrt(((values - mean) ** 2).sum(axis=0)) / n
         return mean, se
 
     @property
@@ -166,14 +162,11 @@ class DivergenceSeries:
 def divergence_series(
     trajs_p: list[FilterTrajectory] | FilterTrajectory,
     trajs_q: list[FilterTrajectory] | FilterTrajectory,
-    weights=None,
 ) -> DivergenceSeries:
     """Pointwise chi2/kl/tv between paired trajectories, with aggregation.
 
     trajs_p[i] and trajs_q[i] must share dt and length (GridMismatch
-    otherwise).  weights reweight paths in the ensemble aggregation, e.g.
-    density-ratio-at-zero weights to express means under the other prior's
-    path law; default is unweighted.
+    otherwise).
     """
     if isinstance(trajs_p, FilterTrajectory):
         trajs_p = [trajs_p]
@@ -190,15 +183,8 @@ def divergence_series(
             raise GridMismatch("trajectories have different lengths")
     p = np.stack([t.pis for t in trajs_p])
     q = np.stack([t.pis for t in trajs_q])
-    if weights is None:
-        weights = np.ones(len(trajs_p))
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(trajs_p),):
-        raise DimensionMismatch(f"weights must have shape ({len(trajs_p)},)")
     chi2_v, kl_v, tv_v = _divergence_batch(p, q)
-    return DivergenceSeries(
-        times=trajs_p[0].times, chi2=chi2_v, kl=kl_v, tv=tv_v, weights=weights
-    )
+    return DivergenceSeries(times=trajs_p[0].times, chi2=chi2_v, kl=kl_v, tv=tv_v)
 
 
 @dataclass(frozen=True)

@@ -350,7 +350,7 @@ def theorem2_envelope(
     """Overlay the multiplicative decay envelope on a measured chi2 series.
 
     series is a DivergenceSeries whose paths were sampled under the mu path
-    law (or reweighted to it).  Raises AssumptionA1Violated when
+    law.  Raises AssumptionA1Violated when
     a_lower = min mu/nu is zero, since the envelope constant 1/a_lower is
     then undefined.
     """

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import (
-    DivergenceSeries,
-    _divergence_batch,
-    chi2_drift_batch,
-    density_ratio,
-)
+from .divergence import DivergenceSeries, _divergence_batch, chi2_drift_batch
 from .errors import DimensionMismatch, NonPositiveNoise
 from .filtering import evolve_ensemble, evolve_noiseless_ensemble
 from .model import HmmModel, as_simplex
@@ -100,9 +95,8 @@ def sample_path_batch(
 class EnsembleDivergence:
     """Divergence series between two filters over a path ensemble.
 
-    series holds per-path chi2/kl/tv with the sampling weights attached.
-    signal_integral[i, k] is the running integral of
-    |pi_s^mu(h/r) - pi_s^nu(h/r)|^2 up to time t_k along path i (the
+    series holds per-path chi2/kl/tv.  signal_integral[i, k] is the running
+    integral of |pi_s^mu(h/r) - pi_s^nu(h/r)|^2 up to time t_k along path i (the
     quantity in the pathwise relative-entropy identity); drift_integral is
     the integrated chi-square drift, present only when recorded.
     terminal_pis stacks the final filter states as (n_paths, 2, d) in the
@@ -115,10 +109,6 @@ class EnsembleDivergence:
     terminal_pis: np.ndarray | None
     initial_states: np.ndarray
 
-    @property
-    def weights(self) -> np.ndarray:
-        return self.series.weights
-
 
 def run_divergence_ensemble(
     model: HmmModel,
@@ -128,41 +118,20 @@ def run_divergence_ensemble(
     T: float,
     dt: float,
     master_seed: int,
-    sample_under: str = "mu",
     record_drift: bool = False,
-    stream_offset: int = 0,
 ) -> EnsembleDivergence:
     """Divergence series between the filters started from mu and nu.
 
-    Signal paths are sampled under the prior named by sample_under; with
-    sample_under="nu-reweighted" they are sampled under nu and carry the
-    importance weight gamma_0(X_0) = mu(X_0)/nu(X_0), so weighted means
-    estimate expectations under the mu path law.  A noiseless model routes
-    every path through the exact level-set filter (drift recording is not
-    defined there).
+    Signal paths are sampled under mu.  A noiseless model routes every path
+    through the exact level-set filter (drift recording is not defined
+    there).
     """
     mu = as_simplex(mu, d=model.d)
     nu = as_simplex(nu, d=model.d)
-    if sample_under not in ("mu", "nu-reweighted"):
-        raise DimensionMismatch(f"unknown sampling mode {sample_under!r}")
     if model.noiseless and record_drift:
         raise NonPositiveNoise("drift recording needs a noisy observation model")
-    law = mu if sample_under == "mu" else nu
     n_steps = int(round(T / dt))
-    batch = sample_path_batch(
-        model,
-        n_paths,
-        T,
-        dt,
-        master_seed,
-        initial_law=law,
-        stream_offset=stream_offset,
-    )
-    x0 = batch.initial_states
-    if sample_under == "mu":
-        weights = np.ones(n_paths)
-    else:
-        weights = density_ratio(mu, nu)[x0]
+    batch = sample_path_batch(model, n_paths, T, dt, master_seed, initial_law=mu)
     chi2_v = np.empty((n_paths, n_steps + 1))
     kl_v = np.empty((n_paths, n_steps + 1))
     tv_v = np.empty((n_paths, n_steps + 1))
@@ -193,11 +162,11 @@ def run_divergence_ensemble(
         terminal = evolve_ensemble(priors, batch.increments, dt, model, observer=observer)
 
     times = np.arange(n_steps + 1) * dt
-    series = DivergenceSeries(times=times, chi2=chi2_v, kl=kl_v, tv=tv_v, weights=weights)
+    series = DivergenceSeries(times=times, chi2=chi2_v, kl=kl_v, tv=tv_v)
     return EnsembleDivergence(
         series=series,
         signal_integral=signal,
         drift_integral=drift,
         terminal_pis=terminal,
-        initial_states=x0,
+        initial_states=batch.initial_states,
     )

@@ -1,11 +1,14 @@
-"""Named verification suites behind the `verify` subcommand.
+"""Named verification suites behind the `verify` subcommand, and the one
+definition of each statistical check.
 
-Deterministic checks assert exact or tolerance-bounded facts that cannot
-fluctuate between runs with the same seed; statistical checks run Monte
-Carlo ensembles sized by the `size` parameter and test identities and
-inequalities at 3 standard errors (4 for the weak chi-square dynamics
-check, whose per-path variance is largest).  size = 0 runs the
-deterministic suite only.
+The check functions (kl_supermartingale ... divergence_chain) take objects
+that are already computed and return a CheckResult; the `check_*` suites
+build their inputs at (seed, size) and call them, as do the acceptance
+tests on their own inputs.  A statistical check allows Z standard errors
+(Z_WIDE where the per-path variance is largest), compared as |x| <= z se or
+x >= -z se: a nan standard error fails, and a zero one passes only an exact
+zero.  size = 0 runs the deterministic suite only; size = 1 is rejected,
+since one path has no standard error.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dual as dual_mod
 from .config import load_config, model_for_sweep_value, preset_config, save_config
 from .divergence import (
     _divergence_batch,
@@ -30,8 +32,9 @@ from .divergence import (
     tv,
     write_series_csv,
 )
+from .dual import backward_map_pair, decay_diagnostics
 from .ensemble import run_divergence_ensemble
-from .errors import FilterLabError
+from .errors import ConfigError, FilterLabError
 from .filtering import (
     read_trajectory_csv,
     run_exact_noiseless_filter,
@@ -65,6 +68,9 @@ from .sim import (
 
 __all__ = ["CheckResult", "run_verify", "DETERMINISTIC_CHECKS", "STATISTICAL_CHECKS"]
 
+Z = 3.0
+Z_WIDE = 4.0
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -78,6 +84,128 @@ def _result(name: str, kind: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, kind=kind, passed=bool(passed), detail=detail)
 
 
+# ---------------------------------------------------------------------------
+# the check registry
+# ---------------------------------------------------------------------------
+
+
+def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means of per-path values and their standard errors."""
+    return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(values.shape[0])
+
+
+def _above(name: str, label: str, x, se) -> CheckResult:
+    """x >= -Z se everywhere."""
+    x, se = np.asarray(x, dtype=float), np.asarray(se, dtype=float)
+    detail = f"min {label} + {Z:g} se = {float((x + Z * se).min()):.3e}"
+    return _result(name, "statistical", np.all(x >= -Z * se), detail)
+
+
+def _near_zero(name: str, label: str, x, se, z: float = Z) -> CheckResult:
+    """|x| <= z se everywhere."""
+    x, se = np.abs(np.asarray(x, dtype=float)), np.asarray(se, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        detail = f"max |{label}| / se = {float(np.where(x == 0.0, 0.0, x / se).max()):.2f}"
+    return _result(name, "statistical", np.all(x <= z * se), detail)
+
+
+def kl_supermartingale(ens, anchors) -> CheckResult:
+    """Mean KL non-increasing between consecutive anchor indices."""
+    drop = -np.diff(ens.series.kl[:, anchors], axis=1)
+    return _above("kl-supermartingale", "anchored mean KL decrease", *_mean_se(drop))
+
+
+def clark_entropy_bound(ens, anchors, prior_kl: float) -> CheckResult:
+    """E[KL_t + signal_t / 2] <= KL(mu|nu) at the anchors after the first
+    (the first carries the prior on both sides, an exact equality)."""
+    later = anchors[1:]
+    mean, se = _mean_se(ens.series.kl[:, later] + 0.5 * ens.signal_integral[:, later])
+    return _above("clark-entropy-bound", "slack", prior_kl - mean, se)
+
+
+def terminal_absolute_continuity(ens) -> CheckResult:
+    """pi_T^mu carries no mass where pi_T^nu has none."""
+    term = ens.terminal_pis
+    passed = np.all(term[:, 0, :][term[:, 1, :] < 1e-14] < 1e-12)
+    detail = "pi_T^mu below 1e-12 wherever pi_T^nu below 1e-14"
+    return _result("terminal-absolute-continuity", "statistical", passed, detail)
+
+
+def chi2_weak_dynamics(ens, indices) -> CheckResult:
+    """Integrated pathwise drift matches the mean chi-square increments."""
+    c = ens.series.chi2
+    resid = c[:, indices] - c[:, [0]] - ens.drift_integral[:, indices]
+    return _near_zero("chi2-weak-dynamics", "mean residual", *_mean_se(resid), z=Z_WIDE)
+
+
+def estimators_agree(plain, rb) -> CheckResult:
+    """Plain and Rao-Blackwell backward maps agree per state."""
+    se = np.hypot(plain.stderr, rb.stderr)
+    return _near_zero("backward-map-estimators-agree", "plain - rb", plain.y0 - rb.y0, se)
+
+
+def rao_blackwell_variance_reduction(plain, rb) -> CheckResult:
+    """The Rao-Blackwell standard error never exceeds the plain one."""
+    passed = np.all(rb.stderr <= plain.stderr + 1e-15)
+    detail = "rb stderr <= plain stderr per state"
+    return _result("rao-blackwell-variance-reduction", "statistical", passed, detail)
+
+
+def backward_map_normalization(est, nu) -> CheckResult:
+    """nu(y0) = 1, the normalization of the backward map."""
+    nu = np.asarray(nu, dtype=float)
+    se = np.sqrt(nu**2 @ est.stderr**2)
+    return _near_zero("backward-map-normalization", "nu(y0) - 1", nu @ est.y0 - 1.0, se)
+
+
+def variance_decay_monotone(diags) -> CheckResult:
+    """var_nu(y0) strictly decreasing between horizons beyond Z se."""
+    passed = all(
+        a.var_nu_y0 - b.var_nu_y0 > Z * np.hypot(a.var_nu_y0_se, b.var_nu_y0_se)
+        for a, b in zip(diags, diags[1:])
+    )
+    horizons = ", ".join(f"{d.T:g}" for d in diags)
+    detail = f"var_nu(y0) strictly decreasing beyond {Z:g} se over ({horizons})"
+    return _result("variance-decay-monotone", "statistical", passed, detail)
+
+
+def jensen_contraction(diags) -> CheckResult:
+    """var_nu(y0) <= var_nu(gamma_T(X_T)) at every horizon."""
+    gap = [d.var_nu_gammaT - d.var_nu_y0 for d in diags]
+    se = [np.hypot(d.var_nu_gammaT_se, d.var_nu_y0_se) for d in diags]
+    return _above("jensen-contraction", "var(gamma_T) - var(y0)", gap, se)
+
+
+def ratio_lower_bound(diags) -> CheckResult:
+    """R_T >= a_lower at every horizon."""
+    gap = [d.r_T - d.a_lower for d in diags]
+    return _above("ratio-lower-bound", "R_T - a_lower", gap, [d.r_T_se for d in diags])
+
+
+def cauchy_schwarz_slack(diags) -> CheckResult:
+    """(E^mu chi2_T)^2 <= var_nu(y0) chi2(mu|nu) at every horizon."""
+    se = [d.cauchy_schwarz_slack_se for d in diags]
+    return _above("cauchy-schwarz-slack", "slack", [d.cauchy_schwarz_slack for d in diags], se)
+
+
+def uniform_bound_slack(diags) -> CheckResult:
+    """R_T^2 (var_nu(gamma_T) - var_nu(y0)) <= chi2(mu|nu) at every horizon."""
+    se = [d.uniform_bound_slack_se for d in diags]
+    return _above("uniform-bound-slack", "slack", [d.uniform_bound_slack for d in diags], se)
+
+
+def divergence_chain(p, q) -> CheckResult:
+    """2 TV^2 <= KL <= chi2 exactly for each pair of rows of p[k] and q[k]
+    (lists of (n, d) stacks of laws; d may differ between stacks)."""
+    lo, hi = np.inf, np.inf
+    for pk, qk in zip(p, q):
+        c, k, t = _divergence_batch(pk, qk)
+        lo = min(lo, float((k - 2.0 * t**2).min()))
+        hi = min(hi, float((c - k).min()))
+    detail = f"min(KL - 2TV^2) = {lo:.3e}, min(chi2 - KL) = {hi:.3e}"
+    return _result("divergence-chain", "deterministic", lo >= 0.0 and hi >= 0.0, detail)
+
+
 def _cycle_model(sigma2: float = 1.0):
     """The example-6.1 cycle at noise intensity sigma2 (0 is noiseless)."""
     return model_for_sweep_value(preset_config("example-6.1"), sigma2)
@@ -85,12 +213,6 @@ def _cycle_model(sigma2: float = 1.0):
 
 def _blocks_A() -> np.ndarray:
     return preset_config("example-6.2").A
-
-
-def _random_simplex_pairs(rng: np.random.Generator, n: int, d: int):
-    p = rng.dirichlet(np.ones(d), size=n)
-    q = rng.dirichlet(np.ones(d), size=n)
-    return p, q
 
 
 # ---------------------------------------------------------------------------
@@ -101,19 +223,11 @@ def _random_simplex_pairs(rng: np.random.Generator, n: int, d: int):
 def check_divergence_chain(seed: int) -> CheckResult:
     """2 TV^2 <= KL <= chi2 on random absolutely continuous pairs."""
     rng = spawn_rng(seed, 9001).generator()
-    worst_lo, worst_hi = np.inf, np.inf
+    p, q = [], []
     for d in range(2, 9):
-        p, q = _random_simplex_pairs(rng, 1500, d)
-        c, k, t = _divergence_batch(p, q)
-        worst_lo = min(worst_lo, float((k - 2.0 * t**2).min()))
-        worst_hi = min(worst_hi, float((c - k).min()))
-    passed = worst_lo >= 0.0 and worst_hi >= 0.0
-    return _result(
-        "divergence-chain",
-        "deterministic",
-        passed,
-        f"min(KL - 2TV^2) = {worst_lo:.3e}, min(chi2 - KL) = {worst_hi:.3e}",
-    )
+        p.append(rng.dirichlet(np.ones(d), size=1500))
+        q.append(rng.dirichlet(np.ones(d), size=1500))
+    return divergence_chain(p, q)
 
 
 def check_divergence_values(seed: int) -> CheckResult:
@@ -348,46 +462,15 @@ def check_kl_supermartingale_and_clark(seed: int, size: int) -> list[CheckResult
         model, cfg.mu, cfg.nu, size, 5.0, 1e-3, seed
     )
     anchors = _anchor_indices(ens.series.times, 0.1)
-    klv = ens.series.kl[:, anchors]
-    diffs = np.diff(klv, axis=1)
-    dm = diffs.mean(axis=0)
-    dse = diffs.std(axis=0, ddof=1) / np.sqrt(diffs.shape[0])
-    worst = float((dm - 3.0 * dse).max())
-    super_ok = worst <= 0.0
-    r1 = _result(
-        "kl-supermartingale",
-        "statistical",
-        super_ok,
-        f"max anchored mean KL increment - 3 se = {worst:.3e}",
-    )
-    prior_kl = kl(cfg.mu, cfg.nu)
-    # anchor 0 carries the prior on both sides (exact equality); start at 1
-    vals = klv[:, 1:] + 0.5 * ens.signal_integral[:, anchors[1:]]
-    vm = vals.mean(axis=0)
-    vse = vals.std(axis=0, ddof=1) / np.sqrt(vals.shape[0])
-    slack = prior_kl - vm + 3.0 * vse
-    clark_ok = bool(np.all(slack >= 0.0))
-    r2 = _result(
-        "clark-entropy-bound",
-        "statistical",
-        clark_ok,
-        f"min slack + 3 se = {float(slack.min()):.3e}",
-    )
-    ac_ok = True
-    term = ens.terminal_pis
-    outside = term[:, 1, :] < 1e-14
-    ac_ok = bool(np.all(term[:, 0, :][outside] < 1e-12)) if outside.any() else True
-    r3 = _result(
-        "terminal-absolute-continuity",
-        "statistical",
-        ac_ok,
-        "pi_T^mu below 1e-12 wherever pi_T^nu below 1e-14",
-    )
-    return [r1, r2, r3]
+    return [
+        kl_supermartingale(ens, anchors),
+        clark_entropy_bound(ens, anchors, kl(cfg.mu, cfg.nu)),
+        terminal_absolute_continuity(ens),
+    ]
 
 
 def check_weak_drift(seed: int, size: int) -> CheckResult:
-    """Integrated drift matches chi-square increments pathwise within 4 se."""
+    """Integrated drift matches chi-square increments on a random model."""
     rng = spawn_rng(seed, 9100).generator()
     d = 3
     off = rng.uniform(0.3, 1.5, size=(d, d))
@@ -401,90 +484,33 @@ def check_weak_drift(seed: int, size: int) -> CheckResult:
     ens = run_divergence_ensemble(
         model, mu, nu, size, 2.0, 1e-3, seed, record_drift=True
     )
-    anchors = _anchor_indices(ens.series.times, 0.5)[1:]
-    resid = (
-        ens.series.chi2[:, anchors]
-        - ens.series.chi2[:, [0]]
-        - ens.drift_integral[:, anchors]
-    )
-    rm = resid.mean(axis=0)
-    rse = resid.std(axis=0, ddof=1) / np.sqrt(resid.shape[0])
-    z = np.abs(rm) / np.where(rse > 0, rse, 1.0)
-    return _result(
-        "chi2-weak-dynamics",
-        "statistical",
-        bool(np.all(z <= 4.0)),
-        f"max |mean residual| / se = {float(z.max()):.2f}",
-    )
+    return chi2_weak_dynamics(ens, _anchor_indices(ens.series.times, 0.5)[1:])
 
 
 def check_backward_map(seed: int, size: int) -> list[CheckResult]:
     """Plain vs Rao-Blackwell agreement, variance reduction, normalization."""
     cfg = preset_config("example-6.1")
     model = validate_model(cfg.A, cfg.H, 1.0)
-    plain, rb = dual_mod.backward_map_pair(
-        model, cfg.mu, cfg.nu, 2.0, size, seed
-    )
-    comb = np.sqrt(plain.stderr**2 + rb.stderr**2)
-    z = np.abs(plain.y0 - rb.y0) / np.where(comb > 0, comb, 1.0)
-    r1 = _result(
-        "backward-map-estimators-agree",
-        "statistical",
-        bool(np.all(z <= 3.0)),
-        f"max per-state z = {float(z.max()):.2f}",
-    )
-    r2 = _result(
-        "rao-blackwell-variance-reduction",
-        "statistical",
-        bool(np.all(rb.stderr <= plain.stderr + 1e-15)),
-        "rb stderr <= plain stderr per state",
-    )
-    nu = np.asarray(cfg.nu)
-    nm = float(nu @ rb.y0)
-    nse = float(np.sqrt(nu**2 @ rb.stderr**2))
-    r3 = _result(
-        "backward-map-normalization",
-        "statistical",
-        abs(nm - 1.0) <= 3.0 * nse,
-        f"nu(y0) = {nm:.5f} +- {nse:.5f}",
-    )
-    return [r1, r2, r3]
+    plain, rb = backward_map_pair(model, cfg.mu, cfg.nu, 2.0, size, seed)
+    return [
+        estimators_agree(plain, rb),
+        rao_blackwell_variance_reduction(plain, rb),
+        backward_map_normalization(rb, cfg.nu),
+    ]
 
 
 def check_variance_decay(seed: int, size: int) -> list[CheckResult]:
     """Decay of var_nu(y0) over horizons plus the inequality suite."""
     cfg = preset_config("example-6.1")
     model = validate_model(cfg.A, cfg.H, 1.0)
-    diags = dual_mod.decay_diagnostics(
-        model, cfg.mu, cfg.nu, (1.0, 2.0, 4.0), size, seed
-    )
-    dec_ok = True
-    for a, b in zip(diags, diags[1:]):
-        gap = a.var_nu_y0 - b.var_nu_y0
-        se = np.sqrt(a.var_nu_y0_se**2 + b.var_nu_y0_se**2)
-        dec_ok &= gap > 3.0 * se
-    r1 = _result(
-        "variance-decay-monotone",
-        "statistical",
-        bool(dec_ok),
-        "var_nu(y0) strictly decreasing beyond 3 se over (1, 2, 4)",
-    )
-    jensen_ok = all(
-        dg.var_nu_y0 <= dg.var_nu_gammaT + 3.0 * np.hypot(dg.var_nu_y0_se, dg.var_nu_gammaT_se)
-        for dg in diags
-    )
-    r2 = _result("jensen-contraction", "statistical", jensen_ok, "var(y0) <= var(gamma_T)")
-    rt_ok = all(dg.r_T >= dg.a_lower - 3.0 * dg.r_T_se for dg in diags)
-    r3 = _result("ratio-lower-bound", "statistical", rt_ok, "R_T >= a_lower - 3 se")
-    cs_ok = all(
-        dg.cauchy_schwarz_slack >= -3.0 * dg.cauchy_schwarz_slack_se for dg in diags
-    )
-    r4 = _result("cauchy-schwarz-slack", "statistical", cs_ok, "slack >= -3 se")
-    ub_ok = all(
-        dg.uniform_bound_slack >= -3.0 * dg.uniform_bound_slack_se for dg in diags
-    )
-    r5 = _result("uniform-bound-slack", "statistical", ub_ok, "slack >= -3 se")
-    return [r1, r2, r3, r4, r5]
+    diags = decay_diagnostics(model, cfg.mu, cfg.nu, (1.0, 2.0, 4.0), size, seed)
+    return [
+        variance_decay_monotone(diags),
+        jensen_contraction(diags),
+        ratio_lower_bound(diags),
+        cauchy_schwarz_slack(diags),
+        uniform_bound_slack(diags),
+    ]
 
 
 def check_ctmc_marginal(seed: int, size: int) -> CheckResult:
@@ -498,13 +524,9 @@ def check_ctmc_marginal(seed: int, size: int) -> CheckResult:
     for _ in range(n):
         sp = sample_ctmc_path(A, 0, 1.0, rng)
         counts[sp.states[-1]] += 1
-    freq = counts / n
     target = expm(A.T)[:, 0]
     se = np.sqrt(np.maximum(target * (1 - target), 1e-12) / n)
-    z = float((np.abs(freq - target) / se).max())
-    return _result(
-        "ctmc-marginal-law", "statistical", z <= 4.0, f"max z over states = {z:.2f}"
-    )
+    return _near_zero("ctmc-marginal-law", "frequency - law", counts / n - target, se, z=Z_WIDE)
 
 
 def check_stream_independence(seed: int, size: int) -> CheckResult:
@@ -513,12 +535,7 @@ def check_stream_independence(seed: int, size: int) -> CheckResult:
     a = spawn_rng(seed, 0).generator().standard_normal(n)
     b = spawn_rng(seed, 1).generator().standard_normal(n)
     corr = float(np.corrcoef(a, b)[0, 1])
-    return _result(
-        "stream-independence",
-        "statistical",
-        abs(corr) <= 3.0 / np.sqrt(n),
-        f"corr = {corr:.4f}",
-    )
+    return _near_zero("stream-independence", "corr", corr, 1.0 / np.sqrt(n))
 
 
 DETERMINISTIC_CHECKS = [
@@ -548,23 +565,22 @@ def run_verify(master_seed: int = 0, size: int = 100) -> dict:
     """Run the verification suites and return a JSON-ready report.
 
     size scales the ensembles of the statistical suite; size = 0 skips it.
+    Raises ConfigError for a negative size and for size = 1, where no
+    standard error is defined.
     """
+    if size < 0 or size == 1:
+        raise ConfigError(f"size must be 0 or at least 2, got {size}")
     t_start = time.perf_counter()
-    results: list[CheckResult] = []
-    for fn in DETERMINISTIC_CHECKS:
-        try:
-            results.append(fn(master_seed))
-        except FilterLabError as exc:
-            results.append(
-                _result(fn.__name__.removeprefix("check_"), "deterministic", False, f"raised {exc!r}")
-            )
+    suites = [(fn, (master_seed,), "deterministic") for fn in DETERMINISTIC_CHECKS]
     if size > 0:
-        for fn in STATISTICAL_CHECKS:
-            try:
-                out = fn(master_seed, size)
-            except FilterLabError as exc:
-                out = [_result(fn.__name__.removeprefix("check_"), "statistical", False, f"raised {exc!r}")]
-            results.extend(out if isinstance(out, list) else [out])
+        suites += [(fn, (master_seed, size), "statistical") for fn in STATISTICAL_CHECKS]
+    results: list[CheckResult] = []
+    for fn, args, kind in suites:
+        try:
+            out = fn(*args)
+        except FilterLabError as exc:
+            out = _result(fn.__name__.removeprefix("check_"), kind, False, f"raised {exc!r}")
+        results.extend(out if isinstance(out, list) else [out])
     n_failed = sum(not r.passed for r in results)
     return {
         "command": "verify",

@@ -267,6 +267,38 @@ class TestCliExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
 
+_TWO_STATE_MODEL = {"d": 2, "A": [-1.0, 1.0, 2.0, -2.0], "H": [1.0, 0.0], "r": 1.0}
+_PRIORS = {"mu": [0.5, 0.5], "nu": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"preset": "example-6.1", "n_paths": "abc"},
+        {"preset": "example-6.1", "n_paths": 2.7},
+        {"preset": "example-6.1", "n_paths": True},
+        {"preset": "example-6.1", "T_list": 5},
+        {"preset": "example-6.1", "sigma2_list": 3},
+        {"preset": "example-6.1", "mu": "abc"},
+        {"preset": "example-6.1", "rate_window": ["a", 1]},
+        {"preset": "example-6.1", "workers": "x"},
+        {"preset": "example-6.1", "out_dir": 5},
+        {"model": {**_TWO_STATE_MODEL, "d": "x"}, **_PRIORS},
+        {"model": {**_TWO_STATE_MODEL, "A": [[-1.0, 1.0], [2.0]]}, **_PRIORS},
+        {"model": 5, **_PRIORS},
+        {"model": "missing.json", **_PRIORS},
+    ],
+    ids=lambda data: json.dumps(data),
+)
+def test_mistyped_config_field_is_a_config_error(data, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    assert main(["simulate", "--config", "cfg.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+
+
 class TestCliSimulate:
     def test_tiny_run_writes_artifacts(self, tmp_path, capsys):
         cfg = _tiny_config(tmp_path)
@@ -340,6 +372,11 @@ class TestCliStructureAndVerify:
         assert report["passed"] is True
         assert all(c["kind"] == "deterministic" for c in report["checks"])
         assert "checks passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("size", ["-1", "1"])
+    def test_verify_size_without_standard_errors(self, size, tmp_path, capsys):
+        assert main(["verify", "--size", size, "--out", str(tmp_path)]) == 1
+        assert "configuration error: size" in capsys.readouterr().err
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"

@@ -148,12 +148,6 @@ class TestDivergenceSeries:
         assert series.chi2_se[0] == pytest.approx(np.sqrt(2.0) / 12.0, abs=1e-12)
         assert series.n_paths == 2
 
-    def test_weights_change_the_mean(self):
-        tp1, tq1 = self._pair([[0.5, 0.5]], [[0.25, 0.75]])
-        tp2, tq2 = self._pair([[0.5, 0.5]], [[0.5, 0.5]])
-        series = divergence_series([tp1, tp2], [tq1, tq2], weights=[3.0, 1.0])
-        assert series.chi2_mean[0] == pytest.approx(0.25, abs=1e-14)
-
     def test_initial_point_is_prior_divergence(self, cycle_model):
         pis = np.stack([CYCLE_MU, CYCLE_MU])
         qis = np.stack([CYCLE_NU, CYCLE_NU])
@@ -216,7 +210,7 @@ class TestSeriesCsv:
         times = np.array([0.0, 0.5, 1.0])
         mk = lambda: np.array([[1.0 / 3.0, 0.1, 0.05], [0.2, 0.15, 0.01]])
         series = DivergenceSeries(
-            times=times, chi2=mk(), kl=mk() / 2, tv=mk() / 4, weights=np.ones(2)
+            times=times, chi2=mk(), kl=mk() / 2, tv=mk() / 4
         )
         p = tmp_path / "series.csv"
         write_series_csv(str(p), series)

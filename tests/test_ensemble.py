@@ -11,7 +11,7 @@ import pytest
 import filterlab
 
 from conftest import CYCLE_MU, CYCLE_NU
-from filterlab.divergence import chi2, density_ratio
+from filterlab.divergence import chi2
 from filterlab.ensemble import run_divergence_ensemble, sample_path_batch
 from filterlab.errors import DimensionMismatch, NonPositiveNoise
 from filterlab.filtering import evolve_ensemble, run_filter
@@ -123,35 +123,6 @@ class TestRunDivergenceEnsemble:
         assert np.all(rec.drift_integral[:, 0] == 0.0)
         # recording must not perturb the filter path
         assert np.array_equal(plain.series.chi2, rec.series.chi2)
-
-    def test_reweighted_sampling_carries_density_ratio_weights(self, cycle_model):
-        ens = run_divergence_ensemble(
-            cycle_model, CYCLE_MU, CYCLE_NU, 12, 0.2, 1e-3, 7,
-            sample_under="nu-reweighted",
-        )
-        expected = density_ratio(CYCLE_MU, CYCLE_NU)[ens.initial_states]
-        assert np.array_equal(ens.weights, expected)
-
-    def test_reweighted_mean_agrees_with_direct_sampling(self, cycle_model):
-        # two estimators of the same expectation must agree statistically
-        n = 150
-        direct = run_divergence_ensemble(
-            cycle_model, CYCLE_MU, CYCLE_NU, n, 0.5, 1e-3, 11
-        )
-        tilted = run_divergence_ensemble(
-            cycle_model, CYCLE_MU, CYCLE_NU, n, 0.5, 1e-3, 211,
-            sample_under="nu-reweighted",
-        )
-        k = -1
-        gap = abs(direct.series.chi2_mean[k] - tilted.series.chi2_mean[k])
-        se = np.hypot(direct.series.chi2_se[k], tilted.series.chi2_se[k])
-        assert gap <= 4.0 * se
-
-    def test_unknown_sampling_mode_rejected(self, cycle_model):
-        with pytest.raises(DimensionMismatch):
-            run_divergence_ensemble(
-                cycle_model, CYCLE_MU, CYCLE_NU, 2, 0.1, 1e-3, 0, sample_under="nu"
-            )
 
     def test_noiseless_route_uses_exact_filter(self, cycle_noiseless):
         # the cycle's level-set filter keeps the chi-square gap frozen at

@@ -1,19 +1,37 @@
 """Self-verification suite: deterministic checks must always pass and the
 statistical checks must be robust across seeds at reduced ensemble size."""
 
+import numpy as np
+import pytest
+
+from filterlab.divergence import DivergenceSeries
+from filterlab.dual import BackwardMapEstimate
+from filterlab.ensemble import EnsembleDivergence
 from filterlab.verify import (
     DETERMINISTIC_CHECKS,
-    STATISTICAL_CHECKS,
     CheckResult,
+    chi2_weak_dynamics,
+    estimators_agree,
     run_verify,
 )
+
+# The report surface in order; bench/reference.json pins n_checks = 24.
+CHECK_NAMES = """
+    divergence-chain divergence-values chi2-drift-identity poincare-constants
+    symmetric-eigensolver rate-fit structure-examples noiseless-filter-identity
+    rerun-determinism file-round-trips kl-supermartingale clark-entropy-bound
+    terminal-absolute-continuity chi2-weak-dynamics backward-map-estimators-agree
+    rao-blackwell-variance-reduction backward-map-normalization variance-decay-monotone
+    jensen-contraction ratio-lower-bound cauchy-schwarz-slack uniform-bound-slack
+    ctmc-marginal-law stream-independence
+""".split()
 
 
 class TestDeterministicChecks:
     def test_all_pass(self):
         report = run_verify(master_seed=0, size=0)
         assert report["passed"] is True
-        assert report["n_checks"] == len(DETERMINISTIC_CHECKS)
+        assert [c["name"] for c in report["checks"]] == CHECK_NAMES[: len(DETERMINISTIC_CHECKS)]
         assert report["n_failed"] == 0
 
     def test_results_are_structured(self):
@@ -30,12 +48,40 @@ class TestDeterministicChecks:
             assert report["passed"] is True
 
 
+def _estimate(y0, stderr):
+    return BackwardMapEstimate(np.array(y0), np.array(stderr), 2, 1.0, "plain", ())
+
+
+def _ensemble(chi2_rows, drift_rows):
+    c = np.array(chi2_rows)
+    series = DivergenceSeries(0.5 * np.arange(c.shape[1]), c, 0 * c, 0 * c)
+    return EnsembleDivergence(series, None, np.array(drift_rows), None, np.zeros(len(c), int))
+
+
+class TestStandardErrorRule:
+    """A nan standard error fails; a zero one passes only an exact zero."""
+
+    def test_estimators_agree(self):
+        rb = _estimate([1.0, 1.0], [0.1, 0.1])
+        assert not estimators_agree(_estimate([1.0, 1.2], [0.1, np.nan]), rb).passed
+        zero = _estimate([1.0, 1.0], [0.0, 0.0])
+        assert estimators_agree(zero, zero).passed
+        assert not estimators_agree(_estimate([1.0, 1.2], [0.0, 0.0]), zero).passed
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_chi2_weak_dynamics(self):
+        chi2_rows = [[1.0, 0.8, 0.6], [1.0, 0.8, 0.6]]
+        one_path = _ensemble(chi2_rows[:1], [[0.0, -0.1, -0.3]])
+        assert not chi2_weak_dynamics(one_path, [1, 2]).passed
+        constant = _ensemble(chi2_rows, [[0.0, -0.1, -0.3], [0.0, -0.1, -0.3]])
+        assert not chi2_weak_dynamics(constant, [1, 2]).passed
+
+
 class TestStatisticalChecks:
     def test_default_size_passes(self):
         report = run_verify(master_seed=0, size=100)
         assert report["passed"] is True
-        # statistical check functions may emit several results each
-        assert report["n_checks"] >= len(DETERMINISTIC_CHECKS) + len(STATISTICAL_CHECKS)
+        assert [c["name"] for c in report["checks"]] == CHECK_NAMES
         kinds = {c["kind"] for c in report["checks"]}
         assert kinds == {"deterministic", "statistical"}
 
