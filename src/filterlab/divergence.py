@@ -143,20 +143,8 @@ class DivergenceSeries:
         return self._mean_se(self.chi2)[1]
 
     @property
-    def kl_mean(self) -> np.ndarray:
-        return self._mean_se(self.kl)[0]
-
-    @property
     def kl_se(self) -> np.ndarray:
         return self._mean_se(self.kl)[1]
-
-    @property
-    def tv_mean(self) -> np.ndarray:
-        return self._mean_se(self.tv)[0]
-
-    @property
-    def tv_se(self) -> np.ndarray:
-        return self._mean_se(self.tv)[1]
 
 
 def divergence_series(

@@ -19,9 +19,12 @@ E^nu chi2_T = var_nu(y0) + integral(energy) is never discretized directly;
 it is always recovered as the variance gap var_nu(gamma_T) - var_nu(y0),
 which the balance makes exact.
 
-backward_map_study is the one engine: it simulates each horizon once and
-owns the stream layout; backward_map_pair and decay_diagnostics are views
-of it.
+backward_map_study is the one engine and owns the stream layout.  It runs
+one pass per initial state to the largest horizon and snapshots the three
+filters and the state X_T at every horizon's grid step, so a study costs
+max(T_list) of simulation and filtering rather than sum(T_list); initial
+state row r uses the streams r * N onwards for every horizon.
+backward_map_pair and decay_diagnostics are views of it.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .ensemble import sample_path_batch
 from .errors import AssumptionA1Violated, DimensionMismatch
 from .filtering import evolve_ensemble
 from .model import HmmModel, _read_table, _write_table, as_simplex
+from .sim import _grid_steps
 
 __all__ = [
     "SKIP_EPS",
@@ -72,7 +76,7 @@ class BackwardMapEstimate:
 
 @dataclass(frozen=True)
 class _StateSamples:
-    """Per-state terminal samples shared by both estimators.
+    """Per-state samples at one horizon T, shared by both estimators.
 
     Arrays have shape (n_states_kept, N): plain holds gamma_T(X_T), rb holds
     pi_T^{delta_x}(gamma_T), chi2_T holds chi2(pi_T^mu | pi_T^nu).
@@ -85,45 +89,81 @@ class _StateSamples:
     skipped: tuple[int, ...]
 
 
-def _per_state_samples(
+def _filter_snapshots(
+    priors: np.ndarray,
+    increments: np.ndarray,
+    steps: list[int],
+    dt: float,
+    model: HmmModel,
+) -> np.ndarray:
+    """Filter states at the given grid steps from one lockstep pass.
+
+    Returns shape (len(steps), P, k, d); entry i is the state after
+    steps[i] updates, the state evolve_ensemble reaches on the increments
+    truncated to that many steps.
+    """
+    out = np.empty((len(steps), increments.shape[0]) + priors.shape)
+    index = {n: i for i, n in enumerate(steps)}
+
+    def snapshot(step: int, t: float, pis: np.ndarray) -> None:
+        i = index.get(step)
+        if i is not None:
+            out[i] = pis
+
+    evolve_ensemble(priors, increments, dt, model, observer=snapshot)
+    return out
+
+
+def _horizon_samples(
     model: HmmModel,
     mu: np.ndarray,
     nu: np.ndarray,
-    T: float,
+    T_list: list[float],
     n_paths: int,
     master_seed: int,
     dt: float,
-    stream_base: int,
-) -> _StateSamples:
+) -> list[_StateSamples]:
+    """One _StateSamples per horizon from one pass per kept state to T_list[-1].
+
+    Kept state row r uses the streams r * n_paths onwards; every horizon
+    reads the same paths, at their state X_T and filters at step T / dt.
+    """
     kept = [x for x in range(model.d) if nu[x] >= SKIP_EPS]
     skipped = tuple(x for x in range(model.d) if nu[x] < SKIP_EPS)
-    plain = np.empty((len(kept), n_paths))
-    rb = np.empty((len(kept), n_paths))
-    chi2_T = np.empty((len(kept), n_paths))
+    steps = [_grid_steps(T, dt) for T in T_list]
+    shape = (len(T_list), len(kept), n_paths)
+    plain = np.empty(shape)
+    rb = np.empty(shape)
+    chi2_T = np.empty(shape)
+    paths = np.arange(n_paths)
     for row, x in enumerate(kept):
         point = np.zeros(model.d)
         point[x] = 1.0
         batch = sample_path_batch(
             model,
             n_paths,
-            T,
+            T_list[-1],
             dt,
             master_seed,
             initial_state=x,
-            stream_offset=stream_base + row * n_paths,
+            stream_offset=row * n_paths,
         )
-        terminal = evolve_ensemble(np.stack([mu, nu, point]), batch.increments, dt, model)
-        gamma = density_ratio(terminal[:, 0, :], terminal[:, 1, :])
-        plain[row] = gamma[np.arange(n_paths), batch.terminal_states]
-        rb[row] = (terminal[:, 2, :] * gamma).sum(axis=1)
-        chi2_T[row] = _divergence_batch(terminal[:, 0, :], terminal[:, 1, :])[0]
-    return _StateSamples(
-        states=np.array(kept, dtype=int),
-        plain=plain,
-        rb=rb,
-        chi2_T=chi2_T,
-        skipped=skipped,
-    )
+        # A path of horizon T holds only the jumps strictly before T, so X_T
+        # is the state entered at the last jump time < T.
+        states_at = np.array(
+            [sp.states[np.searchsorted(sp.jump_times, T_list, side="left") - 1] for sp in batch.state_paths]
+        )
+        snaps = _filter_snapshots(np.stack([mu, nu, point]), batch.increments, steps, dt, model)
+        for i, pis in enumerate(snaps):
+            gamma = density_ratio(pis[:, 0, :], pis[:, 1, :])
+            plain[i, row] = gamma[paths, states_at[:, i]]
+            rb[i, row] = (pis[:, 2, :] * gamma).sum(axis=1)
+            chi2_T[i, row] = _divergence_batch(pis[:, 0, :], pis[:, 1, :])[0]
+    states = np.array(kept, dtype=int)
+    return [
+        _StateSamples(states=states, plain=plain[i], rb=rb[i], chi2_T=chi2_T[i], skipped=skipped)
+        for i in range(len(T_list))
+    ]
 
 
 def _estimate_from(samples: _StateSamples, values: np.ndarray, d: int, T: float, kind: str) -> BackwardMapEstimate:
@@ -161,6 +201,9 @@ class DecayDiagnostics:
     uniform_bound_slack = chi2_prior - R_T^2 (var_nu_gammaT - var_nu_y0)
     are both nonnegative in expectation; their standard errors combine the
     ingredient errors in quadrature (cross-covariances neglected).
+    drop_se is the standard error of the drop var_nu_y0(previous horizon) -
+    var_nu_y0(T) on the paths both horizons share (see _drop_se); it is None
+    at the first horizon of a study.
     """
 
     T: float
@@ -180,9 +223,44 @@ class DecayDiagnostics:
     uniform_bound_slack_se: float
     n_paths_per_state: int
     skipped_states: tuple[int, ...]
+    drop_se: float | None = None
 
 
-def _decay_from(samples: _StateSamples, mu: np.ndarray, nu: np.ndarray, T: float) -> DecayDiagnostics:
+def _drop_se(before: _StateSamples, after: _StateSamples, nu: np.ndarray) -> float:
+    """Paired standard error of var_nu_y0(before) - var_nu_y0(after).
+
+    Both sample sets hold the Rao-Blackwell values of the same paths, so
+    the per-state means a, b are correlated with sample covariance c next
+    to the variances va, vb of the means.  Each horizon estimates
+    sum_x nu(x) ((y0(x) - 1)^2 - v_x); the delta method (with the Gaussian
+    second-order term that var_nu_y0_se also carries) gives per state
+
+        4 (ea^2 va + eb^2 vb - 2 ea eb c) + 2 (va^2 + vb^2 - 2 c^2),
+
+    ea = a - 1, eb = b - 1, weighted by nu(x)^2.  With c = 0 it reduces to
+    the quadrature sum of the two var_nu_y0_se.
+    """
+    n = before.rb.shape[1]
+    ea = before.rb.mean(axis=1) - 1.0
+    eb = after.rb.mean(axis=1) - 1.0
+    da = before.rb - before.rb.mean(axis=1, keepdims=True)
+    db = after.rb - after.rb.mean(axis=1, keepdims=True)
+
+    def cov(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return (u * v).sum(axis=1) / ((n - 1) * n)
+
+    va, vb, c = cov(da, da), cov(db, db), cov(da, db)
+    per_state = 4.0 * (ea**2 * va + eb**2 * vb - 2.0 * ea * eb * c) + 2.0 * (va**2 + vb**2 - 2.0 * c**2)
+    return float(np.sqrt(max(float(nu[before.states] ** 2 @ per_state), 0.0)))
+
+
+def _decay_from(
+    samples: _StateSamples,
+    mu: np.ndarray,
+    nu: np.ndarray,
+    T: float,
+    drop_se: float | None = None,
+) -> DecayDiagnostics:
     """Variance-decay diagnostics at horizon T from one set of state samples."""
     chi2_prior = chi2(mu, nu)
     kept = samples.states
@@ -247,6 +325,7 @@ def _decay_from(samples: _StateSamples, mu: np.ndarray, nu: np.ndarray, T: float
         uniform_bound_slack_se=ub_slack_se,
         n_paths_per_state=n,
         skipped_states=samples.skipped,
+        drop_se=drop_se,
     )
 
 
@@ -263,14 +342,22 @@ def backward_map_study(
     backward-map estimators at the last one: (diagnostics, plain,
     rao-blackwell).
 
-    Horizon i uses its own independent block of random streams, starting at
-    i * d * n_paths; the estimators reuse the last horizon's paths.  All
-    expectations are stratified over initial states (exact reweighting,
-    since path laws given X_0 = x do not depend on the prior), so the
-    numerator and denominator of R_T share paths.  The plain estimator is
-    the brute-force cross-check of the Rao-Blackwell one; on shared paths
-    their difference has conditional mean zero, so the combined standard
-    error is a conservative scale for the comparison.
+    Each kept initial state (row r of the states with nu mass, in index
+    order) runs one lockstep pass of n_paths paths on the streams
+    r * n_paths onwards up to the largest horizon; the mu, nu and delta_x
+    filters and X_T are snapshotted at every horizon's grid step.  The
+    horizons therefore share paths and are positively correlated: each
+    diagnostics entry after the first carries the paired drop_se, while
+    the np.hypot combination of var_nu_y0_se stays a conservative scale.
+    A one-horizon study is the same pass with a single snapshot.  The
+    estimators use the last horizon's samples.  All expectations are
+    stratified over initial states (exact reweighting, since path laws
+    given X_0 = x do not depend on the prior), so the numerator and
+    denominator of R_T share paths.  The plain estimator is the brute-force
+    cross-check of the Rao-Blackwell one; on shared paths their difference
+    has conditional mean zero, so the combined standard error is a
+    conservative scale for the comparison.  Raises GridMismatch when dt
+    does not divide a horizon.
     """
     mu = as_simplex(mu, d=model.d)
     nu = as_simplex(nu, d=model.d)
@@ -278,12 +365,12 @@ def backward_map_study(
     T_list = [float(T) for T in T_list]
     if not T_list or any(b <= a for a, b in zip(T_list, T_list[1:])):
         raise DimensionMismatch("T_list must be nonempty and strictly increasing")
-    diagnostics = []
-    for i, T in enumerate(T_list):
-        samples = _per_state_samples(
-            model, mu, nu, T, n_paths, master_seed, dt, i * model.d * n_paths
-        )
-        diagnostics.append(_decay_from(samples, mu, nu, T))
+    per_horizon = _horizon_samples(model, mu, nu, T_list, n_paths, master_seed, dt)
+    diagnostics = [
+        _decay_from(s, mu, nu, T, None if i == 0 else _drop_se(per_horizon[i - 1], s, nu))
+        for i, (s, T) in enumerate(zip(per_horizon, T_list))
+    ]
+    samples, T = per_horizon[-1], T_list[-1]
     return (
         diagnostics,
         _estimate_from(samples, samples.plain, model.d, T, "plain"),

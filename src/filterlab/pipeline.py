@@ -29,6 +29,7 @@ from .dual import backward_map_study, theorem2_envelope, write_backward_map_csv
 from .ensemble import run_divergence_ensemble, sample_path_batch
 from .errors import (
     AssumptionA1Violated,
+    ConfigError,
     DegenerateVarianceForm,
     FilterLabError,
     NonPositiveSeries,
@@ -312,9 +313,12 @@ def run_backward_map(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 
     Decay diagnostics over cfg.T_list and both backward-map estimators at
     the largest horizon, from one dual.backward_map_study pass.  Dumps each
-    estimator as CSV.
+    estimator as CSV.  Raises ConfigError for fewer than two paths per
+    state, which leave every standard error undefined.
     """
     t_start = time.perf_counter()
+    if cfg.n_paths < 2:
+        raise ConfigError(f"n_paths: backward-map needs at least 2 paths per state, got {cfg.n_paths}")
     model = model_for_sweep_value(cfg, None)
     if model.noiseless:
         raise FilterLabError(
@@ -346,6 +350,7 @@ def run_backward_map(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
                 "uniform_bound_slack_se": _json_float(dg.uniform_bound_slack_se),
                 "n_paths_per_state": dg.n_paths_per_state,
                 "skipped_states": list(dg.skipped_states),
+                "drop_se": dg.drop_se,
             }
         )
     estimates = {}

@@ -180,6 +180,17 @@ def _drift_at_grid(path: StatePath, H: np.ndarray, n_steps: int, dt: float) -> n
     return out
 
 
+def _grid_steps(T: float, dt: float) -> int:
+    """Number of grid steps of size dt in [0, T]; dt must divide T within 1e-9."""
+    if dt <= 0.0:
+        raise GridMismatch(f"dt = {dt} must be positive")
+    n_float = T / dt
+    n_steps = int(round(n_float))
+    if n_steps < 1 or abs(n_float - n_steps) > 1e-9:
+        raise GridMismatch(f"dt = {dt} does not divide T = {T}")
+    return n_steps
+
+
 def integrate_observation(
     path: StatePath, model: HmmModel, dt: float, rng: np.random.Generator
 ) -> ObservationPath:
@@ -188,12 +199,7 @@ def integrate_observation(
     increment_k = int_{t_k}^{t_{k+1}} h(X_s) ds + r sqrt(dt) xi_k with
     xi_k i.i.d. standard normal (m,).  dt must divide path.T within 1e-9.
     """
-    if dt <= 0.0:
-        raise GridMismatch(f"dt = {dt} must be positive")
-    n_float = path.T / dt
-    n_steps = int(round(n_float))
-    if n_steps < 1 or abs(n_float - n_steps) > 1e-9:
-        raise GridMismatch(f"dt = {dt} does not divide T = {path.T}")
+    n_steps = _grid_steps(path.T, dt)
     drift = np.diff(_drift_at_grid(path, model.H, n_steps, dt), axis=0)
     if model.r > 0.0:
         noise = model.r * np.sqrt(dt) * rng.standard_normal((n_steps, model.m))

@@ -396,3 +396,12 @@ class TestCliBackwardMap:
         assert (out / "backward_map_plain.csv").exists()
         assert (out / "backward_map_rao-blackwell.csv").exists()
         assert "var_nu(y0)" in capsys.readouterr().out
+
+    def test_one_path_per_state_is_a_config_error(self, tmp_path, capsys):
+        # One path leaves every standard error undefined; simulate keeps it.
+        cfg = _tiny_config(tmp_path, n_paths=1)
+        out = tmp_path / "bm"
+        assert main(["backward-map", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: n_paths")
+        assert not (out / "report_backward_map.json").exists()
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0

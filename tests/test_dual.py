@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import filterlab.dual as dual_mod
 from conftest import BLOCKS_MU, BLOCKS_NU, CYCLE_MU, CYCLE_NU
 from filterlab import verify
-from filterlab.divergence import DivergenceSeries, chi2
+from filterlab.divergence import DivergenceSeries, chi2, density_ratio
 from filterlab.dual import (
     backward_map_pair,
     backward_map_study,
@@ -15,7 +16,9 @@ from filterlab.dual import (
     theorem2_envelope,
     write_backward_map_csv,
 )
-from filterlab.errors import AssumptionA1Violated, DimensionMismatch
+from filterlab.ensemble import sample_path_batch
+from filterlab.errors import AssumptionA1Violated, DimensionMismatch, GridMismatch
+from filterlab.filtering import evolve_ensemble
 
 
 class TestEssentialInfimumRatio:
@@ -77,6 +80,90 @@ class TestBackwardMapEstimators:
         _, rb = backward_map_pair(cycle_model, CYCLE_MU, CYCLE_NU, 1.5, 80, 17)
         r = verify.backward_map_normalization(rb, CYCLE_NU)
         assert r.passed, r.detail
+
+
+class TestOnePassEngine:
+    def test_snapshots_equal_truncated_runs(self, cycle_model):
+        dt = 1e-2
+        batch = sample_path_batch(cycle_model, 6, 0.5, dt, 4, initial_state=1)
+        priors = np.stack([CYCLE_MU, CYCLE_NU, np.eye(4)[1]])
+        steps = [10, 30, 50]
+        snaps = dual_mod._filter_snapshots(priors, batch.increments, steps, dt, cycle_model)
+        assert snaps.shape == (3, 6, 3, 4)
+        for n, snap in zip(steps, snaps):
+            truncated = evolve_ensemble(priors, batch.increments[:, :n, :], dt, cycle_model)
+            assert np.array_equal(snap, truncated)
+
+    def test_samples_read_each_horizon_on_the_shared_paths(self, cycle_model, monkeypatch):
+        dt, T_list, n = 1e-2, [0.2, 0.5, 1.0], 30
+        batches = []
+        original = dual_mod.sample_path_batch
+
+        def keep(*args, **kwargs):
+            batches.append(original(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(dual_mod, "sample_path_batch", keep)
+        nu = np.array([0.5, 0.5, 0.0, 0.0])
+        mu = np.array([0.3, 0.7, 0.0, 0.0])
+        per_horizon = dual_mod._horizon_samples(cycle_model, mu, nu, T_list, n, 9, dt)
+        assert len(batches) == 2
+        moved = 0
+        for row, (x, batch) in enumerate(zip((0, 1), batches)):
+            priors = np.stack([mu, nu, np.eye(4)[x]])
+            for T, samples in zip(T_list, per_horizon):
+                pis = evolve_ensemble(priors, batch.increments[:, : round(T / dt), :], dt, cycle_model)
+                gamma = density_ratio(pis[:, 0, :], pis[:, 1, :])
+                x_T = np.array([sp.state_at(T) for sp in batch.state_paths])
+                moved += int(np.sum(x_T != batch.terminal_states))
+                assert np.array_equal(samples.plain[row], gamma[np.arange(n), x_T])
+                assert np.array_equal(samples.rb[row], (pis[:, 2, :] * gamma).sum(axis=1))
+        # The check above tells X_T from the terminal state on some path.
+        assert moved > 0
+
+    def test_horizon_off_the_grid_rejected(self, cycle_model):
+        with pytest.raises(GridMismatch):
+            backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (0.105, 0.2), 5, 0, dt=1e-2)
+
+
+def _stack(rb):
+    rb = np.asarray(rb, dtype=float)
+    return dual_mod._StateSamples(
+        states=np.arange(rb.shape[0]), plain=rb, rb=rb, chi2_T=np.ones_like(rb), skipped=()
+    )
+
+
+class TestDropStandardError:
+    def test_identical_samples_give_zero(self):
+        rb = np.random.default_rng(3).normal(1.0, 0.2, size=(3, 25))
+        s = _stack(rb)
+        assert dual_mod._drop_se(s, s, np.array([0.2, 0.3, 0.5])) == 0.0
+
+    def test_hand_built_stack_matches_formula(self):
+        nu = np.array([0.4, 0.6])
+        before = [[1.3, 0.9, 1.1, 0.7], [0.5, 0.8, 0.6, 0.9]]
+        after = [[1.2, 1.0, 1.1, 0.8], [0.9, 0.7, 0.8, 1.0]]
+        n = 4
+        total = 0.0
+        for x in range(2):
+            a, b = np.mean(before[x]), np.mean(after[x])
+            va = sum((u - a) ** 2 for u in before[x]) / ((n - 1) * n)
+            vb = sum((u - b) ** 2 for u in after[x]) / ((n - 1) * n)
+            c = sum((u - a) * (v - b) for u, v in zip(before[x], after[x])) / ((n - 1) * n)
+            ea, eb = a - 1.0, b - 1.0
+            term = 4.0 * (ea**2 * va + eb**2 * vb - 2.0 * ea * eb * c)
+            term += 2.0 * (va**2 + vb**2 - 2.0 * c**2)
+            total += nu[x] ** 2 * term
+        got = dual_mod._drop_se(_stack(before), _stack(after), nu)
+        assert got == pytest.approx(np.sqrt(total), rel=0.0, abs=1e-12)
+
+    def test_uncorrelated_samples_give_the_quadrature_sum(self):
+        # Deviations (1, -1, 1, -1) and (1, 1, -1, -1) have covariance 0.
+        nu = np.array([0.4, 0.6])
+        before = _stack([[1.3, 1.1, 1.3, 1.1], [0.6, 0.4, 0.6, 0.4]])
+        after = _stack([[1.05, 1.05, 0.95, 0.95], [0.9, 0.9, 0.7, 0.7]])
+        se = [dual_mod._decay_from(s, nu, nu, 1.0).var_nu_y0_se for s in (before, after)]
+        assert dual_mod._drop_se(before, after, nu) == pytest.approx(np.hypot(*se), abs=1e-12)
 
 
 @pytest.fixture(scope="module")

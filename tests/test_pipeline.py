@@ -61,19 +61,21 @@ class TestRunBackwardMap:
         ],
     )
     def test_each_horizon_is_sampled_once(self, monkeypatch, priors, kept):
+        # All horizons share one batch per kept state, sampled to the largest.
         calls = []
         original = dual_mod.sample_path_batch
 
         def counting(*args, **kwargs):
-            calls.append(kwargs["stream_offset"])
+            calls.append((args[2], kwargs["stream_offset"]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(dual_mod, "sample_path_batch", counting)
         cfg = _cycle_cfg(n_paths=20, T_list=(0.1, 0.2, 0.3), dt=1e-2, **priors)
         report = run_backward_map(cfg)
-        assert len(calls) == len(cfg.T_list) * kept
-        assert len(set(calls)) == len(calls)
+        assert calls == [(cfg.T_list[-1], row * cfg.n_paths) for row in range(kept)]
         assert [d["T"] for d in report["diagnostics"]] == list(cfg.T_list)
+        drops = [d["drop_se"] for d in report["diagnostics"]]
+        assert drops[0] is None and all(se > 0.0 for se in drops[1:])
 
     def test_estimates_come_from_the_largest_horizon(self):
         cfg = _cycle_cfg(n_paths=40, T_list=(0.2, 0.5), dt=1e-2)
