@@ -50,10 +50,6 @@ class PathBatch:
         return len(self.state_paths)
 
     @property
-    def terminal_states(self) -> np.ndarray:
-        return np.array([sp.states[-1] for sp in self.state_paths], dtype=int)
-
-    @property
     def initial_states(self) -> np.ndarray:
         return np.array([sp.states[0] for sp in self.state_paths], dtype=int)
 

@@ -1,30 +1,31 @@
 """Conditional-law evolution given the observation record.
 
-The conditional distribution pi_t of the hidden state solves a d-dimensional
-stochastic differential equation driven by the observation.  In unit-noise
-form (observation function hu = H/r) the Euler scheme per grid step is
+The conditional law pi_t of the hidden state solves a d-dimensional
+stochastic differential equation driven by the observation.  With the
+unit-noise observation function hu = H/r, each grid step is the
+splitting-up step of Le Gland (1992): predict with the exact kernel
+expm(A dt), correct with the likelihood of the increment dZ, normalize,
 
-    pi' = pi + dt * A^T pi + G(pi) (dZ/r - pi(hu) dt),
-    G(pi)(x) = pi(x) (hu(x) - pi(hu))^T,
+    pi'(y) propto exp(hu(y) . dZ/r - |hu(y)|^2 dt/2) sum_x pi(x) expm(A dt)(x, y).
 
-followed by clipping negative entries at zero and renormalizing.  The gain
-rows sum to zero, which preserves total mass exactly; clipping therefore
-never empties the simplex unless the inputs are already non-finite, but the
-guard stays in place because a failure there is unrecoverable.
-
-All stepping routines broadcast over arbitrary leading axes, so one pass can
-evolve several priors on one observation path, or a whole ensemble of paths,
-at identical per-path results.
+It is exact at h = 0, has strong order one, and never leaves the simplex or
+drops a state the prediction reaches, so nothing is clipped.  One kernel
+steps k priors on P paths as a state-major (d, k, P) array, so products and
+reductions run along the long path axis.  The prediction is an einsum, the
+correction exponent and the mass are sums of rows, never a BLAS product or a
+pairwise reduction, so a path gets bitwise the same numbers alone as in any
+batch.
 
 For exactly noiseless observations (r = 0) the conditional law is computed
-exactly, without time discretization.  Between observed level changes the
-unnormalized law is pi_tau expm(A_LL (t - tau)), where A_LL is the generator
-restricted to the observed level set L of h; at an observed level change
-mass moves along the generator's cross-level flux into the new level.  The
-restricted exponentials are computed in numpy by uniformization with
-scaling and squaring: every term of that series is nonnegative, so it has
-no cancellation, and it keeps scipy.linalg (about 10 MB of resident memory
-and a quarter second of import time) out of the simulate path.
+exactly.  Between observed level changes the unnormalized law is
+pi_tau expm(A_LL (t - tau)), with A_LL the generator restricted to the
+observed level set L of h; at an observed level change mass moves along
+the generator's cross-level flux into the new level.
+
+All exponentials come from numpy uniformization with scaling and squaring:
+its terms are nonnegative, so it has no cancellation, and it keeps
+scipy.linalg (about 10 MB of resident memory and a quarter second of import
+time) out of the simulate path.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ __all__ = [
     "write_trajectory_csv",
     "read_trajectory_csv",
 ]
-
-GAIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,116 +82,96 @@ class ConditionalMoments:
     covariance: float | np.ndarray | None = None
 
 
-def _degenerate(mass: np.ndarray) -> bool:
-    return bool(np.any(~np.isfinite(mass)) or np.any(mass <= 0.0))
+def _split_steps(S: np.ndarray, increments: np.ndarray, dt: float, model: HmmModel, observer=None):
+    """Advance the state-major array S (d, k, P) through increments (P, n, m).
+
+    Each step computes the (d, P) correction once and shares it by the k
+    priors; its exponent is shifted by the per-path maximum before exp.
+    observer(step, t, pis) gets the (P, k, d) view of the states at step 0
+    and after every update.  Returns the terminal array.
+    """
+    E = _subgenerator_expm(model.A, dt)
+    hu = model.h_unit
+    gain = hu / model.r
+    half = 0.5 * dt * (hu**2).sum(axis=1)[:, None]
+    if observer is not None:
+        observer(0, 0.0, S.transpose(2, 1, 0))
+    for step in range(increments.shape[1]):
+        dz = increments[:, step, :]
+        lw = gain[:, :1] * dz[:, 0]
+        for j in range(1, model.m):
+            lw += gain[:, j : j + 1] * dz[:, j]
+        lw -= half
+        lw -= lw.max(axis=0)
+        S = np.einsum("xy,xkn->ykn", E, S)
+        S *= np.exp(lw, out=lw)[:, None, :]
+        mass = S[0].copy()
+        for row in S[1:]:
+            mass += row
+        if not mass.min() > 0.0:
+            raise DegenerateMass(f"step {step}: filter mass vanished; check the increments")
+        S /= mass
+        if observer is not None:
+            observer(step + 1, (step + 1) * dt, S.transpose(2, 1, 0))
+    return S
 
 
-def wonham_step(
-    pi: np.ndarray,
-    dz: np.ndarray,
-    dt: float,
-    model: HmmModel,
-) -> np.ndarray:
-    """One Euler step of the conditional law, broadcast over leading axes.
+def wonham_step(pi: np.ndarray, dz: np.ndarray, dt: float, model: HmmModel) -> np.ndarray:
+    """One splitting step of the conditional law, broadcast over leading axes.
 
     pi has shape (..., d) on the simplex, dz shape (..., m) in raw
-    observation units.  Raises DegenerateMass if the clipped update has no
-    mass left (dt too large relative to |h|/r) and NonPositiveNoise on a
-    noiseless model, which must use run_exact_noiseless_filter instead.
+    observation units.  Raises DegenerateMass if the update has no positive
+    finite mass (non-finite inputs) and NonPositiveNoise on a noiseless
+    model, which must use run_exact_noiseless_filter instead.
     """
     if model.noiseless:
         raise NonPositiveNoise("noiseless model: use run_exact_noiseless_filter")
-    pi = np.asarray(pi, dtype=float)
-    dz = np.asarray(dz, dtype=float)
-    hu = model.h_unit
-    if pi.shape[-1] != model.d or dz.shape[-1] != model.m:
-        raise DimensionMismatch(
-            f"pi (..., {model.d}) and dz (..., {model.m}) required, "
-            f"got {pi.shape} and {dz.shape}"
-        )
-    pih = pi @ hu
-    gain_sums = (pi[..., None] * (hu - pih[..., None, :])).sum(axis=-2)
-    worst = float(np.max(np.abs(gain_sums))) if gain_sums.size else 0.0
-    if worst > GAIN_TOL:
-        raise DegenerateMass(f"gain rows sum to {worst:.3e} > {GAIN_TOL}")
-    innov = dz / model.r - pih * dt
-    signal = innov @ hu.T - (pih * innov).sum(axis=-1)[..., None]
-    new = pi + dt * (pi @ model.A) + pi * signal
-    new = np.clip(new, 0.0, None)
-    mass = new.sum(axis=-1)
-    if _degenerate(mass):
-        raise DegenerateMass("filter mass vanished; reduce dt or check inputs")
-    return new / mass[..., None]
+    pi, dz = np.asarray(pi, dtype=float), np.asarray(dz, dtype=float)
+    d, m = model.d, model.m
+    if pi.shape[-1] != d or dz.shape[-1] != m:
+        raise DimensionMismatch(f"pi (..., {d}) and dz (..., {m}) required, got {pi.shape} and {dz.shape}")
+    lead = np.broadcast_shapes(pi.shape[:-1], dz.shape[:-1])
+    S = np.broadcast_to(pi, lead + (d,)).reshape(-1, 1, d).T.copy()
+    inc = np.broadcast_to(dz, lead + (m,)).reshape(-1, 1, m)
+    return _split_steps(S, inc, dt, model).T.reshape(lead + (d,))
 
 
-def run_filter(
-    prior,
-    obs: ObservationPath,
-    model: HmmModel,
-    label: str = "",
-):
+def run_filter(prior, obs: ObservationPath, model: HmmModel, label: str = ""):
     """Evolve one or several priors through one observation path.
 
     A single prior (d,) returns one FilterTrajectory; a stack (k, d) returns
-    a list of k trajectories computed in one pass on shared innovations.
-    DegenerateMass failures are re-raised with the failing step index.
+    a list of k trajectories.  This is evolve_ensemble on one path, so a
+    DegenerateMass failure names the failing step index.
     """
     prior = np.asarray(prior, dtype=float)
-    single = prior.ndim == 1
-    priors = prior[None, :] if single else prior
-    priors = np.stack([as_simplex(p, d=model.d) for p in priors])
-    if obs.m != model.m:
-        raise DimensionMismatch(f"obs has m = {obs.m}, model has m = {model.m}")
-    k = priors.shape[0]
-    pis = np.empty((obs.n_steps + 1, k, model.d))
-    pis[0] = priors
-    cur = priors
-    for step in range(obs.n_steps):
-        try:
-            cur = wonham_step(cur, obs.increments[step][None, :], obs.dt, model)
-        except DegenerateMass as exc:
-            raise DegenerateMass(f"step {step}: {exc}") from exc
-        pis[step + 1] = cur
-    trajs = [
-        FilterTrajectory(dt=obs.dt, pis=pis[:, i, :].copy(), label=label)
-        for i in range(k)
-    ]
-    return trajs[0] if single else trajs
+    priors = np.atleast_2d(prior)
+    pis = np.empty((obs.n_steps + 1,) + priors.shape)
+
+    def record(step, t, view):
+        pis[step] = view[0]
+
+    evolve_ensemble(priors, obs.increments[None], obs.dt, model, observer=record)
+    trajs = [FilterTrajectory(dt=obs.dt, pis=pis[:, i].copy(), label=label) for i in range(len(priors))]
+    return trajs[0] if prior.ndim == 1 else trajs
 
 
 def evolve_ensemble(
-    priors: np.ndarray,
-    increments: np.ndarray,
-    dt: float,
-    model: HmmModel,
-    observer=None,
+    priors: np.ndarray, increments: np.ndarray, dt: float, model: HmmModel, observer=None
 ) -> np.ndarray:
     """Evolve k priors through P observation paths in lockstep.
 
-    priors is (k, d), increments (P, n_steps, m); the filter state array has
-    shape (P, k, d) throughout.  observer(step, t, pis) is called once with
-    step = 0 at t = 0 and then after every update; it must not mutate pis.
-    Returns the terminal state array.
+    priors is (k, d), increments (P, n_steps, m).  observer(step, t, pis) is
+    called with step = 0 at t = 0 and then after every update; pis is the
+    (P, k, d) view of the state-major array and must not be mutated.
+    Returns the terminal states as such a view.
     """
     if model.noiseless:
         raise NonPositiveNoise("noiseless model: use evolve_noiseless_ensemble")
     priors = np.stack([as_simplex(p, d=model.d) for p in np.asarray(priors, float)])
     if increments.ndim != 3 or increments.shape[2] != model.m:
-        raise DimensionMismatch(
-            f"increments must be (P, n_steps, {model.m}), got {increments.shape}"
-        )
-    n_paths, n_steps, _ = increments.shape
-    pis = np.broadcast_to(priors[None, :, :], (n_paths,) + priors.shape).copy()
-    if observer is not None:
-        observer(0, 0.0, pis)
-    for step in range(n_steps):
-        try:
-            pis = wonham_step(pis, increments[:, step, :][:, None, :], dt, model)
-        except DegenerateMass as exc:
-            raise DegenerateMass(f"step {step}: {exc}") from exc
-        if observer is not None:
-            observer(step + 1, (step + 1) * dt, pis)
-    return pis
+        raise DimensionMismatch(f"increments must be (P, n_steps, {model.m}), got {increments.shape}")
+    S = np.repeat(priors.T[:, :, None], increments.shape[0], axis=2)
+    return _split_steps(S, increments, dt, model, observer).transpose(2, 1, 0)
 
 
 def _subgenerator_expm(Q: np.ndarray, t: float) -> np.ndarray:
@@ -317,17 +296,9 @@ def run_exact_noiseless_filter(
 ) -> FilterTrajectory:
     """Exact conditional law for noiseless observation Y_t = h(X_t).
 
-    The single-path trajectory of evolve_noiseless_ensemble: between
-    observed level changes the law is pi_tau expm(A_LL (t - tau)) with A_LL
-    the generator restricted to the observed level set, and at an observed
-    level change mass moves along the generator flux into the new level:
-    pi+(y) propto sum_x pi(x) A(x, y) over y in the new level.  The
-    exponentials come from numpy uniformization, not scipy.linalg (see the
-    module docstring).  pis[0] is the prior conditioned on the initial
-    observed level.  A jump landing exactly on a grid point belongs to the
-    earlier step.  Raises EmptyLevelSet when conditioning annihilates all
-    mass (the model cannot produce the observed level) and GridMismatch
-    when dt does not divide T.
+    The single-path trajectory of evolve_noiseless_ensemble, with its
+    semantics and errors; pis[0] is the prior conditioned on the initial
+    observed level.
     """
     rows = []
     evolve_noiseless_ensemble(

@@ -1,14 +1,15 @@
 """Named verification suites behind the `verify` subcommand, and the one
 definition of each statistical check.
 
-The check functions (kl_supermartingale ... divergence_chain) take objects
-that are already computed and return a CheckResult; the `check_*` suites
-build their inputs at (seed, size) and call them, as do the acceptance
-tests on their own inputs.  A statistical check allows Z standard errors
-(Z_WIDE where the per-path variance is largest), compared as |x| <= z se or
-x >= -z se: a nan standard error fails, and a zero one passes only an exact
-zero.  size = 0 runs the deterministic suite only; size = 1 is rejected,
-since one path has no standard error.
+The check functions (kl_supermartingale ... splitting_strong_order) take
+objects that are already computed and return a CheckResult; the `check_*`
+suites build their inputs at (seed, size) and call them, as do the
+acceptance tests on their own inputs.  A statistical check allows Z
+standard errors (Z_WIDE where the per-path variance is largest), compared
+as |x| <= z se or x >= -z se: a nan standard error fails, and a zero one
+passes only an exact zero; splitting_strong_order bounds ratios of
+discretization errors instead.  size = 0 runs the deterministic suite
+only; size = 1 is rejected, since one path has no standard error.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from .divergence import (
     write_series_csv,
 )
 from .dual import backward_map_pair, decay_diagnostics
-from .ensemble import run_divergence_ensemble
-from .errors import ConfigError, FilterLabError
+from .ensemble import run_divergence_ensemble, sample_path_batch
+from .errors import ConfigError, FilterLabError, GridMismatch
 from .filtering import (
+    evolve_ensemble,
     read_trajectory_csv,
     run_exact_noiseless_filter,
     run_filter,
@@ -70,6 +72,9 @@ __all__ = ["CheckResult", "run_verify", "DETERMINISTIC_CHECKS", "STATISTICAL_CHE
 
 Z = 3.0
 Z_WIDE = 4.0
+# Strong order: the fine step, the coarse steps as its multiples, and the
+# band for each error ratio per halving of the step.
+ORDER_DT, ORDER_FACTORS, ORDER_BAND = 1.25e-4, (64, 32, 16, 8), (1.5, 2.5)
 
 
 @dataclass(frozen=True)
@@ -206,6 +211,35 @@ def divergence_chain(p, q) -> CheckResult:
     return _result("divergence-chain", "deterministic", lo >= 0.0 and hi >= 0.0, detail)
 
 
+def splitting_strong_order(cases, prior, dt: float) -> CheckResult:
+    """Observed strong order one of the filter step on shared increments.
+
+    cases lists (label, model, increments), increments (P, n, m) on the
+    fine grid dt; the run at step c dt uses the sums of c consecutive fine
+    increments, so every run sees the same observation paths.  Its error is
+    the root mean square over paths of |pi_T(c dt) - pi_T(dt)|, and every
+    ratio of errors for halving the step must lie in ORDER_BAND.  Raises
+    GridMismatch unless n is a multiple of every ORDER_FACTORS entry.
+    """
+    prior = np.asarray(prior, dtype=float)[None]
+    lo, hi = ORDER_BAND
+    passed, details = True, []
+    for label, model, inc in cases:
+        P, n, m = inc.shape
+        if any(n % c for c in ORDER_FACTORS):
+            raise GridMismatch(f"{n} fine steps do not split into steps of {ORDER_FACTORS}")
+        fine = evolve_ensemble(prior, inc, dt, model)
+        errs = []
+        for c in ORDER_FACTORS:
+            coarse = evolve_ensemble(prior, inc.reshape(P, n // c, c, m).sum(axis=2), c * dt, model)
+            errs.append(np.sqrt(((coarse - fine) ** 2).sum(axis=(1, 2)).mean()))
+        ratios = np.array(errs[:-1]) / np.array(errs[1:])
+        passed &= bool(np.all((ratios >= lo) & (ratios <= hi)))
+        details.append(f"{label}: " + ", ".join(f"{r:.2f}" for r in ratios))
+    detail = f"error ratios per halving of dt, band [{lo:g}, {hi:g}]: " + "; ".join(details)
+    return _result("splitting-strong-order", "statistical", passed, detail)
+
+
 def _cycle_model(sigma2: float = 1.0):
     """The example-6.1 cycle at noise intensity sigma2 (0 is noiseless)."""
     return model_for_sweep_value(preset_config("example-6.1"), sigma2)
@@ -236,9 +270,7 @@ def check_divergence_values(seed: int) -> CheckResult:
     got = (chi2(p, q), kl(p, q), tv(p, q))
     want = (1.0 / 3.0, 0.5 * np.log(4.0 / 3.0), 0.25)
     err = max(abs(g - w) for g, w in zip(got, want))
-    return _result(
-        "divergence-values", "deterministic", err <= 1e-12, f"max error {err:.2e}"
-    )
+    return _result("divergence-values", "deterministic", err <= 1e-12, f"max error {err:.2e}")
 
 
 def check_drift_identity(seed: int) -> CheckResult:
@@ -329,12 +361,8 @@ def check_rate_fit(seed: int) -> CheckResult:
     ok = abs(fit.rate - 3.0) <= 1e-9 and fit.r_squared >= 1.0 - 1e-12
     fit2 = fit_exponential_rate(t, np.exp(-3.0 * t) * (1.0 + 0.01 * np.sin(t)))
     ok &= 2.9 <= fit2.rate <= 3.1
-    return _result(
-        "rate-fit",
-        "deterministic",
-        bool(ok),
-        f"exact {fit.rate:.12f}, perturbed {fit2.rate:.4f}",
-    )
+    detail = f"exact {fit.rate:.12f}, perturbed {fit2.rate:.4f}"
+    return _result("rate-fit", "deterministic", bool(ok), detail)
 
 
 def check_structure_examples(seed: int) -> CheckResult:
@@ -381,12 +409,8 @@ def check_noiseless_identity(seed: int) -> CheckResult:
     err_gap = float(np.abs(gap - 2.0 * (p - pp)).max())
     level_pi = conditional_pi_constant(model.A, tmu.pis[0])
     passed = err_gap <= 1e-10 and abs(level_pi.constant) <= 1e-10
-    return _result(
-        "noiseless-filter-identity",
-        "deterministic",
-        passed,
-        f"max |L1 gap - 2(p - p')| = {err_gap:.2e}",
-    )
+    detail = f"max |L1 gap - 2(p - p')| = {err_gap:.2e}"
+    return _result("noiseless-filter-identity", "deterministic", passed, detail)
 
 
 def check_rerun_determinism(seed: int) -> CheckResult:
@@ -458,9 +482,7 @@ def check_kl_supermartingale_and_clark(seed: int, size: int) -> list[CheckResult
     """Mean KL non-increasing at anchors; pathwise entropy bound at anchors."""
     cfg = preset_config("example-6.1")
     model = validate_model(cfg.A, cfg.H, 1.0)
-    ens = run_divergence_ensemble(
-        model, cfg.mu, cfg.nu, size, 5.0, 1e-3, seed
-    )
+    ens = run_divergence_ensemble(model, cfg.mu, cfg.nu, size, 5.0, 1e-3, seed)
     anchors = _anchor_indices(ens.series.times, 0.1)
     return [
         kl_supermartingale(ens, anchors),
@@ -481,9 +503,7 @@ def check_weak_drift(seed: int, size: int) -> CheckResult:
     model = validate_model(A, H, 1.0)
     mu = 0.85 * rng.dirichlet(np.ones(d)) + 0.05
     nu = 0.85 * rng.dirichlet(np.ones(d)) + 0.05
-    ens = run_divergence_ensemble(
-        model, mu, nu, size, 2.0, 1e-3, seed, record_drift=True
-    )
+    ens = run_divergence_ensemble(model, mu, nu, size, 2.0, 1e-3, seed, record_drift=True)
     return chi2_weak_dynamics(ens, _anchor_indices(ens.series.times, 0.5)[1:])
 
 
@@ -538,6 +558,17 @@ def check_stream_independence(seed: int, size: int) -> CheckResult:
     return _near_zero("stream-independence", "corr", corr, 1.0 / np.sqrt(n))
 
 
+def check_splitting_strong_order(seed: int, size: int) -> CheckResult:
+    """Strong order one on the cycle at sigma2 = 1 and 0.1, max(size, 100) paths to T = 1."""
+    mu = preset_config("example-6.1").mu
+    cases = []
+    for sigma2 in (1.0, 0.1):
+        model = _cycle_model(sigma2)
+        batch = sample_path_batch(model, max(size, 100), 1.0, ORDER_DT, seed, initial_law=mu)
+        cases.append((f"sigma2={sigma2:g}", model, batch.increments))
+    return splitting_strong_order(cases, mu, ORDER_DT)
+
+
 DETERMINISTIC_CHECKS = [
     check_divergence_chain,
     check_divergence_values,
@@ -558,6 +589,7 @@ STATISTICAL_CHECKS = [
     check_variance_decay,
     check_ctmc_marginal,
     check_stream_independence,
+    check_splitting_strong_order,
 ]
 
 

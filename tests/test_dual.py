@@ -111,11 +111,12 @@ class TestOnePassEngine:
         moved = 0
         for row, (x, batch) in enumerate(zip((0, 1), batches)):
             priors = np.stack([mu, nu, np.eye(4)[x]])
+            terminal = np.array([sp.states[-1] for sp in batch.state_paths])
             for T, samples in zip(T_list, per_horizon):
                 pis = evolve_ensemble(priors, batch.increments[:, : round(T / dt), :], dt, cycle_model)
                 gamma = density_ratio(pis[:, 0, :], pis[:, 1, :])
                 x_T = np.array([sp.state_at(T) for sp in batch.state_paths])
-                moved += int(np.sum(x_T != batch.terminal_states))
+                moved += int(np.sum(x_T != terminal))
                 assert np.array_equal(samples.plain[row], gamma[np.arange(n), x_T])
                 assert np.array_equal(samples.rb[row], (pis[:, 2, :] * gamma).sum(axis=1))
         # The check above tells X_T from the terminal state on some path.

@@ -11,6 +11,7 @@ import pytest
 import filterlab
 
 from conftest import CYCLE_MU, CYCLE_NU
+from filterlab.config import model_for_sweep_value, preset_config
 from filterlab.divergence import chi2
 from filterlab.ensemble import run_divergence_ensemble, sample_path_batch
 from filterlab.errors import DimensionMismatch, NonPositiveNoise
@@ -69,11 +70,6 @@ class TestSamplePathBatch:
             assert np.array_equal(batch.state_paths[i].states, sp.states)
             assert batch.state_paths[i].T == sp.T
 
-    def test_terminal_states_match_paths(self, cycle_model):
-        batch = sample_path_batch(cycle_model, 6, 0.5, 1e-2, 4, initial_law=CYCLE_MU)
-        manual = [sp.states[-1] for sp in batch.state_paths]
-        assert batch.terminal_states.tolist() == manual
-
 
 class TestTerminalFilterStates:
     def test_matches_per_path_run_filter(self, cycle_model):
@@ -91,6 +87,27 @@ class TestTerminalFilterStates:
         batch = sample_path_batch(cycle_noiseless, 3, 0.2, 1e-2, 1, initial_law=CYCLE_MU)
         with pytest.raises(NonPositiveNoise):
             evolve_ensemble(np.stack([CYCLE_MU, CYCLE_NU]), batch.increments, batch.dt, cycle_noiseless)
+
+
+class TestStiffSettings:
+    """Settings where an Euler step with clipping emptied states of the nu
+    filter and raised AbsoluteContinuityViolation."""
+
+    @pytest.mark.parametrize(
+        "preset, value, T, seed",
+        [
+            ("example-6.1", 1e-3, 1.0, 20260814),
+            ("example-6.2", 10.0, 1.0, 20260814),
+            ("example-6.2", 30.0, 1.0, 20260814),
+            ("example-6.2", 4.0, 1.5, 19),
+        ],
+    )
+    def test_filters_keep_full_support(self, preset, value, T, seed):
+        cfg = preset_config(preset)
+        model = model_for_sweep_value(cfg, value)
+        ens = run_divergence_ensemble(model, cfg.mu, cfg.nu, 200, T, 1e-3, seed)
+        assert ens.terminal_pis.shape == (200, 2, 4)
+        assert np.all(ens.terminal_pis > 0.0)
 
 
 class TestRunDivergenceEnsemble:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import CYCLE_A, CYCLE_H, CYCLE_MU, CYCLE_NU
+from filterlab.config import model_for_sweep_value, preset_config
+from filterlab.ensemble import sample_path_batch
 from filterlab.errors import (
     DegenerateMass,
     DimensionMismatch,
@@ -27,6 +29,7 @@ from filterlab.filtering import (
 )
 from filterlab.model import validate_model
 from filterlab.sim import ObservationPath, StatePath, sample_ctmc_path, spawn_rng
+from filterlab.verify import ORDER_BAND, ORDER_DT, ORDER_FACTORS, splitting_strong_order
 
 
 def _noise_obs(rng, n_steps, m, dt, scale=1.0):
@@ -50,19 +53,23 @@ class TestWonhamStep:
         assert np.all(out >= 0)
         np.testing.assert_allclose(out.sum(), 1.0, atol=1e-12)
 
-    def test_mass_conserved_before_clipping(self, cycle_model, rng):
-        # the gain rows sum to zero, so the raw Euler update keeps total
-        # mass at exactly one; verify against a hand-built update
-        pi = rng.dirichlet(np.ones(4))
-        dz = np.array([0.7])
+    def test_matches_hand_built_splitting_step(self, cycle_model, rng):
+        # predict with expm(A dt), correct with the increment's likelihood,
+        # normalize: one step is exactly this update, for m = 1 and m = 2
         dt = 1e-3
-        hu = cycle_model.h_unit
-        pih = pi @ hu
-        innov = dz / cycle_model.r - pih * dt
-        raw = pi + dt * (pi @ cycle_model.A) + pi * (innov @ hu.T - (pih @ innov))
-        np.testing.assert_allclose(raw.sum(), 1.0, atol=1e-13)
-        out = wonham_step(pi, dz, dt, cycle_model)
-        np.testing.assert_allclose(out, raw / raw.sum(), atol=1e-14)
+        A = rng.uniform(0.2, 2.0, size=(3, 3))
+        np.fill_diagonal(A, 0.0)
+        np.fill_diagonal(A, -A.sum(axis=1))
+        two_channel = validate_model(A, rng.normal(size=(3, 2)), 0.5)
+        for model in (cycle_model, two_channel):
+            hu = model.h_unit
+            for scale in (0.7, -0.05, 0.0):
+                pi = rng.dirichlet(np.ones(model.d))
+                dz = scale * rng.normal(size=model.m)
+                predicted = pi @ expm(model.A * dt)
+                raw = predicted * np.exp(hu @ dz / model.r - 0.5 * dt * (hu**2).sum(axis=1))
+                out = wonham_step(pi, dz, dt, model)
+                np.testing.assert_allclose(out, raw / raw.sum(), rtol=0.0, atol=1e-12)
 
     def test_broadcasts_over_leading_axes(self, cycle_model, rng):
         pis = rng.dirichlet(np.ones(4), size=(5, 3))
@@ -96,20 +103,22 @@ class TestRunFilter:
         obs = _noise_obs(rng, 1000, 1, 1e-3)
         traj = run_filter(pi0, obs, model)
         target = expm(CYCLE_A.T * 1.0) @ pi0
-        assert np.max(np.abs(traj.pis[-1] - target)) < 5e-3
+        # the splitting step is exact at h = 0: only rounding remains
+        assert np.max(np.abs(traj.pis[-1] - target)) < 1e-12
 
-    def test_euler_first_order_convergence(self, rng):
-        # halving dt must roughly halve the terminal error: ratio in [1.5, 2.5]
-        model = validate_model(CYCLE_A, np.zeros(4), 1.0)
-        pi0 = np.array([0.7, 0.1, 0.1, 0.1])
-        target = expm(CYCLE_A.T * 1.0) @ pi0
-        errs = []
-        for dt in (8e-3, 4e-3, 2e-3):
-            obs = _noise_obs(rng, int(round(1.0 / dt)), 1, dt)
-            traj = run_filter(pi0, obs, model)
-            errs.append(np.max(np.abs(traj.pis[-1] - target)))
-        for coarse, fine in zip(errs, errs[1:]):
-            assert 1.5 <= coarse / fine <= 2.5
+    def test_strong_order_one_on_shared_increments(self):
+        # halving dt from 8e-3 to 1e-3 must roughly halve the error against a
+        # dt = 1.25e-4 run on the same observation paths: ratios in [1.5, 2.5]
+        assert [c * ORDER_DT for c in ORDER_FACTORS] == pytest.approx([8e-3, 4e-3, 2e-3, 1e-3])
+        assert ORDER_BAND == (1.5, 2.5)
+        cfg = preset_config("example-6.1")
+        cases = []
+        for sigma2 in (1.0, 0.1):
+            model = model_for_sweep_value(cfg, sigma2)
+            batch = sample_path_batch(model, 200, 1.0, ORDER_DT, 20260814, initial_law=cfg.mu)
+            cases.append((f"sigma2={sigma2:g}", model, batch.increments))
+        result = splitting_strong_order(cases, cfg.mu, ORDER_DT)
+        assert result.passed, result.detail
 
     def test_prior_stack_matches_single_runs(self, cycle_model, rng):
         obs = _noise_obs(rng, 200, 1, 1e-3, scale=0.05)
@@ -148,6 +157,22 @@ class TestEvolveEnsemble:
             for k, prior in enumerate(priors):
                 traj = run_filter(prior, obs, cycle_model)
                 assert np.array_equal(terminal[p, k], traj.pis[-1])
+
+    def test_wide_model_matches_single_paths_bitwise(self, rng):
+        # d = 9 states and m = 2 channels: the exponent and the mass are sums
+        # of rows, not a BLAS product or a pairwise sum, whose rounding would
+        # depend on the number of paths
+        A = rng.uniform(0.2, 2.0, size=(9, 9))
+        np.fill_diagonal(A, 0.0)
+        np.fill_diagonal(A, -A.sum(axis=1))
+        model = validate_model(A, rng.normal(size=(9, 2)), 0.5)
+        priors = rng.dirichlet(np.ones(9), size=2)
+        increments = rng.normal(size=(7, 60, 2)) * 0.03
+        terminal = evolve_ensemble(priors, increments, 1e-3, model)
+        for p in range(7):
+            obs = ObservationPath(dt=1e-3, increments=increments[p])
+            for k, prior in enumerate(priors):
+                assert np.array_equal(terminal[p, k], run_filter(prior, obs, model).pis[-1])
 
     def test_observer_sees_every_step_including_zero(self, cycle_model, rng):
         increments = rng.normal(size=(3, 40, 1)) * 0.03
