@@ -1,7 +1,10 @@
 """Reproducible Monte Carlo ensembles of signal paths and filter statistics.
 
 Every path owns the random stream (master_seed, stream_offset + path_index),
-so its draws depend only on its index.  All paths of an ensemble are
+so its draws depend only on its index.  A batch samples its paths with one
+Generator re-keyed per path, and builds the grid, the initial law's CDF and
+the jump tables once; each path equals the public single-path recipe of
+filterlab.sim on its stream, bit for bit.  All paths of an ensemble are
 filtered in one lockstep pass, and ensemble reductions happen once, in
 path-index order.
 """
@@ -18,9 +21,12 @@ from .filtering import evolve_ensemble, evolve_noiseless_ensemble
 from .model import HmmModel, as_simplex
 from .sim import (
     StatePath,
-    integrate_observation,
-    sample_ctmc_path,
-    sample_initial_state,
+    _draw,
+    _fill_increments,
+    _grid_steps,
+    _jump_chain,
+    _jump_tables,
+    _rekey,
     spawn_rng,
 )
 
@@ -69,21 +75,30 @@ def sample_path_batch(
     Path i uses the stream (master_seed, stream_offset + i) for its initial
     state (from initial_law, unless initial_state pins it), its jump
     skeleton, and its observation noise (none for a noiseless model, whose
-    batch carries no increments).  Either initial_law or initial_state must
-    be given.
+    batch carries no increments), exactly as spawn_rng ->
+    sample_initial_state -> sample_ctmc_path -> integrate_observation would.
+    Either initial_law or initial_state must be given, and dt must divide T
+    within 1e-9 (GridMismatch otherwise, for every model).
     """
     if (initial_law is None) == (initial_state is None):
         raise DimensionMismatch("give exactly one of initial_law, initial_state")
-    law = None if initial_law is None else as_simplex(initial_law, d=model.d)
-    n_steps = int(round(T / dt))
-    paths = []
+    n_steps = _grid_steps(T, dt)
+    if initial_state is not None and not 0 <= initial_state < model.d:
+        raise DimensionMismatch(f"x0 = {initial_state} outside state space of size {model.d}")
+    cdf = None if initial_law is None else np.cumsum(as_simplex(initial_law, d=model.d)).tolist()
+    tables = _jump_tables(model.A)
+    T = float(T)
+    grid = np.arange(n_steps + 1) * dt
+    scale = model.r * np.sqrt(dt)
     increments = None if model.noiseless else np.empty((n_paths, n_steps, model.m))
+    rng = spawn_rng(master_seed, stream_offset).generator()
+    paths = []
     for i in range(n_paths):
-        rng = spawn_rng(master_seed, stream_offset + i).generator()
-        x0 = initial_state if law is None else sample_initial_state(law, rng, model.d)
-        paths.append(sample_ctmc_path(model.A, int(x0), T, rng))
+        _rekey(rng, master_seed, stream_offset + i)
+        x0 = int(initial_state) if cdf is None else _draw(cdf, rng)
+        paths.append(_jump_chain(tables, x0, T, rng))
         if increments is not None:
-            increments[i] = integrate_observation(paths[i], model, dt, rng).increments
+            _fill_increments(increments[i], paths[i], model.H, grid, scale, rng)
     return PathBatch(state_paths=tuple(paths), increments=increments, dt=float(dt))
 
 
@@ -126,7 +141,7 @@ def run_divergence_ensemble(
     nu = as_simplex(nu, d=model.d)
     if model.noiseless and record_drift:
         raise NonPositiveNoise("drift recording needs a noisy observation model")
-    n_steps = int(round(T / dt))
+    n_steps = _grid_steps(T, dt)
     batch = sample_path_batch(model, n_paths, T, dt, master_seed, initial_law=mu)
     chi2_v = np.empty((n_paths, n_steps + 1))
     kl_v = np.empty((n_paths, n_steps + 1))

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DegenerateMass, DimensionMismatch, EmptyLevelSet, GridMismatch, NonPositiveNoise
 from .model import HmmModel, _read_table, _write_table, as_simplex
-from .sim import ObservationPath, StatePath
+from .sim import ObservationPath, StatePath, _grid_steps
 
 __all__ = [
     "FilterTrajectory",
@@ -247,10 +247,7 @@ def evolve_noiseless_ensemble(
     T = state_paths[0].T
     if any(sp.T != T for sp in state_paths):
         raise GridMismatch("state paths have different horizons")
-    n_float = T / dt
-    n_steps = int(round(n_float))
-    if n_steps < 1 or abs(n_float - n_steps) > 1e-9:
-        raise GridMismatch(f"dt = {dt} does not divide T = {T}")
+    n_steps = _grid_steps(T, dt)
     grid = np.arange(n_steps + 1) * dt
 
     same = np.all(H[:, None, :] == H[None, :, :], axis=-1)

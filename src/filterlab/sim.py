@@ -8,10 +8,19 @@ jump times, so the only discretization in the pipeline is the filter's.
 Randomness comes from counter-based streams: spawn_rng(master_seed, stream_id)
 keys an independent Philox generator, so any path can be regenerated in
 isolation and its draws never depend on which other paths are sampled.
+A batch sampler keeps one Generator and re-keys its Philox per path with
+_rekey, which positions it where RngStream.generator() starts.
+
+sample_initial_state, sample_ctmc_path and integrate_observation are the
+public single-path recipe.  They are built from the helpers that
+ensemble.sample_path_batch calls once per batch (_jump_tables, the grid)
+or once per path (_rekey, _draw, _jump_chain, _fill_increments), so a
+batch path and a recipe path on the same stream are bitwise equal.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +57,30 @@ class RngStream:
     stream_id: int
 
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.master_seed % (1 << 64), self.stream_id % (1 << 64)],
-            dtype=np.uint64,
-        )
+        key = _stream_key(self.master_seed, self.stream_id)
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def _stream_key(master_seed: int, stream_id: int) -> np.ndarray:
+    return np.array([master_seed % (1 << 64), stream_id % (1 << 64)], dtype=np.uint64)
+
+
+def _rekey(rng: np.random.Generator, master_seed: int, stream_id: int) -> None:
+    """Reposition rng's Philox at the start of stream (master_seed, stream_id).
+
+    Key, zero counter and empty buffers: the state that
+    RngStream.generator() starts from, at a fraction of the cost of a new
+    Generator.
+    """
+    zero = np.zeros(4, dtype=np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zero, "key": _stream_key(master_seed, stream_id)},
+        "buffer": zero,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def spawn_rng(master_seed: int, stream_id: int) -> RngStream:
@@ -119,11 +147,52 @@ class ObservationPath:
         return self.n_steps * self.dt
 
 
+def _draw(cdf: list[float], rng: np.random.Generator) -> int:
+    """Inverse-CDF draw of an index from a cumulative law (last index caps)."""
+    return min(bisect_right(cdf, rng.random()), len(cdf) - 1)
+
+
 def sample_initial_state(prior, rng: np.random.Generator, d: int) -> int:
     """Draw X_0 from a prior on {0, ..., d-1} by inverse CDF."""
-    p = as_simplex(prior, d=d)
-    u = rng.random()
-    return int(np.searchsorted(np.cumsum(p), u, side="right").clip(0, d - 1))
+    return _draw(np.cumsum(as_simplex(prior, d=d)).tolist(), rng)
+
+
+def _jump_tables(A: np.ndarray) -> tuple[list[float], list[list[float]]]:
+    """Exit rate and cumulative jump law of every state x.
+
+    The exit rate is the off-diagonal row sum and the jump law the
+    off-diagonal row over it; a state with zero exit rate is absorbing and
+    has an empty law.
+    """
+    exit_rates, jump_cdfs = [], []
+    for x in range(A.shape[0]):
+        rates = A[x].copy()
+        rates[x] = 0.0
+        total = rates.sum()
+        exit_rates.append(float(total))
+        jump_cdfs.append(np.cumsum(rates / total).tolist() if total > 0.0 else [])
+    return exit_rates, jump_cdfs
+
+
+def _jump_chain(tables, x0: int, T: float, rng: np.random.Generator) -> StatePath:
+    """Jump-by-jump path on [0, T] from x0, with tables from _jump_tables."""
+    exit_rates, jump_cdfs = tables
+    jump_times = [0.0]
+    states = [x0]
+    t = 0.0
+    x = x0
+    while exit_rates[x] > 0.0:
+        t += rng.standard_exponential(method="inv") / exit_rates[x]
+        if t >= T:
+            break
+        x = _draw(jump_cdfs[x], rng)
+        jump_times.append(t)
+        states.append(x)
+    return StatePath(
+        jump_times=np.array(jump_times, dtype=float),
+        states=np.array(states, dtype=np.int64),
+        T=T,
+    )
 
 
 def sample_ctmc_path(A, x0: int, T: float, rng: np.random.Generator) -> StatePath:
@@ -138,46 +207,7 @@ def sample_ctmc_path(A, x0: int, T: float, rng: np.random.Generator) -> StatePat
         raise DimensionMismatch(f"x0 = {x0} outside state space of size {d}")
     if T <= 0.0:
         raise GridMismatch(f"horizon T = {T} must be positive")
-    jump_times = [0.0]
-    states = [int(x0)]
-    t = 0.0
-    x = int(x0)
-    while True:
-        rates = A[x].copy()
-        rates[x] = 0.0
-        total = rates.sum()
-        if total <= 0.0:
-            break
-        t += float(rng.standard_exponential(method="inv")) / total
-        if t >= T:
-            break
-        x = int(np.searchsorted(np.cumsum(rates / total), rng.random(), side="right"))
-        x = min(x, d - 1)
-        jump_times.append(t)
-        states.append(x)
-    return StatePath(
-        jump_times=np.array(jump_times, dtype=float),
-        states=np.array(states, dtype=np.int64),
-        T=float(T),
-    )
-
-
-def _drift_at_grid(path: StatePath, H: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
-    """Exact cumulative drift D(t_k) = int_0^{t_k} h(X_s) ds, k = 0..n_steps.
-
-    D is piecewise linear with knots at the jump times; grid values come
-    from linear interpolation of the exact knot values, so increments
-    telescope to D(T) at machine precision.
-    """
-    knots = np.append(path.jump_times, path.T)
-    seg = np.diff(knots)
-    hvals = H[path.states]
-    cum = np.vstack([np.zeros(H.shape[1]), np.cumsum(hvals * seg[:, None], axis=0)])
-    times = np.arange(n_steps + 1) * dt
-    out = np.empty((n_steps + 1, H.shape[1]))
-    for j in range(H.shape[1]):
-        out[:, j] = np.interp(times, knots, cum[:, j])
-    return out
+    return _jump_chain(_jump_tables(A), int(x0), float(T), rng)
 
 
 def _grid_steps(T: float, dt: float) -> int:
@@ -191,6 +221,31 @@ def _grid_steps(T: float, dt: float) -> int:
     return n_steps
 
 
+def _fill_increments(
+    out: np.ndarray, path: StatePath, H: np.ndarray, grid: np.ndarray, scale: float, rng: np.random.Generator
+) -> None:
+    """Write the observation increments of path on grid into out (n_steps, m).
+
+    out first holds scale times standard normals drawn from rng (zeros, and
+    no draws, when scale is 0), then gains the exact drift increments
+    D(t_{k+1}) - D(t_k) of D(t) = int_0^t h(X_s) ds.  D is piecewise linear
+    with knots at the jump times; grid values come from linear interpolation
+    of the exact knot values, so increments telescope to D(T) at machine
+    precision.
+    """
+    if scale > 0.0:
+        rng.standard_normal(out=out)
+        out *= scale
+    else:
+        out[:] = 0.0
+    knots = np.concatenate((path.jump_times, (path.T,)))
+    cum = np.zeros((len(knots), H.shape[1]))
+    np.cumsum(H.take(path.states, axis=0) * (knots[1:] - knots[:-1])[:, None], axis=0, out=cum[1:])
+    for j in range(H.shape[1]):
+        drift = np.interp(grid, knots, cum[:, j])
+        out[:, j] += drift[1:] - drift[:-1]
+
+
 def integrate_observation(
     path: StatePath, model: HmmModel, dt: float, rng: np.random.Generator
 ) -> ObservationPath:
@@ -200,12 +255,10 @@ def integrate_observation(
     xi_k i.i.d. standard normal (m,).  dt must divide path.T within 1e-9.
     """
     n_steps = _grid_steps(path.T, dt)
-    drift = np.diff(_drift_at_grid(path, model.H, n_steps, dt), axis=0)
-    if model.r > 0.0:
-        noise = model.r * np.sqrt(dt) * rng.standard_normal((n_steps, model.m))
-    else:
-        noise = np.zeros((n_steps, model.m))
-    return ObservationPath(dt=float(dt), increments=drift + noise)
+    increments = np.empty((n_steps, model.m))
+    grid = np.arange(n_steps + 1) * dt
+    _fill_increments(increments, path, model.H, grid, model.r * np.sqrt(dt), rng)
+    return ObservationPath(dt=float(dt), increments=increments)
 
 
 def write_observation_csv(path: str, obs: ObservationPath) -> None:

@@ -7,15 +7,18 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filterlab
 
-from conftest import CYCLE_MU, CYCLE_NU
+from conftest import CYCLE_MU, CYCLE_NU, random_generator_matrix
 from filterlab.config import model_for_sweep_value, preset_config
 from filterlab.divergence import chi2
 from filterlab.ensemble import run_divergence_ensemble, sample_path_batch
-from filterlab.errors import DimensionMismatch, NonPositiveNoise
+from filterlab.errors import DimensionMismatch, GridMismatch, NonPositiveNoise
 from filterlab.filtering import evolve_ensemble, run_filter
+from filterlab.model import validate_model
 from filterlab.sim import (
     ObservationPath,
     integrate_observation,
@@ -69,6 +72,54 @@ class TestSamplePathBatch:
             assert np.array_equal(batch.state_paths[i].jump_times, sp.jump_times)
             assert np.array_equal(batch.state_paths[i].states, sp.states)
             assert batch.state_paths[i].T == sp.T
+
+    def test_off_grid_horizon_rejected_for_every_model(self, cycle_model, cycle_noiseless):
+        # 0.07 does not divide 0.3: no model may sample an off-grid batch
+        for model in (cycle_model, cycle_noiseless):
+            with pytest.raises(GridMismatch):
+                sample_path_batch(model, 2, 0.3, 0.07, 0, initial_law=CYCLE_MU)
+
+    def test_pinned_state_outside_space_rejected(self, cycle_model):
+        with pytest.raises(DimensionMismatch):
+            sample_path_batch(cycle_model, 2, 1.0, 1e-2, 0, initial_state=4)
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(2, 6),
+        m=st.sampled_from([1, 2]),
+        r=st.sampled_from([0.0, 0.4, 2.5]),
+        absorbing=st.booleans(),
+        pinned=st.booleans(),
+        stream_offset=st.integers(0, 2**40),
+        grid=st.sampled_from([(0.7, 0.1), (0.5, 0.01), (1.0, 1e-3)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_single_path_recipe(self, seed, d, m, r, absorbing, pinned, stream_offset, grid):
+        # T = 0.7, dt = 0.1 puts the last grid point past T in floats, where
+        # np.interp clamps to the last knot
+        T, dt = grid
+        gen = np.random.default_rng(seed)
+        A = random_generator_matrix(gen, d)
+        if absorbing:
+            A[gen.integers(d)] = 0.0
+        model = validate_model(A, gen.normal(size=(d, m)), r, allow_noiseless=True)
+        law = gen.dirichlet(np.ones(d))
+        x_pin = int(gen.integers(d))
+        n_paths = 4
+        spec = {"initial_state": x_pin} if pinned else {"initial_law": law}
+        batch = sample_path_batch(model, n_paths, T, dt, seed, stream_offset=stream_offset, **spec)
+        assert (batch.increments is None) == model.noiseless
+        for i in range(n_paths):
+            rng = spawn_rng(seed, stream_offset + i).generator()
+            x0 = x_pin if pinned else sample_initial_state(law, rng, d)
+            sp = sample_ctmc_path(model.A, x0, T, rng)
+            got = batch.state_paths[i]
+            assert np.array_equal(got.jump_times, sp.jump_times)
+            assert np.array_equal(got.states, sp.states)
+            assert got.T == sp.T
+            if not model.noiseless:
+                obs = integrate_observation(sp, model, dt, rng)
+                assert np.array_equal(batch.increments[i], obs.increments)
 
 
 class TestTerminalFilterStates:
