@@ -8,7 +8,10 @@ For two laws p, q on S with density gamma = p/q (convention 0/0 = 0):
 
 A state is treated as outside supp(q) when q(x) < SUPPORT_EPS; finding
 p(x) > AC_EPS on such a state raises AbsoluteContinuityViolation, since both
-divergences are infinite there.  tv is defined for all pairs.
+divergences are infinite there.  tv is defined for all pairs.  The three
+formulas are written once, for state-major pairs (d, ...) reduced as sums
+of rows, so a block of many steps and paths costs one call; stacked pairs
+(..., d) and single laws go through the same code on a moved-axis view.
 
 The module also evaluates the exact local dynamics of the chi-square
 divergence between two filters driven by the same observation: the drift
@@ -24,6 +27,7 @@ drift = C1 + C3 . (pi_mu(h) - pi_nu(h)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from .errors import (
     NonPositiveSeries,
     WindowTooShort,
 )
-from .filtering import FilterTrajectory
+from .filtering import FilterTrajectory, _sum_rows
 from .model import HmmModel, _read_table, _write_table, carre_du_champ
 
 __all__ = [
@@ -69,6 +73,8 @@ def density_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise DimensionMismatch(f"shapes {p.shape} and {q.shape} differ")
+    if q.min(initial=np.inf) >= SUPPORT_EPS:
+        return p / q
     outside = q < SUPPORT_EPS
     if np.any(outside & (p > AC_EPS)):
         bad = float(p[outside].max())
@@ -78,18 +84,29 @@ def density_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(outside, 0.0, p / np.where(outside, 1.0, q))
 
 
-def _divergence_batch(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """chi2, kl and tv of stacked pairs (..., d) from one density_ratio call."""
+def _divergences(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """chi2, kl and tv of state-major pairs (d, ...) as sums of rows.
+
+    The one definition of the three formulas; one density_ratio call checks
+    absolute continuity for the whole block.
+    """
     g = density_ratio(p, q)
-    q_inside = np.where(q >= SUPPORT_EPS, q, 0.0)
-    chi2_v = (((g - 1.0) ** 2) * q_inside).sum(axis=-1)
-    log_terms = np.where(g > 0.0, g * np.log(np.where(g > 0.0, g, 1.0)), 0.0)
-    kl_v = (log_terms * q_inside).sum(axis=-1)
-    return chi2_v, kl_v, _tv_batch(p, q)
+    q_inside = q if q.min(initial=np.inf) >= SUPPORT_EPS else np.where(q >= SUPPORT_EPS, q, 0.0)
+    if g.min(initial=np.inf) > 0.0:
+        log_terms = g * np.log(g)
+    else:
+        log_terms = np.where(g > 0.0, g * np.log(np.where(g > 0.0, g, 1.0)), 0.0)
+    chi2_terms = ((g - 1.0) ** 2) * q_inside
+    return _sum_rows(chi2_terms), _sum_rows(log_terms * q_inside), _tv_rows(p, q)
 
 
-def _tv_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return 0.5 * np.abs(p - q).sum(axis=-1)
+def _tv_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return 0.5 * _sum_rows(np.abs(p - q))
+
+
+def _divergence_batch(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """chi2, kl and tv of stacked pairs (..., d): _divergences on the state-major view."""
+    return _divergences(np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0))
 
 
 def chi2(p, q) -> float:
@@ -108,15 +125,22 @@ def tv(p, q) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise DimensionMismatch(f"shapes {p.shape} and {q.shape} differ")
-    return float(_tv_batch(p, q))
+    return float(_tv_rows(np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)))
+
+
+def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = values.shape[0]
+    mean = values.sum(axis=0) / n
+    se = np.sqrt(((values - mean) ** 2).sum(axis=0)) / n
+    return mean, se
 
 
 @dataclass(frozen=True)
 class DivergenceSeries:
     """Ensemble divergence summaries on a common time grid.
 
-    Per-path arrays have shape (n_paths, len(times)); the properties give
-    the ensemble mean over paths and its standard error.
+    Per-path arrays have shape (n_paths, len(times)); the ensemble mean over
+    paths and its standard error are computed once per array, on first use.
     """
 
     times: np.ndarray
@@ -128,23 +152,29 @@ class DivergenceSeries:
     def n_paths(self) -> int:
         return self.chi2.shape[0]
 
-    def _mean_se(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = values.shape[0]
-        mean = values.sum(axis=0) / n
-        se = np.sqrt(((values - mean) ** 2).sum(axis=0)) / n
-        return mean, se
+    @cached_property
+    def chi2_mean_se(self) -> tuple[np.ndarray, np.ndarray]:
+        return _mean_se(self.chi2)
+
+    @cached_property
+    def kl_mean_se(self) -> tuple[np.ndarray, np.ndarray]:
+        return _mean_se(self.kl)
+
+    @cached_property
+    def tv_mean_se(self) -> tuple[np.ndarray, np.ndarray]:
+        return _mean_se(self.tv)
 
     @property
     def chi2_mean(self) -> np.ndarray:
-        return self._mean_se(self.chi2)[0]
+        return self.chi2_mean_se[0]
 
     @property
     def chi2_se(self) -> np.ndarray:
-        return self._mean_se(self.chi2)[1]
+        return self.chi2_mean_se[1]
 
     @property
     def kl_se(self) -> np.ndarray:
-        return self._mean_se(self.kl)[1]
+        return self.kl_mean_se[1]
 
 
 def divergence_series(
@@ -343,9 +373,9 @@ SERIES_COLUMNS = ["t", "chi2_mean", "chi2_se", "kl_mean", "kl_se", "tv_mean", "t
 
 def write_series_csv(path: str, series: DivergenceSeries) -> None:
     """Dump the aggregated series; floats use repr for exact round trips."""
-    chi2_m, chi2_s = series._mean_se(series.chi2)
-    kl_m, kl_s = series._mean_se(series.kl)
-    tv_m, tv_s = series._mean_se(series.tv)
+    chi2_m, chi2_s = series.chi2_mean_se
+    kl_m, kl_s = series.kl_mean_se
+    tv_m, tv_s = series.tv_mean_se
     n_paths = np.full(len(series.times), series.n_paths)
     _write_table(
         path, SERIES_COLUMNS, [series.times, chi2_m, chi2_s, kl_m, kl_s, tv_m, tv_s, n_paths]

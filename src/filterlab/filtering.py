@@ -82,6 +82,18 @@ class ConditionalMoments:
     covariance: float | np.ndarray | None = None
 
 
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """x[0] + x[1] + ... added in row order.
+
+    A sum over the leading (state) axis of a state-major array; for fewer
+    than 8 rows it is bitwise equal to .sum over a trailing state axis.
+    """
+    acc = x[0].copy()
+    for row in x[1:]:
+        acc += row
+    return acc
+
+
 def _split_steps(S: np.ndarray, increments: np.ndarray, dt: float, model: HmmModel, observer=None):
     """Advance the state-major array S (d, k, P) through increments (P, n, m).
 
@@ -105,9 +117,7 @@ def _split_steps(S: np.ndarray, increments: np.ndarray, dt: float, model: HmmMod
         lw -= lw.max(axis=0)
         S = np.einsum("xy,xkn->ykn", E, S)
         S *= np.exp(lw, out=lw)[:, None, :]
-        mass = S[0].copy()
-        for row in S[1:]:
-            mass += row
+        mass = _sum_rows(S)
         if not mass.min() > 0.0:
             raise DegenerateMass(f"step {step}: filter mass vanished; check the increments")
         S /= mass

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CYCLE_MU, CYCLE_NU, interior_simplex, random_generator_matrix
+from filterlab import divergence
 from filterlab.divergence import (
+    SUPPORT_EPS,
     DivergenceSeries,
+    _divergences,
     chi2,
     chi2_drift_batch,
     chi2_drift_terms,
@@ -91,6 +94,61 @@ class TestDivergenceValues:
         np.testing.assert_allclose(density_ratio(p, q) * q, p, atol=1e-14)
 
 
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+
+class TestStateMajorKernel:
+    """The block kernel on state-major pairs (d, n) equals the scalar
+    functions pair by pair, bit for bit, and both equal the formulas
+    written out here with numpy sums over the state axis (d < 8)."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_block_equals_scalar_bitwise(self, data):
+        d = data.draw(st.integers(2, 7), label="d")
+        n = data.draw(st.integers(1, 4), label="n")
+        positive = st.floats(0.05, 50.0)
+        # states 0 and 1 stay in the shared support, the others may leave it;
+        # p may also vanish inside the support
+        tail = data.draw(st.lists(st.booleans(), min_size=d - 2, max_size=d - 2))
+        shared_zero = np.array([False, False] + tail)
+
+        def draw_law(mass):
+            raw = np.array(data.draw(st.lists(mass, min_size=d, max_size=d)))
+            raw[0] += 0.05
+            return _normalize(np.where(shared_zero, 0.0, raw))
+
+        p = np.stack([draw_law(st.one_of(st.just(0.0), positive)) for _ in range(n)])
+        q = np.stack([draw_law(positive) for _ in range(n)])
+        if data.draw(st.booleans(), label="off support"):
+            j = data.draw(st.integers(0, n - 1))
+            q[j, 0] = 0.0
+            q[j] = _normalize(q[j])
+            p[j, 0] = 0.5
+            p[j] = _normalize(p[j])
+            with pytest.raises(AbsoluteContinuityViolation):
+                _divergences(p.T, q.T)
+            for scalar in (chi2, kl):
+                with pytest.raises(AbsoluteContinuityViolation):
+                    scalar(p[j], q[j])
+            return
+        block = _divergences(p.T, q.T)
+        outside = q < SUPPORT_EPS
+        g = np.where(outside, 0.0, p / np.where(outside, 1.0, q))
+        q_in = np.where(outside, 0.0, q)
+        log_terms = np.where(g > 0.0, g * np.log(np.where(g > 0.0, g, 1.0)), 0.0)
+        summed = (
+            (((g - 1.0) ** 2) * q_in).sum(axis=-1),
+            (log_terms * q_in).sum(axis=-1),
+            0.5 * np.abs(p - q).sum(axis=-1),
+        )
+        for scalar, values, reference in zip((chi2, kl, tv), block, summed):
+            assert _same_bits(values, reference)
+            for i in range(n):
+                assert _same_bits(values[i], scalar(p[i], q[i]))
+
+
 class TestChi2Drift:
     def test_identity_between_compact_and_raw_forms(self, rng):
         for _ in range(40):
@@ -147,6 +205,21 @@ class TestDivergenceSeries:
         assert series.chi2_mean[0] == pytest.approx(1.0 / 6.0, abs=1e-14)
         assert series.chi2_se[0] == pytest.approx(np.sqrt(2.0) / 12.0, abs=1e-12)
         assert series.n_paths == 2
+
+    def test_mean_and_se_computed_once_per_array(self, monkeypatch):
+        calls = []
+        real = divergence._mean_se
+        monkeypatch.setattr(divergence, "_mean_se", lambda v: calls.append(1) or real(v))
+        values = np.array([[1.0 / 3.0, 0.1], [0.2, 0.15], [0.05, 0.7]])
+        series = DivergenceSeries(times=np.array([0.0, 0.5]), chi2=values, kl=values / 2, tv=values / 4)
+        for _ in range(3):
+            mean, se = series.chi2_mean, series.chi2_se
+            series.kl_se
+        assert len(calls) == 2
+        n = values.shape[0]
+        want_mean = values.sum(axis=0) / n
+        assert mean.tobytes() == want_mean.tobytes()
+        assert se.tobytes() == (np.sqrt(((values - want_mean) ** 2).sum(axis=0)) / n).tobytes()
 
     def test_initial_point_is_prior_divergence(self, cycle_model):
         pis = np.stack([CYCLE_MU, CYCLE_MU])

@@ -14,10 +14,15 @@ import filterlab
 
 from conftest import CYCLE_MU, CYCLE_NU, random_generator_matrix
 from filterlab.config import model_for_sweep_value, preset_config
-from filterlab.divergence import chi2
-from filterlab.ensemble import run_divergence_ensemble, sample_path_batch
-from filterlab.errors import DimensionMismatch, GridMismatch, NonPositiveNoise
-from filterlab.filtering import evolve_ensemble, run_filter
+from filterlab.divergence import _divergence_batch, chi2, chi2_drift_batch
+from filterlab.ensemble import _BLOCK_STEPS, run_divergence_ensemble, sample_path_batch
+from filterlab.errors import (
+    AbsoluteContinuityViolation,
+    DimensionMismatch,
+    GridMismatch,
+    NonPositiveNoise,
+)
+from filterlab.filtering import evolve_ensemble, evolve_noiseless_ensemble, run_filter
 from filterlab.model import validate_model
 from filterlab.sim import (
     ObservationPath,
@@ -206,6 +211,29 @@ class TestRunDivergenceEnsemble:
                 cycle_noiseless, CYCLE_MU, CYCLE_NU, 2, 0.5, 1e-3, 0, record_drift=True
             )
 
+    def test_absolute_continuity_violation_raised(self, cycle_model):
+        # nu has no mass on states 2 and 3, where mu has
+        with pytest.raises(AbsoluteContinuityViolation):
+            run_divergence_ensemble(cycle_model, CYCLE_MU, [0.5, 0.5, 0.0, 0.0], 4, 0.1, 1e-3, 0)
+
+    def test_earlier_violation_wins_over_later_empty_level(self):
+        # Levels {0, 2}, {1} and {3}.  Conditioned on level {0, 2} at t = 0,
+        # mu keeps mass on state 2 and nu has none there: a violation at step
+        # 0.  A path started in state 2 jumps to 3 within a few steps, and the
+        # nu filter, which can only reach state 1, then has no mass on the
+        # observed level.  The step-0 violation must be the error raised.
+        A = np.array(
+            [
+                [-1.0, 1.0, 0.0, 0.0],
+                [1.0, -1.0, 0.0, 0.0],
+                [0.0, 0.0, -1000.0, 1000.0],
+                [0.0, 0.0, 1.0, -1.0],
+            ]
+        )
+        model = validate_model(A, np.array([0.0, 1.0, 0.0, 2.0]), 0.0, allow_noiseless=True)
+        with pytest.raises(AbsoluteContinuityViolation):
+            run_divergence_ensemble(model, [0.5, 0.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0], 8, 0.1, 1e-3, 0)
+
     def test_noiseless_route_leaves_scipy_linalg_unimported(self):
         # scipy.linalg costs about 10 MB of resident memory and a quarter
         # second of import time, so the noiseless engine does without it
@@ -232,3 +260,64 @@ class TestRunDivergenceEnsemble:
             check=True,
         )
         assert out.stdout.strip() == "[]"
+
+
+def _per_step_reference(model, mu, nu, n_paths, T, dt, seed, record_drift):
+    """The ensemble's outputs with every reduction done at its own step."""
+    batch = sample_path_batch(model, n_paths, T, dt, seed, initial_law=mu)
+    n_steps = round(T / dt)
+    chi2_v, kl_v, tv_v, signal, drift = (np.empty((n_paths, n_steps + 1)) for _ in range(5))
+    signal_acc = np.zeros(n_paths)
+    drift_acc = np.zeros(n_paths)
+
+    def observer(step, t, pis):
+        p, q = pis[:, 0, :], pis[:, 1, :]
+        chi2_v[:, step], kl_v[:, step], tv_v[:, step] = _divergence_batch(p, q)
+        signal[:, step] = signal_acc
+        drift[:, step] = drift_acc
+        if step < n_steps and not model.noiseless:
+            signal_acc[:] += (((p - q) @ model.h_unit) ** 2).sum(axis=1) * dt
+            if record_drift:
+                drift_acc[:] += chi2_drift_batch(p, q, model) * dt
+
+    priors = np.stack([mu, nu])
+    if model.noiseless:
+        evolve_noiseless_ensemble(priors, batch.state_paths, dt, model, observer=observer)
+    else:
+        evolve_ensemble(priors, batch.increments, dt, model, observer=observer)
+    return chi2_v, kl_v, tv_v, signal, drift
+
+
+class TestBlockedObserver:
+    """The block reductions equal per-step reductions bit for bit, for
+    horizons that end inside, on and just after a block boundary."""
+
+    STEPS = (1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 3 * _BLOCK_STEPS + 2)
+
+    @pytest.mark.parametrize("n_steps", STEPS)
+    @pytest.mark.parametrize("m, n_paths", [(1, 7), (2, 12)])
+    def test_noisy_with_drift(self, n_steps, m, n_paths):
+        rng = np.random.default_rng(n_steps + 100 * m)
+        model = validate_model(random_generator_matrix(rng, 4), rng.normal(size=(4, m)), 0.7)
+        dt = 0.01
+        args = (model, CYCLE_MU, CYCLE_NU, n_paths, n_steps * dt, dt, 5)
+        ens = run_divergence_ensemble(*args, record_drift=True)
+        chi2_v, kl_v, tv_v, signal, drift = _per_step_reference(*args, record_drift=True)
+        for got, want in [
+            (ens.series.chi2, chi2_v),
+            (ens.series.kl, kl_v),
+            (ens.series.tv, tv_v),
+            (ens.signal_integral, signal),
+            (ens.drift_integral, drift),
+        ]:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_steps", STEPS)
+    def test_noiseless(self, cycle_noiseless, n_steps):
+        dt = 0.01
+        args = (cycle_noiseless, CYCLE_MU, CYCLE_NU, 9, n_steps * dt, dt, 3)
+        ens = run_divergence_ensemble(*args)
+        chi2_v, kl_v, tv_v, _, _ = _per_step_reference(*args, record_drift=False)
+        assert ens.signal_integral is None
+        for got, want in [(ens.series.chi2, chi2_v), (ens.series.kl, kl_v), (ens.series.tv, tv_v)]:
+            assert got.tobytes() == want.tobytes()
