@@ -20,7 +20,6 @@ from .divergence import (
     chi2,
     chi2_drift_terms,
     density_ratio,
-    divergence_series,
     fit_exponential_rate,
     kl,
     tv,
@@ -52,12 +51,8 @@ from .errors import (
     NonUniqueInvariantMeasure,
 )
 from .filtering import (
-    FilterTrajectory,
-    conditional_moments,
     evolve_ensemble,
     evolve_noiseless_ensemble,
-    run_exact_noiseless_filter,
-    run_filter,
     wonham_step,
 )
 from .model import (
@@ -82,12 +77,8 @@ from .poincare import (
     trajectory_pi_infimum,
 )
 from .sim import (
-    ObservationPath,
     RngStream,
     StatePath,
-    integrate_observation,
-    sample_ctmc_path,
-    sample_initial_state,
     spawn_rng,
 )
 from .verify import run_verify
@@ -108,11 +99,9 @@ __all__ = [
     "EnvelopeReport",
     "ExperimentConfig",
     "FilterLabError",
-    "FilterTrajectory",
     "HmmModel",
     "NonPositiveNoise",
     "NonUniqueInvariantMeasure",
-    "ObservationPath",
     "PathBatch",
     "PiResult",
     "PRESET_NAMES",
@@ -126,16 +115,13 @@ __all__ = [
     "chi2",
     "chi2_drift_terms",
     "classical_pi_constant",
-    "conditional_moments",
     "conditional_pi_constant",
     "decay_diagnostics",
     "density_ratio",
-    "divergence_series",
     "essential_infimum_ratio",
     "evolve_ensemble",
     "evolve_noiseless_ensemble",
     "fit_exponential_rate",
-    "integrate_observation",
     "invariant_measure",
     "is_ergodic",
     "kl",
@@ -148,13 +134,9 @@ __all__ = [
     "rate_bounds",
     "run_backward_map",
     "run_divergence_ensemble",
-    "run_exact_noiseless_filter",
-    "run_filter",
     "run_simulate",
     "run_structure",
     "run_verify",
-    "sample_ctmc_path",
-    "sample_initial_state",
     "sample_path_batch",
     "save_config",
     "save_model",

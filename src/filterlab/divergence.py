@@ -34,11 +34,10 @@ import numpy as np
 from .errors import (
     AbsoluteContinuityViolation,
     DimensionMismatch,
-    GridMismatch,
     NonPositiveSeries,
     WindowTooShort,
 )
-from .filtering import FilterTrajectory, _sum_rows
+from .filtering import _sum_rows
 from .model import HmmModel, _read_table, _write_table, carre_du_champ
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "tv",
     "density_ratio",
     "DivergenceSeries",
-    "divergence_series",
     "Chi2DriftTerms",
     "chi2_drift_terms",
     "chi2_drift_batch",
@@ -129,10 +127,11 @@ def tv(p, q) -> float:
 
 
 def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means of per-path values (n, ...) and their standard errors
+    std(ddof=1) / sqrt(n), which are nan for a single path."""
     n = values.shape[0]
-    mean = values.sum(axis=0) / n
-    se = np.sqrt(((values - mean) ** 2).sum(axis=0)) / n
-    return mean, se
+    se = values.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.full(values.shape[1:], np.nan)
+    return values.mean(axis=0), se
 
 
 @dataclass(frozen=True)
@@ -175,34 +174,6 @@ class DivergenceSeries:
     @property
     def kl_se(self) -> np.ndarray:
         return self.kl_mean_se[1]
-
-
-def divergence_series(
-    trajs_p: list[FilterTrajectory] | FilterTrajectory,
-    trajs_q: list[FilterTrajectory] | FilterTrajectory,
-) -> DivergenceSeries:
-    """Pointwise chi2/kl/tv between paired trajectories, with aggregation.
-
-    trajs_p[i] and trajs_q[i] must share dt and length (GridMismatch
-    otherwise).
-    """
-    if isinstance(trajs_p, FilterTrajectory):
-        trajs_p = [trajs_p]
-    if isinstance(trajs_q, FilterTrajectory):
-        trajs_q = [trajs_q]
-    if len(trajs_p) != len(trajs_q) or not trajs_p:
-        raise DimensionMismatch("need equal, nonzero numbers of trajectories")
-    dt = trajs_p[0].dt
-    n = trajs_p[0].pis.shape[0]
-    for a, b in zip(trajs_p, trajs_q):
-        if abs(a.dt - dt) > 1e-12 * max(dt, 1.0) or abs(b.dt - dt) > 1e-12 * max(dt, 1.0):
-            raise GridMismatch("trajectories have different dt")
-        if a.pis.shape[0] != n or b.pis.shape[0] != n:
-            raise GridMismatch("trajectories have different lengths")
-    p = np.stack([t.pis for t in trajs_p])
-    q = np.stack([t.pis for t in trajs_q])
-    chi2_v, kl_v, tv_v = _divergence_batch(p, q)
-    return DivergenceSeries(times=trajs_p[0].times, chi2=chi2_v, kl=kl_v, tv=tv_v)
 
 
 @dataclass(frozen=True)

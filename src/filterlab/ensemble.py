@@ -1,15 +1,15 @@
 """Reproducible Monte Carlo ensembles of signal paths and filter statistics.
 
 Every path owns the random stream (master_seed, stream_offset + path_index),
-so its draws depend only on its index.  A batch samples its paths with one
-Generator re-keyed per path, and builds the grid, the initial law's CDF and
-the jump tables once; each path equals the public single-path recipe of
-filterlab.sim on its stream, bit for bit.  All paths of an ensemble are
-filtered in one lockstep pass, and ensemble reductions happen once, in
-path-index order.  The divergence observer copies each step's filter
-pairs into a state-major (d, 2, steps, P) block and computes chi2, kl, tv
-and the signal and drift integrals once per block of steps; the values
-equal those of a reduction at every step, bit for bit.
+so its draws depend only on its index.  sample_path_batch is the one
+sampler: it samples its paths with one Generator re-keyed per path, and
+builds the grid, the initial law's CDF and the jump tables once; each path
+equals a one-path batch on its stream, bit for bit.  All paths of an
+ensemble are filtered in one lockstep pass, and ensemble reductions happen
+once, in path-index order.  The divergence observer copies each step's
+filter pairs into a state-major (d, 2, steps, P) block and computes chi2,
+kl, tv and the signal and drift integrals once per block of steps; the
+values equal those of a reduction at every step, bit for bit.
 """
 
 from __future__ import annotations
@@ -84,10 +84,10 @@ def sample_path_batch(
     Path i uses the stream (master_seed, stream_offset + i) for its initial
     state (from initial_law, unless initial_state pins it), its jump
     skeleton, and its observation noise (none for a noiseless model, whose
-    batch carries no increments), exactly as spawn_rng ->
-    sample_initial_state -> sample_ctmc_path -> integrate_observation would.
-    Either initial_law or initial_state must be given, and dt must divide T
-    within 1e-9 (GridMismatch otherwise, for every model).
+    batch carries no increments), drawn in that order from the start of
+    the stream.  Either initial_law or initial_state must be given, and T
+    must be positive and dt divide it within 1e-9 (GridMismatch otherwise,
+    for every model).
     """
     if (initial_law is None) == (initial_state is None):
         raise DimensionMismatch("give exactly one of initial_law, initial_state")

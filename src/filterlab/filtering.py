@@ -14,10 +14,11 @@ steps k priors on P paths as a state-major (d, k, P) array, so products and
 reductions run along the long path axis.  The prediction is an einsum, the
 correction exponent and the mass are sums of rows, never a BLAS product or a
 pairwise reduction, so a path gets bitwise the same numbers alone as in any
-batch.
+batch.  evolve_ensemble runs it over a path ensemble, and every noisy
+pipeline calls it; wonham_step is one step broadcast over leading axes.
 
-For exactly noiseless observations (r = 0) the conditional law is computed
-exactly.  Between observed level changes the unnormalized law is
+For exactly noiseless observations (r = 0), evolve_noiseless_ensemble
+computes the conditional law exactly over a path ensemble.  Between observed level changes the unnormalized law is
 pi_tau expm(A_LL (t - tau)), with A_LL the generator restricted to the
 observed level set L of h; at an observed level change mass moves along
 the generator's cross-level flux into the new level.
@@ -30,56 +31,13 @@ time) out of the simulate path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateMass, DimensionMismatch, EmptyLevelSet, GridMismatch, NonPositiveNoise
-from .model import HmmModel, _read_table, _write_table, as_simplex
-from .sim import ObservationPath, StatePath, _grid_steps
+from .model import HmmModel, as_simplex
+from .sim import _grid_steps
 
-__all__ = [
-    "FilterTrajectory",
-    "ConditionalMoments",
-    "wonham_step",
-    "run_filter",
-    "evolve_ensemble",
-    "evolve_noiseless_ensemble",
-    "run_exact_noiseless_filter",
-    "conditional_moments",
-    "write_trajectory_csv",
-    "read_trajectory_csv",
-]
-
-
-@dataclass(frozen=True)
-class FilterTrajectory:
-    """Filter states on the uniform grid: pis[k] is the law at time k * dt."""
-
-    dt: float
-    pis: np.ndarray
-    label: str = ""
-
-    @property
-    def n_steps(self) -> int:
-        return self.pis.shape[0] - 1
-
-    @property
-    def d(self) -> int:
-        return self.pis.shape[1]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.pis.shape[0]) * self.dt
-
-
-@dataclass(frozen=True)
-class ConditionalMoments:
-    """First and second conditional moments of f (and optionally g) under pi."""
-
-    mean: float
-    variance: float
-    covariance: float | np.ndarray | None = None
+__all__ = ["wonham_step", "evolve_ensemble", "evolve_noiseless_ensemble"]
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
@@ -132,10 +90,10 @@ def wonham_step(pi: np.ndarray, dz: np.ndarray, dt: float, model: HmmModel) -> n
     pi has shape (..., d) on the simplex, dz shape (..., m) in raw
     observation units.  Raises DegenerateMass if the update has no positive
     finite mass (non-finite inputs) and NonPositiveNoise on a noiseless
-    model, which must use run_exact_noiseless_filter instead.
+    model, which must use evolve_noiseless_ensemble instead.
     """
     if model.noiseless:
-        raise NonPositiveNoise("noiseless model: use run_exact_noiseless_filter")
+        raise NonPositiveNoise("noiseless model: use evolve_noiseless_ensemble")
     pi, dz = np.asarray(pi, dtype=float), np.asarray(dz, dtype=float)
     d, m = model.d, model.m
     if pi.shape[-1] != d or dz.shape[-1] != m:
@@ -144,25 +102,6 @@ def wonham_step(pi: np.ndarray, dz: np.ndarray, dt: float, model: HmmModel) -> n
     S = np.broadcast_to(pi, lead + (d,)).reshape(-1, 1, d).T.copy()
     inc = np.broadcast_to(dz, lead + (m,)).reshape(-1, 1, m)
     return _split_steps(S, inc, dt, model).T.reshape(lead + (d,))
-
-
-def run_filter(prior, obs: ObservationPath, model: HmmModel, label: str = ""):
-    """Evolve one or several priors through one observation path.
-
-    A single prior (d,) returns one FilterTrajectory; a stack (k, d) returns
-    a list of k trajectories.  This is evolve_ensemble on one path, so a
-    DegenerateMass failure names the failing step index.
-    """
-    prior = np.asarray(prior, dtype=float)
-    priors = np.atleast_2d(prior)
-    pis = np.empty((obs.n_steps + 1,) + priors.shape)
-
-    def record(step, t, view):
-        pis[step] = view[0]
-
-    evolve_ensemble(priors, obs.increments[None], obs.dt, model, observer=record)
-    trajs = [FilterTrajectory(dt=obs.dt, pis=pis[:, i].copy(), label=label) for i in range(len(priors))]
-    return trajs[0] if prior.ndim == 1 else trajs
 
 
 def evolve_ensemble(
@@ -296,63 +235,3 @@ def evolve_noiseless_ensemble(
         if observer is not None:
             observer(step + 1, t_end, pis)
     return pis
-
-
-def run_exact_noiseless_filter(
-    prior, state_path: StatePath, model: HmmModel, dt: float = 1e-3, label: str = ""
-) -> FilterTrajectory:
-    """Exact conditional law for noiseless observation Y_t = h(X_t).
-
-    The single-path trajectory of evolve_noiseless_ensemble, with its
-    semantics and errors; pis[0] is the prior conditioned on the initial
-    observed level.
-    """
-    rows = []
-    evolve_noiseless_ensemble(
-        np.asarray(prior, dtype=float)[None, :],
-        [state_path],
-        dt,
-        model,
-        observer=lambda step, t, pis: rows.append(pis[0, 0].copy()),
-    )
-    return FilterTrajectory(dt=float(dt), pis=np.stack(rows), label=label)
-
-
-def conditional_moments(pi, f, g=None) -> ConditionalMoments:
-    """Mean and variance of f, and covariance with g, under the law pi.
-
-    f is (d,); g may be (d,) or (d, m), in which case the covariance is the
-    m-vector of componentwise covariances.  Variance is clipped at zero to
-    absorb rounding."""
-    pi = as_simplex(pi)
-    f = np.asarray(f, dtype=float)
-    if f.shape != pi.shape:
-        raise DimensionMismatch(f"f must have shape {pi.shape}, got {f.shape}")
-    mean = float(pi @ f)
-    variance = max(float(pi @ f**2) - mean**2, 0.0)
-    covariance = None
-    if g is not None:
-        g = np.asarray(g, dtype=float)
-        if g.ndim == 1:
-            if g.shape != pi.shape:
-                raise DimensionMismatch(f"g must have shape {pi.shape}, got {g.shape}")
-            covariance = float(pi @ (f * g)) - mean * float(pi @ g)
-        else:
-            if g.shape[0] != pi.shape[0]:
-                raise DimensionMismatch(f"g must have {pi.shape[0]} rows, got {g.shape}")
-            covariance = (pi @ (f[:, None] * g)) - mean * (pi @ g)
-    return ConditionalMoments(mean=mean, variance=variance, covariance=covariance)
-
-
-def write_trajectory_csv(path: str, traj: FilterTrajectory) -> None:
-    """Dump a trajectory as CSV rows (t, pi_1, ..., pi_d); floats use repr."""
-    header = ["t"] + [f"pi{x + 1}" for x in range(traj.d)]
-    _write_table(path, header, [traj.times, *traj.pis.T])
-
-
-def read_trajectory_csv(path: str, label: str = "") -> FilterTrajectory:
-    """Inverse of write_trajectory_csv (exact round trip)."""
-    _, body = _read_table(path)
-    if body.shape[0] < 2:
-        raise GridMismatch("trajectory dump needs at least two rows")
-    return FilterTrajectory(dt=float(body[1, 0] - body[0, 0]), pis=body[:, 1:], label=label)

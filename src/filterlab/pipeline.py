@@ -36,7 +36,7 @@ from .errors import (
     NonUniqueInvariantMeasure,
     WindowTooShort,
 )
-from .filtering import FilterTrajectory, evolve_ensemble, evolve_noiseless_ensemble
+from .filtering import evolve_ensemble, evolve_noiseless_ensemble
 from .model import (
     HmmModel,
     _write_table,
@@ -92,13 +92,14 @@ def _sweep_tag(cfg: ExperimentConfig, value: float | None) -> str:
 
 def _pi_trajectories(
     model: HmmModel, cfg: ExperimentConfig, nu: np.ndarray
-) -> list:
+) -> np.ndarray:
     """A few dedicated filter paths from nu for the conditional-PI sweep.
 
     Streams start beyond the ensemble block so they never collide with the
     divergence paths of the same sweep value.  All paths run through the
     filter in one batched call: the exact filter for a noiseless model, the
-    lockstep ensemble otherwise.
+    lockstep ensemble otherwise.  Returns the filter states (P, n + 1, d)
+    on the grid.
     """
     batch = sample_path_batch(
         model,
@@ -118,7 +119,7 @@ def _pi_trajectories(
         evolve_noiseless_ensemble(nu[None], batch.state_paths, cfg.dt, model, observer=observer)
     else:
         evolve_ensemble(nu[None], batch.increments, cfg.dt, model, observer=observer)
-    return [FilterTrajectory(dt=float(cfg.dt), pis=p) for p in np.stack(rows, axis=1)]
+    return np.stack(rows, axis=1)
 
 
 def _fit_payload(series: DivergenceSeries, window) -> tuple[dict | None, str]:
@@ -180,9 +181,9 @@ def run_simulate(
         series = ens.series
         fit_payload, fit_note = _fit_payload(series, cfg.rate_window)
 
-        trajs = _pi_trajectories(model, cfg, cfg.nu)
+        pis = _pi_trajectories(model, cfg, cfg.nu)
         c_inf, c_where = trajectory_pi_infimum(
-            model.A, trajs, stride=PI_TRAJECTORY_STRIDE
+            model.A, pis, cfg.dt, stride=PI_TRAJECTORY_STRIDE
         )
         c_path, c_time = c_where if c_where is not None else (None, None)
 
@@ -211,7 +212,7 @@ def run_simulate(
             "note": fit_note,
             "chi2_initial": float(series.chi2_mean[0]),
             "chi2_terminal_mean": float(series.chi2_mean[-1]),
-            "chi2_terminal_se": float(series.chi2_se[-1]),
+            "chi2_terminal_se": _json_float(series.chi2_se[-1]),
             "conditional_pi_infimum": {
                 "constant": c_inf if np.isfinite(c_inf) else None,
                 "path": c_path,

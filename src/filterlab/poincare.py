@@ -139,29 +139,26 @@ def conditional_pi_constant(A, rho) -> PiResult:
     return _pi_eigenproblem(A, rho, support)
 
 
-def trajectory_pi_infimum(A, trajectories, stride: int = 100):
+def trajectory_pi_infimum(A, pis, dt: float, stride: int = 100):
     """Infimum of the conditional constant along filter trajectories.
 
-    Evaluates conditional_pi_constant at every stride-th recorded state of
-    every trajectory and returns (c_inf, (path_index, time)); +inf values
-    (point masses, degenerate variance forms) are ignored.  When nothing
-    finite is found the result is (inf, None).
+    pis holds the filter states (P, n + 1, d) of P paths on the grid with
+    step dt.  Evaluates conditional_pi_constant at every stride-th state of
+    every path and returns (c_inf, (path_index, time)); +inf values (point
+    masses, degenerate variance forms) are ignored.  When nothing finite is
+    found the result is (inf, None).
     """
-    from .filtering import FilterTrajectory
-
-    if isinstance(trajectories, FilterTrajectory):
-        trajectories = [trajectories]
     if stride < 1:
         raise DimensionMismatch(f"stride must be >= 1, got {stride}")
     best = math.inf
     where = None
-    for i, traj in enumerate(trajectories):
-        for k in range(0, traj.pis.shape[0], stride):
+    for i, path in enumerate(pis):
+        for k in range(0, path.shape[0], stride):
             try:
-                res = conditional_pi_constant(A, traj.pis[k])
+                res = conditional_pi_constant(A, path[k])
             except DegenerateVarianceForm:
                 continue
             if res.constant < best:
                 best = res.constant
-                where = (i, float(k * traj.dt))
+                where = (i, float(k * dt))
     return best, where

@@ -1,4 +1,4 @@
-"""Exact signal simulation and observation integration.
+"""Exact signal simulation, observation integration and random streams.
 
 Hidden paths are sampled by the exact jump construction: exponential holding
 times with rate -A(x, x), next state proportional to the off-diagonal row.
@@ -8,14 +8,13 @@ jump times, so the only discretization in the pipeline is the filter's.
 Randomness comes from counter-based streams: spawn_rng(master_seed, stream_id)
 keys an independent Philox generator, so any path can be regenerated in
 isolation and its draws never depend on which other paths are sampled.
-A batch sampler keeps one Generator and re-keys its Philox per path with
-_rekey, which positions it where RngStream.generator() starts.
 
-sample_initial_state, sample_ctmc_path and integrate_observation are the
-public single-path recipe.  They are built from the helpers that
-ensemble.sample_path_batch calls once per batch (_jump_tables, the grid)
-or once per path (_rekey, _draw, _jump_chain, _fill_increments), so a
-batch path and a recipe path on the same stream are bitwise equal.
+The helpers here are the parts of ensemble.sample_path_batch, the one
+sampler: it builds the jump tables (_jump_tables) and the grid
+(_grid_steps) once per batch, and per path re-keys one Generator with
+_rekey, which positions it where RngStream.generator() starts, then draws
+X_0 (_draw), the jump chain (_jump_chain) and the increments
+(_fill_increments).
 """
 
 from __future__ import annotations
@@ -25,22 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch
-from .model import HmmModel, _read_table, _write_table, as_simplex
+from .errors import GridMismatch
 
-__all__ = [
-    "RngStream",
-    "spawn_rng",
-    "StatePath",
-    "ObservationPath",
-    "sample_ctmc_path",
-    "sample_initial_state",
-    "integrate_observation",
-    "write_observation_csv",
-    "read_observation_csv",
-    "write_state_path_csv",
-    "read_state_path_csv",
-]
+__all__ = ["RngStream", "spawn_rng", "StatePath"]
 
 
 @dataclass(frozen=True)
@@ -122,39 +108,9 @@ class StatePath:
         return occ / self.T
 
 
-@dataclass(frozen=True)
-class ObservationPath:
-    """Observation increments over the uniform grid with step dt.
-
-    increments[k] approximates Z_{(k+1)dt} - Z_{k dt}; the drift part is
-    integrated exactly across jump times, the noise part is r * sqrt(dt)
-    times an i.i.d. standard normal vector.
-    """
-
-    dt: float
-    increments: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.increments.shape[1]
-
-    @property
-    def T(self) -> float:
-        return self.n_steps * self.dt
-
-
 def _draw(cdf: list[float], rng: np.random.Generator) -> int:
     """Inverse-CDF draw of an index from a cumulative law (last index caps)."""
     return min(bisect_right(cdf, rng.random()), len(cdf) - 1)
-
-
-def sample_initial_state(prior, rng: np.random.Generator, d: int) -> int:
-    """Draw X_0 from a prior on {0, ..., d-1} by inverse CDF."""
-    return _draw(np.cumsum(as_simplex(prior, d=d)).tolist(), rng)
 
 
 def _jump_tables(A: np.ndarray) -> tuple[list[float], list[list[float]]]:
@@ -195,23 +151,10 @@ def _jump_chain(tables, x0: int, T: float, rng: np.random.Generator) -> StatePat
     )
 
 
-def sample_ctmc_path(A, x0: int, T: float, rng: np.random.Generator) -> StatePath:
-    """Exact jump-by-jump sample of the chain started at x0 on [0, T].
-
-    Holding times use inverse-CDF exponentials so a stream replays the same
-    path bit for bit; a state with zero exit rate is absorbing.
-    """
-    A = np.asarray(A, dtype=float)
-    d = A.shape[0]
-    if not 0 <= x0 < d:
-        raise DimensionMismatch(f"x0 = {x0} outside state space of size {d}")
-    if T <= 0.0:
-        raise GridMismatch(f"horizon T = {T} must be positive")
-    return _jump_chain(_jump_tables(A), int(x0), float(T), rng)
-
-
 def _grid_steps(T: float, dt: float) -> int:
     """Number of grid steps of size dt in [0, T]; dt must divide T within 1e-9."""
+    if T <= 0.0:
+        raise GridMismatch(f"horizon T = {T} must be positive")
     if dt <= 0.0:
         raise GridMismatch(f"dt = {dt} must be positive")
     n_float = T / dt
@@ -244,51 +187,3 @@ def _fill_increments(
     for j in range(H.shape[1]):
         drift = np.interp(grid, knots, cum[:, j])
         out[:, j] += drift[1:] - drift[:-1]
-
-
-def integrate_observation(
-    path: StatePath, model: HmmModel, dt: float, rng: np.random.Generator
-) -> ObservationPath:
-    """Observation increments for one hidden path on the grid with step dt.
-
-    increment_k = int_{t_k}^{t_{k+1}} h(X_s) ds + r sqrt(dt) xi_k with
-    xi_k i.i.d. standard normal (m,).  dt must divide path.T within 1e-9.
-    """
-    n_steps = _grid_steps(path.T, dt)
-    increments = np.empty((n_steps, model.m))
-    grid = np.arange(n_steps + 1) * dt
-    _fill_increments(increments, path, model.H, grid, model.r * np.sqrt(dt), rng)
-    return ObservationPath(dt=float(dt), increments=increments)
-
-
-def write_observation_csv(path: str, obs: ObservationPath) -> None:
-    """Dump increments as CSV rows (t_k, dZ_k[1..m]); floats use repr."""
-    header = ["t"] + [f"dZ{j + 1}" for j in range(obs.m)]
-    _write_table(path, header, [np.arange(obs.n_steps) * obs.dt, *obs.increments.T])
-
-
-def read_observation_csv(path: str) -> ObservationPath:
-    """Inverse of write_observation_csv (exact round trip)."""
-    _, body = _read_table(path)
-    if body.shape[0] < 2:
-        raise GridMismatch("observation dump needs at least two rows")
-    return ObservationPath(dt=float(body[1, 0] - body[0, 0]), increments=body[:, 1:])
-
-
-def write_state_path_csv(path: str, sp: StatePath) -> None:
-    """Sidecar dump of jump times and states, plus the horizon."""
-    _write_table(
-        path,
-        ["jump_time", "state", "T"],
-        [sp.jump_times, sp.states, np.full(len(sp.states), float(sp.T))],
-    )
-
-
-def read_state_path_csv(path: str) -> StatePath:
-    """Inverse of write_state_path_csv (exact round trip)."""
-    _, body = _read_table(path)
-    if body.shape[0] == 0:
-        raise GridMismatch("state path dump is empty")
-    return StatePath(
-        jump_times=body[:, 0], states=body[:, 1].astype(np.int64), T=float(body[0, 2])
-    )

@@ -24,25 +24,19 @@ import numpy as np
 from .config import load_config, model_for_sweep_value, preset_config, save_config
 from .divergence import (
     _divergence_batch,
+    _mean_se,
     chi2,
     chi2_drift_terms,
-    divergence_series,
     fit_exponential_rate,
     kl,
     read_series_csv,
     tv,
     write_series_csv,
 )
-from .dual import backward_map_pair, decay_diagnostics
+from .dual import backward_map_pair, decay_diagnostics, read_backward_map_csv, write_backward_map_csv
 from .ensemble import run_divergence_ensemble, sample_path_batch
 from .errors import ConfigError, FilterLabError, GridMismatch
-from .filtering import (
-    evolve_ensemble,
-    read_trajectory_csv,
-    run_exact_noiseless_filter,
-    run_filter,
-    write_trajectory_csv,
-)
+from .filtering import evolve_ensemble, evolve_noiseless_ensemble
 from .model import (
     carre_du_champ,
     invariant_measure,
@@ -58,15 +52,7 @@ from .poincare import (
     conditional_pi_constant,
     symmetric_eigensolver,
 )
-from .sim import (
-    integrate_observation,
-    read_observation_csv,
-    read_state_path_csv,
-    sample_ctmc_path,
-    spawn_rng,
-    write_observation_csv,
-    write_state_path_csv,
-)
+from .sim import spawn_rng
 
 __all__ = ["CheckResult", "run_verify", "DETERMINISTIC_CHECKS", "STATISTICAL_CHECKS"]
 
@@ -92,11 +78,6 @@ def _result(name: str, kind: str, passed: bool, detail: str) -> CheckResult:
 # ---------------------------------------------------------------------------
 # the check registry
 # ---------------------------------------------------------------------------
-
-
-def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means of per-path values and their standard errors."""
-    return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(values.shape[0])
 
 
 def _above(name: str, label: str, x, se) -> CheckResult:
@@ -398,16 +379,18 @@ def check_structure_examples(seed: int) -> CheckResult:
 def check_noiseless_identity(seed: int) -> CheckResult:
     """Level-set filter: alternation pattern and the constant-gap identity."""
     model = _cycle_model(0.0)
-    rng = spawn_rng(seed, 9006).generator()
-    sp = sample_ctmc_path(model.A, 0, 5.0, rng)
+    batch = sample_path_batch(model, 1, 5.0, 1e-3, seed, initial_state=0, stream_offset=9006)
     mu = np.array([0.35, 0.35, 0.15, 0.15])
     nu = np.full(4, 0.25)
-    tmu = run_exact_noiseless_filter(mu, sp, model, 1e-3)
-    tnu = run_exact_noiseless_filter(nu, sp, model, 1e-3)
-    gap = np.abs(tmu.pis - tnu.pis).sum(axis=1)
+    rows = []
+    evolve_noiseless_ensemble(
+        np.stack([mu, nu]), batch.state_paths, 1e-3, model, observer=lambda step, t, pis: rows.append(pis[0])
+    )
+    pis = np.stack(rows, axis=1)  # (2, n + 1, d): the mu and nu filters
+    gap = np.abs(pis[0] - pis[1]).sum(axis=1)
     p, pp = 0.7, 0.5
     err_gap = float(np.abs(gap - 2.0 * (p - pp)).max())
-    level_pi = conditional_pi_constant(model.A, tmu.pis[0])
+    level_pi = conditional_pi_constant(model.A, pis[0, 0])
     passed = err_gap <= 1e-10 and abs(level_pi.constant) <= 1e-10
     detail = f"max |L1 gap - 2(p - p')| = {err_gap:.2e}"
     return _result("noiseless-filter-identity", "deterministic", passed, detail)
@@ -431,40 +414,30 @@ def check_rerun_determinism(seed: int) -> CheckResult:
 
 def check_round_trips(seed: int) -> CheckResult:
     """Every file format the artifact writes is re-read identically."""
+    cfg = preset_config("example-6.1")
     model = _cycle_model()
-    rng = spawn_rng(seed, 9007).generator()
-    sp = sample_ctmc_path(model.A, 0, 1.0, rng)
-    obs = integrate_observation(sp, model, 1e-2, rng)
-    traj = run_filter([0.4, 0.3, 0.2, 0.1], obs, model, label="p")
-    series = divergence_series(traj, run_filter([0.25] * 4, obs, model, label="q"))
+    series = run_divergence_ensemble(model, cfg.mu, cfg.nu, 3, 0.1, 1e-2, seed).series
+    _, rb = backward_map_pair(model, cfg.mu, cfg.nu, 0.1, 2, seed, dt=1e-2)
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         mp = os.path.join(tmp, "model.json")
         save_model(model, mp)
         m2 = load_model(mp)
         ok &= np.array_equal(m2.A, model.A) and np.array_equal(m2.H, model.H)
-        op = os.path.join(tmp, "obs.csv")
-        write_observation_csv(op, obs)
-        o2 = read_observation_csv(op)
-        ok &= np.array_equal(o2.increments, obs.increments) and o2.dt == obs.dt
-        pp = os.path.join(tmp, "path.csv")
-        write_state_path_csv(pp, sp)
-        s2 = read_state_path_csv(pp)
-        ok &= np.array_equal(s2.jump_times, sp.jump_times)
-        ok &= np.array_equal(s2.states, sp.states)
-        tp = os.path.join(tmp, "traj.csv")
-        write_trajectory_csv(tp, traj)
-        t2 = read_trajectory_csv(tp, label="p")
-        ok &= np.array_equal(t2.pis, traj.pis)
         vp = os.path.join(tmp, "series.csv")
         write_series_csv(vp, series)
         cols = read_series_csv(vp)
         ok &= np.array_equal(cols["chi2_mean"], series.chi2_mean)
+        ok &= np.array_equal(cols["chi2_se"], series.chi2_se)
+        bp = os.path.join(tmp, "backward_map.csv")
+        write_backward_map_csv(bp, rb)
+        bm = read_backward_map_csv(bp)
+        ok &= np.array_equal(bm["y0"], rb.y0) and np.array_equal(bm["stderr"], rb.stderr)
         cp = os.path.join(tmp, "config.json")
-        save_config(preset_config("example-6.1"), cp)
-        cfg = load_config(cp)
-        ok &= cfg.sweep_values == preset_config("example-6.1").sweep_values
-        ok &= np.array_equal(cfg.A, preset_config("example-6.1").A)
+        save_config(cfg, cp)
+        back = load_config(cp)
+        ok &= back.sweep_values == cfg.sweep_values
+        ok &= np.array_equal(back.A, cfg.A)
     return _result("file-round-trips", "deterministic", bool(ok), "all formats")
 
 
@@ -537,14 +510,12 @@ def check_ctmc_marginal(seed: int, size: int) -> CheckResult:
     """Empirical time-1 marginal against the matrix-exponential law."""
     from scipy.linalg import expm
 
-    A = _cycle_model().A
+    model = _cycle_model()
     n = max(2000, 40 * size)
-    rng = spawn_rng(seed, 9200).generator()
-    counts = np.zeros(4)
-    for _ in range(n):
-        sp = sample_ctmc_path(A, 0, 1.0, rng)
-        counts[sp.states[-1]] += 1
-    target = expm(A.T)[:, 0]
+    # dt = T: each path draws its jump chain and a single increment
+    batch = sample_path_batch(model, n, 1.0, 1.0, seed, initial_state=0, stream_offset=9200)
+    counts = np.bincount([sp.states[-1] for sp in batch.state_paths], minlength=4)
+    target = expm(model.A.T)[:, 0]
     se = np.sqrt(np.maximum(target * (1 - target), 1e-12) / n)
     return _near_zero("ctmc-marginal-law", "frequency - law", counts / n - target, se, z=Z_WIDE)
 

@@ -1,8 +1,11 @@
-"""Shared fixtures: the two reference models, their priors, and rng helpers."""
+"""Shared fixtures: the two reference models, their priors, and rng and
+engine helpers."""
 
 import numpy as np
 import pytest
 
+from filterlab.ensemble import sample_path_batch
+from filterlab.filtering import evolve_ensemble, evolve_noiseless_ensemble
 from filterlab.model import validate_model
 
 CYCLE_A = np.array(
@@ -68,3 +71,19 @@ def random_generator_matrix(rng, d, lo=0.2, hi=2.0):
 def interior_simplex(rng, d, floor=0.05):
     """Random simplex point bounded away from the boundary."""
     return (1.0 - d * floor) * rng.dirichlet(np.ones(d)) + floor
+
+
+def state_path(model, x0, T, seed, stream=0):
+    """One signal path from x0 on [0, T]: a one-path batch on (seed, stream)."""
+    batch = sample_path_batch(model, 1, T, T, seed, initial_state=x0, stream_offset=stream)
+    return batch.state_paths[0]
+
+
+def filter_states(priors, data, dt, model):
+    """Every filter state (P, k, n + 1, d) of the model's engine on the grid:
+    evolve_ensemble on increments (P, n, m), evolve_noiseless_ensemble on a
+    sequence of P state paths."""
+    rows = []
+    evolve = evolve_noiseless_ensemble if model.noiseless else evolve_ensemble
+    evolve(np.atleast_2d(priors), data, dt, model, observer=lambda step, t, pis: rows.append(pis.copy()))
+    return np.stack(rows, axis=2)

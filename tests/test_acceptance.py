@@ -17,12 +17,10 @@ from filterlab.config import model_for_sweep_value, preset_config
 from filterlab.divergence import fit_exponential_rate, kl
 from filterlab.dual import backward_map_pair, decay_diagnostics, theorem2_envelope
 from filterlab.ensemble import run_divergence_ensemble, sample_path_batch
-from filterlab.filtering import run_exact_noiseless_filter, run_filter
 from filterlab.model import is_ergodic, observable_space, validate_model
 from filterlab.poincare import classical_pi_constant, trajectory_pi_infimum
-from filterlab.sim import ObservationPath
 
-from conftest import interior_simplex, random_generator_matrix
+from conftest import filter_states, interior_simplex, random_generator_matrix
 
 SEED = 20260814
 
@@ -133,8 +131,7 @@ def test_criterion_03_noiseless_cycle_alternation_and_gap(cycle_cfg):
     dt = 1e-3
     batch = sample_path_batch(model, 1, 10.0, dt, SEED, initial_law=cycle_cfg.mu)
     path = batch.state_paths[0]
-    traj_mu = run_exact_noiseless_filter(cycle_cfg.mu, path, model, dt=dt)
-    traj_nu = run_exact_noiseless_filter(cycle_cfg.nu, path, model, dt=dt)
+    pis_mu, pis_nu = filter_states(np.stack([cycle_cfg.mu, cycle_cfg.nu]), [path], dt, model)[0]
 
     x0 = int(path.states[0])
     level = np.all(model.H == model.H[x0][None, :], axis=1)
@@ -143,21 +140,21 @@ def test_criterion_03_noiseless_cycle_alternation_and_gap(cycle_cfg):
     cond_nu = np.where(level, cycle_cfg.nu, 0.0)
     cond_nu /= cond_nu.sum()
 
-    times = np.arange(traj_mu.pis.shape[0]) * dt
+    times = np.arange(pis_mu.shape[0]) * dt
     n_jumps = np.searchsorted(path.jump_times[1:], times, side="right")
     expected_mu = np.stack([np.roll(cond_mu, int(j)) for j in n_jumps])
     expected_nu = np.stack([np.roll(cond_nu, int(j)) for j in n_jumps])
-    assert np.abs(traj_mu.pis - expected_mu).max() <= 1e-10
-    assert np.abs(traj_nu.pis - expected_nu).max() <= 1e-10
+    assert np.abs(pis_mu - expected_mu).max() <= 1e-10
+    assert np.abs(pis_nu - expected_nu).max() <= 1e-10
     # the support alternates between the two observation level sets; a
     # step containing two jumps returns to the same level set
     parity_pattern = (np.diff(n_jumps) % 2).astype(bool)
     support_flips = np.any(
-        (traj_mu.pis[1:] > 0) != (traj_mu.pis[:-1] > 0), axis=1
+        (pis_mu[1:] > 0) != (pis_mu[:-1] > 0), axis=1
     )
     assert np.array_equal(support_flips, parity_pattern)
 
-    gaps = np.abs(traj_mu.pis - traj_nu.pis).sum(axis=1)
+    gaps = np.abs(pis_mu - pis_nu).sum(axis=1)
     assert np.abs(gaps - 0.4).max() <= 1e-10
 
     ens = run_divergence_ensemble(
@@ -299,11 +296,8 @@ def test_envelope_with_trajectory_surrogate_is_reported(sweep61, cycle_cfg):
     ens = sweep61[0][1.0]
     model = model_for_sweep_value(cycle_cfg, 1.0)
     batch = sample_path_batch(model, 5, 10.0, 1e-3, SEED + 99, initial_law=cycle_cfg.nu)
-    trajs = []
-    for incr in batch.increments:
-        obs = ObservationPath(dt=1e-3, increments=incr)
-        trajs.append(run_filter(cycle_cfg.nu, obs, model))
-    c_inf, _ = trajectory_pi_infimum(model.A, trajs, stride=100)
+    pis = filter_states(cycle_cfg.nu, batch.increments, 1e-3, model)[:, 0]
+    c_inf, _ = trajectory_pi_infimum(model.A, pis, 1e-3, stride=100)
     c_env = max(float(c_inf), 0.0) if np.isfinite(c_inf) else 0.0
     report = theorem2_envelope(model, cycle_cfg.mu, cycle_cfg.nu, ens.series, c_env, 1.0)
     assert report.a_lower == pytest.approx(0.6)

@@ -397,11 +397,16 @@ class TestCliBackwardMap:
         assert (out / "backward_map_rao-blackwell.csv").exists()
         assert "var_nu(y0)" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_one_path_per_state_is_a_config_error(self, tmp_path, capsys):
-        # One path leaves every standard error undefined; simulate keeps it.
+        # One path leaves every standard error undefined; simulate keeps it
+        # and reports its standard errors as null, in strict JSON.
         cfg = _tiny_config(tmp_path, n_paths=1)
         out = tmp_path / "bm"
         assert main(["backward-map", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("configuration error: n_paths")
         assert not (out / "report_backward_map.json").exists()
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        text = (out / "report_simulate.json").read_text()
+        report = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in the report"))
+        assert [e["chi2_terminal_se"] for e in report["sweep"]] == [None] * len(report["sweep"])

@@ -10,12 +10,12 @@ from filterlab import divergence
 from filterlab.divergence import (
     SUPPORT_EPS,
     DivergenceSeries,
+    _divergence_batch,
     _divergences,
     chi2,
     chi2_drift_batch,
     chi2_drift_terms,
     density_ratio,
-    divergence_series,
     fit_exponential_rate,
     kl,
     read_series_csv,
@@ -24,11 +24,9 @@ from filterlab.divergence import (
 )
 from filterlab.errors import (
     AbsoluteContinuityViolation,
-    GridMismatch,
     NonPositiveSeries,
     WindowTooShort,
 )
-from filterlab.filtering import FilterTrajectory
 from filterlab.model import carre_du_champ, validate_model
 
 positive_masses = st.lists(
@@ -190,20 +188,17 @@ class TestChi2Drift:
 
 
 class TestDivergenceSeries:
-    def _pair(self, pis_p, pis_q, dt=0.5):
-        return (
-            FilterTrajectory(dt=dt, pis=np.asarray(pis_p, float)),
-            FilterTrajectory(dt=dt, pis=np.asarray(pis_q, float)),
-        )
+    def _series(self, pis_p, pis_q, dt=0.5):
+        """The series of paired filter states (P, n + 1, d), as the ensemble builds it."""
+        chi2_v, kl_v, tv_v = _divergence_batch(np.asarray(pis_p, float), np.asarray(pis_q, float))
+        return DivergenceSeries(times=np.arange(chi2_v.shape[1]) * dt, chi2=chi2_v, kl=kl_v, tv=tv_v)
 
     def test_two_path_hand_aggregation(self):
-        tp1, tq1 = self._pair([[0.5, 0.5]], [[0.25, 0.75]])
-        tp2, tq2 = self._pair([[0.5, 0.5]], [[0.5, 0.5]])
-        series = divergence_series([tp1, tp2], [tq1, tq2])
-        # path chi2 values are (1/3, 0): mean 1/6,
-        # se = sqrt(sum of squared deviations) / n = sqrt(2)/12
+        series = self._series([[[0.5, 0.5]], [[0.5, 0.5]]], [[[0.25, 0.75]], [[0.5, 0.5]]])
+        # path chi2 values are (1/3, 0): mean 1/6, sample standard deviation
+        # sqrt(2) / 6 and se = sqrt(2) / 6 / sqrt(2) = 1/6
         assert series.chi2_mean[0] == pytest.approx(1.0 / 6.0, abs=1e-14)
-        assert series.chi2_se[0] == pytest.approx(np.sqrt(2.0) / 12.0, abs=1e-12)
+        assert series.chi2_se[0] == pytest.approx(1.0 / 6.0, abs=1e-12)
         assert series.n_paths == 2
 
     def test_mean_and_se_computed_once_per_array(self, monkeypatch):
@@ -217,23 +212,16 @@ class TestDivergenceSeries:
             series.kl_se
         assert len(calls) == 2
         n = values.shape[0]
-        want_mean = values.sum(axis=0) / n
-        assert mean.tobytes() == want_mean.tobytes()
-        assert se.tobytes() == (np.sqrt(((values - want_mean) ** 2).sum(axis=0)) / n).tobytes()
+        assert mean.tobytes() == (values.sum(axis=0) / n).tobytes()
+        assert se.tobytes() == (values.std(axis=0, ddof=1) / np.sqrt(n)).tobytes()
 
-    def test_initial_point_is_prior_divergence(self, cycle_model):
+    def test_initial_point_is_prior_divergence(self):
         pis = np.stack([CYCLE_MU, CYCLE_MU])
         qis = np.stack([CYCLE_NU, CYCLE_NU])
-        tp, tq = self._pair(pis, qis, dt=1.0)
-        series = divergence_series(tp, tq)
+        series = self._series([pis, pis], [qis, qis], dt=1.0)
         assert series.chi2_mean[0] == pytest.approx(chi2(CYCLE_MU, CYCLE_NU), abs=1e-14)
+        assert series.chi2_se[0] == 0.0
         assert series.times[1] == 1.0
-
-    def test_grid_mismatch_detected(self):
-        tp, tq = self._pair([[0.5, 0.5]], [[0.5, 0.5]], dt=0.5)
-        other = FilterTrajectory(dt=0.25, pis=np.array([[0.5, 0.5]]))
-        with pytest.raises(GridMismatch):
-            divergence_series([tp], [other])
 
 
 class TestRateFit:

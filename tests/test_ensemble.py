@@ -22,15 +22,18 @@ from filterlab.errors import (
     GridMismatch,
     NonPositiveNoise,
 )
-from filterlab.filtering import evolve_ensemble, evolve_noiseless_ensemble, run_filter
+from filterlab.filtering import evolve_ensemble, evolve_noiseless_ensemble
 from filterlab.model import validate_model
-from filterlab.sim import (
-    ObservationPath,
-    integrate_observation,
-    sample_ctmc_path,
-    sample_initial_state,
-    spawn_rng,
-)
+from filterlab.sim import spawn_rng
+
+
+def _first_draws(seed, stream, law):
+    """X_0 and the first holding time on the cycle (exit rate 1) read off
+    the stream directly: its first uniform picks X_0 by inverse CDF, and
+    its first inverse-CDF exponential is the holding time."""
+    rng = spawn_rng(seed, stream).generator()
+    x0 = int(np.searchsorted(np.cumsum(law), rng.random(), side="right"))
+    return x0, rng.standard_exponential(method="inv")
 
 
 class TestSamplePathBatch:
@@ -49,19 +52,16 @@ class TestSamplePathBatch:
         assert batch.n_paths == 5
 
     def test_each_path_replays_its_own_stream(self, cycle_model):
-        # path i must equal a fresh single-path draw on stream offset + i
+        # path i starts stream offset + i: X_0 from its first uniform, the
+        # first jump after its first exponential holding time
         offset = 11
         batch = sample_path_batch(
             cycle_model, 4, 1.0, 1e-2, 9, initial_law=CYCLE_MU, stream_offset=offset
         )
-        for i in range(4):
-            rng = spawn_rng(9, offset + i).generator()
-            x0 = sample_initial_state(CYCLE_MU, rng, 4)
-            sp = sample_ctmc_path(cycle_model.A, x0, 1.0, rng)
-            obs = integrate_observation(sp, cycle_model, 1e-2, rng)
+        for i, sp in enumerate(batch.state_paths):
+            x0, hold = _first_draws(9, offset + i, CYCLE_MU)
             assert batch.initial_states[i] == x0
-            assert np.array_equal(batch.state_paths[i].jump_times, sp.jump_times)
-            assert np.array_equal(batch.increments[i], obs.increments)
+            assert sp.jump_times[1:2].tolist() == ([hold] if hold < 1.0 else [])
 
     def test_noiseless_batch_replays_streams_without_increments(self, cycle_noiseless):
         offset = 8
@@ -70,13 +70,11 @@ class TestSamplePathBatch:
         )
         assert batch.increments is None
         assert batch.n_paths == 6
-        for i in range(6):
-            rng = spawn_rng(9, offset + i).generator()
-            x0 = sample_initial_state(CYCLE_NU, rng, 4)
-            sp = sample_ctmc_path(cycle_noiseless.A, x0, 1.0, rng)
-            assert np.array_equal(batch.state_paths[i].jump_times, sp.jump_times)
-            assert np.array_equal(batch.state_paths[i].states, sp.states)
-            assert batch.state_paths[i].T == sp.T
+        for i, sp in enumerate(batch.state_paths):
+            x0, hold = _first_draws(9, offset + i, CYCLE_NU)
+            assert sp.states[0] == x0
+            assert sp.jump_times[1:2].tolist() == ([hold] if hold < 1.0 else [])
+            assert sp.T == 1.0
 
     def test_off_grid_horizon_rejected_for_every_model(self, cycle_model, cycle_noiseless):
         # 0.07 does not divide 0.3: no model may sample an off-grid batch
@@ -87,6 +85,11 @@ class TestSamplePathBatch:
     def test_pinned_state_outside_space_rejected(self, cycle_model):
         with pytest.raises(DimensionMismatch):
             sample_path_batch(cycle_model, 2, 1.0, 1e-2, 0, initial_state=4)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_nonpositive_horizon_rejected(self, cycle_model, T):
+        with pytest.raises(GridMismatch, match=f"horizon T = {T} must be positive"):
+            sample_path_batch(cycle_model, 2, T, 1e-2, 0, initial_state=0)
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -100,6 +103,8 @@ class TestSamplePathBatch:
     )
     @settings(max_examples=60, deadline=None)
     def test_batch_equals_single_path_recipe(self, seed, d, m, r, absorbing, pinned, stream_offset, grid):
+        # a single path is a one-path batch on its stream: path i of a batch
+        # must equal the one-path batch at stream_offset + i, bitwise.
         # T = 0.7, dt = 0.1 puts the last grid point past T in floats, where
         # np.interp clamps to the last knot
         T, dt = grid
@@ -115,16 +120,13 @@ class TestSamplePathBatch:
         batch = sample_path_batch(model, n_paths, T, dt, seed, stream_offset=stream_offset, **spec)
         assert (batch.increments is None) == model.noiseless
         for i in range(n_paths):
-            rng = spawn_rng(seed, stream_offset + i).generator()
-            x0 = x_pin if pinned else sample_initial_state(law, rng, d)
-            sp = sample_ctmc_path(model.A, x0, T, rng)
-            got = batch.state_paths[i]
-            assert np.array_equal(got.jump_times, sp.jump_times)
-            assert np.array_equal(got.states, sp.states)
-            assert got.T == sp.T
+            alone = sample_path_batch(model, 1, T, dt, seed, stream_offset=stream_offset + i, **spec)
+            got, want = batch.state_paths[i], alone.state_paths[0]
+            assert np.array_equal(got.jump_times, want.jump_times)
+            assert np.array_equal(got.states, want.states)
+            assert got.T == want.T
             if not model.noiseless:
-                obs = integrate_observation(sp, model, dt, rng)
-                assert np.array_equal(batch.increments[i], obs.increments)
+                assert batch.increments[i].tobytes() == alone.increments[0].tobytes()
 
 
 class TestTerminalFilterStates:
@@ -134,10 +136,9 @@ class TestTerminalFilterStates:
         out = evolve_ensemble(priors, batch.increments, batch.dt, cycle_model)
         assert out.shape == (5, 2, 4)
         for i in range(5):
-            obs = ObservationPath(dt=1e-3, increments=batch.increments[i])
             for k, prior in enumerate(priors):
-                traj = run_filter(prior, obs, cycle_model)
-                assert np.array_equal(out[i, k], traj.pis[-1])
+                alone = evolve_ensemble(prior[None], batch.increments[i : i + 1], batch.dt, cycle_model)
+                assert np.array_equal(out[i, k], alone[0, 0])
 
     def test_noiseless_batch_rejected(self, cycle_noiseless):
         batch = sample_path_batch(cycle_noiseless, 3, 0.2, 1e-2, 1, initial_law=CYCLE_MU)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import CYCLE_A, CYCLE_H, CYCLE_MU, CYCLE_NU
+from conftest import CYCLE_A, CYCLE_H, CYCLE_MU, CYCLE_NU, filter_states, state_path
 from filterlab.config import model_for_sweep_value, preset_config
 from filterlab.ensemble import sample_path_batch
 from filterlab.errors import (
@@ -18,22 +18,18 @@ from filterlab.errors import (
 )
 from filterlab.filtering import (
     _subgenerator_expm,
-    conditional_moments,
     evolve_ensemble,
     evolve_noiseless_ensemble,
-    read_trajectory_csv,
-    run_exact_noiseless_filter,
-    run_filter,
     wonham_step,
-    write_trajectory_csv,
 )
 from filterlab.model import validate_model
-from filterlab.sim import ObservationPath, StatePath, sample_ctmc_path, spawn_rng
+from filterlab.sim import StatePath
 from filterlab.verify import ORDER_BAND, ORDER_DT, ORDER_FACTORS, splitting_strong_order
 
 
-def _noise_obs(rng, n_steps, m, dt, scale=1.0):
-    return ObservationPath(dt=dt, increments=scale * rng.normal(size=(n_steps, m)))
+def _noise(rng, n_steps, m, scale=1.0):
+    """Increments (1, n_steps, m) of one observation path."""
+    return scale * rng.normal(size=(1, n_steps, m))
 
 
 class TestWonhamStep:
@@ -96,15 +92,16 @@ class TestWonhamStep:
 
 
 class TestRunFilter:
+    """The filter run along one observation path."""
+
     def test_zero_gain_matches_matrix_exponential(self, rng):
         # with h = 0 the filter is the forward equation; expm is the oracle
         model = validate_model(CYCLE_A, np.zeros(4), 1.0)
         pi0 = np.array([0.7, 0.1, 0.1, 0.1])
-        obs = _noise_obs(rng, 1000, 1, 1e-3)
-        traj = run_filter(pi0, obs, model)
+        terminal = evolve_ensemble(pi0[None], _noise(rng, 1000, 1), 1e-3, model)
         target = expm(CYCLE_A.T * 1.0) @ pi0
         # the splitting step is exact at h = 0: only rounding remains
-        assert np.max(np.abs(traj.pis[-1] - target)) < 1e-12
+        assert np.max(np.abs(terminal[0, 0] - target)) < 1e-12
 
     def test_strong_order_one_on_shared_increments(self):
         # halving dt from 8e-3 to 1e-3 must roughly halve the error against a
@@ -121,43 +118,30 @@ class TestRunFilter:
         assert result.passed, result.detail
 
     def test_prior_stack_matches_single_runs(self, cycle_model, rng):
-        obs = _noise_obs(rng, 200, 1, 1e-3, scale=0.05)
-        stack = run_filter(np.stack([CYCLE_MU, CYCLE_NU]), obs, cycle_model)
-        for prior, traj in zip((CYCLE_MU, CYCLE_NU), stack):
-            alone = run_filter(prior, obs, cycle_model)
-            assert np.array_equal(traj.pis, alone.pis)
+        inc = _noise(rng, 200, 1, scale=0.05)
+        stack = filter_states(np.stack([CYCLE_MU, CYCLE_NU]), inc, 1e-3, cycle_model)
+        for k, prior in enumerate((CYCLE_MU, CYCLE_NU)):
+            alone = filter_states(prior, inc, 1e-3, cycle_model)
+            assert np.array_equal(stack[:, k], alone[:, 0])
 
     def test_rows_stay_on_simplex(self, cycle_model, rng):
-        obs = _noise_obs(rng, 500, 1, 1e-3)
-        traj = run_filter(CYCLE_MU, obs, cycle_model)
-        assert np.all(traj.pis >= 0)
-        np.testing.assert_allclose(traj.pis.sum(axis=1), 1.0, atol=1e-9)
+        pis = filter_states(CYCLE_MU, _noise(rng, 500, 1), 1e-3, cycle_model)
+        assert np.all(pis >= 0)
+        np.testing.assert_allclose(pis.sum(axis=-1), 1.0, atol=1e-9)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_degenerate_failure_reports_step(self, cycle_model, rng):
-        inc = rng.normal(size=(50, 1)) * 0.01
-        inc[17, 0] = np.inf
+        inc = _noise(rng, 50, 1, scale=0.01)
+        inc[0, 17, 0] = np.inf
         with pytest.raises(DegenerateMass, match="step 17"):
-            run_filter(CYCLE_MU, ObservationPath(dt=1e-3, increments=inc), cycle_model)
+            evolve_ensemble(CYCLE_MU[None], inc, 1e-3, cycle_model)
 
     def test_observation_dimension_checked(self, cycle_model, rng):
-        obs = _noise_obs(rng, 10, 2, 1e-3)
         with pytest.raises(DimensionMismatch):
-            run_filter(CYCLE_MU, obs, cycle_model)
+            evolve_ensemble(CYCLE_MU[None], _noise(rng, 10, 2), 1e-3, cycle_model)
 
 
 class TestEvolveEnsemble:
-    def test_matches_run_filter_bitwise(self, cycle_model, rng):
-        increments = rng.normal(size=(6, 150, 1)) * np.sqrt(1e-3)
-        priors = np.stack([CYCLE_MU, CYCLE_NU])
-        terminal = evolve_ensemble(priors, increments, 1e-3, cycle_model)
-        assert terminal.shape == (6, 2, 4)
-        for p in range(6):
-            obs = ObservationPath(dt=1e-3, increments=increments[p])
-            for k, prior in enumerate(priors):
-                traj = run_filter(prior, obs, cycle_model)
-                assert np.array_equal(terminal[p, k], traj.pis[-1])
-
     def test_wide_model_matches_single_paths_bitwise(self, rng):
         # d = 9 states and m = 2 channels: the exponent and the mass are sums
         # of rows, not a BLAS product or a pairwise sum, whose rounding would
@@ -170,9 +154,9 @@ class TestEvolveEnsemble:
         increments = rng.normal(size=(7, 60, 2)) * 0.03
         terminal = evolve_ensemble(priors, increments, 1e-3, model)
         for p in range(7):
-            obs = ObservationPath(dt=1e-3, increments=increments[p])
             for k, prior in enumerate(priors):
-                assert np.array_equal(terminal[p, k], run_filter(prior, obs, model).pis[-1])
+                alone = evolve_ensemble(prior[None], increments[p : p + 1], 1e-3, model)
+                assert np.array_equal(terminal[p, k], alone[0, 0])
 
     def test_observer_sees_every_step_including_zero(self, cycle_model, rng):
         increments = rng.normal(size=(3, 40, 1)) * 0.03
@@ -212,19 +196,18 @@ class TestExactNoiselessFilter:
         return np.stack([np.roll(pi0, int(n)) for n in n_jumps])
 
     def test_cycle_matches_closed_form(self, cycle_noiseless):
-        rng = spawn_rng(42, 0).generator()
-        sp = sample_ctmc_path(CYCLE_A, 0, 5.0, rng)
-        traj = run_exact_noiseless_filter(CYCLE_MU, sp, cycle_noiseless, 1e-3)
+        sp = state_path(cycle_noiseless, 0, 5.0, 42)
+        pis = filter_states(CYCLE_MU, [sp], 1e-3, cycle_noiseless)[0, 0]
         oracle = self._roll_oracle(CYCLE_MU, sp, 1e-3)
-        np.testing.assert_allclose(traj.pis, oracle, atol=1e-12)
+        np.testing.assert_allclose(pis, oracle, atol=1e-12)
 
-    def test_initial_row_conditions_on_observed_level(self, cycle_noiseless, rng):
-        sp = sample_ctmc_path(CYCLE_A, 1, 1.0, rng)
-        traj = run_exact_noiseless_filter(CYCLE_MU, sp, cycle_noiseless, 1e-3)
+    def test_initial_row_conditions_on_observed_level(self, cycle_noiseless):
+        sp = state_path(cycle_noiseless, 1, 1.0, 43)
+        pis = filter_states(CYCLE_MU, [sp], 1e-3, cycle_noiseless)[0, 0]
         # X_0 = 1 has level 0, so the prior restricts to states {1, 3}
-        np.testing.assert_allclose(traj.pis[0], [0.0, 0.7, 0.0, 0.3], atol=1e-14)
+        np.testing.assert_allclose(pis[0], [0.0, 0.7, 0.0, 0.3], atol=1e-14)
 
-    def test_support_tracks_observed_level(self, rng):
+    def test_support_tracks_observed_level(self):
         model = validate_model(
             np.array(
                 [
@@ -238,25 +221,23 @@ class TestExactNoiselessFilter:
             0.0,
             allow_noiseless=True,
         )
-        sp = sample_ctmc_path(model.A, 0, 3.0, rng)
-        traj = run_exact_noiseless_filter(np.full(4, 0.25), sp, model, 1e-3)
-        grid_states = sp.states_on_grid(traj.n_steps)
+        sp = state_path(model, 0, 3.0, 44)
+        pis = filter_states(np.full(4, 0.25), [sp], 1e-3, model)[0, 0]
+        grid_states = sp.states_on_grid(pis.shape[0] - 1)
         levels = model.H[grid_states, 0]
         off_level = model.H[:, 0][None, :] != levels[:, None]
-        assert np.all(traj.pis[off_level] == 0.0)
-        np.testing.assert_allclose(traj.pis.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(pis[off_level] == 0.0)
+        np.testing.assert_allclose(pis.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_prior_without_level_mass_raises(self, cycle_noiseless, rng):
-        sp = sample_ctmc_path(CYCLE_A, 0, 1.0, rng)  # starts on level 1
+    def test_prior_without_level_mass_raises(self, cycle_noiseless):
+        sp = state_path(cycle_noiseless, 0, 1.0, 45)  # starts on level 1
         with pytest.raises(EmptyLevelSet):
-            run_exact_noiseless_filter(
-                [0.0, 0.5, 0.0, 0.5], sp, cycle_noiseless, 1e-3
-            )
+            evolve_noiseless_ensemble(np.array([[0.0, 0.5, 0.0, 0.5]]), [sp], 1e-3, cycle_noiseless)
 
-    def test_nondividing_dt_rejected(self, cycle_noiseless, rng):
-        sp = sample_ctmc_path(CYCLE_A, 0, 1.0, rng)
+    def test_nondividing_dt_rejected(self, cycle_noiseless):
+        sp = state_path(cycle_noiseless, 0, 1.0, 46)
         with pytest.raises(GridMismatch):
-            run_exact_noiseless_filter(CYCLE_MU, sp, cycle_noiseless, 0.3)
+            evolve_noiseless_ensemble(CYCLE_MU[None], [sp], 0.3, cycle_noiseless)
 
 
 # The 4-state model of test_support_tracks_observed_level: levels {0, 2} and
@@ -307,13 +288,13 @@ class TestNoiselessEngine:
 
     @pytest.mark.parametrize("dt", [1e-2, 1e-3])
     def test_matches_expm_oracle_off_the_cycle(self, model, dt):
-        sp = sample_ctmc_path(OFF_CYCLE_A, 0, 3.0, spawn_rng(6, 0).generator())
+        sp = state_path(model, 0, 3.0, 6)
         levels = OFF_CYCLE_H[sp.states]
         assert np.count_nonzero(levels[1:] != levels[:-1]) >= 3
         prior = np.array([0.1, 0.2, 0.3, 0.4])
-        traj = run_exact_noiseless_filter(prior, sp, model, dt)
+        pis = filter_states(prior, [sp], dt, model)[0, 0]
         oracle = _expm_oracle(prior, sp, OFF_CYCLE_A, OFF_CYCLE_H, dt)
-        np.testing.assert_allclose(traj.pis, oracle, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(pis, oracle, rtol=0.0, atol=1e-12)
 
     def test_batch_equals_single_path_calls(self, model):
         dt = 1e-2
@@ -325,7 +306,7 @@ class TestNoiselessEngine:
             StatePath(np.array([0.0, grid[3]]), np.array([2, 3]), 0.05),
             # a jump inside a level, then an observed level change
             StatePath(np.array([0.0, 0.025, 0.041]), np.array([0, 2, 3]), 0.05),
-            sample_ctmc_path(OFF_CYCLE_A, 1, 0.05, spawn_rng(3, 1).generator()),
+            state_path(model, 1, 0.05, 3, stream=1),
             StatePath(np.array([0.0]), np.array([3]), 0.05),
         ]
         priors = np.stack([np.full(4, 0.25), np.array([0.1, 0.2, 0.3, 0.4])])
@@ -341,10 +322,10 @@ class TestNoiselessEngine:
         assert np.array_equal(batch[:, :, -1], terminal)
         for p, sp in enumerate(paths):
             for k, prior in enumerate(priors):
-                alone = run_exact_noiseless_filter(prior, sp, model, dt)
-                assert np.array_equal(batch[p, k], alone.pis)
+                alone = filter_states(prior, [sp], dt, model)[0, 0]
+                assert np.array_equal(batch[p, k], alone)
                 oracle = _expm_oracle(prior, sp, OFF_CYCLE_A, OFF_CYCLE_H, dt)
-                np.testing.assert_allclose(alone.pis, oracle, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(alone, oracle, rtol=0.0, atol=1e-12)
 
     def test_empty_level_set_inside_batch(self):
         # each state is its own level and the chain only moves 0 -> 1 -> 2 -> 0,
@@ -387,35 +368,3 @@ class TestNoiselessEngine:
 
     def test_subgenerator_expm_of_zero_block_is_identity(self):
         assert np.array_equal(_subgenerator_expm(np.zeros((3, 3)), 0.5), np.eye(3))
-
-
-class TestConditionalMoments:
-    def test_hand_example(self):
-        out = conditional_moments(np.full(4, 0.25), CYCLE_H)
-        assert out.mean == pytest.approx(0.5)
-        assert out.variance == pytest.approx(0.25)
-
-    def test_covariance_with_matrix_g(self):
-        pi = np.array([0.5, 0.5])
-        f = np.array([0.0, 1.0])
-        g = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = conditional_moments(pi, f, g)
-        np.testing.assert_allclose(out.covariance, [0.5, 0.5])
-
-    def test_variance_never_negative(self, rng):
-        for _ in range(50):
-            pi = rng.dirichlet(np.ones(5))
-            f = rng.normal(size=5) * 1e-8
-            assert conditional_moments(pi, f).variance >= 0.0
-
-
-class TestTrajectoryCsv:
-    def test_round_trip_exact(self, tmp_path, cycle_model, rng):
-        obs = _noise_obs(rng, 64, 1, 1e-2, scale=0.1)
-        traj = run_filter(CYCLE_MU, obs, cycle_model, label="mu")
-        p = tmp_path / "traj.csv"
-        write_trajectory_csv(str(p), traj)
-        back = read_trajectory_csv(str(p), label="mu")
-        assert np.array_equal(back.pis, traj.pis)
-        assert back.dt == traj.dt
-        assert back.label == "mu"

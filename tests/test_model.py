@@ -6,17 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BLOCKS_A, CYCLE_A, CYCLE_H, random_generator_matrix
-from filterlab.divergence import read_series_csv
+from filterlab.divergence import SERIES_COLUMNS, read_series_csv
 from filterlab.dual import read_backward_map_csv
 from filterlab.errors import (
     DimensionMismatch,
-    GridMismatch,
     NegativeOffDiagonal,
     NonPositiveNoise,
     NonUniqueInvariantMeasure,
     RowSumNonZero,
 )
-from filterlab.filtering import read_trajectory_csv
 from filterlab.model import (
     _read_table,
     _write_table,
@@ -31,7 +29,6 @@ from filterlab.model import (
     save_model,
     validate_model,
 )
-from filterlab.sim import read_observation_csv, read_state_path_csv
 
 
 class TestValidateModel:
@@ -244,14 +241,11 @@ class TestTableFormat:
     @pytest.mark.parametrize(
         "reader, text, error",
         [
-            (read_observation_csv, "t,dZ1\r\n0.0,0.5\r\n", GridMismatch),
-            (read_observation_csv, "t,dZ1\r\n0.0,0.5,0.1\r\n0.1,0.2,0.3\r\n", DimensionMismatch),
-            (read_state_path_csv, "jump_time,state,T\r\n", GridMismatch),
-            (read_trajectory_csv, "t,pi1,pi2\r\n0.0,0.5,0.5\r\n", GridMismatch),
+            (read_series_csv, ",".join(SERIES_COLUMNS) + "\r\n0.0,0.5\r\n", DimensionMismatch),
             (read_series_csv, "t,chi2\r\n0.0,1.0\r\n", DimensionMismatch),
             (read_backward_map_csv, "x,y\r\n0,1.0\r\n", DimensionMismatch),
         ],
-        ids=["obs-one-row", "obs-width", "path-empty", "traj-one-row", "series-header", "map-header"],
+        ids=["series-width", "series-header", "map-header"],
     )
     def test_reader_errors(self, tmp_path, reader, text, error):
         path = tmp_path / "bad.csv"

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 import filterlab.dual as dual_mod
+from conftest import filter_states
 from filterlab.config import model_for_sweep_value, preset_config
-from filterlab.filtering import run_exact_noiseless_filter, run_filter
+from filterlab.ensemble import sample_path_batch
 from filterlab.pipeline import PI_TRAJECTORY_PATHS, _pi_trajectories, run_backward_map
-from filterlab.sim import (
-    integrate_observation,
-    sample_ctmc_path,
-    sample_initial_state,
-    spawn_rng,
-)
 
 
 def _cycle_cfg(**overrides):
@@ -21,35 +16,28 @@ def _cycle_cfg(**overrides):
     return preset_config("example-6.1").with_overrides(**base)
 
 
-def _oracle_paths(model, cfg, nu):
-    """The per-path stream recipe: initial state, then jump skeleton."""
+def _assert_paths_filtered_alone(sigma2):
+    """Each conditional-PI path equals its one-path batch from nu, on the
+    stream after the ensemble block, filtered alone by the model's engine."""
+    cfg = _cycle_cfg()
+    model = model_for_sweep_value(cfg, sigma2)
+    pis = _pi_trajectories(model, cfg, cfg.nu)
+    assert pis.shape == (PI_TRAJECTORY_PATHS, 401, 4)
     for i in range(PI_TRAJECTORY_PATHS):
-        rng = spawn_rng(cfg.master_seed, cfg.n_paths + i).generator()
-        x0 = sample_initial_state(nu, rng, model.d)
-        yield sample_ctmc_path(model.A, x0, cfg.T, rng), rng
+        batch = sample_path_batch(
+            model, 1, cfg.T, cfg.dt, cfg.master_seed, initial_law=cfg.nu, stream_offset=cfg.n_paths + i
+        )
+        data = batch.state_paths if model.noiseless else batch.increments
+        assert np.array_equal(pis[i], filter_states(cfg.nu, data, cfg.dt, model)[0, 0])
 
 
 class TestPiTrajectories:
     @pytest.mark.parametrize("sigma2", [0.1, 1.0])
     def test_noisy_batch_equals_per_path_filters(self, sigma2):
-        cfg = _cycle_cfg()
-        model = model_for_sweep_value(cfg, sigma2)
-        trajs = _pi_trajectories(model, cfg, cfg.nu)
-        assert len(trajs) == PI_TRAJECTORY_PATHS
-        for traj, (sp, rng) in zip(trajs, _oracle_paths(model, cfg, cfg.nu)):
-            obs = integrate_observation(sp, model, cfg.dt, rng)
-            expected = run_filter(cfg.nu, obs, model)
-            assert traj.dt == expected.dt
-            assert np.array_equal(traj.pis, expected.pis)
+        _assert_paths_filtered_alone(sigma2)
 
     def test_noiseless_batch_equals_exact_single_path_filter(self):
-        cfg = _cycle_cfg()
-        model = model_for_sweep_value(cfg, 0.0)
-        trajs = _pi_trajectories(model, cfg, cfg.nu)
-        assert len(trajs) == PI_TRAJECTORY_PATHS
-        for traj, (sp, _) in zip(trajs, _oracle_paths(model, cfg, cfg.nu)):
-            expected = run_exact_noiseless_filter(cfg.nu, sp, model, dt=cfg.dt)
-            assert np.array_equal(traj.pis, expected.pis)
+        _assert_paths_filtered_alone(0.0)
 
 
 class TestRunBackwardMap:

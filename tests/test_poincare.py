@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import BLOCKS_A, CYCLE_A, interior_simplex, random_generator_matrix
 from filterlab.errors import DegenerateVarianceForm, DimensionMismatch, NotSymmetric
-from filterlab.filtering import FilterTrajectory
 from filterlab.model import carre_du_champ, invariant_measure, is_ergodic
 from filterlab.poincare import (
     classical_pi_constant,
@@ -173,36 +172,33 @@ class TestConditionalConstant:
 
 
 class TestTrajectoryInfimum:
-    def _traj(self, rows, dt=0.1):
-        return FilterTrajectory(dt=dt, pis=np.asarray(rows, dtype=float))
+    DT = 0.1
 
     def test_finds_the_strided_minimum(self):
         uniform = np.full(4, 0.25)
         tilted = np.array([0.7, 0.1, 0.1, 0.1])
         split = np.array([0.5, 0.0, 0.5, 0.0])  # constant 0 on the cycle
-        traj0 = self._traj([uniform, tilted, uniform])
-        traj1 = self._traj([uniform, split, uniform])
-        c, where = trajectory_pi_infimum(CYCLE_A, [traj0, traj1], stride=1)
+        pis = np.array([[uniform, tilted, uniform], [uniform, split, uniform]])
+        c, where = trajectory_pi_infimum(CYCLE_A, pis, self.DT, stride=1)
         assert c == pytest.approx(0.0, abs=1e-10)
         assert where == (1, 0.1)
 
     def test_stride_skips_rows(self):
         uniform = np.full(4, 0.25)
         split = np.array([0.5, 0.0, 0.5, 0.0])
-        traj = self._traj([uniform, split, uniform])
-        c_all, _ = trajectory_pi_infimum(CYCLE_A, traj, stride=1)
-        c_skip, where = trajectory_pi_infimum(CYCLE_A, traj, stride=2)
+        pis = np.array([[uniform, split, uniform]])
+        c_all, _ = trajectory_pi_infimum(CYCLE_A, pis, self.DT, stride=1)
+        c_skip, where = trajectory_pi_infimum(CYCLE_A, pis, self.DT, stride=2)
         assert c_all == pytest.approx(0.0, abs=1e-10)
         assert c_skip > 0.0
         assert where[1] in (0.0, 0.2)
 
     def test_all_point_masses_yield_inf(self):
         point = np.array([0.0, 1.0, 0.0, 0.0])
-        traj = self._traj([point, point])
-        c, where = trajectory_pi_infimum(CYCLE_A, traj, stride=1)
+        c, where = trajectory_pi_infimum(CYCLE_A, np.array([[point, point]]), self.DT, stride=1)
         assert c == np.inf
         assert where is None
 
     def test_bad_stride_rejected(self):
         with pytest.raises(DimensionMismatch):
-            trajectory_pi_infimum(CYCLE_A, self._traj([np.full(4, 0.25)]), stride=0)
+            trajectory_pi_infimum(CYCLE_A, np.full((1, 1, 4), 0.25), self.DT, stride=0)
