@@ -9,9 +9,11 @@ from .config import (
     PRESET_NAMES,
     ExperimentConfig,
     load_config,
+    load_model,
     model_for_sweep_value,
     preset_config,
     save_config,
+    save_model,
 )
 from .divergence import (
     Chi2DriftTerms,
@@ -28,9 +30,7 @@ from .dual import (
     BackwardMapEstimate,
     DecayDiagnostics,
     EnvelopeReport,
-    backward_map_pair,
     backward_map_study,
-    decay_diagnostics,
     essential_infimum_ratio,
     theorem2_envelope,
 )
@@ -61,11 +61,9 @@ from .model import (
     carre_du_champ,
     invariant_measure,
     is_ergodic,
-    load_model,
     nonergodic_limit_bounds,
     observable_space,
     rate_bounds,
-    save_model,
     validate_model,
 )
 from .pipeline import run_backward_map, run_simulate, run_structure
@@ -109,14 +107,12 @@ __all__ = [
     "RngStream",
     "StatePath",
     "SubspaceBasis",
-    "backward_map_pair",
     "backward_map_study",
     "carre_du_champ",
     "chi2",
     "chi2_drift_terms",
     "classical_pi_constant",
     "conditional_pi_constant",
-    "decay_diagnostics",
     "density_ratio",
     "essential_infimum_ratio",
     "evolve_ensemble",

@@ -19,12 +19,13 @@ import sys
 
 from .config import (
     PRESET_NAMES,
+    _apply_overrides,
     load_config,
+    load_model,
     model_for_sweep_value,
     preset_config,
 )
 from .errors import ConfigError, FilterLabError
-from .model import load_model
 from .pipeline import (
     resolve_out_dir,
     run_backward_map,
@@ -50,8 +51,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="PATH", help="JSON experiment configuration")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", metavar="PATH", help="JSON experiment configuration")
+    source.add_argument(
         "--preset", choices=PRESET_NAMES, help="built-in experiment configuration"
     )
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
@@ -77,8 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_struct = sub.add_parser("structure", help="report structural diagnostics")
-    p_struct.add_argument("--model", metavar="PATH", help="model JSON file")
-    p_struct.add_argument(
+    source = p_struct.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", metavar="PATH", help="model JSON file")
+    source.add_argument(
         "--preset", choices=PRESET_NAMES, help="use a preset's base model"
     )
     p_struct.add_argument("--out", metavar="DIR", default=None)
@@ -104,11 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_experiment(args) -> "ExperimentConfig":
-    if bool(args.config) == bool(args.preset):
-        raise ConfigError("exactly one of --config or --preset is required")
-    cfg = load_config(args.config) if args.config else preset_config(args.preset)
+    cfg = load_config(args.config) if args.config is not None else preset_config(args.preset)
     if args.seed is not None:
-        cfg = cfg.with_overrides(master_seed=args.seed)
+        cfg = _apply_overrides(cfg, {"master_seed": args.seed}, "--seed")
     return cfg
 
 
@@ -134,9 +135,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_structure(args) -> int:
-    if bool(args.model) == bool(args.preset):
-        raise ConfigError("exactly one of --model or --preset is required")
-    if args.model:
+    if args.model is not None:
         model = load_model(args.model, allow_noiseless=True)
     else:
         model = model_for_sweep_value(preset_config(args.preset), None)

@@ -8,6 +8,11 @@ gains k_list (the observation row H is scaled by k at unit noise).  A
 "workers" field, which older configuration files carry, must still be an
 integer >= 1 but is otherwise ignored.
 
+This module also owns the model JSON object {"d", "m", "A", "H", "r"}
+(row-major flat A and H; "m" defaults to 1): _read_model is its one reader,
+for a model file and for a config's "model" alike, and _model_json its one
+writer, behind load_model / save_model and the config echo.
+
 Two presets embed the reference models used throughout:
 
   example-6.1  cyclic four-state generator with two-level observation
@@ -26,8 +31,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .divergence import density_ratio
-from .errors import ConfigError, FilterLabError
+from .errors import ConfigError, FilterLabError, GridMismatch
 from .model import HmmModel, as_simplex, validate_model
+from .sim import _grid_steps
 
 __all__ = [
     "ExperimentConfig",
@@ -36,6 +42,8 @@ __all__ = [
     "load_config",
     "save_config",
     "model_for_sweep_value",
+    "load_model",
+    "save_model",
 ]
 
 
@@ -68,20 +76,28 @@ class ExperimentConfig:
     def d(self) -> int:
         return self.A.shape[0]
 
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)
-
 
 def _require(cond: bool, field_name: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{field_name}: {message}")
 
 
-def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
+def _checked_model(A, H, r, allow_noiseless: bool) -> HmmModel:
     try:
-        validate_model(cfg.A, cfg.H, cfg.r, allow_noiseless=True)
+        return validate_model(A, H, r, allow_noiseless=allow_noiseless)
     except FilterLabError as exc:
         raise ConfigError(f"model: {exc}") from exc
+
+
+def _grid_check(T: float, dt: float, field_name: str) -> None:
+    try:
+        _grid_steps(T, dt)
+    except GridMismatch as exc:
+        raise ConfigError(f"{field_name}: {exc}") from exc
+
+
+def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
+    _checked_model(cfg.A, cfg.H, cfg.r, allow_noiseless=True)
     d = cfg.A.shape[0]
     try:
         mu = as_simplex(cfg.mu, d=d)
@@ -92,14 +108,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         density_ratio(mu, nu)
     except FilterLabError as exc:
         raise ConfigError(f"priors: mu must be absolutely continuous w.r.t. nu ({exc})") from exc
-    _require(cfg.T > 0.0, "T", "must be positive")
-    _require(cfg.dt > 0.0, "dt", "must be positive")
-    n_float = cfg.T / cfg.dt
-    _require(
-        abs(n_float - round(n_float)) <= 1e-9 * max(1.0, n_float),
-        "dt",
-        f"must divide T = {cfg.T}",
-    )
+    _grid_check(cfg.T, cfg.dt, "grid")
     _require(cfg.n_paths >= 1, "n_paths", "must be at least 1")
     _require(cfg.master_seed >= 0, "master_seed", "must be a nonnegative integer")
     _require(
@@ -255,6 +264,52 @@ def _read_json(path: str):
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
+def _read_model(raw, source: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """The model object, or the path of a JSON file holding one, as typed
+    (A, H, r); the model itself is validated by the caller."""
+    if isinstance(raw, str):
+        source, raw = raw, _read_json(raw)
+    _require(isinstance(raw, dict), "model", "must be an object or a model file path")
+    for key in ("d", "A", "H", "r"):
+        if key not in raw:
+            raise ConfigError(f"{source}: model: missing key '{key}'")
+    d = _scalar(raw["d"], "model.d", int)
+    m = _scalar(raw.get("m", 1), "model.m", int)
+    _require(d >= 1 and m >= 1, "model", "d and m must be at least 1")
+    return (
+        _parse_matrix(raw["A"], d, d, "model.A"),
+        _parse_matrix(raw["H"], d, m, "model.H"),
+        _scalar(raw["r"], "model.r", float),
+    )
+
+
+def _model_json(model) -> dict:
+    """The model object of an HmmModel or an ExperimentConfig."""
+    return {
+        "d": model.A.shape[0],
+        "m": model.H.shape[1],
+        "A": [float(v) for v in model.A.ravel()],
+        "H": [float(v) for v in model.H.ravel()],
+        "r": float(model.r),
+    }
+
+
+def _write_json(data: dict, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
+def load_model(path: str, allow_noiseless: bool = False) -> HmmModel:
+    """Read a model JSON file; any fault in it is a ConfigError."""
+    return _checked_model(*_read_model(path, path), allow_noiseless=allow_noiseless)
+
+
+def save_model(model: HmmModel, path: str) -> None:
+    """Write the model as JSON with row-major flat A and H."""
+    _write_json(_model_json(model), path)
+
+
 def _config_from_dict(data: dict, source: str) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: top level must be an object")
@@ -262,24 +317,16 @@ def _config_from_dict(data: dict, source: str) -> ExperimentConfig:
         base = preset_config(data["preset"])
         overrides = {k: v for k, v in data.items() if k != "preset"}
         return _apply_overrides(base, overrides, source)
-    model_raw = data.get("model")
-    if model_raw is None:
+    if data.get("model") is None:
         raise ConfigError(f"{source}: missing 'model' (or 'preset')")
-    if isinstance(model_raw, str):
-        model_raw = _read_json(model_raw)
-    _require(isinstance(model_raw, dict), "model", "must be an object or a model file path")
-    for key in ("d", "A", "H", "r"):
-        if key not in model_raw:
-            raise ConfigError(f"{source}: model: missing key '{key}'")
+    A, H, r = _read_model(data["model"], source)
     for key in ("mu", "nu"):
         if key not in data:
             raise ConfigError(f"{source}: missing prior '{key}'")
-    d = _scalar(model_raw["d"], "model.d", int)
-    m = _scalar(model_raw.get("m", 1), "model.m", int)
     base = ExperimentConfig(
-        A=_parse_matrix(model_raw["A"], d, d, "model.A"),
-        H=_parse_matrix(model_raw["H"], d, m, "model.H"),
-        r=_scalar(model_raw["r"], "model.r", float),
+        A=A,
+        H=H,
+        r=r,
         mu=_as_array(data["mu"], "mu"),
         nu=_as_array(data["nu"], "nu"),
         T=10.0,
@@ -327,7 +374,7 @@ def _apply_overrides(base: ExperimentConfig, overrides: dict, source: str) -> Ex
             kwargs[key] = _as_floats(value, key)
         else:
             raise ConfigError(f"{source}: unknown field '{key}'")
-    return _validate(base.with_overrides(**kwargs))
+    return _validate(replace(base, **kwargs))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -338,13 +385,7 @@ def load_config(path: str) -> ExperimentConfig:
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """JSON-ready echo of a configuration (row-major matrices)."""
     data = {
-        "model": {
-            "d": cfg.d,
-            "m": cfg.H.shape[1],
-            "A": [float(v) for v in cfg.A.ravel()],
-            "H": [float(v) for v in cfg.H.ravel()],
-            "r": cfg.r,
-        },
+        "model": _model_json(cfg),
         "mu": [float(v) for v in cfg.mu],
         "nu": [float(v) for v in cfg.nu],
         "T": cfg.T,
@@ -367,6 +408,4 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def save_config(cfg: ExperimentConfig, path: str) -> None:
     """Write a configuration as JSON (round-trips through load_config)."""
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
+    _write_json(config_to_dict(cfg), path)

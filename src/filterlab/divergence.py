@@ -171,10 +171,6 @@ class DivergenceSeries:
     def chi2_se(self) -> np.ndarray:
         return self.chi2_mean_se[1]
 
-    @property
-    def kl_se(self) -> np.ndarray:
-        return self.kl_mean_se[1]
-
 
 @dataclass(frozen=True)
 class Chi2DriftTerms:

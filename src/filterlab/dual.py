@@ -23,8 +23,8 @@ backward_map_study is the one engine and owns the stream layout.  It runs
 one pass per initial state to the largest horizon and snapshots the three
 filters and the state X_T at every horizon's grid step, so a study costs
 max(T_list) of simulation and filtering rather than sum(T_list); initial
-state row r uses the streams r * N onwards for every horizon.
-backward_map_pair and decay_diagnostics are views of it.
+state row r uses the streams r * N onwards for every horizon.  It is the
+one entry point for both the diagnostics and the estimators.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ from .sim import _grid_steps
 __all__ = [
     "SKIP_EPS",
     "BackwardMapEstimate",
-    "backward_map_pair",
     "DecayDiagnostics",
-    "decay_diagnostics",
     "backward_map_study",
     "EnvelopeReport",
     "theorem2_envelope",
@@ -376,32 +374,6 @@ def backward_map_study(
         _estimate_from(samples, samples.plain, model.d, T, "plain"),
         _estimate_from(samples, samples.rb, model.d, T, "rao-blackwell"),
     )
-
-
-def backward_map_pair(
-    model: HmmModel,
-    mu,
-    nu,
-    T: float,
-    n_paths: int,
-    master_seed: int,
-    dt: float = DEFAULT_DT,
-) -> tuple[BackwardMapEstimate, BackwardMapEstimate]:
-    """Both estimators at one horizon T: (plain, rao-blackwell)."""
-    return backward_map_study(model, mu, nu, (T,), n_paths, master_seed, dt)[1:]
-
-
-def decay_diagnostics(
-    model: HmmModel,
-    mu,
-    nu,
-    T_list,
-    n_paths: int,
-    master_seed: int,
-    dt: float = DEFAULT_DT,
-) -> list[DecayDiagnostics]:
-    """Variance-decay diagnostics over increasing horizons."""
-    return backward_map_study(model, mu, nu, T_list, n_paths, master_seed, dt)[0]
 
 
 @dataclass(frozen=True)

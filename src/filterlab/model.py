@@ -14,15 +14,15 @@ This module holds the model container, its validation, and the structural
 quantities attached to the pair (A, H): the carre du champ operator, the
 invariant measure, ergodicity and observability of the pair, and the closed
 form decay-rate bounds computable from A and H alone.  It also owns the
-file formats: the model JSON and the one CSV table layout (a header row,
-then one row per record, ints as ints and floats as repr) that every
-write_*_csv / read_*_csv pair in the package goes through.
+one CSV table layout (a header row, then one row per record, ints as ints
+and floats as repr) that every write_*_csv / read_*_csv pair in the package
+goes through.  The model JSON file is read and written by config
+(load_model, save_model), next to the config parser it shares.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -47,8 +47,6 @@ __all__ = [
     "observable_space",
     "rate_bounds",
     "nonergodic_limit_bounds",
-    "save_model",
-    "load_model",
 ]
 
 # Row sums larger than this reject the generator outright; accepted rows are
@@ -340,39 +338,6 @@ def nonergodic_limit_bounds(A, H, mu_bar) -> tuple[float, float]:
     u1 = 0.5 * float(mu @ min_gap)
     u2 = 0.5 * float(mu @ gap2.sum(axis=1))
     return u1, u2
-
-
-def save_model(model: HmmModel, path: str) -> None:
-    """Write the model as JSON with row-major flat A and H."""
-    payload = {
-        "d": model.d,
-        "m": model.m,
-        "A": [float(v) for v in model.A.reshape(-1)],
-        "H": [float(v) for v in model.H.reshape(-1)],
-        "r": float(model.r),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def load_model(path: str, allow_noiseless: bool = False) -> HmmModel:
-    """Read a model JSON written by save_model; rejects NaN/Inf values."""
-
-    def _reject(token: str):
-        raise DimensionMismatch(f"non-finite value {token!r} in model file")
-
-    with open(path) as fh:
-        payload = json.load(fh, parse_constant=_reject)
-    try:
-        d = int(payload["d"])
-        m = int(payload["m"])
-        A = np.array(payload["A"], dtype=float).reshape(d, d)
-        H = np.array(payload["H"], dtype=float).reshape(d, m)
-        r = float(payload["r"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise DimensionMismatch(f"malformed model file: {exc}") from exc
-    return validate_model(A, H, r, allow_noiseless=allow_noiseless)
 
 
 def _write_table(path: str, header, columns) -> None:

@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import asdict
 
 import numpy as np
 
-from .config import ExperimentConfig, config_to_dict, model_for_sweep_value
+from .config import ExperimentConfig, _grid_check, config_to_dict, model_for_sweep_value
 from .divergence import (
     DivergenceSeries,
     chi2,
@@ -83,6 +84,11 @@ def _json_float(v: float) -> float | None:
     return float(v) if np.isfinite(v) else None
 
 
+def _json_fields(entry) -> dict:
+    """A dataclass's fields in order, with non-finite floats as None."""
+    return {k: _json_float(v) if isinstance(v, float) else v for k, v in asdict(entry).items()}
+
+
 def _sweep_tag(cfg: ExperimentConfig, value: float | None) -> str:
     if value is None:
         return "base"
@@ -125,20 +131,9 @@ def _pi_trajectories(
 def _fit_payload(series: DivergenceSeries, window) -> tuple[dict | None, str]:
     try:
         fit = fit_exponential_rate(series.times, series.chi2_mean, window=window)
-    except NonPositiveSeries as exc:
+    except (NonPositiveSeries, WindowTooShort) as exc:
         return None, f"rate fit skipped: {exc}"
-    except WindowTooShort as exc:
-        return None, f"rate fit skipped: {exc}"
-    payload = {
-        "rate": fit.rate,
-        "stderr": fit.stderr,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "window": list(fit.window),
-        "n_points": fit.n_points,
-        "stride": fit.stride,
-    }
-    return payload, ""
+    return _json_fields(fit), ""
 
 
 def run_simulate(
@@ -315,11 +310,14 @@ def run_backward_map(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     Decay diagnostics over cfg.T_list and both backward-map estimators at
     the largest horizon, from one dual.backward_map_study pass.  Dumps each
     estimator as CSV.  Raises ConfigError for fewer than two paths per
-    state, which leave every standard error undefined.
+    state, which leave every standard error undefined, and for a horizon
+    that dt does not divide.
     """
     t_start = time.perf_counter()
     if cfg.n_paths < 2:
         raise ConfigError(f"n_paths: backward-map needs at least 2 paths per state, got {cfg.n_paths}")
+    for T in cfg.T_list:
+        _grid_check(T, cfg.dt, "T_list")
     model = model_for_sweep_value(cfg, None)
     if model.noiseless:
         raise FilterLabError(
@@ -330,30 +328,6 @@ def run_backward_map(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         model, cfg.mu, cfg.nu, cfg.T_list, cfg.n_paths, cfg.master_seed, cfg.dt
     )
     artifacts = []
-    per_t = []
-    for dg in diags:
-        per_t.append(
-            {
-                "T": dg.T,
-                "var_nu_y0": dg.var_nu_y0,
-                "var_nu_y0_se": dg.var_nu_y0_se,
-                "var_nu_gammaT": dg.var_nu_gammaT,
-                "var_nu_gammaT_se": dg.var_nu_gammaT_se,
-                "mean_mu_chi2": dg.mean_mu_chi2,
-                "mean_mu_chi2_se": dg.mean_mu_chi2_se,
-                "r_T": _json_float(dg.r_T),
-                "r_T_se": _json_float(dg.r_T_se),
-                "a_lower": dg.a_lower,
-                "chi2_prior": dg.chi2_prior,
-                "cauchy_schwarz_slack": dg.cauchy_schwarz_slack,
-                "cauchy_schwarz_slack_se": dg.cauchy_schwarz_slack_se,
-                "uniform_bound_slack": _json_float(dg.uniform_bound_slack),
-                "uniform_bound_slack_se": _json_float(dg.uniform_bound_slack_se),
-                "n_paths_per_state": dg.n_paths_per_state,
-                "skipped_states": list(dg.skipped_states),
-                "drop_se": dg.drop_se,
-            }
-        )
     estimates = {}
     for est in (plain, rb):
         nu_mean = float(nu @ est.y0)
@@ -374,7 +348,7 @@ def run_backward_map(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     report = {
         "command": "backward-map",
         "config": config_to_dict(cfg),
-        "diagnostics": per_t,
+        "diagnostics": [_json_fields(dg) for dg in diags],
         "estimates": estimates,
         "artifacts": [os.path.basename(a) for a in artifacts],
         "wall_clock_s": time.perf_counter() - t_start,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import load_config, model_for_sweep_value, preset_config, save_config
+from .config import load_config, load_model, model_for_sweep_value, preset_config, save_config, save_model
 from .divergence import (
     _divergence_batch,
     _mean_se,
@@ -33,7 +33,7 @@ from .divergence import (
     tv,
     write_series_csv,
 )
-from .dual import backward_map_pair, decay_diagnostics, read_backward_map_csv, write_backward_map_csv
+from .dual import backward_map_study, read_backward_map_csv, write_backward_map_csv
 from .ensemble import run_divergence_ensemble, sample_path_batch
 from .errors import ConfigError, FilterLabError, GridMismatch
 from .filtering import evolve_ensemble, evolve_noiseless_ensemble
@@ -41,10 +41,8 @@ from .model import (
     carre_du_champ,
     invariant_measure,
     is_ergodic,
-    load_model,
     observable_space,
     rate_bounds,
-    save_model,
     validate_model,
 )
 from .poincare import (
@@ -417,7 +415,7 @@ def check_round_trips(seed: int) -> CheckResult:
     cfg = preset_config("example-6.1")
     model = _cycle_model()
     series = run_divergence_ensemble(model, cfg.mu, cfg.nu, 3, 0.1, 1e-2, seed).series
-    _, rb = backward_map_pair(model, cfg.mu, cfg.nu, 0.1, 2, seed, dt=1e-2)
+    *_, rb = backward_map_study(model, cfg.mu, cfg.nu, (0.1,), 2, seed, dt=1e-2)
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         mp = os.path.join(tmp, "model.json")
@@ -454,7 +452,7 @@ def _anchor_indices(times: np.ndarray, spacing: float) -> np.ndarray:
 def check_kl_supermartingale_and_clark(seed: int, size: int) -> list[CheckResult]:
     """Mean KL non-increasing at anchors; pathwise entropy bound at anchors."""
     cfg = preset_config("example-6.1")
-    model = validate_model(cfg.A, cfg.H, 1.0)
+    model = _cycle_model()
     ens = run_divergence_ensemble(model, cfg.mu, cfg.nu, size, 5.0, 1e-3, seed)
     anchors = _anchor_indices(ens.series.times, 0.1)
     return [
@@ -483,8 +481,7 @@ def check_weak_drift(seed: int, size: int) -> CheckResult:
 def check_backward_map(seed: int, size: int) -> list[CheckResult]:
     """Plain vs Rao-Blackwell agreement, variance reduction, normalization."""
     cfg = preset_config("example-6.1")
-    model = validate_model(cfg.A, cfg.H, 1.0)
-    plain, rb = backward_map_pair(model, cfg.mu, cfg.nu, 2.0, size, seed)
+    _, plain, rb = backward_map_study(_cycle_model(), cfg.mu, cfg.nu, (2.0,), size, seed)
     return [
         estimators_agree(plain, rb),
         rao_blackwell_variance_reduction(plain, rb),
@@ -495,8 +492,7 @@ def check_backward_map(seed: int, size: int) -> list[CheckResult]:
 def check_variance_decay(seed: int, size: int) -> list[CheckResult]:
     """Decay of var_nu(y0) over horizons plus the inequality suite."""
     cfg = preset_config("example-6.1")
-    model = validate_model(cfg.A, cfg.H, 1.0)
-    diags = decay_diagnostics(model, cfg.mu, cfg.nu, (1.0, 2.0, 4.0), size, seed)
+    diags, *_ = backward_map_study(_cycle_model(), cfg.mu, cfg.nu, (1.0, 2.0, 4.0), size, seed)
     return [
         variance_decay_monotone(diags),
         jensen_contraction(diags),

@@ -15,7 +15,7 @@ import pytest
 from filterlab import verify
 from filterlab.config import model_for_sweep_value, preset_config
 from filterlab.divergence import fit_exponential_rate, kl
-from filterlab.dual import backward_map_pair, decay_diagnostics, theorem2_envelope
+from filterlab.dual import backward_map_study, theorem2_envelope
 from filterlab.ensemble import run_divergence_ensemble, sample_path_batch
 from filterlab.model import is_ergodic, observable_space, validate_model
 from filterlab.poincare import classical_pi_constant, trajectory_pi_infimum
@@ -71,8 +71,8 @@ def sweep62(blocks_cfg):
 def diags61(cycle_cfg):
     """Variance-decay diagnostics on the cycle (owned by criterion 8)."""
     model = model_for_sweep_value(cycle_cfg, 1.0)
-    return _timed(
-        decay_diagnostics,
+    (diags, _, _), elapsed = _timed(
+        backward_map_study,
         model,
         cycle_cfg.mu,
         cycle_cfg.nu,
@@ -80,6 +80,7 @@ def diags61(cycle_cfg):
         200,
         SEED,
     )
+    return diags, elapsed
 
 
 def _rate_fit(ens, window=None):
@@ -225,7 +226,7 @@ def test_criterion_07_backward_map_estimators_agree():
         model = validate_model(A, H, 1.0)
         mu = interior_simplex(rng, d)
         nu = interior_simplex(rng, d)
-        plain, rb = backward_map_pair(model, mu, nu, 2.0, 200, SEED + trial)
+        _, plain, rb = backward_map_study(model, mu, nu, (2.0,), 200, SEED + trial)
         assert plain.skipped_states == () and rb.skipped_states == ()
         r = verify.estimators_agree(plain, rb)
         assert r.passed, (trial, r.detail)

@@ -8,6 +8,7 @@ import pytest
 from filterlab.cli import main
 from filterlab.config import (
     PRESET_NAMES,
+    _apply_overrides,
     load_config,
     model_for_sweep_value,
     preset_config,
@@ -198,7 +199,7 @@ class TestLoadConfig:
             load_config(path)
 
     def test_round_trip(self, tmp_path):
-        cfg = preset_config("example-6.2").with_overrides(n_paths=11)
+        cfg = _apply_overrides(preset_config("example-6.2"), {"n_paths": 11}, "test")
         p = tmp_path / "saved.json"
         save_config(cfg, str(p))
         back = load_config(str(p))
@@ -206,11 +207,6 @@ class TestLoadConfig:
         assert back.sweep_kind == "k" and back.sweep_values == cfg.sweep_values
         assert np.array_equal(back.A, cfg.A)
         assert np.array_equal(back.H, cfg.H)
-
-    def test_with_overrides_is_functional(self):
-        cfg = preset_config("example-6.1")
-        other = cfg.with_overrides(n_paths=9)
-        assert cfg.n_paths == 200 and other.n_paths == 9
 
 
 def _tiny_config(tmp_path, **extra):
@@ -283,8 +279,11 @@ _PRIORS = {"mu": [0.5, 0.5], "nu": [0.5, 0.5]}
         {"preset": "example-6.1", "rate_window": ["a", 1]},
         {"preset": "example-6.1", "workers": "x"},
         {"preset": "example-6.1", "out_dir": 5},
+        {"preset": "example-6.1", "T": 1.0, "dt": 0.0010000000005},
         {"model": {**_TWO_STATE_MODEL, "d": "x"}, **_PRIORS},
         {"model": {**_TWO_STATE_MODEL, "A": [[-1.0, 1.0], [2.0]]}, **_PRIORS},
+        {"model": {**_TWO_STATE_MODEL, "d": 0, "A": [], "H": []}, **_PRIORS},
+        {"model": {**_TWO_STATE_MODEL, "m": 0, "H": []}, **_PRIORS},
         {"model": 5, **_PRIORS},
         {"model": "missing.json", **_PRIORS},
     ],
@@ -294,6 +293,33 @@ def test_mistyped_config_field_is_a_config_error(data, tmp_path, monkeypatch, ca
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps(data))
     assert main(["simulate", "--config", "cfg.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["structure", "--model", "missing.json"], {}),
+        (["structure", "--model", "model.json"], {"model.json": "{not json"}),
+        (
+            ["structure", "--model", "model.json"],
+            {"model.json": json.dumps({**_TWO_STATE_MODEL, "d": 2.7, "r": "0.5"})},
+        ),
+        (
+            ["backward-map", "--config", "cfg.json"],
+            {"cfg.json": json.dumps({"preset": "example-6.1", "T_list": [0.5, 0.7505]})},
+        ),
+        (["backward-map", "--preset", "example-6.1", "--seed", "-3"], {}),
+    ],
+    ids=["missing-model-file", "malformed-model-file", "mistyped-model-file", "T_list-off-grid", "negative-seed"],
+)
+def test_bad_cli_input_is_a_config_error(argv, files, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
@@ -354,7 +380,7 @@ class TestCliStructureAndVerify:
         assert "ergodic: False" in capsys.readouterr().out
 
     def test_structure_model_file(self, tmp_path):
-        from filterlab.model import save_model, validate_model
+        from filterlab import save_model, validate_model
 
         model = validate_model(
             np.array([[-1.0, 1.0], [2.0, -2.0]]), np.array([1.0, -1.0]), 1.0
@@ -365,6 +391,17 @@ class TestCliStructureAndVerify:
         payload = json.loads((tmp_path / "report_structure.json").read_text())["structure"]
         assert payload["ergodic"] is True
         assert payload["classical_pi"]["constant"] == pytest.approx(6.0)
+
+    def test_model_file_without_m_has_one_column(self, tmp_path):
+        # "m" defaults to 1 in a model file, as in a config's model object.
+        mp = tmp_path / "model.json"
+        mp.write_text(json.dumps(_TWO_STATE_MODEL))
+        assert main(["structure", "--model", str(mp), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "report_structure.json").read_text())["structure"]
+        assert (payload["d"], payload["m"]) == (2, 1)
+        cp = tmp_path / "cfg.json"
+        cp.write_text(json.dumps({"model": str(mp), **_PRIORS}))
+        assert load_config(str(cp)).H.shape == (2, 1)
 
     def test_verify_deterministic_only(self, tmp_path, capsys):
         assert main(["verify", "--size", "0", "--out", str(tmp_path)]) == 0

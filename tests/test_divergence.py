@@ -209,7 +209,7 @@ class TestDivergenceSeries:
         series = DivergenceSeries(times=np.array([0.0, 0.5]), chi2=values, kl=values / 2, tv=values / 4)
         for _ in range(3):
             mean, se = series.chi2_mean, series.chi2_se
-            series.kl_se
+            series.kl_mean_se[1]
         assert len(calls) == 2
         n = values.shape[0]
         assert mean.tobytes() == (values.sum(axis=0) / n).tobytes()
@@ -278,5 +278,5 @@ class TestSeriesCsv:
         cols = read_series_csv(str(p))
         np.testing.assert_array_equal(cols["t"], times)
         np.testing.assert_array_equal(cols["chi2_mean"], series.chi2_mean)
-        np.testing.assert_array_equal(cols["kl_se"], series.kl_se)
+        np.testing.assert_array_equal(cols["kl_se"], series.kl_mean_se[1])
         np.testing.assert_array_equal(cols["n_paths"], [2, 2, 2])

@@ -8,9 +8,7 @@ from conftest import BLOCKS_MU, BLOCKS_NU, CYCLE_MU, CYCLE_NU
 from filterlab import verify
 from filterlab.divergence import DivergenceSeries, chi2, density_ratio
 from filterlab.dual import (
-    backward_map_pair,
     backward_map_study,
-    decay_diagnostics,
     essential_infimum_ratio,
     read_backward_map_csv,
     theorem2_envelope,
@@ -37,30 +35,18 @@ class TestEssentialInfimumRatio:
 
 class TestBackwardMapEstimators:
     def test_pair_is_reproducible_and_consistent_with_single(self, cycle_model):
-        plain1, rb1 = backward_map_pair(cycle_model, CYCLE_MU, CYCLE_NU, 1.0, 40, 5)
-        plain2, rb2 = backward_map_pair(cycle_model, CYCLE_MU, CYCLE_NU, 1.0, 40, 5)
-        assert np.array_equal(plain1.y0, plain2.y0)
-        assert np.array_equal(rb1.y0, rb2.y0)
-        diags, solo_plain, solo = backward_map_study(
-            cycle_model, CYCLE_MU, CYCLE_NU, (1.0,), 40, 5
-        )
-        for one, two in ((solo_plain, plain1), (solo, rb1)):
+        diags, plain1, rb1 = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (1.0,), 40, 5)
+        _, plain2, rb2 = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (1.0,), 40, 5)
+        for one, two in ((plain1, plain2), (rb1, rb2)):
             assert np.array_equal(one.y0, two.y0)
             assert np.array_equal(one.stderr, two.stderr)
-            assert one.estimator_kind == two.estimator_kind
+        assert [est.estimator_kind for est in (plain1, rb1)] == ["plain", "rao-blackwell"]
         assert [dg.T for dg in diags] == [1.0]
-
-    def test_unknown_kind_rejected(self, cycle_model):
-        # The pair carries exactly the two known kinds; no other can be asked for.
-        pair = backward_map_pair(cycle_model, CYCLE_MU, CYCLE_NU, 0.2, 5, 0)
-        assert [est.estimator_kind for est in pair] == ["plain", "rao-blackwell"]
-        with pytest.raises(TypeError):
-            backward_map_pair(cycle_model, CYCLE_MU, CYCLE_NU, 0.2, 5, 0, kind="fancy")
 
     def test_skipped_states_for_thin_nu_support(self, cycle_model):
         nu = np.array([0.5, 0.5, 0.0, 0.0])
         mu = np.array([0.3, 0.7, 0.0, 0.0])
-        for est in backward_map_pair(cycle_model, mu, nu, 0.5, 20, 1):
+        for est in backward_map_study(cycle_model, mu, nu, (0.5,), 20, 1)[1:]:
             assert est.skipped_states == (2, 3)
             assert est.y0[2] == 0.0 and est.y0[3] == 0.0
             assert est.y0[0] != 0.0
@@ -71,13 +57,13 @@ class TestBackwardMapEstimators:
                 backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, T_list, 5, 0)
 
     def test_rao_blackwell_never_noisier(self, cycle_model):
-        plain, rb = backward_map_pair(cycle_model, CYCLE_MU, CYCLE_NU, 1.0, 60, 13)
+        _, plain, rb = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (1.0,), 60, 13)
         r = verify.rao_blackwell_variance_reduction(plain, rb)
         assert r.passed, r.detail
 
     def test_normalization_identity(self, cycle_model):
         # nu(y0) = 1 exactly in law
-        _, rb = backward_map_pair(cycle_model, CYCLE_MU, CYCLE_NU, 1.5, 80, 17)
+        *_, rb = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (1.5,), 80, 17)
         r = verify.backward_map_normalization(rb, CYCLE_NU)
         assert r.passed, r.detail
 
@@ -169,7 +155,7 @@ class TestDropStandardError:
 
 @pytest.fixture(scope="module")
 def diags(cycle_model):
-    return decay_diagnostics(cycle_model, CYCLE_MU, CYCLE_NU, (0.5, 1.5), 50, 3)
+    return backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (0.5, 1.5), 50, 3)[0]
 
 
 class TestDecayDiagnostics:
@@ -196,7 +182,7 @@ class TestDecayDiagnostics:
 
     def test_degenerate_equal_priors(self, cycle_model):
         # mu = nu: chi2 vanishes, the ratio degrades gracefully
-        diags = decay_diagnostics(cycle_model, CYCLE_NU, CYCLE_NU, (0.5,), 20, 0)
+        diags, _, _ = backward_map_study(cycle_model, CYCLE_NU, CYCLE_NU, (0.5,), 20, 0)
         d = diags[0]
         assert d.chi2_prior == 0.0
         assert d.a_lower == pytest.approx(1.0)
@@ -252,7 +238,7 @@ class TestTheorem2Envelope:
 
 class TestBackwardMapCsv:
     def test_round_trip(self, tmp_path, cycle_model):
-        _, est = backward_map_pair(cycle_model, CYCLE_MU, CYCLE_NU, 0.5, 15, 2)
+        *_, est = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (0.5,), 15, 2)
         p = tmp_path / "map.csv"
         write_backward_map_csv(str(p), est)
         cols = read_backward_map_csv(str(p))

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import BLOCKS_A, CYCLE_A, CYCLE_H, random_generator_matrix
 from filterlab.divergence import SERIES_COLUMNS, read_series_csv
+from filterlab.config import load_model, save_model
 from filterlab.dual import read_backward_map_csv
 from filterlab.errors import (
+    ConfigError,
     DimensionMismatch,
     NegativeOffDiagonal,
     NonPositiveNoise,
@@ -22,11 +24,9 @@ from filterlab.model import (
     carre_du_champ,
     invariant_measure,
     is_ergodic,
-    load_model,
     nonergodic_limit_bounds,
     observable_space,
     rate_bounds,
-    save_model,
     validate_model,
 )
 
@@ -218,9 +218,10 @@ class TestModelFileRoundTrip:
 
     def test_load_rejects_nonfinite(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"d": 2, "m": 1, "A": [-1.0, 1.0, 1.0, -1.0], "H": [NaN, 0.0], "r": 1.0}')
-        with pytest.raises((DimensionMismatch, ValueError)):
-            load_model(str(path))
+        for h, r in (("NaN", "1.0"), ("1.0", "Infinity")):
+            path.write_text(f'{{"d": 2, "m": 1, "A": [-1.0, 1.0, 1.0, -1.0], "H": [{h}, 0.0], "r": {r}}}')
+            with pytest.raises(ConfigError):
+                load_model(str(path))
 
 
 class TestTableFormat:

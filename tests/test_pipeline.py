@@ -5,7 +5,7 @@ import pytest
 
 import filterlab.dual as dual_mod
 from conftest import filter_states
-from filterlab.config import model_for_sweep_value, preset_config
+from filterlab.config import _apply_overrides, model_for_sweep_value, preset_config
 from filterlab.ensemble import sample_path_batch
 from filterlab.pipeline import PI_TRAJECTORY_PATHS, _pi_trajectories, run_backward_map
 
@@ -13,7 +13,7 @@ from filterlab.pipeline import PI_TRAJECTORY_PATHS, _pi_trajectories, run_backwa
 def _cycle_cfg(**overrides):
     base = dict(n_paths=30, T=0.4, dt=1e-3, master_seed=77)
     base.update(overrides)
-    return preset_config("example-6.1").with_overrides(**base)
+    return _apply_overrides(preset_config("example-6.1"), base, "test")
 
 
 def _assert_paths_filtered_alone(sigma2):
@@ -45,7 +45,7 @@ class TestRunBackwardMap:
         "priors, kept",
         [
             ({}, 4),
-            ({"mu": np.array([0.3, 0.7, 0.0, 0.0]), "nu": np.array([0.5, 0.5, 0.0, 0.0])}, 2),
+            ({"mu": [0.3, 0.7, 0.0, 0.0], "nu": [0.5, 0.5, 0.0, 0.0]}, 2),
         ],
     )
     def test_each_horizon_is_sampled_once(self, monkeypatch, priors, kept):
@@ -82,7 +82,7 @@ class TestRunBackwardMap:
     def test_diagnostics_match_decay_diagnostics(self):
         cfg = _cycle_cfg(n_paths=20, T_list=(0.1, 0.3), dt=1e-2)
         report = run_backward_map(cfg)
-        diags = dual_mod.decay_diagnostics(
+        diags, _, _ = dual_mod.backward_map_study(
             model_for_sweep_value(cfg, None),
             cfg.mu,
             cfg.nu,
