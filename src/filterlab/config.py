@@ -96,6 +96,10 @@ def _grid_check(T: float, dt: float, field_name: str) -> None:
         raise ConfigError(f"{field_name}: {exc}") from exc
 
 
+def _seed_check(seed: int) -> None:
+    _require(seed >= 0, "master_seed", "must be a nonnegative integer")
+
+
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     _checked_model(cfg.A, cfg.H, cfg.r, allow_noiseless=True)
     d = cfg.A.shape[0]
@@ -110,7 +114,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"priors: mu must be absolutely continuous w.r.t. nu ({exc})") from exc
     _grid_check(cfg.T, cfg.dt, "grid")
     _require(cfg.n_paths >= 1, "n_paths", "must be at least 1")
-    _require(cfg.master_seed >= 0, "master_seed", "must be a nonnegative integer")
+    _seed_check(cfg.master_seed)
     _require(
         cfg.sweep_kind in (None, "sigma2", "k"),
         "sweep_kind",

@@ -5,11 +5,12 @@ so its draws depend only on its index.  sample_path_batch is the one
 sampler: it samples its paths with one Generator re-keyed per path, and
 builds the grid, the initial law's CDF and the jump tables once; each path
 equals a one-path batch on its stream, bit for bit.  All paths of an
-ensemble are filtered in one lockstep pass, and ensemble reductions happen
-once, in path-index order.  The divergence observer copies each step's
-filter pairs into a state-major (d, 2, steps, P) block and computes chi2,
-kl, tv and the signal and drift integrals once per block of steps; the
-values equal those of a reduction at every step, bit for bit.
+ensemble, and any extra paths sampled under nu for their nu-filters, are
+filtered in one lockstep pass; ensemble reductions happen once, in
+path-index order.  The divergence observer copies each step's filter pairs
+into a state-major (d, 2, steps, P) block and computes chi2, kl, tv and
+the signal and drift integrals once per block of steps; the values equal
+those of a reduction at every step, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .divergence import DivergenceSeries, _divergences, chi2_drift_batch
 from .errors import DegenerateMass, DimensionMismatch, EmptyLevelSet, NonPositiveNoise
-from .filtering import evolve_ensemble, evolve_noiseless_ensemble
+from .filtering import _BLOCK_STEPS, evolve_ensemble, evolve_noiseless_ensemble
 from .model import HmmModel, as_simplex
 from .sim import (
     StatePath,
@@ -39,12 +40,6 @@ __all__ = [
     "EnsembleDivergence",
     "run_divergence_ensemble",
 ]
-
-
-# Steps per observer block: the ensemble reduces its divergences once per
-# block.  16 keeps peak RSS flat on the benchmark sweeps; 32 and 128 add
-# about 0.5 and 6 MB there.
-_BLOCK_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,8 @@ class EnsembleDivergence:
     quantity in the pathwise relative-entropy identity); drift_integral is
     the integrated chi-square drift, present only when recorded.
     terminal_pis stacks the final filter states as (n_paths, 2, d) in the
-    order (from_mu, from_nu).
+    order (from_mu, from_nu).  nu_filters holds the nu-filter states
+    (nu_paths, n + 1, d) of the extra paths sampled under nu.
     """
 
     series: DivergenceSeries
@@ -128,6 +124,7 @@ class EnsembleDivergence:
     drift_integral: np.ndarray | None
     terminal_pis: np.ndarray | None
     initial_states: np.ndarray
+    nu_filters: np.ndarray | None = None
 
 
 def run_divergence_ensemble(
@@ -139,15 +136,22 @@ def run_divergence_ensemble(
     dt: float,
     master_seed: int,
     record_drift: bool = False,
+    nu_paths: int = 0,
 ) -> EnsembleDivergence:
     """Divergence series between the filters started from mu and nu.
 
-    Signal paths are sampled under mu.  A noiseless model routes every path
-    through the exact level-set filter (drift recording is not defined
-    there).  The observer copies each step's filter pairs into a
-    state-major block of _BLOCK_STEPS steps and reduces the block at once;
-    an AbsoluteContinuityViolation is raised by the flush of its block,
-    which runs before any later error of the engine propagates.
+    Signal paths are sampled under mu.  nu_paths more paths, sampled under
+    nu on the streams n_paths .. n_paths + nu_paths - 1, ride in the same
+    engine call with nu in both prior slots (mu need not charge the class
+    or level a nu path is in, and its filter could lose all mass there);
+    their nu-filter states come back as nu_filters, and the divergences,
+    terminal_pis and initial_states cover the mu paths only.  A noiseless
+    model routes every path through the exact level-set filter (drift
+    recording is not defined there).  The observer copies each step's
+    filter pairs into a state-major block of _BLOCK_STEPS steps and reduces
+    the block at once; an AbsoluteContinuityViolation is raised by the
+    flush of its block, which runs before any later error of the engine
+    propagates.
     """
     mu = as_simplex(mu, d=model.d)
     nu = as_simplex(nu, d=model.d)
@@ -155,6 +159,8 @@ def run_divergence_ensemble(
         raise NonPositiveNoise("drift recording needs a noisy observation model")
     n_steps = _grid_steps(T, dt)
     batch = sample_path_batch(model, n_paths, T, dt, master_seed, initial_law=mu)
+    extra = sample_path_batch(model, nu_paths, T, dt, master_seed, initial_law=nu, stream_offset=n_paths)
+    nu_filters = np.empty((nu_paths, n_steps + 1, model.d))
     chi2_v = np.empty((n_paths, n_steps + 1))
     kl_v = np.empty((n_paths, n_steps + 1))
     tv_v = np.empty((n_paths, n_steps + 1))
@@ -183,17 +189,21 @@ def run_divergence_ensemble(
 
     def observer(step: int, t: float, pis: np.ndarray) -> None:
         nonlocal seen
-        block[:, :, step - done] = pis.transpose(2, 1, 0)
+        block[:, :, step - done] = pis[:n_paths].transpose(2, 1, 0)
+        nu_filters[:, step] = pis[n_paths:, 1]
         seen = step + 1
         if seen - done == block.shape[2] or step == n_steps:
             flush()
 
-    priors = np.stack([mu, nu])
+    pairs = np.repeat(np.stack([mu, nu])[:, None], n_paths, axis=1)
+    priors = np.concatenate([pairs, np.broadcast_to(nu, (2, nu_paths, model.d))], axis=1)
     try:
         if model.noiseless:
-            terminal = evolve_noiseless_ensemble(priors, batch.state_paths, dt, model, observer=observer)
+            paths = batch.state_paths + extra.state_paths
+            terminal = evolve_noiseless_ensemble(priors, paths, dt, model, observer=observer)
         else:
-            terminal = evolve_ensemble(priors, batch.increments, dt, model, observer=observer)
+            increments = np.concatenate([batch.increments, extra.increments])
+            terminal = evolve_ensemble(priors, increments, dt, model, observer=observer)
     except (DegenerateMass, EmptyLevelSet):
         # an earlier step's AbsoluteContinuityViolation wins over the engine's error
         if seen > done:
@@ -206,8 +216,9 @@ def run_divergence_ensemble(
         series=series,
         signal_integral=signal,
         drift_integral=drift,
-        terminal_pis=terminal,
+        terminal_pis=terminal[:n_paths],
         initial_states=batch.initial_states,
+        nu_filters=nu_filters,
     )
 
 

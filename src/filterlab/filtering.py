@@ -14,14 +14,18 @@ steps k priors on P paths as a state-major (d, k, P) array, so products and
 reductions run along the long path axis.  The prediction is an einsum, the
 correction exponent and the mass are sums of rows, never a BLAS product or a
 pairwise reduction, so a path gets bitwise the same numbers alone as in any
-batch.  evolve_ensemble runs it over a path ensemble, and every noisy
-pipeline calls it; wonham_step is one step broadcast over leading axes.
+batch.  The correction is exponentiated once per block of _BLOCK_STEPS
+steps, elementwise, so a block gives the bits of one step at a time.
+evolve_ensemble runs the kernel over a path ensemble, with priors shared
+by all paths or one per path, and every noisy pipeline calls it;
+wonham_step is one step broadcast over leading axes.
 
 For exactly noiseless observations (r = 0), evolve_noiseless_ensemble
-computes the conditional law exactly over a path ensemble.  Between observed level changes the unnormalized law is
-pi_tau expm(A_LL (t - tau)), with A_LL the generator restricted to the
-observed level set L of h; at an observed level change mass moves along
-the generator's cross-level flux into the new level.
+computes the conditional law exactly over a path ensemble, with priors
+shared or per path as well.  Between observed level changes the
+unnormalized law is pi_tau expm(A_LL (t - tau)), with A_LL the generator
+restricted to the observed level set L of h; at an observed level change
+mass moves along the generator's cross-level flux into the new level.
 
 All exponentials come from numpy uniformization with scaling and squaring:
 its terms are nonnegative, so it has no cancellation, and it keeps
@@ -39,6 +43,11 @@ from .sim import _grid_steps
 
 __all__ = ["wonham_step", "evolve_ensemble", "evolve_noiseless_ensemble"]
 
+# Steps per block: the splitting kernel exponentiates its correction, and the
+# divergence ensemble reduces its divergences, once per block.  16 keeps peak
+# RSS flat on the benchmark sweeps; 32 and 128 add about 0.5 and 6 MB there.
+_BLOCK_STEPS = 16
+
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
     """x[0] + x[1] + ... added in row order.
@@ -55,8 +64,9 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
 def _split_steps(S: np.ndarray, increments: np.ndarray, dt: float, model: HmmModel, observer=None):
     """Advance the state-major array S (d, k, P) through increments (P, n, m).
 
-    Each step computes the (d, P) correction once and shares it by the k
-    priors; its exponent is shifted by the per-path maximum before exp.
+    The correction exponent of a block of _BLOCK_STEPS steps is computed in
+    (b, d, P) layout, shifted by its per-(step, path) maximum and
+    exponentiated at once; each step shares its (d, P) slice by the k priors.
     observer(step, t, pis) gets the (P, k, d) view of the states at step 0
     and after every update.  Returns the terminal array.
     """
@@ -66,22 +76,34 @@ def _split_steps(S: np.ndarray, increments: np.ndarray, dt: float, model: HmmMod
     half = 0.5 * dt * (hu**2).sum(axis=1)[:, None]
     if observer is not None:
         observer(0, 0.0, S.transpose(2, 1, 0))
-    for step in range(increments.shape[1]):
-        dz = increments[:, step, :]
-        lw = gain[:, :1] * dz[:, 0]
+    for start in range(0, increments.shape[1], _BLOCK_STEPS):
+        dz = increments[:, start : start + _BLOCK_STEPS].transpose(2, 1, 0)[:, :, None, :]
+        lw = gain[:, :1] * dz[0]
         for j in range(1, model.m):
-            lw += gain[:, j : j + 1] * dz[:, j]
+            lw += gain[:, j : j + 1] * dz[j]
         lw -= half
-        lw -= lw.max(axis=0)
-        S = np.einsum("xy,xkn->ykn", E, S)
-        S *= np.exp(lw, out=lw)[:, None, :]
-        mass = _sum_rows(S)
-        if not mass.min() > 0.0:
-            raise DegenerateMass(f"step {step}: filter mass vanished; check the increments")
-        S /= mass
-        if observer is not None:
-            observer(step + 1, (step + 1) * dt, S.transpose(2, 1, 0))
+        lw -= lw.max(axis=1, keepdims=True)
+        for step, w in enumerate(np.exp(lw, out=lw), start):
+            S = np.einsum("xy,xkn->ykn", E, S)
+            S *= w[:, None, :]
+            mass = _sum_rows(S)
+            if not mass.min() > 0.0:
+                raise DegenerateMass(f"step {step}: filter mass vanished; check the increments")
+            S /= mass
+            if observer is not None:
+                observer(step + 1, (step + 1) * dt, S.transpose(2, 1, 0))
     return S
+
+
+def _path_priors(priors, n_paths: int, d: int) -> np.ndarray:
+    """Priors (k, d), shared by all paths, or (k, P, d), one row per path,
+    as a validated (k, P, d) array; each distinct row is checked once."""
+    priors = np.asarray(priors, float)
+    if priors.ndim not in (2, 3) or priors.ndim == 3 and priors.shape[1] != n_paths:
+        raise DimensionMismatch(f"priors must be (k, {d}) or (k, {n_paths}, {d}), got {priors.shape}")
+    rows, where = np.unique(priors.reshape(-1, priors.shape[-1]), axis=0, return_inverse=True)
+    priors = np.stack([as_simplex(p, d=d) for p in rows])[where.ravel()].reshape(priors.shape)
+    return np.broadcast_to(priors.reshape(len(priors), -1, d), (len(priors), n_paths, d))
 
 
 def wonham_step(pi: np.ndarray, dz: np.ndarray, dt: float, model: HmmModel) -> np.ndarray:
@@ -109,17 +131,17 @@ def evolve_ensemble(
 ) -> np.ndarray:
     """Evolve k priors through P observation paths in lockstep.
 
-    priors is (k, d), increments (P, n_steps, m).  observer(step, t, pis) is
+    priors is (k, d), shared by all paths, or (k, P, d), one row per path,
+    and increments (P, n_steps, m).  observer(step, t, pis) is
     called with step = 0 at t = 0 and then after every update; pis is the
     (P, k, d) view of the state-major array and must not be mutated.
     Returns the terminal states as such a view.
     """
     if model.noiseless:
         raise NonPositiveNoise("noiseless model: use evolve_noiseless_ensemble")
-    priors = np.stack([as_simplex(p, d=model.d) for p in np.asarray(priors, float)])
     if increments.ndim != 3 or increments.shape[2] != model.m:
         raise DimensionMismatch(f"increments must be (P, n_steps, {model.m}), got {increments.shape}")
-    S = np.repeat(priors.T[:, :, None], increments.shape[0], axis=2)
+    S = np.ascontiguousarray(_path_priors(priors, increments.shape[0], model.d).transpose(2, 0, 1))
     return _split_steps(S, increments, dt, model, observer).transpose(2, 1, 0)
 
 
@@ -176,10 +198,10 @@ def evolve_noiseless_ensemble(
 ) -> np.ndarray:
     """Exact conditional laws for noiseless observation Y_t = h(X_t).
 
-    priors is (k, d) and state_paths a sequence of P paths on a common
-    horizon T; the filter state array has shape (P, k, d).  The law at t = 0
-    is each prior conditioned on the observed initial level, since
-    Y_0 = h(X_0) is data.  Each grid step is one batched product with the
+    priors is (k, d) or (k, P, d) as in evolve_ensemble, and state_paths a
+    sequence of P paths on a common horizon T; the filter state array has
+    shape (P, k, d).  The law at t = 0 is each prior conditioned on the
+    observed initial level, since Y_0 = h(X_0) is data.  Each grid step is one batched product with the
     precomputed propagator expm(A_LL dt) of every path's current level L.
     The few paths whose observed level changes in (t_k, t_{k+1}] are redone
     exactly: propagate to the change time tau with the level's semigroup,
@@ -191,7 +213,7 @@ def evolve_noiseless_ensemble(
     produce the observed level), naming the time, and GridMismatch when dt
     does not divide T.
     """
-    priors = np.stack([as_simplex(p, d=model.d) for p in np.asarray(priors, float)])
+    priors = _path_priors(priors, len(state_paths), model.d).transpose(1, 0, 2)
     A, H = model.A, model.H
     T = state_paths[0].T
     if any(sp.T != T for sp in state_paths):
@@ -216,7 +238,7 @@ def evolve_noiseless_ensemble(
                 per_path.append((float(sp.jump_times[j]), int(lv[j])))
 
     level = np.array([level_of[sp.states[0]] for sp in state_paths])
-    pis = _normalized(priors[None, :, :] * levels[level][:, None, :], "t = 0")
+    pis = _normalized(priors * levels[level][:, None, :], "t = 0")
     if observer is not None:
         observer(0, 0.0, pis)
     for step in range(n_steps):

@@ -27,7 +27,7 @@ from .divergence import (
     write_series_csv,
 )
 from .dual import backward_map_study, theorem2_envelope, write_backward_map_csv
-from .ensemble import run_divergence_ensemble, sample_path_batch
+from .ensemble import run_divergence_ensemble
 from .errors import (
     AssumptionA1Violated,
     ConfigError,
@@ -37,7 +37,6 @@ from .errors import (
     NonUniqueInvariantMeasure,
     WindowTooShort,
 )
-from .filtering import evolve_ensemble, evolve_noiseless_ensemble
 from .model import (
     HmmModel,
     _write_table,
@@ -96,38 +95,6 @@ def _sweep_tag(cfg: ExperimentConfig, value: float | None) -> str:
     return f"{kind}={value:g}"
 
 
-def _pi_trajectories(
-    model: HmmModel, cfg: ExperimentConfig, nu: np.ndarray
-) -> np.ndarray:
-    """A few dedicated filter paths from nu for the conditional-PI sweep.
-
-    Streams start beyond the ensemble block so they never collide with the
-    divergence paths of the same sweep value.  All paths run through the
-    filter in one batched call: the exact filter for a noiseless model, the
-    lockstep ensemble otherwise.  Returns the filter states (P, n + 1, d)
-    on the grid.
-    """
-    batch = sample_path_batch(
-        model,
-        PI_TRAJECTORY_PATHS,
-        cfg.T,
-        cfg.dt,
-        cfg.master_seed,
-        initial_law=nu,
-        stream_offset=cfg.n_paths,
-    )
-    rows = []
-
-    def observer(step, t, pis):
-        rows.append(pis[:, 0, :].copy())
-
-    if model.noiseless:
-        evolve_noiseless_ensemble(nu[None], batch.state_paths, cfg.dt, model, observer=observer)
-    else:
-        evolve_ensemble(nu[None], batch.increments, cfg.dt, model, observer=observer)
-    return np.stack(rows, axis=1)
-
-
 def _fit_payload(series: DivergenceSeries, window) -> tuple[dict | None, str]:
     try:
         fit = fit_exponential_rate(series.times, series.chi2_mean, window=window)
@@ -143,12 +110,14 @@ def run_simulate(
 ) -> dict:
     """Full divergence pipeline over the configured sweep.
 
-    Per sweep value: ensemble under the mu path law, filters from mu and nu
-    on shared observations, divergence series with a chi-square rate fit,
-    the conditional-PI infimum along dedicated nu-filter paths, and the
-    multiplicative decay envelope driven by that infimum.  Writes one series
-    CSV per sweep value (plus the (t, log mean chi2) fit points when
-    plot_data is set) when out_dir is given.
+    Per sweep value, one lockstep filter pass: the ensemble under the mu
+    path law, filtered from mu and nu on shared observations, plus
+    PI_TRAJECTORY_PATHS paths sampled under nu on the streams after it,
+    whose nu-filters give the conditional-PI infimum.  Then the divergence
+    series with a chi-square rate fit, and the multiplicative decay
+    envelope driven by that infimum.  Writes one series CSV per sweep value
+    (plus the (t, log mean chi2) fit points when plot_data is set) when
+    out_dir is given.
     """
     t_start = time.perf_counter()
     values: list[float | None] = (
@@ -165,21 +134,12 @@ def run_simulate(
     for value in values:
         model = model_for_sweep_value(cfg, value)
         ens = run_divergence_ensemble(
-            model,
-            cfg.mu,
-            cfg.nu,
-            cfg.n_paths,
-            cfg.T,
-            cfg.dt,
-            cfg.master_seed,
+            model, cfg.mu, cfg.nu, cfg.n_paths, cfg.T, cfg.dt, cfg.master_seed, nu_paths=PI_TRAJECTORY_PATHS
         )
         series = ens.series
         fit_payload, fit_note = _fit_payload(series, cfg.rate_window)
 
-        pis = _pi_trajectories(model, cfg, cfg.nu)
-        c_inf, c_where = trajectory_pi_infimum(
-            model.A, pis, cfg.dt, stride=PI_TRAJECTORY_STRIDE
-        )
+        c_inf, c_where = trajectory_pi_infimum(model.A, ens.nu_filters, cfg.dt, stride=PI_TRAJECTORY_STRIDE)
         c_path, c_time = c_where if c_where is not None else (None, None)
 
         c_env = max(c_inf, 0.0) if np.isfinite(c_inf) else 0.0

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import load_config, load_model, model_for_sweep_value, preset_config, save_config, save_model
+from .config import (
+    _seed_check, load_config, load_model, model_for_sweep_value, preset_config, save_config, save_model,
+)
 from .divergence import (
     _divergence_batch,
     _mean_se,
@@ -564,9 +566,10 @@ def run_verify(master_seed: int = 0, size: int = 100) -> dict:
     """Run the verification suites and return a JSON-ready report.
 
     size scales the ensembles of the statistical suite; size = 0 skips it.
-    Raises ConfigError for a negative size and for size = 1, where no
-    standard error is defined.
+    Raises ConfigError for a negative size, for size = 1, where no
+    standard error is defined, and for a seed the config would reject.
     """
+    _seed_check(master_seed)
     if size < 0 or size == 1:
         raise ConfigError(f"size must be 0 or at least 2, got {size}")
     t_start = time.perf_counter()

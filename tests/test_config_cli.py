@@ -312,8 +312,16 @@ def test_mistyped_config_field_is_a_config_error(data, tmp_path, monkeypatch, ca
             {"cfg.json": json.dumps({"preset": "example-6.1", "T_list": [0.5, 0.7505]})},
         ),
         (["backward-map", "--preset", "example-6.1", "--seed", "-3"], {}),
+        (["verify", "--seed", "-3", "--size", "0"], {}),
     ],
-    ids=["missing-model-file", "malformed-model-file", "mistyped-model-file", "T_list-off-grid", "negative-seed"],
+    ids=[
+        "missing-model-file",
+        "malformed-model-file",
+        "mistyped-model-file",
+        "T_list-off-grid",
+        "negative-seed",
+        "verify-negative-seed",
+    ],
 )
 def test_bad_cli_input_is_a_config_error(argv, files, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -15,14 +15,14 @@ import filterlab
 from conftest import CYCLE_MU, CYCLE_NU, random_generator_matrix
 from filterlab.config import model_for_sweep_value, preset_config
 from filterlab.divergence import _divergence_batch, chi2, chi2_drift_batch
-from filterlab.ensemble import _BLOCK_STEPS, run_divergence_ensemble, sample_path_batch
+from filterlab.ensemble import run_divergence_ensemble, sample_path_batch
 from filterlab.errors import (
     AbsoluteContinuityViolation,
     DimensionMismatch,
     GridMismatch,
     NonPositiveNoise,
 )
-from filterlab.filtering import evolve_ensemble, evolve_noiseless_ensemble
+from filterlab.filtering import _BLOCK_STEPS, evolve_ensemble, evolve_noiseless_ensemble
 from filterlab.model import validate_model
 from filterlab.sim import spawn_rng
 

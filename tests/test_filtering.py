@@ -17,6 +17,7 @@ from filterlab.errors import (
     NonPositiveNoise,
 )
 from filterlab.filtering import (
+    _BLOCK_STEPS,
     _subgenerator_expm,
     evolve_ensemble,
     evolve_noiseless_ensemble,
@@ -175,11 +176,66 @@ class TestEvolveEnsemble:
         steps = [s for s, _, _ in seen]
         assert steps == list(range(41))
 
+    def test_per_path_priors_equal_shared_prior_runs(self, cycle_model, rng):
+        _assert_per_path_priors_filtered_alone(rng.normal(size=(4, 40, 1)) * 0.03, 1e-3, cycle_model)
+
+    def test_per_path_priors_must_match_the_paths(self, cycle_model, rng):
+        with pytest.raises(DimensionMismatch):
+            evolve_ensemble(np.full((2, 3, 4), 0.25), rng.normal(size=(2, 10, 1)), 1e-3, cycle_model)
+
     def test_increment_shape_checked(self, cycle_model, rng):
         with pytest.raises(DimensionMismatch):
             evolve_ensemble(
                 np.stack([CYCLE_MU]), rng.normal(size=(3, 40)), 1e-3, cycle_model
             )
+
+
+def _assert_per_path_priors_filtered_alone(data, dt, model):
+    """(k, P, d) priors give each path the numbers of its own (k, d) run."""
+    rows = np.stack([np.full(4, 0.25), np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.4, 0.3, 0.2, 0.1])])
+    per_path = rows[[[0, 1, 2, 1], [1, 2, 0, 1]]]  # (k = 2, P = 4, d)
+    batch = filter_states(per_path, data, dt, model)
+    for p in range(4):
+        assert np.array_equal(batch[p], filter_states(per_path[:, p], data[p : p + 1], dt, model)[0])
+
+
+class TestBlockCorrection:
+    """The correction is exponentiated once per block of _BLOCK_STEPS steps;
+    n = 37 ends inside the third block."""
+
+    N_STEPS = 37
+
+    def test_observer_sees_each_step_once(self, cycle_model, rng):
+        assert self.N_STEPS % _BLOCK_STEPS != 0
+        seen = []
+        evolve_ensemble(
+            CYCLE_MU[None], rng.normal(size=(2, self.N_STEPS, 1)) * 0.03, 1e-3, cycle_model,
+            lambda step, t, pis: seen.append((step, t)),
+        )
+        assert seen == [(k, k * 1e-3) for k in range(self.N_STEPS + 1)]
+
+    def test_blocks_equal_one_step_at_a_time(self, rng):
+        # wonham_step runs a one-step block, so the blocked exponent must
+        # give the same bits as the step-by-step one
+        model = validate_model(CYCLE_A, np.stack([CYCLE_H, 1.0 - CYCLE_H], axis=1), 0.7)
+        increments = rng.normal(size=(5, self.N_STEPS, 2)) * 0.03
+        priors = np.stack([CYCLE_MU, CYCLE_NU])
+        blocked = filter_states(priors, increments, 1e-3, model)
+        pis = np.broadcast_to(priors, (5, 2, 4))
+        for step in range(self.N_STEPS):
+            assert np.array_equal(blocked[:, :, step], pis)
+            pis = wonham_step(pis, increments[:, None, step], 1e-3, model)
+        assert np.array_equal(blocked[:, :, -1], pis)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("step", [0, _BLOCK_STEPS - 1, _BLOCK_STEPS, N_STEPS - 1])
+    def test_degenerate_mass_names_its_step(self, cycle_model, rng, step):
+        increments = rng.normal(size=(3, self.N_STEPS, 1)) * 0.03
+        increments[1, step, 0] = np.inf
+        seen = []
+        with pytest.raises(DegenerateMass, match=f"^step {step}:"):
+            evolve_ensemble(CYCLE_MU[None], increments, 1e-3, cycle_model, lambda k, t, pis: seen.append(k))
+        assert seen == list(range(step + 1))
 
 
 class TestExactNoiselessFilter:
@@ -326,6 +382,15 @@ class TestNoiselessEngine:
                 assert np.array_equal(batch[p, k], alone)
                 oracle = _expm_oracle(prior, sp, OFF_CYCLE_A, OFF_CYCLE_H, dt)
                 np.testing.assert_allclose(alone, oracle, rtol=0.0, atol=1e-12)
+
+    def test_per_path_priors_equal_shared_prior_runs(self, model):
+        paths = [state_path(model, x0, 0.5, 11, stream=x0) for x0 in range(4)]
+        _assert_per_path_priors_filtered_alone(paths, 1e-2, model)
+
+    def test_per_path_priors_must_match_the_paths(self, model):
+        paths = [state_path(model, 0, 0.5, 11)]
+        with pytest.raises(DimensionMismatch):
+            evolve_noiseless_ensemble(np.full((1, 2, 4), 0.25), paths, 1e-2, model)
 
     def test_empty_level_set_inside_batch(self):
         # each state is its own level and the chain only moves 0 -> 1 -> 2 -> 0,
