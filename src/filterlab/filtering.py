@@ -21,11 +21,12 @@ by all paths or one per path, and every noisy pipeline calls it;
 wonham_step is one step broadcast over leading axes.
 
 For exactly noiseless observations (r = 0), evolve_noiseless_ensemble
-computes the conditional law exactly over a path ensemble, with priors
-shared or per path as well.  Between observed level changes the
+computes the conditional law exactly on the same (d, k, P) array, with
+priors shared or per path as well.  Between observed level changes the
 unnormalized law is pi_tau expm(A_LL (t - tau)), with A_LL the generator
-restricted to the observed level set L of h; at an observed level change
-mass moves along the generator's cross-level flux into the new level.
+restricted to the observed level set L of h: one einsum per step with the
+block-diagonal G of the expm(A_LL dt).  At an observed level change, redone
+on the path's column, mass moves along the cross-level flux.
 
 All exponentials come from numpy uniformization with scaling and squaring:
 its terms are nonnegative, so it has no cancellation, and it keeps
@@ -99,6 +100,8 @@ def _path_priors(priors, n_paths: int, d: int) -> np.ndarray:
     """Priors (k, d), shared by all paths, or (k, P, d), one row per path,
     as a validated (k, P, d) array; each distinct row is checked once."""
     priors = np.asarray(priors, float)
+    if n_paths == 0 or priors.size == 0:
+        raise DimensionMismatch(f"the ensemble needs paths and priors, got {n_paths} paths and priors {priors.shape}")
     if priors.ndim not in (2, 3) or priors.ndim == 3 and priors.shape[1] != n_paths:
         raise DimensionMismatch(f"priors must be (k, {d}) or (k, {n_paths}, {d}), got {priors.shape}")
     rows, where = np.unique(priors.reshape(-1, priors.shape[-1]), axis=0, return_inverse=True)
@@ -132,10 +135,10 @@ def evolve_ensemble(
     """Evolve k priors through P observation paths in lockstep.
 
     priors is (k, d), shared by all paths, or (k, P, d), one row per path,
-    and increments (P, n_steps, m).  observer(step, t, pis) is
-    called with step = 0 at t = 0 and then after every update; pis is the
-    (P, k, d) view of the state-major array and must not be mutated.
-    Returns the terminal states as such a view.
+    and increments (P, n_steps, m).  observer(step, t, pis) is called with
+    step = 0 at t = 0 and then after every update; pis is the (P, k, d) view
+    of the state-major array, not to be mutated and valid only during the
+    call.  Returns the terminal states as such a view.
     """
     if model.noiseless:
         raise NonPositiveNoise("noiseless model: use evolve_noiseless_ensemble")
@@ -155,7 +158,7 @@ def _subgenerator_expm(Q: np.ndarray, t: float) -> np.ndarray:
     squared s times.  All terms and products are nonnegative.
     """
     d = Q.shape[0]
-    lam = float(np.max(-np.diag(Q)))
+    lam = -float(Q.diagonal().min())
     if lam <= 0.0 or t <= 0.0:
         return np.eye(d)
     squarings = max(0, int(np.ceil(np.log2(lam * t))))
@@ -163,8 +166,8 @@ def _subgenerator_expm(Q: np.ndarray, t: float) -> np.ndarray:
     P = np.eye(d) + Q / lam
     term = np.eye(d)
     total = np.eye(d)
-    n = 0
-    while n < d or np.any(term > np.finfo(float).eps * total):
+    n, eps = 0, np.finfo(float).eps
+    while n < d or (term > eps * total).any():
         n += 1
         term = (term @ P) * (x / n)
         total += term
@@ -174,46 +177,35 @@ def _subgenerator_expm(Q: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def _level_propagator(A: np.ndarray, level: np.ndarray, t: float) -> np.ndarray:
-    """expm(A_LL t) embedded as a d x d matrix that is zero outside L x L."""
-    idx = np.flatnonzero(level)
-    out = np.zeros(A.shape)
-    out[np.ix_(idx, idx)] = _subgenerator_expm(A[np.ix_(idx, idx)], t)
-    return out
-
-
-def _normalized(pis: np.ndarray, context: str) -> np.ndarray:
-    mass = pis.sum(axis=-1)
-    if not np.all(np.isfinite(mass)) or np.any(mass <= 0.0):
-        raise EmptyLevelSet(f"{context}: no mass on the observed level")
-    return pis / mass[..., None]
+def _normalized_levels(S: np.ndarray, t: float, event: str = "") -> np.ndarray:
+    """S divided in place by its mass; EmptyLevelSet names t if some law has none."""
+    mass = _sum_rows(S)
+    if not mass.min() > 0.0:
+        raise EmptyLevelSet(f"{event}t = {t}: no mass on the observed level")
+    S /= mass
+    return S
 
 
 def evolve_noiseless_ensemble(
-    priors: np.ndarray,
-    state_paths,
-    dt: float,
-    model: HmmModel,
-    observer=None,
+    priors: np.ndarray, state_paths, dt: float, model: HmmModel, observer=None
 ) -> np.ndarray:
     """Exact conditional laws for noiseless observation Y_t = h(X_t).
 
     priors is (k, d) or (k, P, d) as in evolve_ensemble, and state_paths a
-    sequence of P paths on a common horizon T; the filter state array has
-    shape (P, k, d).  The law at t = 0 is each prior conditioned on the
-    observed initial level, since Y_0 = h(X_0) is data.  Each grid step is one batched product with the
-    precomputed propagator expm(A_LL dt) of every path's current level L.
-    The few paths whose observed level changes in (t_k, t_{k+1}] are redone
-    exactly: propagate to the change time tau with the level's semigroup,
-    move mass along the flux pi+(y) propto sum_x pi(x) A(x, y) over y in the
-    new level, and continue to t_{k+1}.  A change landing exactly on a grid
-    point belongs to the earlier step.  observer(step, t, pis) is called as
-    in evolve_ensemble.  Returns the terminal state array.  Raises
-    EmptyLevelSet when conditioning annihilates all mass (the model cannot
-    produce the observed level), naming the time, and GridMismatch when dt
-    does not divide T.
+    sequence of P paths on a common horizon T.  The law at t = 0 is each
+    prior conditioned on the observed initial level, since Y_0 = h(X_0) is
+    data.  Each grid step is one product of the state-major (d, k, P) array
+    with the block-diagonal G whose L x L block is expm(A_LL dt), exact as a
+    path's law is zero off its level L.  The column of a path whose observed
+    level changes in (t_k, t_{k+1}] is redone exactly: propagate to the
+    change time tau with the level's semigroup, move mass along the flux
+    pi+(y) propto sum_x pi(x) A(x, y) over y in the new level, and continue
+    to t_{k+1}; a change on a grid point belongs to the earlier step.
+    observer(step, t, pis) is called, and the states returned, as in
+    evolve_ensemble.  Raises EmptyLevelSet, naming the time, when no mass is
+    left on the observed level, and GridMismatch when dt does not divide T.
     """
-    priors = _path_priors(priors, len(state_paths), model.d).transpose(1, 0, 2)
+    priors = _path_priors(priors, len(state_paths), model.d)
     A, H = model.A, model.H
     T = state_paths[0].T
     if any(sp.T != T for sp in state_paths):
@@ -224,7 +216,17 @@ def evolve_noiseless_ensemble(
     same = np.all(H[:, None, :] == H[None, :, :], axis=-1)
     reps, level_of = np.unique(same.argmax(axis=1), return_inverse=True)
     levels = same[reps]
-    props = np.stack([_level_propagator(A, lv, dt) for lv in levels])
+    idx = [np.flatnonzero(lv) for lv in levels]
+    sub = [A[np.ix_(i, i)] for i in idx]
+    G = np.zeros(A.shape)
+    for i, Q in zip(idx, sub):
+        G[np.ix_(i, i)] = _subgenerator_expm(Q, dt)
+
+    def propagate(pi: np.ndarray, lv: int, span: float) -> np.ndarray:
+        """pi expm(A_LL span) for a (d, k) law pi on level lv."""
+        out = np.zeros_like(pi)
+        out[idx[lv]] = np.einsum("xy,xk->yk", _subgenerator_expm(sub[lv], span), pi[idx[lv]])
+        return out
 
     # events[step][path]: the path's observed level changes (tau, new level)
     events: dict[int, dict[int, list]] = {}
@@ -234,26 +236,24 @@ def evolve_noiseless_ensemble(
         steps = np.searchsorted(grid, sp.jump_times[changes], side="left") - 1
         for j, step in zip(changes, np.maximum(steps, 0)):
             if step < n_steps:
-                per_path = events.setdefault(int(step), {}).setdefault(p, [])
-                per_path.append((float(sp.jump_times[j]), int(lv[j])))
+                events.setdefault(int(step), {}).setdefault(p, []).append((float(sp.jump_times[j]), int(lv[j])))
 
     level = np.array([level_of[sp.states[0]] for sp in state_paths])
-    pis = _normalized(priors * levels[level][:, None, :], "t = 0")
+    S = _normalized_levels(np.ascontiguousarray(priors.transpose(2, 0, 1)) * levels[level].T[:, None, :], 0)
     if observer is not None:
-        observer(0, 0.0, pis)
+        observer(0, 0.0, S.transpose(2, 1, 0))
     for step in range(n_steps):
         t_end = float(grid[step + 1])
-        new = pis @ props[level]
+        new = np.einsum("xy,xkn->ykn", G, S)
         for p, changes in events.get(step, {}).items():
-            pi, t, lv = pis[p], float(grid[step]), level[p]
+            pi, t, lv = S[:, :, p], float(grid[step]), level[p]
             for tau, to_level in changes:
-                if tau > t:
-                    pi = _normalized(pi @ _level_propagator(A, levels[lv], tau - t), f"t = {tau}")
-                pi = _normalized((pi @ A) * levels[to_level], f"level jump at t = {tau}")
+                pi = _normalized_levels(propagate(pi, lv, tau - t), tau)
+                pi = _normalized_levels(np.einsum("xy,xk->yk", A, pi) * levels[to_level][:, None], tau, "level jump at ")
                 t, lv = tau, to_level
-            new[p] = pi @ _level_propagator(A, levels[lv], t_end - t) if t_end > t else pi
+            new[:, :, p] = propagate(pi, lv, t_end - t)
             level[p] = lv
-        pis = _normalized(new, f"t = {t_end}")
+        S = _normalized_levels(new, t_end)
         if observer is not None:
-            observer(step + 1, t_end, pis)
-    return pis
+            observer(step + 1, t_end, S.transpose(2, 1, 0))
+    return S.transpose(2, 1, 0)

@@ -384,7 +384,7 @@ def check_noiseless_identity(seed: int) -> CheckResult:
     nu = np.full(4, 0.25)
     rows = []
     evolve_noiseless_ensemble(
-        np.stack([mu, nu]), batch.state_paths, 1e-3, model, observer=lambda step, t, pis: rows.append(pis[0])
+        np.stack([mu, nu]), batch.state_paths, 1e-3, model, observer=lambda step, t, pis: rows.append(pis[0].copy())
     )
     pis = np.stack(rows, axis=1)  # (2, n + 1, d): the mu and nu filters
     gap = np.abs(pis[0] - pis[1]).sum(axis=1)

@@ -189,6 +189,12 @@ class TestEvolveEnsemble:
                 np.stack([CYCLE_MU]), rng.normal(size=(3, 40)), 1e-3, cycle_model
             )
 
+    def test_empty_ensemble_rejected(self, cycle_model):
+        with pytest.raises(DimensionMismatch, match="got 0 paths"):
+            evolve_ensemble(CYCLE_MU[None], np.zeros((0, 10, 1)), 1e-3, cycle_model)
+        with pytest.raises(DimensionMismatch, match=r"priors \(0, 4\)"):
+            evolve_ensemble(np.zeros((0, 4)), np.zeros((3, 10, 1)), 1e-3, cycle_model)
+
 
 def _assert_per_path_priors_filtered_alone(data, dt, model):
     """(k, P, d) priors give each path the numbers of its own (k, d) run."""
@@ -358,30 +364,64 @@ class TestNoiselessEngine:
         paths = [
             # two observed level changes inside step 1
             StatePath(np.array([0.0, 0.012, 0.017]), np.array([0, 1, 0]), 0.05),
-            # an observed level change exactly on the grid point t_3
+            # an observed level change exactly on the grid point t_3, which
+            # belongs to step 2
             StatePath(np.array([0.0, grid[3]]), np.array([2, 3]), 0.05),
             # a jump inside a level, then an observed level change
             StatePath(np.array([0.0, 0.025, 0.041]), np.array([0, 2, 3]), 0.05),
             state_path(model, 1, 0.05, 3, stream=1),
             StatePath(np.array([0.0]), np.array([3]), 0.05),
+            # two more paths whose observed level changes inside step 2
+            StatePath(np.array([0.0, 0.023]), np.array([1, 2]), 0.05),
+            StatePath(np.array([0.0, 0.027, 0.029]), np.array([0, 3, 2]), 0.05),
         ]
-        priors = np.stack([np.full(4, 0.25), np.array([0.1, 0.2, 0.3, 0.4])])
+        rows = np.stack([np.full(4, 0.25), np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.4, 0.3, 0.2, 0.1])])
+        priors = rows[[[0, 1, 2, 0, 1, 2, 1], [1, 2, 0, 2, 0, 1, 1]]]  # (k = 2, P = 7, d)
         seen = []
 
         def observer(step, t, pis):
             seen.append((step, t, pis.copy()))
 
         terminal = evolve_noiseless_ensemble(priors, paths, dt, model, observer)
-        assert terminal.shape == (5, 2, 4)
+        assert terminal.shape == (7, 2, 4)
         assert [(step, t) for step, t, _ in seen] == [(k, k * dt) for k in range(6)]
         batch = np.stack([pis for _, _, pis in seen], axis=2)  # (P, k, n + 1, d)
         assert np.array_equal(batch[:, :, -1], terminal)
         for p, sp in enumerate(paths):
-            for k, prior in enumerate(priors):
-                alone = filter_states(prior, [sp], dt, model)[0, 0]
-                assert np.array_equal(batch[p, k], alone)
+            alone = filter_states(priors[:, p], [sp], dt, model)[0]
+            assert np.array_equal(batch[p], alone)
+            for k, prior in enumerate(priors[:, p]):
                 oracle = _expm_oracle(prior, sp, OFF_CYCLE_A, OFF_CYCLE_H, dt)
-                np.testing.assert_allclose(alone, oracle, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(alone[k], oracle, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3])
+    def test_matches_expm_oracle_on_uneven_interleaved_levels(self, dt):
+        # levels {0, 2, 4}, {1} and {3}: blocks of different sizes whose
+        # states interleave; a single-state level's block is the scalar
+        # exp(A(x, x) dt), and its law the point mass whatever that scalar
+        A = np.array(
+            [
+                [-3.0, 1.0, 1.0, 0.0, 1.0],
+                [0.5, -1.5, 0.5, 0.5, 0.0],
+                [1.0, 0.0, -2.5, 1.0, 0.5],
+                [0.5, 0.5, 0.0, -1.5, 0.5],
+                [1.0, 0.5, 0.5, 0.5, -2.5],
+            ]
+        )
+        h = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
+        model = validate_model(A, h, 0.0, allow_noiseless=True)
+        sp = state_path(model, 0, 3.0, 7)
+        levels = h[sp.states]
+        assert set(levels) == {0.0, 1.0, 2.0}
+        assert np.count_nonzero(levels[1:] != levels[:-1]) >= 4
+        prior = np.array([0.1, 0.15, 0.2, 0.25, 0.3])
+        pis = filter_states(prior, [sp], dt, model)[0, 0]
+        oracle = _expm_oracle(prior, sp, A, h, dt)
+        np.testing.assert_allclose(pis, oracle, rtol=0.0, atol=1e-12)
+
+    def test_empty_ensemble_rejected(self, model):
+        with pytest.raises(DimensionMismatch, match="got 0 paths"):
+            evolve_noiseless_ensemble(np.full((1, 4), 0.25), [], 1e-2, model)
 
     def test_per_path_priors_equal_shared_prior_runs(self, model):
         paths = [state_path(model, x0, 0.5, 11, stream=x0) for x0 in range(4)]
