@@ -38,6 +38,7 @@ from .ensemble import (
     EnsembleDivergence,
     PathBatch,
     run_divergence_ensemble,
+    run_divergence_sweep,
     sample_path_batch,
 )
 from .errors import (
@@ -130,6 +131,7 @@ __all__ = [
     "rate_bounds",
     "run_backward_map",
     "run_divergence_ensemble",
+    "run_divergence_sweep",
     "run_simulate",
     "run_structure",
     "run_verify",

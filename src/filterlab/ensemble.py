@@ -1,15 +1,15 @@
 """Reproducible Monte Carlo ensembles of signal paths and filter statistics.
 
 Every path owns the random stream (master_seed, stream_offset + path_index),
-so its draws depend only on its index.  sample_path_batch is the one
-sampler: it samples its paths with one Generator re-keyed per path, and
-builds the grid, the initial law's CDF and the jump tables once; each path
-equals a one-path batch on its stream, bit for bit.  All paths of an
-ensemble, and any extra paths sampled under nu for their nu-filters, are
-filtered in one lockstep pass; ensemble reductions happen once, in
-path-index order.  The divergence observer copies each step's filter pairs
-into a state-major (d, 2, steps, P) block and computes chi2, kl, tv and
-the signal and drift integrals once per block of steps; the values equal
+so its draws depend only on its index, and each path equals a one-path
+batch on its stream, bit for bit.  The draws (X_0, jump chain, unit
+normals) depend on neither r nor H, so a sweep draws them once and forms
+each model's increments from them.  All paths of an ensemble, and any
+extra paths sampled under nu for their nu-filters, are filtered in one
+lockstep pass; ensemble reductions happen once, in path-index order.  The
+divergence observer copies each step's filter pairs into a state-major
+(d, 2, steps, P) block and computes chi2, kl, tv and, on request, the
+signal and drift integrals once per block of steps; the values equal
 those of a reduction at every step, bit for bit.
 """
 
@@ -23,22 +23,14 @@ from .divergence import DivergenceSeries, _divergences, chi2_drift_batch
 from .errors import DegenerateMass, DimensionMismatch, EmptyLevelSet, NonPositiveNoise
 from .filtering import _BLOCK_STEPS, evolve_ensemble, evolve_noiseless_ensemble
 from .model import HmmModel, as_simplex
-from .sim import (
-    StatePath,
-    _draw,
-    _fill_increments,
-    _grid_steps,
-    _jump_chain,
-    _jump_tables,
-    _rekey,
-    spawn_rng,
-)
+from .sim import StatePath, _add_drift, _draw_paths, _grid_steps, _jump_tables
 
 __all__ = [
     "PathBatch",
     "sample_path_batch",
     "EnsembleDivergence",
     "run_divergence_ensemble",
+    "run_divergence_sweep",
 ]
 
 
@@ -78,9 +70,10 @@ def sample_path_batch(
 
     Path i uses the stream (master_seed, stream_offset + i) for its initial
     state (from initial_law, unless initial_state pins it), its jump
-    skeleton, and its observation noise (none for a noiseless model, whose
-    batch carries no increments), drawn in that order from the start of
-    the stream.  Either initial_law or initial_state must be given, and T
+    skeleton, and its unit observation noise (none for a noiseless model,
+    whose batch carries no increments), drawn in that order from the start
+    of the stream; increments are r sqrt(dt) times the noise plus the exact
+    drift.  Either initial_law or initial_state must be given, and T
     must be positive and dt divide it within 1e-9 (GridMismatch otherwise,
     for every model).
     """
@@ -89,20 +82,12 @@ def sample_path_batch(
     n_steps = _grid_steps(T, dt)
     if initial_state is not None and not 0 <= initial_state < model.d:
         raise DimensionMismatch(f"x0 = {initial_state} outside state space of size {model.d}")
-    cdf = None if initial_law is None else np.cumsum(as_simplex(initial_law, d=model.d)).tolist()
-    tables = _jump_tables(model.A)
-    T = float(T)
-    grid = np.arange(n_steps + 1) * dt
-    scale = model.r * np.sqrt(dt)
+    start = int(initial_state) if initial_law is None else np.cumsum(as_simplex(initial_law, d=model.d)).tolist()
     increments = None if model.noiseless else np.empty((n_paths, n_steps, model.m))
-    rng = spawn_rng(master_seed, stream_offset).generator()
-    paths = []
-    for i in range(n_paths):
-        _rekey(rng, master_seed, stream_offset + i)
-        x0 = int(initial_state) if cdf is None else _draw(cdf, rng)
-        paths.append(_jump_chain(tables, x0, T, rng))
-        if increments is not None:
-            _fill_increments(increments[i], paths[i], model.H, grid, scale, rng)
+    paths = _draw_paths(_jump_tables(model.A), [start] * n_paths, float(T), master_seed, stream_offset, increments)
+    if increments is not None:
+        increments *= model.r * np.sqrt(dt)
+        _add_drift(increments, paths, model.H, np.arange(n_steps + 1) * dt)
     return PathBatch(state_paths=tuple(paths), increments=increments, dt=float(dt))
 
 
@@ -110,10 +95,11 @@ def sample_path_batch(
 class EnsembleDivergence:
     """Divergence series between two filters over a path ensemble.
 
-    series holds per-path chi2/kl/tv.  signal_integral[i, k] is the running
-    integral of |pi_s^mu(h/r) - pi_s^nu(h/r)|^2 up to time t_k along path i (the
-    quantity in the pathwise relative-entropy identity); drift_integral is
-    the integrated chi-square drift, present only when recorded.
+    series holds per-path chi2/kl/tv.  When the integrals are recorded,
+    signal_integral[i, k] is the running integral of
+    |pi_s^mu(h/r) - pi_s^nu(h/r)|^2 up to time t_k along path i (the
+    quantity in the pathwise relative-entropy identity) and drift_integral
+    the integrated chi-square drift; both are None otherwise.
     terminal_pis stacks the final filter states as (n_paths, 2, d) in the
     order (from_mu, from_nu).  nu_filters holds the nu-filter states
     (nu_paths, n + 1, d) of the extra paths sampled under nu.
@@ -135,37 +121,65 @@ def run_divergence_ensemble(
     T: float,
     dt: float,
     master_seed: int,
-    record_drift: bool = False,
+    record_integrals: bool = False,
     nu_paths: int = 0,
 ) -> EnsembleDivergence:
     """Divergence series between the filters started from mu and nu.
 
-    Signal paths are sampled under mu.  nu_paths more paths, sampled under
-    nu on the streams n_paths .. n_paths + nu_paths - 1, ride in the same
-    engine call with nu in both prior slots (mu need not charge the class
-    or level a nu path is in, and its filter could lose all mass there);
-    their nu-filter states come back as nu_filters, and the divergences,
-    terminal_pis and initial_states cover the mu paths only.  A noiseless
-    model routes every path through the exact level-set filter (drift
-    recording is not defined there).  The observer copies each step's
-    filter pairs into a state-major block of _BLOCK_STEPS steps and reduces
-    the block at once; an AbsoluteContinuityViolation is raised by the
-    flush of its block, which runs before any later error of the engine
-    propagates.
+    The one-model run_divergence_sweep.  Signal paths are sampled under mu.
+    nu_paths more paths, sampled under nu on the streams n_paths .. n_paths
+    + nu_paths - 1, ride in the same engine call with nu in both prior
+    slots (mu need not charge the class or level a nu path is in, and its
+    filter could lose all mass there); their nu-filter states come back as
+    nu_filters, and the divergences, terminal_pis and initial_states cover
+    the mu paths only.  A noiseless model routes every path through the
+    exact level-set filter; record_integrals, which adds the signal and
+    drift integrals, needs a noisy one (NonPositiveNoise).  The observer
+    reduces blocks of _BLOCK_STEPS steps; an AbsoluteContinuityViolation is
+    raised by the flush of its block, which runs before any later error of
+    the engine propagates.
     """
-    mu = as_simplex(mu, d=model.d)
-    nu = as_simplex(nu, d=model.d)
-    if model.noiseless and record_drift:
-        raise NonPositiveNoise("drift recording needs a noisy observation model")
-    n_steps = _grid_steps(T, dt)
-    batch = sample_path_batch(model, n_paths, T, dt, master_seed, initial_law=mu)
-    extra = sample_path_batch(model, nu_paths, T, dt, master_seed, initial_law=nu, stream_offset=n_paths)
+    return next(run_divergence_sweep([model], mu, nu, n_paths, T, dt, master_seed, record_integrals, nu_paths))
+
+
+def run_divergence_sweep(models, mu, nu, n_paths, T, dt, master_seed, record_integrals=False, nu_paths=0):
+    """Yield run_divergence_ensemble of each model in turn, from one draw.
+
+    The models share A and the shape of H (DimensionMismatch otherwise), so
+    the paths and unit normals are drawn once; a noisy model's increments
+    are r sqrt(dt) times the normals plus the exact drift of its H, which is
+    computed once per run of equal H.  Each ensemble equals its one-model
+    run bit for bit and is computed when asked for.
+    """
+    models = list(models)
+    if not models or any(not np.array_equal(m.A, models[0].A) or m.H.shape != models[0].H.shape for m in models):
+        raise DimensionMismatch("a sweep needs models that share A and the shape of H")
+    if record_integrals and any(m.noiseless for m in models):
+        raise NonPositiveNoise("the signal and drift integrals need a noisy observation model")
+    mu, nu = as_simplex(mu, d=models[0].d), as_simplex(nu, d=models[0].d)
+    grid = np.arange(_grid_steps(T, dt) + 1) * dt
+    starts = [np.cumsum(mu).tolist()] * n_paths + [np.cumsum(nu).tolist()] * nu_paths
+    normals = None if all(m.noiseless for m in models) else np.empty((len(starts), len(grid) - 1, models[0].m))
+    paths = _draw_paths(_jump_tables(models[0].A), starts, float(T), master_seed, 0, normals)
+    H = drift = None
+    for model in models:
+        if not model.noiseless and not np.array_equal(model.H, H):
+            H, drift = model.H, None  # drop the old drift before allocating the new
+            drift = np.zeros_like(normals)
+            _add_drift(drift, paths, H, grid)
+        yield _divergence_pass(model, mu, nu, paths, n_paths, grid, dt, record_integrals, normals, drift)
+
+
+def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals, normals, drift_steps):
+    """One lockstep pass of the mu and nu filters with the block divergence observer."""
+    n_steps = len(times) - 1
+    nu_paths = len(paths) - n_paths
     nu_filters = np.empty((nu_paths, n_steps + 1, model.d))
     chi2_v = np.empty((n_paths, n_steps + 1))
     kl_v = np.empty((n_paths, n_steps + 1))
     tv_v = np.empty((n_paths, n_steps + 1))
-    signal = None if model.noiseless else np.empty((n_paths, n_steps + 1))
-    drift = np.empty((n_paths, n_steps + 1)) if record_drift else None
+    signal = np.empty((n_paths, n_steps + 1)) if record_integrals else None
+    drift = np.empty((n_paths, n_steps + 1)) if record_integrals else None
     hu = model.h_unit
     signal_acc = np.zeros(n_paths)
     drift_acc = np.zeros(n_paths)
@@ -184,8 +198,7 @@ def run_divergence_ensemble(
         # the pairs of the steps before n_steps start an integral increment
         p, q = np.moveaxis(pq[:, :, : min(k1, n_steps) - k0], 0, -1)
         _accumulate(signal, signal_acc, k0, (((p - q) @ hu) ** 2).sum(axis=-1) * dt)
-        if drift is not None:
-            _accumulate(drift, drift_acc, k0, chi2_drift_batch(p, q, model) * dt)
+        _accumulate(drift, drift_acc, k0, chi2_drift_batch(p, q, model) * dt)
 
     def observer(step: int, t: float, pis: np.ndarray) -> None:
         nonlocal seen
@@ -199,10 +212,10 @@ def run_divergence_ensemble(
     priors = np.concatenate([pairs, np.broadcast_to(nu, (2, nu_paths, model.d))], axis=1)
     try:
         if model.noiseless:
-            paths = batch.state_paths + extra.state_paths
             terminal = evolve_noiseless_ensemble(priors, paths, dt, model, observer=observer)
         else:
-            increments = np.concatenate([batch.increments, extra.increments])
+            increments = normals * (model.r * np.sqrt(dt))
+            increments += drift_steps
             terminal = evolve_ensemble(priors, increments, dt, model, observer=observer)
     except (DegenerateMass, EmptyLevelSet):
         # an earlier step's AbsoluteContinuityViolation wins over the engine's error
@@ -210,14 +223,13 @@ def run_divergence_ensemble(
             flush()
         raise
 
-    times = np.arange(n_steps + 1) * dt
     series = DivergenceSeries(times=times, chi2=chi2_v, kl=kl_v, tv=tv_v)
     return EnsembleDivergence(
         series=series,
         signal_integral=signal,
         drift_integral=drift,
         terminal_pis=terminal[:n_paths],
-        initial_states=batch.initial_states,
+        initial_states=np.array([sp.states[0] for sp in paths[:n_paths]], dtype=int),
         nu_filters=nu_filters,
     )
 

@@ -62,6 +62,12 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _mass(S: np.ndarray) -> np.ndarray:
+    """_sum_rows(S) for a C-contiguous S: one reduction adds its rows in
+    order, except a single column, which numpy sums pairwise from 8 rows."""
+    return np.add.reduce(S, axis=0) if S.size > len(S) else _sum_rows(S)
+
+
 def _split_steps(S: np.ndarray, increments: np.ndarray, dt: float, model: HmmModel, observer=None):
     """Advance the state-major array S (d, k, P) through increments (P, n, m).
 
@@ -87,7 +93,7 @@ def _split_steps(S: np.ndarray, increments: np.ndarray, dt: float, model: HmmMod
         for step, w in enumerate(np.exp(lw, out=lw), start):
             S = np.einsum("xy,xkn->ykn", E, S)
             S *= w[:, None, :]
-            mass = _sum_rows(S)
+            mass = _mass(S)
             if not mass.min() > 0.0:
                 raise DegenerateMass(f"step {step}: filter mass vanished; check the increments")
             S /= mass
@@ -179,7 +185,7 @@ def _subgenerator_expm(Q: np.ndarray, t: float) -> np.ndarray:
 
 def _normalized_levels(S: np.ndarray, t: float, event: str = "") -> np.ndarray:
     """S divided in place by its mass; EmptyLevelSet names t if some law has none."""
-    mass = _sum_rows(S)
+    mass = _mass(S)
     if not mass.min() > 0.0:
         raise EmptyLevelSet(f"{event}t = {t}: no mass on the observed level")
     S /= mass

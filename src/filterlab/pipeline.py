@@ -27,7 +27,7 @@ from .divergence import (
     write_series_csv,
 )
 from .dual import backward_map_study, theorem2_envelope, write_backward_map_csv
-from .ensemble import run_divergence_ensemble
+from .ensemble import run_divergence_sweep
 from .errors import (
     AssumptionA1Violated,
     ConfigError,
@@ -110,8 +110,9 @@ def run_simulate(
 ) -> dict:
     """Full divergence pipeline over the configured sweep.
 
-    Per sweep value, one lockstep filter pass: the ensemble under the mu
-    path law, filtered from mu and nu on shared observations, plus
+    The sweep draws its paths and unit noise once; every value sees the
+    same paths.  Per value, one lockstep filter pass: the ensemble under
+    the mu path law, filtered from mu and nu on shared observations, plus
     PI_TRAJECTORY_PATHS paths sampled under nu on the streams after it,
     whose nu-filters give the conditional-PI infimum.  Then the divergence
     series with a chi-square rate fit, and the multiplicative decay
@@ -131,11 +132,12 @@ def run_simulate(
         "kl": kl(cfg.mu, cfg.nu),
         "tv": tv(cfg.mu, cfg.nu),
     }
-    for value in values:
-        model = model_for_sweep_value(cfg, value)
-        ens = run_divergence_ensemble(
-            model, cfg.mu, cfg.nu, cfg.n_paths, cfg.T, cfg.dt, cfg.master_seed, nu_paths=PI_TRAJECTORY_PATHS
-        )
+    models = [model_for_sweep_value(cfg, value) for value in values]
+    ensembles = run_divergence_sweep(
+        models, cfg.mu, cfg.nu, cfg.n_paths, cfg.T, cfg.dt, cfg.master_seed, nu_paths=PI_TRAJECTORY_PATHS
+    )
+    for value, model in zip(values, models):
+        ens = next(ensembles)
         series = ens.series
         fit_payload, fit_note = _fit_payload(series, cfg.rate_window)
 
@@ -198,6 +200,8 @@ def run_simulate(
                 )
                 artifacts.append(plot_path)
         sweep_reports.append(entry)
+        # drop this value's ensemble before the next one allocates its arrays
+        del ens, series
 
     report = {
         "command": "simulate",

@@ -9,12 +9,11 @@ Randomness comes from counter-based streams: spawn_rng(master_seed, stream_id)
 keys an independent Philox generator, so any path can be regenerated in
 isolation and its draws never depend on which other paths are sampled.
 
-The helpers here are the parts of ensemble.sample_path_batch, the one
-sampler: it builds the jump tables (_jump_tables) and the grid
-(_grid_steps) once per batch, and per path re-keys one Generator with
-_rekey, which positions it where RngStream.generator() starts, then draws
-X_0 (_draw), the jump chain (_jump_chain) and the increments
-(_fill_increments).
+The helpers here are the parts of ensemble's sampling: the jump tables
+(_jump_tables) and the grid (_grid_steps), the draws of a path (_draw_paths:
+one Generator re-keyed by _rekey to where RngStream.generator() starts,
+then X_0, the jump chain and the unit normals) and the exact drift added
+to the scaled normals (_add_drift).
 """
 
 from __future__ import annotations
@@ -164,26 +163,33 @@ def _grid_steps(T: float, dt: float) -> int:
     return n_steps
 
 
-def _fill_increments(
-    out: np.ndarray, path: StatePath, H: np.ndarray, grid: np.ndarray, scale: float, rng: np.random.Generator
-) -> None:
-    """Write the observation increments of path on grid into out (n_steps, m).
+def _draw_paths(tables, starts, T: float, master_seed: int, stream_offset: int, normals=None) -> list[StatePath]:
+    """Path i reads stream (master_seed, stream_offset + i) from its start:
+    X_0 (starts[i], or drawn from it when it is a cumulative law), the jump
+    chain on [0, T] with tables from _jump_tables, then, if normals is
+    given, the standard normals normals[i] of its observation noise."""
+    rng = spawn_rng(master_seed, stream_offset).generator()
+    paths = []
+    for i, start in enumerate(starts):
+        _rekey(rng, master_seed, stream_offset + i)
+        paths.append(_jump_chain(tables, start if isinstance(start, int) else _draw(start, rng), T, rng))
+        if normals is not None:
+            rng.standard_normal(out=normals[i])
+    return paths
 
-    out first holds scale times standard normals drawn from rng (zeros, and
-    no draws, when scale is 0), then gains the exact drift increments
-    D(t_{k+1}) - D(t_k) of D(t) = int_0^t h(X_s) ds.  D is piecewise linear
-    with knots at the jump times; grid values come from linear interpolation
-    of the exact knot values, so increments telescope to D(T) at machine
-    precision.
+
+def _add_drift(out: np.ndarray, paths, H: np.ndarray, grid: np.ndarray) -> None:
+    """Add the exact drift increments of each path on grid to out (P, n_steps, m).
+
+    Path i gains D(t_{k+1}) - D(t_k) of D(t) = int_0^t h(X_s) ds.  D is
+    piecewise linear with knots at the jump times; grid values come from
+    linear interpolation of the exact knot values, so increments telescope
+    to D(T) at machine precision.
     """
-    if scale > 0.0:
-        rng.standard_normal(out=out)
-        out *= scale
-    else:
-        out[:] = 0.0
-    knots = np.concatenate((path.jump_times, (path.T,)))
-    cum = np.zeros((len(knots), H.shape[1]))
-    np.cumsum(H.take(path.states, axis=0) * (knots[1:] - knots[:-1])[:, None], axis=0, out=cum[1:])
-    for j in range(H.shape[1]):
-        drift = np.interp(grid, knots, cum[:, j])
-        out[:, j] += drift[1:] - drift[:-1]
+    for row, path in zip(out, paths):
+        knots = np.concatenate((path.jump_times, (path.T,)))
+        cum = np.zeros((len(knots), H.shape[1]))
+        np.cumsum(H.take(path.states, axis=0) * (knots[1:] - knots[:-1])[:, None], axis=0, out=cum[1:])
+        for j in range(H.shape[1]):
+            drift = np.interp(grid, knots, cum[:, j])
+            row[:, j] += drift[1:] - drift[:-1]

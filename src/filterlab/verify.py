@@ -401,8 +401,8 @@ def check_rerun_determinism(seed: int) -> CheckResult:
     model = _cycle_model()
     mu = [0.35, 0.35, 0.15, 0.15]
     nu = [0.25] * 4
-    a = run_divergence_ensemble(model, mu, nu, 12, 0.5, 1e-3, seed)
-    b = run_divergence_ensemble(model, mu, nu, 12, 0.5, 1e-3, seed)
+    a = run_divergence_ensemble(model, mu, nu, 12, 0.5, 1e-3, seed, record_integrals=True)
+    b = run_divergence_ensemble(model, mu, nu, 12, 0.5, 1e-3, seed, record_integrals=True)
     same = (
         np.array_equal(a.series.chi2, b.series.chi2)
         and np.array_equal(a.series.kl, b.series.kl)
@@ -455,7 +455,7 @@ def check_kl_supermartingale_and_clark(seed: int, size: int) -> list[CheckResult
     """Mean KL non-increasing at anchors; pathwise entropy bound at anchors."""
     cfg = preset_config("example-6.1")
     model = _cycle_model()
-    ens = run_divergence_ensemble(model, cfg.mu, cfg.nu, size, 5.0, 1e-3, seed)
+    ens = run_divergence_ensemble(model, cfg.mu, cfg.nu, size, 5.0, 1e-3, seed, record_integrals=True)
     anchors = _anchor_indices(ens.series.times, 0.1)
     return [
         kl_supermartingale(ens, anchors),
@@ -476,7 +476,7 @@ def check_weak_drift(seed: int, size: int) -> CheckResult:
     model = validate_model(A, H, 1.0)
     mu = 0.85 * rng.dirichlet(np.ones(d)) + 0.05
     nu = 0.85 * rng.dirichlet(np.ones(d)) + 0.05
-    ens = run_divergence_ensemble(model, mu, nu, size, 2.0, 1e-3, seed, record_drift=True)
+    ens = run_divergence_ensemble(model, mu, nu, size, 2.0, 1e-3, seed, record_integrals=True)
     return chi2_weak_dynamics(ens, _anchor_indices(ens.series.times, 0.5)[1:])
 
 

@@ -16,7 +16,7 @@ from filterlab import verify
 from filterlab.config import model_for_sweep_value, preset_config
 from filterlab.divergence import fit_exponential_rate, kl
 from filterlab.dual import backward_map_study, theorem2_envelope
-from filterlab.ensemble import run_divergence_ensemble, sample_path_batch
+from filterlab.ensemble import run_divergence_ensemble, run_divergence_sweep, sample_path_batch
 from filterlab.model import is_ergodic, observable_space, validate_model
 from filterlab.poincare import classical_pi_constant, trajectory_pi_infimum
 
@@ -44,27 +44,24 @@ def blocks_cfg():
 @pytest.fixture(scope="module")
 def sweep61(cycle_cfg):
     """sigma^2 sweep ensembles for the cycle preset (owned by criterion 4)."""
-    out = {}
     start = time.perf_counter()
-    for sigma2 in (0.1, 1.0, 10.0):
-        model = model_for_sweep_value(cycle_cfg, sigma2)
-        out[sigma2] = run_divergence_ensemble(
-            model, cycle_cfg.mu, cycle_cfg.nu, 200, 10.0, 1e-3, SEED
-        )
-    return out, time.perf_counter() - start
+    values = (0.1, 1.0, 10.0)
+    models = [model_for_sweep_value(cycle_cfg, sigma2) for sigma2 in values]
+    # criterion 9 reads the signal integral
+    ensembles = run_divergence_sweep(
+        models, cycle_cfg.mu, cycle_cfg.nu, 200, 10.0, 1e-3, SEED, record_integrals=True
+    )
+    return dict(zip(values, ensembles)), time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def sweep62(blocks_cfg):
     """k sweep ensembles for the blocks preset (owned by criterion 5)."""
-    out = {}
     start = time.perf_counter()
-    for k in (0.0, 1.0, 2.0, 4.0):
-        model = model_for_sweep_value(blocks_cfg, k)
-        out[k] = run_divergence_ensemble(
-            model, blocks_cfg.mu, blocks_cfg.nu, 200, 10.0, 1e-3, SEED
-        )
-    return out, time.perf_counter() - start
+    values = (0.0, 1.0, 2.0, 4.0)
+    models = [model_for_sweep_value(blocks_cfg, k) for k in values]
+    ensembles = run_divergence_sweep(models, blocks_cfg.mu, blocks_cfg.nu, 200, 10.0, 1e-3, SEED)
+    return dict(zip(values, ensembles)), time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +277,7 @@ def test_criterion_10_integrated_drift_matches_chi2_increments():
     mu = interior_simplex(rng, 3)
     nu = interior_simplex(rng, 3)
     ens = run_divergence_ensemble(
-        model, mu, nu, 500, 2.0, 1e-3, SEED, record_drift=True
+        model, mu, nu, 500, 2.0, 1e-3, SEED, record_integrals=True
     )
     indices = [int(round(t_check / 1e-3)) for t_check in (0.5, 1.0, 2.0)]
     r = verify.chi2_weak_dynamics(ens, indices)

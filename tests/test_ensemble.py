@@ -15,7 +15,7 @@ import filterlab
 from conftest import CYCLE_MU, CYCLE_NU, random_generator_matrix
 from filterlab.config import model_for_sweep_value, preset_config
 from filterlab.divergence import _divergence_batch, chi2, chi2_drift_batch
-from filterlab.ensemble import run_divergence_ensemble, sample_path_batch
+from filterlab.ensemble import run_divergence_ensemble, run_divergence_sweep, sample_path_batch
 from filterlab.errors import (
     AbsoluteContinuityViolation,
     DimensionMismatch,
@@ -182,19 +182,21 @@ class TestRunDivergenceEnsemble:
 
     def test_signal_integral_starts_at_zero_and_grows(self, cycle_model):
         ens = run_divergence_ensemble(
-            cycle_model, CYCLE_MU, CYCLE_NU, 4, 0.5, 1e-3, 1
+            cycle_model, CYCLE_MU, CYCLE_NU, 4, 0.5, 1e-3, 1, record_integrals=True
         )
         assert np.all(ens.signal_integral[:, 0] == 0.0)
         assert np.all(np.diff(ens.signal_integral, axis=1) >= 0.0)
 
     def test_drift_recording_optional(self, cycle_model):
+        # both integrals are computed only on request
         plain = run_divergence_ensemble(cycle_model, CYCLE_MU, CYCLE_NU, 3, 0.2, 1e-3, 0)
-        assert plain.drift_integral is None
+        assert plain.signal_integral is None and plain.drift_integral is None
         rec = run_divergence_ensemble(
-            cycle_model, CYCLE_MU, CYCLE_NU, 3, 0.2, 1e-3, 0, record_drift=True
+            cycle_model, CYCLE_MU, CYCLE_NU, 3, 0.2, 1e-3, 0, record_integrals=True
         )
-        assert rec.drift_integral.shape == (3, 201)
-        assert np.all(rec.drift_integral[:, 0] == 0.0)
+        for integral in (rec.signal_integral, rec.drift_integral):
+            assert integral.shape == (3, 201)
+            assert np.all(integral[:, 0] == 0.0)
         # recording must not perturb the filter path
         assert np.array_equal(plain.series.chi2, rec.series.chi2)
 
@@ -209,7 +211,7 @@ class TestRunDivergenceEnsemble:
     def test_noiseless_drift_recording_rejected(self, cycle_noiseless):
         with pytest.raises(NonPositiveNoise):
             run_divergence_ensemble(
-                cycle_noiseless, CYCLE_MU, CYCLE_NU, 2, 0.5, 1e-3, 0, record_drift=True
+                cycle_noiseless, CYCLE_MU, CYCLE_NU, 2, 0.5, 1e-3, 0, record_integrals=True
             )
 
     def test_absolute_continuity_violation_raised(self, cycle_model):
@@ -263,7 +265,43 @@ class TestRunDivergenceEnsemble:
         assert out.stdout.strip() == "[]"
 
 
-def _per_step_reference(model, mu, nu, n_paths, T, dt, seed, record_drift):
+class TestRunDivergenceSweep:
+    """A sweep draws its paths and noise once; each value's ensemble equals
+    its one-model run bit for bit."""
+
+    @pytest.mark.parametrize(
+        "preset, values, record_integrals",
+        [
+            ("example-6.1", (0.0, 0.1, 1.0, 10.0), False),
+            # k = 2.5: the drift of k H is not k times the drift of H
+            ("example-6.2", (0.0, 1.0, 2.5), True),
+        ],
+    )
+    def test_each_value_equals_its_one_model_run(self, preset, values, record_integrals):
+        cfg = preset_config(preset)
+        models = [model_for_sweep_value(cfg, value) for value in values]
+        args = (cfg.mu, cfg.nu, 10, 0.2, 1e-3, 11, record_integrals, 3)
+        for model, ens in zip(models, run_divergence_sweep(models, *args)):
+            alone = run_divergence_ensemble(model, *args)
+            for got, want in [
+                (ens.series.chi2, alone.series.chi2),
+                (ens.series.kl, alone.series.kl),
+                (ens.series.tv, alone.series.tv),
+                (ens.terminal_pis, alone.terminal_pis),
+                (ens.nu_filters, alone.nu_filters),
+                (ens.initial_states, alone.initial_states),
+            ]:
+                assert got.tobytes() == want.tobytes()
+            for got, want in [(ens.signal_integral, alone.signal_integral), (ens.drift_integral, alone.drift_integral)]:
+                assert (got is None) == (want is None) == (not record_integrals)
+                assert got is None or got.tobytes() == want.tobytes()
+
+    def test_models_must_share_the_generator(self, cycle_model, blocks_model):
+        with pytest.raises(DimensionMismatch):
+            next(run_divergence_sweep([cycle_model, blocks_model], CYCLE_MU, CYCLE_NU, 2, 0.1, 1e-2, 0))
+
+
+def _per_step_reference(model, mu, nu, n_paths, T, dt, seed, record_integrals):
     """The ensemble's outputs with every reduction done at its own step."""
     batch = sample_path_batch(model, n_paths, T, dt, seed, initial_law=mu)
     n_steps = round(T / dt)
@@ -276,10 +314,9 @@ def _per_step_reference(model, mu, nu, n_paths, T, dt, seed, record_drift):
         chi2_v[:, step], kl_v[:, step], tv_v[:, step] = _divergence_batch(p, q)
         signal[:, step] = signal_acc
         drift[:, step] = drift_acc
-        if step < n_steps and not model.noiseless:
+        if step < n_steps and record_integrals:
             signal_acc[:] += (((p - q) @ model.h_unit) ** 2).sum(axis=1) * dt
-            if record_drift:
-                drift_acc[:] += chi2_drift_batch(p, q, model) * dt
+            drift_acc[:] += chi2_drift_batch(p, q, model) * dt
 
     priors = np.stack([mu, nu])
     if model.noiseless:
@@ -302,8 +339,8 @@ class TestBlockedObserver:
         model = validate_model(random_generator_matrix(rng, 4), rng.normal(size=(4, m)), 0.7)
         dt = 0.01
         args = (model, CYCLE_MU, CYCLE_NU, n_paths, n_steps * dt, dt, 5)
-        ens = run_divergence_ensemble(*args, record_drift=True)
-        chi2_v, kl_v, tv_v, signal, drift = _per_step_reference(*args, record_drift=True)
+        ens = run_divergence_ensemble(*args, record_integrals=True)
+        chi2_v, kl_v, tv_v, signal, drift = _per_step_reference(*args, record_integrals=True)
         for got, want in [
             (ens.series.chi2, chi2_v),
             (ens.series.kl, kl_v),
@@ -318,7 +355,7 @@ class TestBlockedObserver:
         dt = 0.01
         args = (cycle_noiseless, CYCLE_MU, CYCLE_NU, 9, n_steps * dt, dt, 3)
         ens = run_divergence_ensemble(*args)
-        chi2_v, kl_v, tv_v, _, _ = _per_step_reference(*args, record_drift=False)
+        chi2_v, kl_v, tv_v, _, _ = _per_step_reference(*args, record_integrals=False)
         assert ens.signal_integral is None
         for got, want in [(ens.series.chi2, chi2_v), (ens.series.kl, kl_v), (ens.series.tv, tv_v)]:
             assert got.tobytes() == want.tobytes()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import CYCLE_A, CYCLE_H, CYCLE_MU, CYCLE_NU, filter_states, state_path
+from conftest import CYCLE_A, CYCLE_H, CYCLE_MU, CYCLE_NU, filter_states, random_generator_matrix, state_path
 from filterlab.config import model_for_sweep_value, preset_config
 from filterlab.ensemble import sample_path_batch
 from filterlab.errors import (
@@ -393,6 +393,18 @@ class TestNoiselessEngine:
             for k, prior in enumerate(priors[:, p]):
                 oracle = _expm_oracle(prior, sp, OFF_CYCLE_A, OFF_CYCLE_H, dt)
                 np.testing.assert_allclose(alone[k], oracle, rtol=0.0, atol=1e-12)
+
+    def test_wide_model_matches_single_paths_bitwise(self, rng):
+        # d = 9 states on three levels: the mass is a sum of rows in order,
+        # not numpy's pairwise sum, which one path of one prior would get
+        model = validate_model(random_generator_matrix(rng, 9), np.arange(9) % 3, 0.0, allow_noiseless=True)
+        paths = sample_path_batch(model, 6, 0.3, 1e-2, 9, initial_law=np.full(9, 1 / 9)).state_paths
+        priors = rng.dirichlet(np.ones(9), size=2)
+        terminal = evolve_noiseless_ensemble(priors, paths, 1e-2, model)
+        for p, sp in enumerate(paths):
+            for k, prior in enumerate(priors):
+                alone = evolve_noiseless_ensemble(prior[None], [sp], 1e-2, model)
+                assert np.array_equal(terminal[p, k], alone[0, 0])
 
     @pytest.mark.parametrize("dt", [1e-2, 1e-3])
     def test_matches_expm_oracle_on_uneven_interleaved_levels(self, dt):

@@ -2,11 +2,14 @@
 the backward-map pass."""
 
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import filterlab.dual as dual_mod
+import filterlab.ensemble as ensemble_mod
+import filterlab.sim as sim_mod
 from conftest import filter_states
 from filterlab.config import _apply_overrides, model_for_sweep_value, preset_config
 from filterlab.ensemble import run_divergence_ensemble, sample_path_batch
@@ -56,7 +59,8 @@ class TestPiTrajectories:
         cfg = _cycle_cfg()
         model = model_for_sweep_value(cfg, 1.0)
         args = (model, cfg.mu, cfg.nu, cfg.n_paths, cfg.T, cfg.dt, cfg.master_seed)
-        plain, fused = run_divergence_ensemble(*args), run_divergence_ensemble(*args, nu_paths=3)
+        plain = run_divergence_ensemble(*args, record_integrals=True)
+        fused = run_divergence_ensemble(*args, record_integrals=True, nu_paths=3)
         assert plain.nu_filters.shape == (0, 401, 4)
         assert np.array_equal(plain.series.chi2, fused.series.chi2)
         assert np.array_equal(plain.signal_integral, fused.signal_integral)
@@ -78,6 +82,40 @@ class TestPiTrajectories:
         cfg = _cycle_cfg(n_paths=6, T=0.1, sigma2_list=[0.0, 0.1, 1.0])
         run_simulate(cfg)
         assert calls == ["evolve_noiseless_ensemble", "evolve_ensemble", "evolve_ensemble"]
+
+    def test_sweep_draws_each_path_once(self, monkeypatch):
+        calls = []
+        original = sim_mod._jump_chain
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(sim_mod, "_jump_chain", counting)
+        cfg = _cycle_cfg(n_paths=6, T=0.1, sigma2_list=[0.0, 0.1, 1.0, 10.0])
+        run_simulate(cfg)
+        assert len(calls) == cfg.n_paths + PI_TRAJECTORY_PATHS
+
+    def test_each_value_released_before_the_next(self, monkeypatch):
+        # value i's ensemble must be unreferenced when value i + 1's engine starts
+        refs, live = [], []
+
+        def recording(_cls=ensemble_mod.EnsembleDivergence, **fields):
+            ens = _cls(**fields)
+            refs.append(weakref.ref(ens))
+            return ens
+
+        for attr in ("evolve_ensemble", "evolve_noiseless_ensemble"):
+
+            def checking(*args, _fn=getattr(ensemble_mod, attr), **kwargs):
+                live.append(sum(ref() is not None for ref in refs))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(ensemble_mod, attr, checking)
+        monkeypatch.setattr(ensemble_mod, "EnsembleDivergence", recording)
+        cfg = _cycle_cfg(n_paths=6, T=0.1, sigma2_list=[0.0, 0.1, 1.0, 10.0])
+        run_simulate(cfg)
+        assert len(refs) == 4 and live == [0, 0, 0, 0]
 
     def test_noisy_nu_paths_off_the_class_of_mu(self, blocks_model):
         # mu charges only the first block; at gain 2000 a mu filter on a path

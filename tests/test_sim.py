@@ -10,7 +10,7 @@ from conftest import CYCLE_A, state_path
 from filterlab.ensemble import sample_path_batch
 from filterlab.errors import GridMismatch
 from filterlab.model import validate_model
-from filterlab.sim import RngStream, _fill_increments, _rekey, spawn_rng
+from filterlab.sim import RngStream, _add_drift, _rekey, spawn_rng
 
 # A three-state ring observed without noise: its batches carry no increments.
 RING3 = validate_model(
@@ -147,14 +147,14 @@ class TestIntegrateObservation:
         assert np.array_equal(outs[0], outs[1])
 
     def test_exact_drift_against_hand_integral(self, cycle_model):
-        # zero noise isolates the drift: increments must telescope to the
-        # exact occupation integral of h along the path
+        # the drift alone, without noise, must telescope to the exact
+        # occupation integral of h along the path
         sp = state_path(cycle_model, 0, 2.0, 7)
         grid = np.arange(2001) * 1e-3
-        out = np.empty((2000, 1))
-        _fill_increments(out, sp, cycle_model.H, grid, 0.0, None)
+        out = np.zeros((1, 2000, 1))
+        _add_drift(out, [sp], cycle_model.H, grid)
         hand = sp.occupation_fractions(4) @ cycle_model.H * sp.T
-        np.testing.assert_allclose(out.sum(axis=0), hand, atol=1e-10)
+        np.testing.assert_allclose(out[0].sum(axis=0), hand, atol=1e-10)
 
     def test_drift_uses_physical_h_not_unit(self):
         # dZ = h dt + r dW: state 0 with h = 3 and r = 2 drifts 3 dt/step
