@@ -176,10 +176,10 @@ class DivergenceSeries:
 class Chi2DriftTerms:
     """Local chi-square dynamics at one filter pair.
 
-    drift is the compact form -(pi_nu(Gamma gamma) + V_mu(gamma,h).V_nu(gamma,h));
-    c1, c2, c3 are the raw coefficients of
-    d chi2 = c1 dt + c2 . dI_mu + c3 . dI_nu, computed independently of
-    drift from their own four-term expansion.  The identity
+    drift is the compact form -(pi_nu(Gamma gamma) + V_mu(gamma,h).V_nu(gamma,h)),
+    the chi2_drift_batch value that ensembles integrate; c1, c2, c3 are the
+    raw coefficients of d chi2 = c1 dt + c2 . dI_mu + c3 . dI_nu, computed
+    independently of drift from their own four-term expansion.  The identity
     drift == c1 + c3 . (pi_mu(h) - pi_nu(h)) relates the two forms.
     """
 
@@ -190,7 +190,7 @@ class Chi2DriftTerms:
 
 
 def chi2_drift_terms(pi_mu, pi_nu, model: HmmModel) -> Chi2DriftTerms:
-    """Evaluate the chi-square drift and raw coefficients at (pi_mu, pi_nu).
+    """Evaluate the chi-square drift (chi2_drift_batch) and raw coefficients at (pi_mu, pi_nu).
 
     Everything is computed in the unit-noise observation hu = H/r.  With
     u = hu - pi_mu(hu) and v = hu - pi_nu(hu):
@@ -217,10 +217,7 @@ def chi2_drift_terms(pi_mu, pi_nu, model: HmmModel) -> Chi2DriftTerms:
     )
     c2 = 2.0 * ((pi_mu * g) @ u)
     c3 = -((pi_nu * g**2) @ v)
-    # Compact drift from conditional covariances, computed independently.
-    v_mu = (pi_mu * g) @ hu - float(pi_mu @ g) * mu_h
-    v_nu = (pi_nu * g) @ hu - float(pi_nu @ g) * nu_h
-    drift = -(gamma_energy + float(v_mu @ v_nu))
+    drift = float(chi2_drift_batch(pi_mu, pi_nu, model))
     return Chi2DriftTerms(drift=drift, c1=c1, c2=c2, c3=c3)
 
 
@@ -228,17 +225,14 @@ def chi2_drift_batch(pi_mu: np.ndarray, pi_nu: np.ndarray, model: HmmModel) -> n
     """Compact chi-square drift for stacked filter pairs.
 
     pi_mu and pi_nu have shape (..., d); returns the drift
-    -(pi_nu(Gamma gamma) + V_mu(gamma, h) . V_nu(gamma, h)) with shape (...).
-    Used by ensemble recorders that integrate the drift along every path.
+    -(pi_nu(Gamma gamma) + V_mu(gamma, h) . V_nu(gamma, h)) with shape (...):
+    the one drift formula, integrated by ensemble recorders along every path.
     """
     pi_mu = np.asarray(pi_mu, dtype=float)
     pi_nu = np.asarray(pi_nu, dtype=float)
     hu = model.h_unit
-    off = model.A.copy()
-    np.fill_diagonal(off, 0.0)
     g = density_ratio(pi_mu, pi_nu)
-    diff = g[..., :, None] - g[..., None, :]
-    gamma_energy = (pi_nu * (off * diff**2).sum(axis=-1)).sum(axis=-1)
+    gamma_energy = (pi_nu * carre_du_champ(model.A, g)).sum(axis=-1)
     mu_h = pi_mu @ hu
     nu_h = pi_nu @ hu
     v_mu = (pi_mu * g) @ hu - (pi_mu * g).sum(axis=-1)[..., None] * mu_h

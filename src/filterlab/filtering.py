@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateMass, DimensionMismatch, EmptyLevelSet, GridMismatch, NonPositiveNoise
-from .model import HmmModel, as_simplex
+from .model import HmmModel, _same_level, as_simplex
 from .sim import _grid_steps
 
 __all__ = ["wonham_step", "evolve_ensemble", "evolve_noiseless_ensemble"]
@@ -219,7 +219,7 @@ def evolve_noiseless_ensemble(
     n_steps = _grid_steps(T, dt)
     grid = np.arange(n_steps + 1) * dt
 
-    same = np.all(H[:, None, :] == H[None, :, :], axis=-1)
+    same = _same_level(H)
     reps, level_of = np.unique(same.argmax(axis=1), return_inverse=True)
     levels = same[reps]
     idx = [np.flatnonzero(lv) for lv in levels]

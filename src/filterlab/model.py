@@ -98,13 +98,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    def contains(self, f: np.ndarray, tol: float = 1e-9) -> bool:
-        """True when f lies in the span within tol (relative residual)."""
-        f = np.asarray(f, dtype=float)
-        proj = self.vectors.T @ (self.vectors @ f)
-        scale = max(float(np.linalg.norm(f)), 1.0)
-        return float(np.linalg.norm(f - proj)) <= tol * scale
-
 
 def _as_rate_matrix(A) -> np.ndarray:
     """Validate a transition-rate matrix and canonicalize its diagonal."""
@@ -128,6 +121,16 @@ def _as_rate_matrix(A) -> np.ndarray:
     return off
 
 
+def _as_observation(H, d: int) -> np.ndarray:
+    """H as a float (d, m) matrix, a 1-D H being one column (DimensionMismatch otherwise)."""
+    H = np.array(H, dtype=float)
+    if H.ndim == 1:
+        H = H[:, None]
+    if H.ndim != 2 or H.shape[0] != d:
+        raise DimensionMismatch(f"H must have shape ({d}, m), got {H.shape}")
+    return H
+
+
 def validate_model(A, H, r: float, allow_noiseless: bool = False) -> HmmModel:
     """Validate (A, H, r) and return the immutable model container.
 
@@ -137,13 +140,7 @@ def validate_model(A, H, r: float, allow_noiseless: bool = False) -> HmmModel:
     with the exact noiseless filter only.
     """
     A = _as_rate_matrix(A)
-    H = np.array(H, dtype=float)
-    if H.ndim == 1:
-        H = H[:, None]
-    if H.ndim != 2 or H.shape[0] != A.shape[0]:
-        raise DimensionMismatch(
-            f"H must have shape ({A.shape[0]}, m), got {H.shape}"
-        )
+    H = _as_observation(H, A.shape[0])
     if not np.all(np.isfinite(H)):
         raise DimensionMismatch("H contains non-finite entries")
     r = float(r)
@@ -183,17 +180,21 @@ def as_simplex(p, d: int | None = None, tol: float = SIMPLEX_TOL) -> np.ndarray:
 def carre_du_champ(A, f) -> np.ndarray:
     """Pointwise energy (Gamma f)(x) = sum_y A(x, y) (f(x) - f(y))**2.
 
-    Entrywise nonnegative, zero on constants, and invariant under adding a
-    constant to f.  Only off-diagonal rates contribute.
+    f is (..., d): a stack of functions gives their energies, each bitwise
+    equal to its own call.  Entrywise nonnegative, zero on constants, and
+    invariant under adding a constant to f; only off-diagonal rates count.
     """
-    A = _as_rate_matrix(A)
+    off = _as_rate_matrix(A)
     f = np.asarray(f, dtype=float)
-    if f.shape != (A.shape[0],):
-        raise DimensionMismatch(f"f must have shape ({A.shape[0]},), got {f.shape}")
-    diff = f[:, None] - f[None, :]
-    off = A.copy()
+    if f.shape[-1:] != off.shape[:1]:
+        raise DimensionMismatch(f"f must have shape (..., {off.shape[0]}), got {f.shape}")
     np.fill_diagonal(off, 0.0)
-    return (off * diff**2).sum(axis=1)
+    return (off * (f[..., :, None] - f[..., None, :]) ** 2).sum(axis=-1)
+
+
+def _same_level(H: np.ndarray) -> np.ndarray:
+    """(d, d) booleans: row x marks the level set {y : h(y) = h(x)} that Y = h(X) shows."""
+    return np.all(H[:, None, :] == H[None, :, :], axis=-1)
 
 
 def invariant_measure(A, allow_nonunique: bool = False) -> np.ndarray:
@@ -264,14 +265,8 @@ def observable_space(A, H) -> SubspaceBasis:
     1e-9 on singular values relative to the largest.
     """
     A = _as_rate_matrix(A)
-    H = np.array(H, dtype=float)
-    if H.ndim == 1:
-        H = H[:, None]
-    if H.shape[0] != A.shape[0]:
-        raise DimensionMismatch(
-            f"H must have shape ({A.shape[0]}, m), got {H.shape}"
-        )
     d = A.shape[0]
+    H = _as_observation(H, d)
 
     def orthonormalize(rows: np.ndarray) -> np.ndarray:
         u, s, vt = np.linalg.svd(rows, full_matrices=False)
@@ -291,6 +286,11 @@ def observable_space(A, H) -> SubspaceBasis:
             return SubspaceBasis(vectors=basis)
 
 
+def _off_diagonal_min(M: np.ndarray, axis: int) -> np.ndarray:
+    """Exact minimum of each row (axis=1) or column (axis=0) of a square M (d >= 2) off its diagonal."""
+    return np.where(np.eye(M.shape[0], dtype=bool), np.inf, M).min(axis=axis)
+
+
 def rate_bounds(A, mu_bar) -> tuple[float, float, float]:
     """Classical decay-rate lower bounds computable from A and mu alone.
 
@@ -298,19 +298,16 @@ def rate_bounds(A, mu_bar) -> tuple[float, float, float]:
         b1 = min_{x != y} sqrt(A(x, y) A(y, x)),
         b2 = sum_x mu(x) min_{y != x} A(x, y),
         b3 = sum_y min_{x != y} A(x, y).
-    Each is nonnegative; b1 and b2 vanish whenever some off-diagonal rate
-    does, so all three are zero for any chain with a one-way edge pair.
+    Each is nonnegative and zero for a single state.  b1 vanishes when one
+    off-diagonal rate does, b2 and b3 when one does in every row / column.
     """
     A = _as_rate_matrix(A)
     mu = as_simplex(mu_bar, d=A.shape[0])
-    d = A.shape[0]
-    off_mask = ~np.eye(d, dtype=bool)
-    geo = np.sqrt(A * A.T)
-    b1 = float(geo[off_mask].min()) if d > 1 else 0.0
-    row_min = np.array([A[x][np.arange(d) != x].min() for x in range(d)])
-    b2 = float(mu @ row_min) if d > 1 else 0.0
-    col_min = np.array([A[:, y][np.arange(d) != y].min() for y in range(d)])
-    b3 = float(col_min.sum()) if d > 1 else 0.0
+    if A.shape[0] == 1:
+        return 0.0, 0.0, 0.0
+    b1 = float(_off_diagonal_min(np.sqrt(A * A.T), axis=1).min())
+    b2 = float(mu @ _off_diagonal_min(A, axis=1))
+    b3 = float(_off_diagonal_min(A, axis=0).sum())
     return b1, b2, b3
 
 
@@ -323,19 +320,13 @@ def nonergodic_limit_bounds(A, H, mu_bar) -> tuple[float, float]:
     u1 <= u2 always; u1 = 0 whenever two states share an observation row.
     """
     A = _as_rate_matrix(A)
-    H = np.array(H, dtype=float)
-    if H.ndim == 1:
-        H = H[:, None]
     d = A.shape[0]
-    if H.shape[0] != d:
-        raise DimensionMismatch(f"H must have {d} rows, got {H.shape[0]}")
+    H = _as_observation(H, d)
     mu = as_simplex(mu_bar, d=d)
     gap2 = ((H[:, None, :] - H[None, :, :]) ** 2).sum(axis=2)
     if d == 1:
         return 0.0, 0.0
-    off = ~np.eye(d, dtype=bool)
-    min_gap = np.array([gap2[x][off[x]].min() for x in range(d)])
-    u1 = 0.5 * float(mu @ min_gap)
+    u1 = 0.5 * float(mu @ _off_diagonal_min(gap2, axis=1))
     u2 = 0.5 * float(mu @ gap2.sum(axis=1))
     return u1, u2
 

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .model import (
     HmmModel,
+    _same_level,
     _write_table,
     as_simplex,
     invariant_measure,
@@ -178,7 +179,9 @@ def run_simulate(
             "envelope": envelope_payload,
         }
         checks[f"initial_divergence_matches_priors[{tag}]"] = bool(
-            abs(series.chi2_mean[0] - prior_divergences["chi2"]) <= 1e-10
+            np.all(np.abs(series.chi2[:, 0] - _initial_chi2(model, cfg.mu, cfg.nu, ens.initial_states)) <= 1e-10)
+            if model.noiseless
+            else abs(series.chi2_mean[0] - prior_divergences["chi2"]) <= 1e-10
         )
         if ens.terminal_pis is not None:
             sums = ens.terminal_pis.sum(axis=-1)
@@ -216,6 +219,13 @@ def run_simulate(
     if out_dir is not None:
         write_report(report, out_dir, "report_simulate.json")
     return report
+
+
+def _initial_chi2(model: HmmModel, mu, nu, initial_states: np.ndarray) -> np.ndarray:
+    """Per noiseless path, chi2 at t = 0: mu and nu conditioned on the level that Y_0 = h(X_0) shows."""
+    states, index = np.unique(initial_states, return_inverse=True)
+    levels = _same_level(model.H)[states]
+    return np.array([chi2(mu * lv / (mu @ lv), nu * lv / (nu @ lv)) for lv in levels])[index]
 
 
 def _structure_payload(model: HmmModel) -> dict:

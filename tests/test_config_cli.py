@@ -388,7 +388,8 @@ class TestCliStructureAndVerify:
         assert "ergodic: False" in capsys.readouterr().out
 
     def test_structure_model_file(self, tmp_path):
-        from filterlab import save_model, validate_model
+        from filterlab.config import save_model
+        from filterlab.model import validate_model
 
         model = validate_model(
             np.array([[-1.0, 1.0], [2.0, -2.0]]), np.array([1.0, -1.0]), 1.0
@@ -399,6 +400,16 @@ class TestCliStructureAndVerify:
         payload = json.loads((tmp_path / "report_structure.json").read_text())["structure"]
         assert payload["ergodic"] is True
         assert payload["classical_pi"]["constant"] == pytest.approx(6.0)
+
+    def test_one_state_model(self, tmp_path):
+        mp = tmp_path / "one.json"
+        mp.write_text(json.dumps({"d": 1, "A": [0.0], "H": [1.0], "r": 1.0}))
+        assert main(["structure", "--model", str(mp), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "report_structure.json").read_text())["structure"]
+        assert payload["rate_bounds"] == {"b1": 0.0, "b2": 0.0, "b3": 0.0}
+        cp = tmp_path / "cfg.json"
+        cp.write_text(json.dumps({"model": str(mp), "mu": [1.0], "nu": [1.0], "T": 0.2, "n_paths": 4}))
+        assert main(["simulate", "--config", str(cp), "--out", str(tmp_path)]) == 0
 
     def test_model_file_without_m_has_one_column(self, tmp_path):
         # "m" defaults to 1 in a model file, as in a config's model object.

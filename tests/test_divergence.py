@@ -173,6 +173,14 @@ class TestChi2Drift:
         np.testing.assert_allclose(terms.c2, 0.0, atol=1e-12)
         np.testing.assert_allclose(terms.c3, 0.0, atol=1e-12)
 
+    def test_terms_report_the_batch_drift(self, rng):
+        # one drift formula: the identity above checks what ensembles integrate
+        for _ in range(20):
+            d = int(rng.integers(2, 10))
+            model = validate_model(random_generator_matrix(rng, d), rng.normal(size=(d, 2)), 0.7)
+            p, q = interior_simplex(rng, d), interior_simplex(rng, d)
+            assert chi2_drift_terms(p, q, model).drift == chi2_drift_batch(p, q, model)
+
     def test_batch_matches_scalar_loop(self, rng):
         model = validate_model(
             random_generator_matrix(rng, 3), rng.normal(size=(3, 1)), 1.0

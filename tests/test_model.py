@@ -118,6 +118,19 @@ class TestCarreDuChamp:
         np.testing.assert_allclose(direct, via_generator, atol=1e-10)
         assert np.all(direct >= -1e-12)
 
+    @pytest.mark.parametrize("d", [2, 4, 9])
+    def test_stack_equals_each_function_bitwise(self, rng, d):
+        A = random_generator_matrix(rng, d)
+        f = rng.normal(size=(5, 3, d))
+        stacked = carre_du_champ(A, f)
+        assert stacked.shape == (5, 3, d)
+        rows = np.array([[carre_du_champ(A, f[i, j]) for j in range(3)] for i in range(5)])
+        assert np.array_equal(stacked, rows)
+
+    def test_rejects_wrong_last_axis(self):
+        with pytest.raises(DimensionMismatch):
+            carre_du_champ(CYCLE_A, np.zeros((3, 5)))
+
 
 class TestInvariantMeasure:
     def test_cycle_is_uniform(self):
@@ -201,6 +214,27 @@ class TestRateAndLimitBounds:
         np.testing.assert_allclose(b1, np.sqrt(2.0), atol=1e-10)
         np.testing.assert_allclose(b2, 4.0 / 3.0, atol=1e-10)
         np.testing.assert_allclose(b3, 3.0, atol=1e-10)
+
+    def test_one_state_bounds_vanish(self):
+        assert rate_bounds([[0.0]], [1.0]) == (0.0, 0.0, 0.0)
+        assert nonergodic_limit_bounds([[0.0]], [[2.0]], [1.0]) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_bounds_equal_the_off_diagonal_minima_bitwise(self, rng, d):
+        A = random_generator_matrix(rng, d)
+        A[0, d - 1] = 0.0  # a one-way pair: b1 = 0
+        A[0, 0] -= A[0].sum()
+        H = rng.normal(size=(d, 2))
+        mu = (rng.multinomial(64 - d, np.ones(d) / d) + 1) / 64.0  # exact, so as_simplex keeps it
+        off = [[y for y in range(d) if y != x] for x in range(d)]
+        geo = np.sqrt(A * A.T)
+        b1 = min(geo[x, y] for x in range(d) for y in off[x])
+        b2 = float(mu @ np.array([min(A[x, off[x]]) for x in range(d)]))
+        b3 = float(np.array([min(A[off[y], y]) for y in range(d)]).sum())
+        assert rate_bounds(A, mu) == (b1, b2, b3)
+        gap2 = ((H[:, None, :] - H[None, :, :]) ** 2).sum(axis=2)
+        u1 = 0.5 * float(mu @ np.array([min(gap2[x, off[x]]) for x in range(d)]))
+        assert nonergodic_limit_bounds(A, H, mu)[0] == u1
 
     def test_cycle_small_noise_limits(self):
         u1, u2 = nonergodic_limit_bounds(CYCLE_A, CYCLE_H.reshape(4, 1), np.full(4, 0.25))

@@ -14,7 +14,7 @@ from conftest import filter_states
 from filterlab.config import _apply_overrides, model_for_sweep_value, preset_config
 from filterlab.ensemble import run_divergence_ensemble, sample_path_batch
 from filterlab.model import validate_model
-from filterlab.pipeline import PI_TRAJECTORY_PATHS, run_backward_map, run_simulate
+from filterlab.pipeline import PI_TRAJECTORY_PATHS, _initial_chi2, run_backward_map, run_simulate
 
 
 def _cycle_cfg(**overrides):
@@ -134,6 +134,28 @@ class TestPiTrajectories:
         assert np.any(pis[:, 0] @ np.array([0.0, 1.0, 0.0, 1.0]) == 1.0)
         report = run_simulate(cfg)
         assert all(entry["conditional_pi_infimum"]["constant"] is not None for entry in report["sweep"])
+
+
+class TestInitialDivergenceCheck:
+    # mu is not symmetric on the cycle's level sets {0, 2} and {1, 3}, so a
+    # noiseless value starts from chi2 of the conditioned priors, not chi2(mu, nu)
+    ASYMMETRIC = {"mu": [0.5, 0.2, 0.1, 0.2], "T": 0.2, "n_paths": 20}
+
+    def test_asymmetric_priors_pass_every_check(self):
+        cfg = _apply_overrides(preset_config("example-6.1"), self.ASYMMETRIC, "test")
+        report = run_simulate(cfg)
+        assert len(report["checks"]) == 8 and all(report["checks"].values())
+        noiseless = report["sweep"][0]
+        assert noiseless["noiseless"]
+        assert abs(noiseless["chi2_initial"] - report["prior_divergences"]["chi2"]) > 0.1
+
+    def test_noiseless_paths_start_from_the_conditioned_priors(self):
+        cfg = _cycle_cfg(**self.ASYMMETRIC)
+        model = model_for_sweep_value(cfg, 0.0)
+        ens = run_divergence_ensemble(model, cfg.mu, cfg.nu, cfg.n_paths, cfg.T, cfg.dt, cfg.master_seed)
+        expected = _initial_chi2(model, cfg.mu, cfg.nu, ens.initial_states)
+        np.testing.assert_allclose(ens.series.chi2[:, 0], expected, rtol=0, atol=1e-10)
+        assert len(np.unique(np.round(expected, 12))) == 2  # paths start on both levels
 
 
 class TestRunBackwardMap:
