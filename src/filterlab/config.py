@@ -26,6 +26,7 @@ Two presets embed the reference models used throughout:
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,7 +54,9 @@ class ExperimentConfig:
 
     A and H are the base generator and observation matrix; r is the base
     noise level.  sweep_kind is "sigma2", "k", or None (single run at the
-    base model).  T_list is used by the backward-map command only.
+    base model).  T_list is used by the backward-map command only.  The
+    defaults here are the one home of every default a config file or a
+    preset leaves out.
     """
 
     A: np.ndarray
@@ -61,12 +64,12 @@ class ExperimentConfig:
     r: float
     mu: np.ndarray
     nu: np.ndarray
-    T: float
-    dt: float
-    n_paths: int
-    master_seed: int
-    sweep_kind: str | None
-    sweep_values: tuple[float, ...]
+    T: float = 10.0
+    dt: float = 1e-3
+    n_paths: int = 200
+    master_seed: int = 0
+    sweep_kind: str | None = None
+    sweep_values: tuple[float, ...] = ()
     out_dir: str | None = None
     rate_window: tuple[float, float] | None = None
     T_list: tuple[float, ...] = (2.0, 5.0, 10.0)
@@ -186,10 +189,6 @@ def preset_config(name: str) -> ExperimentConfig:
             r=1.0,
             mu=np.array([0.35, 0.35, 0.15, 0.15]),
             nu=np.array([0.25, 0.25, 0.25, 0.25]),
-            T=10.0,
-            dt=1e-3,
-            n_paths=200,
-            master_seed=0,
             sweep_kind="sigma2",
             sweep_values=(0.0, 0.1, 1.0, 10.0),
             label="example-6.1",
@@ -201,10 +200,6 @@ def preset_config(name: str) -> ExperimentConfig:
             r=1.0,
             mu=np.array([0.2, 0.6, 0.1, 0.1]),
             nu=np.array([0.1, 0.1, 0.1, 0.7]),
-            T=10.0,
-            dt=1e-3,
-            n_paths=200,
-            master_seed=0,
             sweep_kind="k",
             sweep_values=(0.0, 1.0, 2.0, 4.0),
             label="example-6.2",
@@ -323,23 +318,14 @@ def _config_from_dict(data: dict, source: str) -> ExperimentConfig:
         return _apply_overrides(base, overrides, source)
     if data.get("model") is None:
         raise ConfigError(f"{source}: missing 'model' (or 'preset')")
-    A, H, r = _read_model(data["model"], source)
+    model = data["model"]
+    if isinstance(model, str):  # a model file path is relative to the config file
+        model = os.path.join(os.path.dirname(source), model)
+    A, H, r = _read_model(model, source)
     for key in ("mu", "nu"):
         if key not in data:
             raise ConfigError(f"{source}: missing prior '{key}'")
-    base = ExperimentConfig(
-        A=A,
-        H=H,
-        r=r,
-        mu=_as_array(data["mu"], "mu"),
-        nu=_as_array(data["nu"], "nu"),
-        T=10.0,
-        dt=1e-3,
-        n_paths=200,
-        master_seed=0,
-        sweep_kind=None,
-        sweep_values=(),
-    )
+    base = ExperimentConfig(A=A, H=H, r=r, mu=_as_array(data["mu"], "mu"), nu=_as_array(data["nu"], "nu"))
     return _apply_overrides(base, {k: v for k, v in data.items() if k != "model"}, source)
 
 
@@ -382,7 +368,11 @@ def _apply_overrides(base: ExperimentConfig, overrides: dict, source: str) -> Ex
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read and validate a JSON experiment configuration."""
+    """Read and validate a JSON experiment configuration.
+
+    A relative "model" file path is taken from the config file's directory,
+    not the current one; an absolute path is used as it is.
+    """
     return _config_from_dict(_read_json(path), path)
 
 

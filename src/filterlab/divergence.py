@@ -6,9 +6,13 @@ For two laws p, q on S with density gamma = p/q (convention 0/0 = 0):
     kl(p|q)   = sum_x gamma(x) log gamma(x) q(x)
     tv(p, q)  = 0.5 * sum_x |p(x) - q(x)|
 
-A state is treated as outside supp(q) when q(x) < SUPPORT_EPS; finding
-p(x) > AC_EPS on such a state raises AbsoluteContinuityViolation, since both
-divergences are infinite there.  tv is defined for all pairs.  The three
+The package's one support rule lives here: a state x is outside supp(q)
+when q(x) < SUPPORT_EPS, and a law p charges x when p(x) > AC_EPS.  p
+charging a state outside supp(q) raises AbsoluteContinuityViolation, since
+both divergences are infinite there.  The states the backward map keeps
+and essential_infimum_ratio's supp(nu) (dual), the support of rho in the
+Poincare problems (poincare) and verify's terminal check count against the
+same two constants.  tv is defined for all pairs.  The three
 formulas are written once, for state-major pairs (d, ...) reduced as sums
 of rows, so a block of many steps and paths costs one call; stacked pairs
 (..., d) and single laws go through the same code on a moved-axis view.
@@ -57,8 +61,8 @@ __all__ = [
     "read_series_csv",
 ]
 
-SUPPORT_EPS = 1e-14
-AC_EPS = 1e-12
+SUPPORT_EPS = 1e-14  # x is outside supp(q) when q(x) < SUPPORT_EPS
+AC_EPS = 1e-12  # a law charges x when its mass at x is > AC_EPS
 
 
 def density_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:

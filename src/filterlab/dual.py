@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _divergence_batch, chi2, density_ratio
+from .divergence import AC_EPS, _divergence_batch, chi2, density_ratio
 from .ensemble import sample_path_batch
 from .errors import AssumptionA1Violated, DimensionMismatch
 from .filtering import evolve_ensemble
@@ -41,7 +41,6 @@ from .model import HmmModel, _read_table, _write_table, as_simplex
 from .sim import _grid_steps
 
 __all__ = [
-    "SKIP_EPS",
     "BackwardMapEstimate",
     "DecayDiagnostics",
     "backward_map_study",
@@ -52,7 +51,6 @@ __all__ = [
     "read_backward_map_csv",
 ]
 
-SKIP_EPS = 1e-12
 DEFAULT_DT = 1e-3
 
 
@@ -60,8 +58,9 @@ DEFAULT_DT = 1e-3
 class BackwardMapEstimate:
     """Monte Carlo estimate of the backward map on the state space.
 
-    y0[x] and stderr[x] are zero for skipped states (nu mass below
-    SKIP_EPS); those states are listed in skipped_states.
+    y0[x] and stderr[x] are zero for skipped states, those nu does not
+    charge (mass at most divergence.AC_EPS); they are listed in
+    skipped_states.
     """
 
     y0: np.ndarray
@@ -126,8 +125,8 @@ def _horizon_samples(
     Kept state row r uses the streams r * n_paths onwards; every horizon
     reads the same paths, at their state X_T and filters at step T / dt.
     """
-    kept = [x for x in range(model.d) if nu[x] >= SKIP_EPS]
-    skipped = tuple(x for x in range(model.d) if nu[x] < SKIP_EPS)
+    kept = [x for x in range(model.d) if nu[x] > AC_EPS]
+    skipped = tuple(x for x in range(model.d) if nu[x] <= AC_EPS)
     steps = [_grid_steps(T, dt) for T in T_list]
     shape = (len(T_list), len(kept), n_paths)
     plain = np.empty(shape)
@@ -181,10 +180,11 @@ def _estimate_from(samples: _StateSamples, values: np.ndarray, d: int, T: float,
 
 
 def essential_infimum_ratio(mu, nu) -> float:
-    """min over supp(nu) of mu(x)/nu(x), the constant a_lower."""
+    """min over supp(nu) of mu(x)/nu(x), the constant a_lower; supp(nu) is
+    the states nu charges (mass > divergence.AC_EPS)."""
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    support = nu >= SKIP_EPS
+    support = nu > AC_EPS
     return float((mu[support] / nu[support]).min())
 
 
@@ -340,7 +340,7 @@ def backward_map_study(
     backward-map estimators at the last one: (diagnostics, plain,
     rao-blackwell).
 
-    Each kept initial state (row r of the states with nu mass, in index
+    Each kept initial state (row r of the states nu charges, in index
     order) runs one lockstep pass of n_paths paths on the streams
     r * n_paths onwards up to the largest horizon; the mu, nu and delta_x
     filters and X_T are snapshotted at every horizon's grid step.  The

@@ -45,15 +45,6 @@ class PathBatch:
 
     state_paths: tuple[StatePath, ...]
     increments: np.ndarray | None
-    dt: float
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.state_paths)
-
-    @property
-    def initial_states(self) -> np.ndarray:
-        return np.array([sp.states[0] for sp in self.state_paths], dtype=int)
 
 
 def sample_path_batch(
@@ -88,7 +79,7 @@ def sample_path_batch(
     if increments is not None:
         increments *= model.r * np.sqrt(dt)
         _add_drift(increments, paths, model.H, np.arange(n_steps + 1) * dt)
-    return PathBatch(state_paths=tuple(paths), increments=increments, dt=float(dt))
+    return PathBatch(state_paths=tuple(paths), increments=increments)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from .errors import (
 
 __all__ = [
     "HmmModel",
-    "SubspaceBasis",
     "validate_model",
     "as_simplex",
     "carre_du_champ",
@@ -53,7 +52,6 @@ __all__ = [
 # re-canonicalized so the stored diagonal makes every row sum exactly zero.
 ROW_SUM_TOL = 1e-9
 SIMPLEX_TOL = 1e-10
-SUPPORT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,21 +80,6 @@ class HmmModel:
     @property
     def m(self) -> int:
         return self.H.shape[1]
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal basis of a subspace of functions on S.
-
-    vectors has shape (dim, d); rows are orthonormal in the Euclidean inner
-    product.  dim is between 1 and d.
-    """
-
-    vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
 
 
 def _as_rate_matrix(A) -> np.ndarray:
@@ -255,14 +238,15 @@ def is_ergodic(A) -> bool:
     return bool(seen.all())
 
 
-def observable_space(A, H) -> SubspaceBasis:
-    """Smallest subspace containing constants, closed under g -> Ag and
-    g -> g * h_j (entrywise, each observation column).
+def observable_space(A, H) -> np.ndarray:
+    """Orthonormal rows (dim, d) spanning the smallest subspace of functions
+    on S that contains constants and is closed under g -> Ag and g -> g * h_j
+    (entrywise, each observation column).
 
-    The pair (A, H) is observable iff the returned dimension equals d.
-    Closure is computed by alternating the two maps on an orthonormal
-    basis until the dimension is stable; rank decisions use tolerance
-    1e-9 on singular values relative to the largest.
+    The pair (A, H) is observable iff there are d rows.  Closure is
+    computed by alternating the two maps on an orthonormal basis until the
+    dimension is stable; rank decisions use tolerance 1e-9 on singular
+    values relative to the largest.
     """
     A = _as_rate_matrix(A)
     d = A.shape[0]
@@ -279,11 +263,9 @@ def observable_space(A, H) -> SubspaceBasis:
         for j in range(H.shape[1]):
             candidates.append(basis * H[:, j][None, :])
         new_basis = orthonormalize(np.vstack(candidates))
-        if new_basis.shape[0] == basis.shape[0]:
-            return SubspaceBasis(vectors=new_basis)
+        if len(new_basis) in (len(basis), d):
+            return new_basis
         basis = new_basis
-        if basis.shape[0] == d:
-            return SubspaceBasis(vectors=basis)
 
 
 def _off_diagonal_min(M: np.ndarray, axis: int) -> np.ndarray:

@@ -10,14 +10,13 @@ determinism comparisons drop.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import asdict
 
 import numpy as np
 
-from .config import ExperimentConfig, _grid_check, config_to_dict, model_for_sweep_value
+from .config import ExperimentConfig, _grid_check, _write_json, config_to_dict, model_for_sweep_value
 from .divergence import (
     DivergenceSeries,
     chi2,
@@ -73,9 +72,7 @@ def resolve_out_dir(explicit: str | None, cfg_out: str | None = None) -> str:
 
 def write_report(report: dict, out_dir: str, name: str) -> str:
     path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(report, path)
     return path
 
 
@@ -238,9 +235,9 @@ def _structure_payload(model: HmmModel) -> dict:
         "ergodic": ergodic,
     }
     basis = observable_space(model.A, model.H)
-    payload["observable_dim"] = basis.dim
-    payload["observable"] = basis.dim == model.d
-    payload["observable_basis"] = [[float(v) for v in col] for col in basis.vectors.T]
+    payload["observable_dim"] = len(basis)
+    payload["observable"] = len(basis) == model.d
+    payload["observable_basis"] = [[float(v) for v in col] for col in basis.T]
     try:
         mu_bar = invariant_measure(model.A)
         payload["invariant_measure"] = [float(v) for v in mu_bar]

@@ -10,7 +10,8 @@ equivalently the smallest eigenvalue of the energy form
     Q(f) = sum_{x,y} rho(x) A(x, y) (f(x) - f(y))^2
 
 against the variance form C = diag(rho) - rho rho^T, both restricted to
-supp(rho) and to the rho-mean-zero subspace there.  With rho the invariant
+supp(rho), the states rho charges by divergence's support rule (mass above
+AC_EPS), and to the rho-mean-zero subspace there.  With rho the invariant
 measure this is the classical Markov Poincare constant; with rho a filter
 state it is the conditional variant whose infimum along trajectories feeds
 the decay envelope.
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .divergence import AC_EPS
 from .errors import DegenerateVarianceForm, DimensionMismatch, NotSymmetric
 from .model import _as_rate_matrix, as_simplex
 
@@ -38,7 +40,6 @@ __all__ = [
     "trajectory_pi_infimum",
 ]
 
-SUPPORT_TOL = 1e-12
 PD_TOL = 1e-10
 
 
@@ -117,7 +118,7 @@ def classical_pi_constant(A, mu_bar) -> PiResult:
         raise DimensionMismatch(
             f"mu_bar is not invariant for A (residual {resid:.3e})"
         )
-    support = np.flatnonzero(mu > SUPPORT_TOL)
+    support = np.flatnonzero(mu > AC_EPS)
     if support.size < 2:
         raise DegenerateVarianceForm("supp(mu_bar) has a single state")
     return _pi_eigenproblem(A, mu, support)
@@ -131,7 +132,7 @@ def conditional_pi_constant(A, rho) -> PiResult:
     """
     A = _as_rate_matrix(A)
     rho = as_simplex(rho, d=A.shape[0])
-    support = np.flatnonzero(rho > SUPPORT_TOL)
+    support = np.flatnonzero(rho > AC_EPS)
     if support.size == 0:
         raise DegenerateVarianceForm("rho has no support above threshold")
     if support.size == 1:

@@ -11,7 +11,7 @@ isolation and its draws never depend on which other paths are sampled.
 
 The helpers here are the parts of ensemble's sampling: the jump tables
 (_jump_tables) and the grid (_grid_steps), the draws of a path (_draw_paths:
-one Generator re-keyed by _rekey to where RngStream.generator() starts,
+one Generator re-keyed by _rekey to where spawn_rng's Generator starts,
 then X_0, the jump chain and the unit normals) and the exact drift added
 to the scaled normals (_add_drift).
 """
@@ -25,25 +25,7 @@ import numpy as np
 
 from .errors import GridMismatch
 
-__all__ = ["RngStream", "spawn_rng", "StatePath"]
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Addressable random stream (master_seed, stream_id).
-
-    generator() returns a fresh numpy Generator positioned at the start of
-    the stream, so repeated calls replay identical draws.  Distinct ids on
-    the same master seed give statistically independent, non-overlapping
-    streams by the counter-based construction.
-    """
-
-    master_seed: int
-    stream_id: int
-
-    def generator(self) -> np.random.Generator:
-        key = _stream_key(self.master_seed, self.stream_id)
-        return np.random.Generator(np.random.Philox(key=key))
+__all__ = ["spawn_rng", "StatePath"]
 
 
 def _stream_key(master_seed: int, stream_id: int) -> np.ndarray:
@@ -53,9 +35,8 @@ def _stream_key(master_seed: int, stream_id: int) -> np.ndarray:
 def _rekey(rng: np.random.Generator, master_seed: int, stream_id: int) -> None:
     """Reposition rng's Philox at the start of stream (master_seed, stream_id).
 
-    Key, zero counter and empty buffers: the state that
-    RngStream.generator() starts from, at a fraction of the cost of a new
-    Generator.
+    Key, zero counter and empty buffers: the state that spawn_rng's
+    Generator starts from, at a fraction of the cost of a new one.
     """
     zero = np.zeros(4, dtype=np.uint64)
     rng.bit_generator.state = {
@@ -68,9 +49,16 @@ def _rekey(rng: np.random.Generator, master_seed: int, stream_id: int) -> None:
     }
 
 
-def spawn_rng(master_seed: int, stream_id: int) -> RngStream:
-    """Stream for one unit of work (one path, one sweep point, ...)."""
-    return RngStream(master_seed=int(master_seed), stream_id=int(stream_id))
+def spawn_rng(master_seed: int, stream_id: int) -> np.random.Generator:
+    """Generator at the start of stream (master_seed, stream_id), the stream
+    of one unit of work (one path, one sweep point, ...).
+
+    Each call returns a fresh Generator, so repeated calls replay identical
+    draws; distinct ids on the same master
+    seed give statistically independent, non-overlapping streams by the
+    counter-based construction.
+    """
+    return np.random.Generator(np.random.Philox(key=_stream_key(int(master_seed), int(stream_id))))
 
 
 @dataclass(frozen=True)
@@ -84,27 +72,6 @@ class StatePath:
     jump_times: np.ndarray
     states: np.ndarray
     T: float
-
-    def state_at(self, t: float) -> int:
-        """State at time t (right-continuous; t in [0, T])."""
-        if t < 0.0 or t > self.T:
-            raise GridMismatch(f"t = {t} outside [0, {self.T}]")
-        i = int(np.searchsorted(self.jump_times, t, side="right")) - 1
-        return int(self.states[i])
-
-    def states_on_grid(self, n_steps: int) -> np.ndarray:
-        """States at the grid times k * (T / n_steps), k = 0..n_steps."""
-        times = np.arange(n_steps + 1) * (self.T / n_steps)
-        idx = np.searchsorted(self.jump_times, times, side="right") - 1
-        return self.states[idx]
-
-    def occupation_fractions(self, d: int) -> np.ndarray:
-        """Fraction of [0, T] spent in each state."""
-        knots = np.append(self.jump_times, self.T)
-        lengths = np.diff(knots)
-        occ = np.zeros(d)
-        np.add.at(occ, self.states, lengths)
-        return occ / self.T
 
 
 def _draw(cdf: list[float], rng: np.random.Generator) -> int:
@@ -168,7 +135,7 @@ def _draw_paths(tables, starts, T: float, master_seed: int, stream_offset: int, 
     X_0 (starts[i], or drawn from it when it is a cumulative law), the jump
     chain on [0, T] with tables from _jump_tables, then, if normals is
     given, the standard normals normals[i] of its observation noise."""
-    rng = spawn_rng(master_seed, stream_offset).generator()
+    rng = spawn_rng(master_seed, stream_offset)
     paths = []
     for i, start in enumerate(starts):
         _rekey(rng, master_seed, stream_offset + i)

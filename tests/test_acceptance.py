@@ -111,7 +111,7 @@ def test_criterion_02_two_state_structure_sweep():
             A = np.array([[-lam12, lam12], [lam21, -lam21]])
             for h1, h2 in h_pairs:
                 assert is_ergodic(A) == (lam12 + lam21 > 0.0)
-                observable = observable_space(A, np.array([h1, h2])).dim == 2
+                observable = len(observable_space(A, np.array([h1, h2]))) == 2
                 assert observable == (h1 != h2)
                 n_instances += 1
     assert n_instances == 100

@@ -411,6 +411,19 @@ class TestCliStructureAndVerify:
         cp.write_text(json.dumps({"model": str(mp), "mu": [1.0], "nu": [1.0], "T": 0.2, "n_paths": 4}))
         assert main(["simulate", "--config", str(cp), "--out", str(tmp_path)]) == 0
 
+    def test_relative_model_path_is_taken_from_the_config_directory(self, tmp_path, monkeypatch):
+        rel = tmp_path / "rel"
+        rel.mkdir()
+        (rel / "one.json").write_text(json.dumps({"d": 1, "m": 1, "A": [0.0], "H": [1.0], "r": 1.0}))
+        cfg = {"model": "one.json", "mu": [1.0], "nu": [1.0], "T": 0.2, "n_paths": 4}
+        (rel / "cfg.json").write_text(json.dumps(cfg))
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert load_config("../rel/cfg.json").d == 1
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", "rel/cfg.json", "--out", "out"]) == 0
+        assert (tmp_path / "out" / "report_simulate.json").is_file()
+
     def test_model_file_without_m_has_one_column(self, tmp_path):
         # "m" defaults to 1 in a model file, as in a config's model object.
         mp = tmp_path / "model.json"

@@ -17,6 +17,7 @@ from filterlab.dual import (
 from filterlab.ensemble import sample_path_batch
 from filterlab.errors import AssumptionA1Violated, DimensionMismatch, GridMismatch
 from filterlab.filtering import evolve_ensemble
+from filterlab.poincare import conditional_pi_constant
 
 
 class TestEssentialInfimumRatio:
@@ -31,6 +32,20 @@ class TestEssentialInfimumRatio:
 
     def test_identical_priors_give_one(self):
         assert essential_infimum_ratio(CYCLE_NU, CYCLE_NU) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("tiny", [5e-13, 1e-12])
+def test_support_users_agree_below_ac_eps(cycle_model, tiny):
+    # nu(3) <= AC_EPS = 1e-12 does not charge state 3 (divergence's rule):
+    # the backward map skips it, a_lower ignores mu(3) = 0, and the
+    # conditional Poincare problem leaves it out of supp(nu)
+    nu = np.array([0.5, 0.25, 0.25 - tiny, tiny])
+    mu = np.array([0.25, 0.25, 0.5, 0.0])
+    _, plain, rb = backward_map_study(cycle_model, mu, nu, (0.1,), 4, 0, dt=1e-2)
+    assert plain.skipped_states == rb.skipped_states == (3,)
+    assert plain.y0[3] == rb.y0[3] == 0.0
+    assert essential_infimum_ratio(mu, nu) == pytest.approx(0.25 / 0.5)
+    assert conditional_pi_constant(cycle_model.A, nu).support.tolist() == [0, 1, 2]
 
 
 class TestBackwardMapEstimators:
@@ -101,7 +116,8 @@ class TestOnePassEngine:
             for T, samples in zip(T_list, per_horizon):
                 pis = evolve_ensemble(priors, batch.increments[:, : round(T / dt), :], dt, cycle_model)
                 gamma = density_ratio(pis[:, 0, :], pis[:, 1, :])
-                x_T = np.array([sp.state_at(T) for sp in batch.state_paths])
+                # the state holding at T: entered at the last jump time <= T
+                x_T = np.array([sp.states[np.searchsorted(sp.jump_times, T, side="right") - 1] for sp in batch.state_paths])
                 moved += int(np.sum(x_T != terminal))
                 assert np.array_equal(samples.plain[row], gamma[np.arange(n), x_T])
                 assert np.array_equal(samples.rb[row], (pis[:, 2, :] * gamma).sum(axis=1))

@@ -31,7 +31,7 @@ def _first_draws(seed, stream, law):
     """X_0 and the first holding time on the cycle (exit rate 1) read off
     the stream directly: its first uniform picks X_0 by inverse CDF, and
     its first inverse-CDF exponential is the holding time."""
-    rng = spawn_rng(seed, stream).generator()
+    rng = spawn_rng(seed, stream)
     x0 = int(np.searchsorted(np.cumsum(law), rng.random(), side="right"))
     return x0, rng.standard_exponential(method="inv")
 
@@ -47,9 +47,8 @@ class TestSamplePathBatch:
 
     def test_pinned_initial_state(self, cycle_model):
         batch = sample_path_batch(cycle_model, 5, 0.5, 1e-2, 3, initial_state=2)
-        assert batch.initial_states.tolist() == [2] * 5
+        assert [sp.states[0] for sp in batch.state_paths] == [2] * 5
         assert batch.increments.shape == (5, 50, 1)
-        assert batch.n_paths == 5
 
     def test_each_path_replays_its_own_stream(self, cycle_model):
         # path i starts stream offset + i: X_0 from its first uniform, the
@@ -60,7 +59,7 @@ class TestSamplePathBatch:
         )
         for i, sp in enumerate(batch.state_paths):
             x0, hold = _first_draws(9, offset + i, CYCLE_MU)
-            assert batch.initial_states[i] == x0
+            assert sp.states[0] == x0
             assert sp.jump_times[1:2].tolist() == ([hold] if hold < 1.0 else [])
 
     def test_noiseless_batch_replays_streams_without_increments(self, cycle_noiseless):
@@ -69,7 +68,7 @@ class TestSamplePathBatch:
             cycle_noiseless, 6, 1.0, 1e-2, 9, initial_law=CYCLE_NU, stream_offset=offset
         )
         assert batch.increments is None
-        assert batch.n_paths == 6
+        assert len(batch.state_paths) == 6
         for i, sp in enumerate(batch.state_paths):
             x0, hold = _first_draws(9, offset + i, CYCLE_NU)
             assert sp.states[0] == x0
@@ -133,17 +132,17 @@ class TestTerminalFilterStates:
     def test_matches_per_path_run_filter(self, cycle_model):
         batch = sample_path_batch(cycle_model, 5, 0.5, 1e-3, 2, initial_law=CYCLE_MU)
         priors = np.stack([CYCLE_MU, CYCLE_NU])
-        out = evolve_ensemble(priors, batch.increments, batch.dt, cycle_model)
+        out = evolve_ensemble(priors, batch.increments, 1e-3, cycle_model)
         assert out.shape == (5, 2, 4)
         for i in range(5):
             for k, prior in enumerate(priors):
-                alone = evolve_ensemble(prior[None], batch.increments[i : i + 1], batch.dt, cycle_model)
+                alone = evolve_ensemble(prior[None], batch.increments[i : i + 1], 1e-3, cycle_model)
                 assert np.array_equal(out[i, k], alone[0, 0])
 
     def test_noiseless_batch_rejected(self, cycle_noiseless):
         batch = sample_path_batch(cycle_noiseless, 3, 0.2, 1e-2, 1, initial_law=CYCLE_MU)
         with pytest.raises(NonPositiveNoise):
-            evolve_ensemble(np.stack([CYCLE_MU, CYCLE_NU]), batch.increments, batch.dt, cycle_noiseless)
+            evolve_ensemble(np.stack([CYCLE_MU, CYCLE_NU]), batch.increments, 1e-2, cycle_noiseless)
 
 
 class TestStiffSettings:

@@ -285,7 +285,8 @@ class TestExactNoiselessFilter:
         )
         sp = state_path(model, 0, 3.0, 44)
         pis = filter_states(np.full(4, 0.25), [sp], 1e-3, model)[0, 0]
-        grid_states = sp.states_on_grid(pis.shape[0] - 1)
+        times = np.arange(pis.shape[0]) * 1e-3
+        grid_states = sp.states[np.searchsorted(sp.jump_times, times, side="right") - 1]
         levels = model.H[grid_states, 0]
         off_level = model.H[:, 0][None, :] != levels[:, None]
         assert np.all(pis[off_level] == 0.0)

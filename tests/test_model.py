@@ -174,20 +174,19 @@ class TestErgodicityAndObservability:
         assert is_ergodic(np.array([[-0.3, 0.3], [0.0, 0.0]]))
 
     def test_cycle_observable_dim_two(self):
-        basis = observable_space(CYCLE_A, CYCLE_H.reshape(4, 1))
-        assert basis.dim == 2
+        V = observable_space(CYCLE_A, CYCLE_H.reshape(4, 1))
+        assert len(V) == 2
         # rows are orthonormal and span both the constants and h itself
-        V = basis.vectors
         np.testing.assert_allclose(V @ V.T, np.eye(2), atol=1e-10)
         for f in (np.ones(4), CYCLE_H):
             np.testing.assert_allclose(V.T @ (V @ f), f, atol=1e-10)
 
     def test_blocks_signed_observation_is_full(self):
         h = np.array([[1.0], [0.0], [-1.0], [0.0]])
-        assert observable_space(BLOCKS_A, h).dim == 4
+        assert len(observable_space(BLOCKS_A, h)) == 4
 
     def test_blocks_zero_observation_sees_constants_only(self):
-        assert observable_space(BLOCKS_A, np.zeros((4, 1))).dim == 1
+        assert len(observable_space(BLOCKS_A, np.zeros((4, 1)))) == 1
 
     def test_two_state_criteria_sweep(self, rng):
         for _ in range(50):
@@ -198,7 +197,7 @@ class TestErgodicityAndObservability:
                 h2 = h1
             A = np.array([[-l12, l12], [l21, -l21]])
             assert is_ergodic(A) == (l12 + l21 > 0.0)
-            dim = observable_space(A, np.array([[h1], [h2]])).dim
+            dim = len(observable_space(A, np.array([[h1], [h2]])))
             assert (dim == 2) == (h1 != h2)
 
 
