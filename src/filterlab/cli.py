@@ -136,7 +136,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_structure(args) -> int:
     if args.model is not None:
-        model = load_model(args.model, allow_noiseless=True)
+        model = load_model(args.model)
     else:
         model = model_for_sweep_value(preset_config(args.preset), None)
     out = resolve_out_dir(args.out)

@@ -85,9 +85,9 @@ def _require(cond: bool, field_name: str, message: str) -> None:
         raise ConfigError(f"{field_name}: {message}")
 
 
-def _checked_model(A, H, r, allow_noiseless: bool) -> HmmModel:
+def _checked_model(A, H, r) -> HmmModel:
     try:
-        return validate_model(A, H, r, allow_noiseless=allow_noiseless)
+        return validate_model(A, H, r)
     except FilterLabError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
@@ -104,7 +104,7 @@ def _seed_check(seed: int) -> None:
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    _checked_model(cfg.A, cfg.H, cfg.r, allow_noiseless=True)
+    _checked_model(cfg.A, cfg.H, cfg.r)
     d = cfg.A.shape[0]
     try:
         mu = as_simplex(cfg.mu, d=d)
@@ -154,10 +154,10 @@ def model_for_sweep_value(cfg: ExperimentConfig, value: float | None) -> HmmMode
     value = None returns the base model.
     """
     if value is None or cfg.sweep_kind is None:
-        return validate_model(cfg.A, cfg.H, cfg.r, allow_noiseless=True)
+        return validate_model(cfg.A, cfg.H, cfg.r)
     if cfg.sweep_kind == "sigma2":
-        return validate_model(cfg.A, cfg.H, float(np.sqrt(value)), allow_noiseless=True)
-    return validate_model(cfg.A, cfg.H * float(value), cfg.r, allow_noiseless=True)
+        return validate_model(cfg.A, cfg.H, float(np.sqrt(value)))
+    return validate_model(cfg.A, cfg.H * float(value), cfg.r)
 
 
 _CYCLE_A = np.array(
@@ -299,9 +299,10 @@ def _write_json(data: dict, path: str) -> None:
         fh.write("\n")
 
 
-def load_model(path: str, allow_noiseless: bool = False) -> HmmModel:
-    """Read a model JSON file; any fault in it is a ConfigError."""
-    return _checked_model(*_read_model(path, path), allow_noiseless=allow_noiseless)
+def load_model(path: str) -> HmmModel:
+    """Read a model JSON file (r = 0 is the noiseless model); any fault in
+    it is a ConfigError."""
+    return _checked_model(*_read_model(path, path))
 
 
 def save_model(model: HmmModel, path: str) -> None:

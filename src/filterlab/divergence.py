@@ -55,6 +55,7 @@ __all__ = [
     "Chi2DriftTerms",
     "chi2_drift_terms",
     "chi2_drift_batch",
+    "MIN_FIT_POINTS",
     "RateFit",
     "fit_exponential_rate",
     "write_series_csv",
@@ -244,6 +245,9 @@ def chi2_drift_batch(pi_mu: np.ndarray, pi_nu: np.ndarray, model: HmmModel) -> n
     return -(gamma_energy + (v_mu * v_nu).sum(axis=-1))
 
 
+MIN_FIT_POINTS = 10  # decimated points a rate fit needs in its window
+
+
 @dataclass(frozen=True)
 class RateFit:
     """Least-squares exponential rate of a positive series on a window.
@@ -261,20 +265,15 @@ class RateFit:
     stride: int
 
 
-def fit_exponential_rate(
-    times,
-    values,
-    window: tuple[float, float] | None = None,
-    min_points: int = 10,
-) -> RateFit:
+def fit_exponential_rate(times, values, window: tuple[float, float] | None = None) -> RateFit:
     """Fit values ~ exp(intercept - rate * t) on the window by log-OLS.
 
     The window defaults to [0.2 T, 0.9 T].  Points are decimated before the
     error estimate so residuals are approximately uncorrelated: the stride
     is the AR(1) decorrelation length of the full-window residuals, capped
-    so at least min_points survive.  Raises NonPositiveSeries if any value
-    in the window is <= 0 and WindowTooShort if fewer than min_points
-    decimated points remain.
+    so at least MIN_FIT_POINTS survive.  Raises NonPositiveSeries if any
+    value in the window is <= 0 and WindowTooShort if fewer than
+    MIN_FIT_POINTS decimated points remain.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -287,7 +286,7 @@ def fit_exponential_rate(
     mask = (times >= lo) & (times <= hi)
     t = times[mask]
     y = values[mask]
-    if t.size < min_points:
+    if t.size < MIN_FIT_POINTS:
         raise WindowTooShort(f"{t.size} points in window [{lo}, {hi}]")
     if np.any(y <= 0.0) or np.any(~np.isfinite(y)):
         raise NonPositiveSeries("series must be strictly positive on the window")
@@ -310,12 +309,9 @@ def fit_exponential_rate(
             rho = float(resid_full[:-1] @ resid_full[1:]) / denom
             rho = min(max(rho, 0.0), 1.0 - 1e-12)
             stride = max(1, int(np.ceil((1.0 + rho) / (1.0 - rho))))
-    stride = min(stride, max(1, t.size // min_points))
+    stride = min(stride, max(1, t.size // MIN_FIT_POINTS))
+    # the cap keeps at least MIN_FIT_POINTS of the t.size >= MIN_FIT_POINTS points
     td, yd = t[::stride], logy[::stride]
-    if td.size < min_points:
-        raise WindowTooShort(
-            f"{td.size} decimated points (stride {stride}) in window [{lo}, {hi}]"
-        )
     slope, intercept, resid, sxx = ols(td, yd)
     dof = td.size - 2
     sigma2 = float(resid @ resid) / dof if dof > 0 else 0.0

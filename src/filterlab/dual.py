@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import AC_EPS, _divergence_batch, chi2, density_ratio
+from .divergence import AC_EPS, _divergence_batch, _mean_se, chi2, density_ratio
 from .ensemble import sample_path_batch
 from .errors import AssumptionA1Violated, DimensionMismatch
 from .filtering import evolve_ensemble
@@ -44,6 +44,7 @@ __all__ = [
     "BackwardMapEstimate",
     "DecayDiagnostics",
     "backward_map_study",
+    "ENVELOPE_TAU",
     "EnvelopeReport",
     "theorem2_envelope",
     "essential_infimum_ratio",
@@ -51,7 +52,7 @@ __all__ = [
     "read_backward_map_csv",
 ]
 
-DEFAULT_DT = 1e-3
+ENVELOPE_TAU = 1.0  # the envelope's time unit: it contracts once per ENVELOPE_TAU
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def _filter_snapshots(
     out = np.empty((len(steps), increments.shape[0]) + priors.shape)
     index = {n: i for i, n in enumerate(steps)}
 
-    def snapshot(step: int, t: float, pis: np.ndarray) -> None:
+    def snapshot(step: int, pis: np.ndarray) -> None:
         i = index.get(step)
         if i is not None:
             out[i] = pis
@@ -164,15 +165,13 @@ def _horizon_samples(
 
 
 def _estimate_from(samples: _StateSamples, values: np.ndarray, d: int, T: float, kind: str) -> BackwardMapEstimate:
-    n = values.shape[1]
     y0 = np.zeros(d)
     se = np.zeros(d)
-    y0[samples.states] = values.mean(axis=1)
-    se[samples.states] = values.std(axis=1, ddof=1) / np.sqrt(n)
+    y0[samples.states], se[samples.states] = _mean_se(values.T)
     return BackwardMapEstimate(
         y0=y0,
         stderr=se,
-        n_paths=n,
+        n_paths=values.shape[1],
         T=float(T),
         estimator_kind=kind,
         skipped_states=samples.skipped,
@@ -334,7 +333,7 @@ def backward_map_study(
     T_list,
     n_paths: int,
     master_seed: int,
-    dt: float = DEFAULT_DT,
+    dt: float,
 ) -> tuple[list[DecayDiagnostics], BackwardMapEstimate, BackwardMapEstimate]:
     """Variance-decay diagnostics over increasing horizons, and both
     backward-map estimators at the last one: (diagnostics, plain,
@@ -380,68 +379,45 @@ def backward_map_study(
 class EnvelopeReport:
     """Comparison of a measured mean chi-square series to the decay envelope.
 
-    envelope(t) = (1/a_lower) (1 + tau c)^(-floor(t/tau)) chi2_prior.  A grid
-    time violates the envelope when mean - 3 se exceeds it; violations are
-    evidence that c_estimate exceeds the true filter constant (the surrogate
-    is not a certified lower bound), so they are reported, not raised.
+    envelope(t) = (1/a_lower) (1 + tau c)^(-floor(t/tau)) chi2_prior, tau =
+    ENVELOPE_TAU.  A grid time violates the envelope when mean - 3 se exceeds
+    it; violations are evidence that c_estimate exceeds the true filter
+    constant (the surrogate is not a certified lower bound), so they are
+    reported, not raised.
     """
 
-    times: np.ndarray
     envelope: np.ndarray
-    chi2_mean: np.ndarray
-    chi2_se: np.ndarray
     n_violations: int
     first_violation_time: float | None
     a_lower: float
     c_estimate: float
-    tau: float
-    chi2_prior: float
 
 
-def theorem2_envelope(
-    model: HmmModel,
-    mu,
-    nu,
-    series,
-    c_estimate: float,
-    tau: float,
-) -> EnvelopeReport:
+def theorem2_envelope(model: HmmModel, mu, nu, series, c_estimate: float) -> EnvelopeReport:
     """Overlay the multiplicative decay envelope on a measured chi2 series.
 
     series is a DivergenceSeries whose paths were sampled under the mu path
-    law.  Raises AssumptionA1Violated when
-    a_lower = min mu/nu is zero, since the envelope constant 1/a_lower is
-    then undefined.
+    law.  Raises AssumptionA1Violated when a_lower = min mu/nu is zero,
+    since the envelope constant 1/a_lower is then undefined.
     """
     mu = as_simplex(mu, d=model.d)
     nu = as_simplex(nu, d=model.d)
     if c_estimate < 0.0:
         raise DimensionMismatch("c_estimate must be nonnegative")
-    if tau <= 0.0:
-        raise DimensionMismatch("tau must be positive")
     a_lower = essential_infimum_ratio(mu, nu)
     if a_lower <= 0.0:
         raise AssumptionA1Violated("min mu/nu on supp(nu) is zero")
-    chi2_prior = chi2(mu, nu)
-    times = series.times
-    steps = np.floor(times / tau)
-    envelope = (1.0 / a_lower) * (1.0 + tau * c_estimate) ** (-steps) * chi2_prior
-    mean = series.chi2_mean
-    se = series.chi2_se
-    violated = mean - 3.0 * se > envelope
+    steps = np.floor(series.times / ENVELOPE_TAU)
+    envelope = (1.0 / a_lower) * (1.0 + ENVELOPE_TAU * c_estimate) ** (-steps) * chi2(mu, nu)
+    violated = series.chi2_mean - 3.0 * series.chi2_se > envelope
     n_violations = int(violated.sum())
-    first = float(times[violated][0]) if n_violations else None
+    first = float(series.times[violated][0]) if n_violations else None
     return EnvelopeReport(
-        times=times,
         envelope=envelope,
-        chi2_mean=mean,
-        chi2_se=se,
         n_violations=n_violations,
         first_violation_time=first,
         a_lower=a_lower,
         c_estimate=float(c_estimate),
-        tau=float(tau),
-        chi2_prior=chi2_prior,
     )
 
 

@@ -93,7 +93,8 @@ class EnsembleDivergence:
     the integrated chi-square drift; both are None otherwise.
     terminal_pis stacks the final filter states as (n_paths, 2, d) in the
     order (from_mu, from_nu).  nu_filters holds the nu-filter states
-    (nu_paths, n + 1, d) of the extra paths sampled under nu.
+    (nu_paths, n + 1, d) of run_divergence_sweep's extra paths sampled
+    under nu.
     """
 
     series: DivergenceSeries
@@ -113,24 +114,18 @@ def run_divergence_ensemble(
     dt: float,
     master_seed: int,
     record_integrals: bool = False,
-    nu_paths: int = 0,
 ) -> EnsembleDivergence:
     """Divergence series between the filters started from mu and nu.
 
-    The one-model run_divergence_sweep.  Signal paths are sampled under mu.
-    nu_paths more paths, sampled under nu on the streams n_paths .. n_paths
-    + nu_paths - 1, ride in the same engine call with nu in both prior
-    slots (mu need not charge the class or level a nu path is in, and its
-    filter could lose all mass there); their nu-filter states come back as
-    nu_filters, and the divergences, terminal_pis and initial_states cover
-    the mu paths only.  A noiseless model routes every path through the
+    The one-model run_divergence_sweep without nu paths.  Signal paths are
+    sampled under mu.  A noiseless model routes every path through the
     exact level-set filter; record_integrals, which adds the signal and
     drift integrals, needs a noisy one (NonPositiveNoise).  The observer
     reduces blocks of _BLOCK_STEPS steps; an AbsoluteContinuityViolation is
     raised by the flush of its block, which runs before any later error of
     the engine propagates.
     """
-    return next(run_divergence_sweep([model], mu, nu, n_paths, T, dt, master_seed, record_integrals, nu_paths))
+    return next(run_divergence_sweep([model], mu, nu, n_paths, T, dt, master_seed, record_integrals))
 
 
 def run_divergence_sweep(models, mu, nu, n_paths, T, dt, master_seed, record_integrals=False, nu_paths=0):
@@ -141,6 +136,13 @@ def run_divergence_sweep(models, mu, nu, n_paths, T, dt, master_seed, record_int
     are r sqrt(dt) times the normals plus the exact drift of its H, which is
     computed once per run of equal H.  Each ensemble equals its one-model
     run bit for bit and is computed when asked for.
+
+    nu_paths more paths, sampled under nu on the streams n_paths .. n_paths
+    + nu_paths - 1, ride in the same engine call with nu in both prior
+    slots (mu need not charge the class or level a nu path is in, and its
+    filter could lose all mass there); their nu-filter states come back as
+    nu_filters, and the divergences, terminal_pis and initial_states cover
+    the mu paths only.
     """
     models = list(models)
     if not models or any(not np.array_equal(m.A, models[0].A) or m.H.shape != models[0].H.shape for m in models):
@@ -191,7 +193,7 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
         _accumulate(signal, signal_acc, k0, (((p - q) @ hu) ** 2).sum(axis=-1) * dt)
         _accumulate(drift, drift_acc, k0, chi2_drift_batch(p, q, model) * dt)
 
-    def observer(step: int, t: float, pis: np.ndarray) -> None:
+    def observer(step: int, pis: np.ndarray) -> None:
         nonlocal seen
         block[:, :, step - done] = pis[:n_paths].transpose(2, 1, 0)
         nu_filters[:, step] = pis[n_paths:, 1]

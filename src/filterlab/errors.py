@@ -18,7 +18,7 @@ class RowSumNonZero(FilterLabError):
 
 
 class NonPositiveNoise(FilterLabError):
-    """Observation noise amplitude r <= 0 without the explicit noiseless flag."""
+    """Noise amplitude r < 0 or not finite, or r = 0 where a noisy model is needed."""
 
 
 class NonUniqueInvariantMeasure(FilterLabError):
@@ -46,7 +46,7 @@ class NonPositiveSeries(FilterLabError):
 
 
 class WindowTooShort(FilterLabError):
-    """Fewer than the minimum number of decimated points in the fit window."""
+    """Fewer than divergence.MIN_FIT_POINTS points in the rate-fit window."""
 
 
 class DegenerateVarianceForm(FilterLabError):

@@ -74,7 +74,7 @@ def _split_steps(S: np.ndarray, increments: np.ndarray, dt: float, model: HmmMod
     The correction exponent of a block of _BLOCK_STEPS steps is computed in
     (b, d, P) layout, shifted by its per-(step, path) maximum and
     exponentiated at once; each step shares its (d, P) slice by the k priors.
-    observer(step, t, pis) gets the (P, k, d) view of the states at step 0
+    observer(step, pis) gets the (P, k, d) view of the states at step 0
     and after every update.  Returns the terminal array.
     """
     E = _subgenerator_expm(model.A, dt)
@@ -82,7 +82,7 @@ def _split_steps(S: np.ndarray, increments: np.ndarray, dt: float, model: HmmMod
     gain = hu / model.r
     half = 0.5 * dt * (hu**2).sum(axis=1)[:, None]
     if observer is not None:
-        observer(0, 0.0, S.transpose(2, 1, 0))
+        observer(0, S.transpose(2, 1, 0))
     for start in range(0, increments.shape[1], _BLOCK_STEPS):
         dz = increments[:, start : start + _BLOCK_STEPS].transpose(2, 1, 0)[:, :, None, :]
         lw = gain[:, :1] * dz[0]
@@ -98,7 +98,7 @@ def _split_steps(S: np.ndarray, increments: np.ndarray, dt: float, model: HmmMod
                 raise DegenerateMass(f"step {step}: filter mass vanished; check the increments")
             S /= mass
             if observer is not None:
-                observer(step + 1, (step + 1) * dt, S.transpose(2, 1, 0))
+                observer(step + 1, S.transpose(2, 1, 0))
     return S
 
 
@@ -141,10 +141,11 @@ def evolve_ensemble(
     """Evolve k priors through P observation paths in lockstep.
 
     priors is (k, d), shared by all paths, or (k, P, d), one row per path,
-    and increments (P, n_steps, m).  observer(step, t, pis) is called with
-    step = 0 at t = 0 and then after every update; pis is the (P, k, d) view
-    of the state-major array, not to be mutated and valid only during the
-    call.  Returns the terminal states as such a view.
+    and increments (P, n_steps, m).  observer(step, pis) is called with
+    step = 0 and then after every update, step n holding the laws at time
+    n dt; pis is the (P, k, d) view of the state-major array, not to be
+    mutated and valid only during the call.  Returns the terminal states as
+    such a view.
     """
     if model.noiseless:
         raise NonPositiveNoise("noiseless model: use evolve_noiseless_ensemble")
@@ -207,7 +208,7 @@ def evolve_noiseless_ensemble(
     change time tau with the level's semigroup, move mass along the flux
     pi+(y) propto sum_x pi(x) A(x, y) over y in the new level, and continue
     to t_{k+1}; a change on a grid point belongs to the earlier step.
-    observer(step, t, pis) is called, and the states returned, as in
+    observer(step, pis) is called, and the states returned, as in
     evolve_ensemble.  Raises EmptyLevelSet, naming the time, when no mass is
     left on the observed level, and GridMismatch when dt does not divide T.
     """
@@ -247,7 +248,7 @@ def evolve_noiseless_ensemble(
     level = np.array([level_of[sp.states[0]] for sp in state_paths])
     S = _normalized_levels(np.ascontiguousarray(priors.transpose(2, 0, 1)) * levels[level].T[:, None, :], 0)
     if observer is not None:
-        observer(0, 0.0, S.transpose(2, 1, 0))
+        observer(0, S.transpose(2, 1, 0))
     for step in range(n_steps):
         t_end = float(grid[step + 1])
         new = np.einsum("xy,xkn->ykn", G, S)
@@ -261,5 +262,5 @@ def evolve_noiseless_ensemble(
             level[p] = lv
         S = _normalized_levels(new, t_end)
         if observer is not None:
-            observer(step + 1, t_end, S.transpose(2, 1, 0))
+            observer(step + 1, S.transpose(2, 1, 0))
     return S.transpose(2, 1, 0)

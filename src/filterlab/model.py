@@ -7,8 +7,9 @@ observation is the m-dimensional process
     dZ_t = h(X_t) dt + r dW_t,
 
 where h(x) is row x of the observation matrix H and W is a standard Brownian
-motion independent of X.  Internally the model stores the rescaled observation
-function H/r so that downstream code always works in the unit-noise form.
+motion independent of X.  A model is the triple (A, H, r); r = 0 is the
+noiseless observation Y = h(X).  The rescaled observation function H/r is
+derived from it, so that downstream code always works in the unit-noise form.
 
 This module holds the model container, its validation, and the structural
 quantities attached to the pair (A, H): the carre du champ operator, the
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,16 +64,23 @@ class HmmModel:
     ----------
     A : (d, d) transition-rate matrix, canonical diagonal.
     H : (d, m) observation matrix, row x is h(x).
-    r : observation noise amplitude (noise variance r**2 per unit time).
-    h_unit : (d, m) rescaled observation H/r; equals H when noiseless.
-    noiseless : True only for r == 0 models built with allow_noiseless.
+    r : observation noise amplitude (noise variance r**2 per unit time);
+        r == 0 is the noiseless model, usable with the exact noiseless
+        filter only.
     """
 
     A: np.ndarray
     H: np.ndarray
     r: float
-    h_unit: np.ndarray = field(repr=False)
-    noiseless: bool = False
+
+    @property
+    def noiseless(self) -> bool:
+        return self.r == 0.0
+
+    @cached_property
+    def h_unit(self) -> np.ndarray:
+        """(d, m) rescaled observation H/r; H itself when noiseless."""
+        return self.H if self.noiseless else self.H / self.r
 
     @property
     def d(self) -> int:
@@ -114,33 +123,26 @@ def _as_observation(H, d: int) -> np.ndarray:
     return H
 
 
-def validate_model(A, H, r: float, allow_noiseless: bool = False) -> HmmModel:
+def validate_model(A, H, r: float) -> HmmModel:
     """Validate (A, H, r) and return the immutable model container.
 
     Raises NegativeOffDiagonal / RowSumNonZero / DimensionMismatch on a bad
-    generator or shape, and NonPositiveNoise when r <= 0.  The only way to
-    build an r == 0 model is allow_noiseless=True; such a model is usable
-    with the exact noiseless filter only.
+    generator or shape, and NonPositiveNoise when r is negative or not
+    finite.  r = 0 (or -0.0, stored as 0.0) is the noiseless model.
     """
     A = _as_rate_matrix(A)
     H = _as_observation(H, A.shape[0])
     if not np.all(np.isfinite(H)):
         raise DimensionMismatch("H contains non-finite entries")
     r = float(r)
-    if not math.isfinite(r):
-        raise NonPositiveNoise(f"noise amplitude r = {r} is not finite")
-    if r <= 0.0:
-        if not (allow_noiseless and r == 0.0):
-            raise NonPositiveNoise(
-                f"noise amplitude r = {r} <= 0; pass allow_noiseless=True "
-                "for an exact noiseless model"
-            )
-        return HmmModel(A=A, H=H, r=0.0, h_unit=H.copy(), noiseless=True)
-    return HmmModel(A=A, H=H, r=r, h_unit=H / r, noiseless=False)
+    if not (math.isfinite(r) and r >= 0.0):
+        raise NonPositiveNoise(f"noise amplitude r = {r} must be finite and >= 0")
+    return HmmModel(A=A, H=H, r=abs(r))
 
 
-def as_simplex(p, d: int | None = None, tol: float = SIMPLEX_TOL) -> np.ndarray:
-    """Validate a probability vector: entries >= -tol, sum within tol of 1.
+def as_simplex(p, d: int) -> np.ndarray:
+    """Validate a length-d probability vector: entries >= -SIMPLEX_TOL, sum
+    within SIMPLEX_TOL of 1.
 
     Tiny negative entries from floating-point clipping are zeroed and the
     vector is renormalized, so the result is an exact simplex point.
@@ -148,13 +150,13 @@ def as_simplex(p, d: int | None = None, tol: float = SIMPLEX_TOL) -> np.ndarray:
     p = np.array(p, dtype=float)
     if p.ndim != 1:
         raise DimensionMismatch(f"probability vector must be 1-D, got {p.shape}")
-    if d is not None and p.shape[0] != d:
+    if p.shape[0] != d:
         raise DimensionMismatch(f"expected length {d}, got {p.shape[0]}")
     if not np.all(np.isfinite(p)):
         raise DimensionMismatch("probability vector has non-finite entries")
-    if np.any(p < -tol):
+    if np.any(p < -SIMPLEX_TOL):
         raise DimensionMismatch(f"negative probability {p.min()}")
-    if abs(p.sum() - 1.0) > tol:
+    if abs(p.sum() - 1.0) > SIMPLEX_TOL:
         raise DimensionMismatch(f"probabilities sum to {p.sum()}, not 1")
     p = np.clip(p, 0.0, None)
     return p / p.sum()

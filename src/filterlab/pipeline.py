@@ -25,7 +25,7 @@ from .divergence import (
     tv,
     write_series_csv,
 )
-from .dual import backward_map_study, theorem2_envelope, write_backward_map_csv
+from .dual import ENVELOPE_TAU, backward_map_study, theorem2_envelope, write_backward_map_csv
 from .ensemble import run_divergence_sweep
 from .errors import (
     AssumptionA1Violated,
@@ -60,7 +60,6 @@ __all__ = [
 OUT_DIR_ENV = "FILTERLAB_OUT"
 PI_TRAJECTORY_PATHS = 8
 PI_TRAJECTORY_STRIDE = 500
-ENVELOPE_TAU = 1.0
 
 
 def resolve_out_dir(explicit: str | None, cfg_out: str | None = None) -> str:
@@ -145,12 +144,10 @@ def run_simulate(
         c_env = max(c_inf, 0.0) if np.isfinite(c_inf) else 0.0
         envelope_payload = None
         try:
-            report = theorem2_envelope(
-                model, cfg.mu, cfg.nu, series, c_env, ENVELOPE_TAU
-            )
+            report = theorem2_envelope(model, cfg.mu, cfg.nu, series, c_env)
             envelope_payload = {
                 "c_estimate": report.c_estimate,
-                "tau": report.tau,
+                "tau": ENVELOPE_TAU,
                 "a_lower": report.a_lower,
                 "n_violations": report.n_violations,
                 "first_violation_time": report.first_violation_time,

@@ -140,7 +140,7 @@ def conditional_pi_constant(A, rho) -> PiResult:
     return _pi_eigenproblem(A, rho, support)
 
 
-def trajectory_pi_infimum(A, pis, dt: float, stride: int = 100):
+def trajectory_pi_infimum(A, pis, dt: float, stride: int):
     """Infimum of the conditional constant along filter trajectories.
 
     pis holds the filter states (P, n + 1, d) of P paths on the grid with

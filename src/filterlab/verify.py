@@ -233,6 +233,14 @@ def _blocks_A() -> np.ndarray:
     return preset_config("example-6.2").A
 
 
+def _random_rates(rng: np.random.Generator, d: int, lo: float, hi: float) -> np.ndarray:
+    """A (d, d) generator with off-diagonal rates drawn uniformly from [lo, hi)."""
+    A = rng.uniform(lo, hi, size=(d, d))
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, -A.sum(axis=1))
+    return A
+
+
 # ---------------------------------------------------------------------------
 # deterministic checks
 # ---------------------------------------------------------------------------
@@ -263,10 +271,7 @@ def check_drift_identity(seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(50):
         d = int(rng.integers(2, 6))
-        off = rng.uniform(0.2, 2.0, size=(d, d))
-        A = off.copy()
-        np.fill_diagonal(A, 0.0)
-        np.fill_diagonal(A, -A.sum(axis=1))
+        A = _random_rates(rng, d, 0.2, 2.0)
         H = rng.normal(size=(d, 2))
         model = validate_model(A, H, 1.0)
         p = rng.dirichlet(np.ones(d))
@@ -379,18 +384,18 @@ def check_structure_examples(seed: int) -> CheckResult:
 
 
 def check_noiseless_identity(seed: int) -> CheckResult:
-    """Level-set filter: alternation pattern and the constant-gap identity."""
-    model = _cycle_model(0.0)
+    """Level-set filter from X_0 = 0: alternation pattern and the constant L1
+    gap 2 (p - p'), p and p' the priors' masses at 0 given the level {0, 2}."""
+    cfg = preset_config("example-6.1")
+    model = model_for_sweep_value(cfg, 0.0)
     batch = sample_path_batch(model, 1, 5.0, 1e-3, seed, initial_state=0, stream_offset=9006)
-    mu = np.array([0.35, 0.35, 0.15, 0.15])
-    nu = np.full(4, 0.25)
     rows = []
     evolve_noiseless_ensemble(
-        np.stack([mu, nu]), batch.state_paths, 1e-3, model, observer=lambda step, t, pis: rows.append(pis[0].copy())
+        np.stack([cfg.mu, cfg.nu]), batch.state_paths, 1e-3, model, observer=lambda step, pis: rows.append(pis[0].copy())
     )
     pis = np.stack(rows, axis=1)  # (2, n + 1, d): the mu and nu filters
     gap = np.abs(pis[0] - pis[1]).sum(axis=1)
-    p, pp = 0.7, 0.5
+    p, pp = (prior[0] / (prior[0] + prior[2]) for prior in (cfg.mu, cfg.nu))
     err_gap = float(np.abs(gap - 2.0 * (p - pp)).max())
     level_pi = conditional_pi_constant(model.A, pis[0, 0])
     passed = err_gap <= 1e-10 and abs(level_pi.constant) <= 1e-10
@@ -400,11 +405,10 @@ def check_noiseless_identity(seed: int) -> CheckResult:
 
 def check_rerun_determinism(seed: int) -> CheckResult:
     """Two same-seed ensembles are bit-identical."""
+    cfg = preset_config("example-6.1")
     model = _cycle_model()
-    mu = [0.35, 0.35, 0.15, 0.15]
-    nu = [0.25] * 4
-    a = run_divergence_ensemble(model, mu, nu, 12, 0.5, 1e-3, seed, record_integrals=True)
-    b = run_divergence_ensemble(model, mu, nu, 12, 0.5, 1e-3, seed, record_integrals=True)
+    a = run_divergence_ensemble(model, cfg.mu, cfg.nu, 12, 0.5, 1e-3, seed, record_integrals=True)
+    b = run_divergence_ensemble(model, cfg.mu, cfg.nu, 12, 0.5, 1e-3, seed, record_integrals=True)
     same = (
         np.array_equal(a.series.chi2, b.series.chi2)
         and np.array_equal(a.series.kl, b.series.kl)
@@ -470,10 +474,7 @@ def check_weak_drift(seed: int, size: int) -> CheckResult:
     """Integrated drift matches chi-square increments on a random model."""
     rng = spawn_rng(seed, 9100)
     d = 3
-    off = rng.uniform(0.3, 1.5, size=(d, d))
-    A = off.copy()
-    np.fill_diagonal(A, 0.0)
-    np.fill_diagonal(A, -A.sum(axis=1))
+    A = _random_rates(rng, d, 0.3, 1.5)
     H = rng.normal(size=(d, 1))
     model = validate_model(A, H, 1.0)
     mu = 0.85 * rng.dirichlet(np.ones(d)) + 0.05
@@ -485,7 +486,7 @@ def check_weak_drift(seed: int, size: int) -> CheckResult:
 def check_backward_map(seed: int, size: int) -> list[CheckResult]:
     """Plain vs Rao-Blackwell agreement, variance reduction, normalization."""
     cfg = preset_config("example-6.1")
-    _, plain, rb = backward_map_study(_cycle_model(), cfg.mu, cfg.nu, (2.0,), size, seed)
+    _, plain, rb = backward_map_study(_cycle_model(), cfg.mu, cfg.nu, (2.0,), size, seed, cfg.dt)
     return [
         estimators_agree(plain, rb),
         rao_blackwell_variance_reduction(plain, rb),
@@ -496,7 +497,7 @@ def check_backward_map(seed: int, size: int) -> list[CheckResult]:
 def check_variance_decay(seed: int, size: int) -> list[CheckResult]:
     """Decay of var_nu(y0) over horizons plus the inequality suite."""
     cfg = preset_config("example-6.1")
-    diags, *_ = backward_map_study(_cycle_model(), cfg.mu, cfg.nu, (1.0, 2.0, 4.0), size, seed)
+    diags, *_ = backward_map_study(_cycle_model(), cfg.mu, cfg.nu, (1.0, 2.0, 4.0), size, seed, cfg.dt)
     return [
         variance_decay_monotone(diags),
         jensen_contraction(diags),
@@ -564,7 +565,7 @@ STATISTICAL_CHECKS = [
 ]
 
 
-def run_verify(master_seed: int = 0, size: int = 100) -> dict:
+def run_verify(master_seed: int, size: int) -> dict:
     """Run the verification suites and return a JSON-ready report.
 
     size scales the ensembles of the statistical suite; size = 0 skips it.

@@ -41,7 +41,7 @@ def cycle_model():
 
 @pytest.fixture(scope="session")
 def cycle_noiseless():
-    return validate_model(CYCLE_A, CYCLE_H, 0.0, allow_noiseless=True)
+    return validate_model(CYCLE_A, CYCLE_H, 0.0)
 
 
 @pytest.fixture(scope="session")
@@ -85,5 +85,5 @@ def filter_states(priors, data, dt, model):
     sequence of P state paths."""
     rows = []
     evolve = evolve_noiseless_ensemble if model.noiseless else evolve_ensemble
-    evolve(np.atleast_2d(priors), data, dt, model, observer=lambda step, t, pis: rows.append(pis.copy()))
+    evolve(np.atleast_2d(priors), data, dt, model, observer=lambda step, pis: rows.append(pis.copy()))
     return np.stack(rows, axis=2)

@@ -15,7 +15,7 @@ import pytest
 from filterlab import verify
 from filterlab.config import model_for_sweep_value, preset_config
 from filterlab.divergence import fit_exponential_rate, kl
-from filterlab.dual import backward_map_study, theorem2_envelope
+from filterlab.dual import ENVELOPE_TAU, backward_map_study, theorem2_envelope
 from filterlab.ensemble import run_divergence_ensemble, run_divergence_sweep, sample_path_batch
 from filterlab.model import is_ergodic, observable_space, validate_model
 from filterlab.poincare import classical_pi_constant, trajectory_pi_infimum
@@ -76,6 +76,7 @@ def diags61(cycle_cfg):
         (2.0, 5.0, 10.0),
         200,
         SEED,
+        cycle_cfg.dt,
     )
     return diags, elapsed
 
@@ -223,7 +224,7 @@ def test_criterion_07_backward_map_estimators_agree():
         model = validate_model(A, H, 1.0)
         mu = interior_simplex(rng, d)
         nu = interior_simplex(rng, d)
-        _, plain, rb = backward_map_study(model, mu, nu, (2.0,), 200, SEED + trial)
+        _, plain, rb = backward_map_study(model, mu, nu, (2.0,), 200, SEED + trial, 1e-3)
         assert plain.skipped_states == () and rb.skipped_states == ()
         r = verify.estimators_agree(plain, rb)
         assert r.passed, (trial, r.detail)
@@ -297,12 +298,12 @@ def test_envelope_with_trajectory_surrogate_is_reported(sweep61, cycle_cfg):
     pis = filter_states(cycle_cfg.nu, batch.increments, 1e-3, model)[:, 0]
     c_inf, _ = trajectory_pi_infimum(model.A, pis, 1e-3, stride=100)
     c_env = max(float(c_inf), 0.0) if np.isfinite(c_inf) else 0.0
-    report = theorem2_envelope(model, cycle_cfg.mu, cycle_cfg.nu, ens.series, c_env, 1.0)
+    report = theorem2_envelope(model, cycle_cfg.mu, cycle_cfg.nu, ens.series, c_env)
     assert report.a_lower == pytest.approx(0.6)
     assert report.envelope[0] == pytest.approx(0.16 / 0.6)
     assert np.all(np.isfinite(report.envelope))
     assert report.n_violations >= 0
     print(
         f"envelope report: c_estimate = {report.c_estimate:.4f}, "
-        f"tau = {report.tau}, violations = {report.n_violations}"
+        f"tau = {ENVELOPE_TAU}, violations = {report.n_violations}"
     )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import CYCLE_MU, CYCLE_NU, interior_simplex, random_generator_matrix
 from filterlab import divergence
 from filterlab.divergence import (
+    MIN_FIT_POINTS,
     SUPPORT_EPS,
     DivergenceSeries,
     _divergence_batch,
@@ -264,6 +265,15 @@ class TestRateFit:
         t = np.linspace(0.0, 10.0, 101)
         with pytest.raises(WindowTooShort):
             fit_exponential_rate(t, np.exp(-t), window=(4.0, 4.3))
+
+    def test_window_of_exactly_the_minimum_fits(self):
+        t = np.arange(100) * 0.125  # dyadic grid: window ends are exact
+        window = (1.0, 1.0 + (MIN_FIT_POINTS - 1) * 0.125)
+        fit = fit_exponential_rate(t, np.exp(-t), window=window)
+        assert fit.n_points == MIN_FIT_POINTS
+        assert fit.rate == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(WindowTooShort, match=f"^{MIN_FIT_POINTS - 1} points"):
+            fit_exponential_rate(t, np.exp(-t), window=(window[0], window[1] - 0.125))
 
     def test_noisy_fit_keeps_enough_points_and_covers_truth(self, rng):
         t = np.linspace(0.0, 10.0, 2001)

@@ -50,8 +50,8 @@ def test_support_users_agree_below_ac_eps(cycle_model, tiny):
 
 class TestBackwardMapEstimators:
     def test_pair_is_reproducible_and_consistent_with_single(self, cycle_model):
-        diags, plain1, rb1 = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (1.0,), 40, 5)
-        _, plain2, rb2 = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (1.0,), 40, 5)
+        diags, plain1, rb1 = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (1.0,), 40, 5, 1e-3)
+        _, plain2, rb2 = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (1.0,), 40, 5, 1e-3)
         for one, two in ((plain1, plain2), (rb1, rb2)):
             assert np.array_equal(one.y0, two.y0)
             assert np.array_equal(one.stderr, two.stderr)
@@ -61,7 +61,7 @@ class TestBackwardMapEstimators:
     def test_skipped_states_for_thin_nu_support(self, cycle_model):
         nu = np.array([0.5, 0.5, 0.0, 0.0])
         mu = np.array([0.3, 0.7, 0.0, 0.0])
-        for est in backward_map_study(cycle_model, mu, nu, (0.5,), 20, 1)[1:]:
+        for est in backward_map_study(cycle_model, mu, nu, (0.5,), 20, 1, 1e-3)[1:]:
             assert est.skipped_states == (2, 3)
             assert est.y0[2] == 0.0 and est.y0[3] == 0.0
             assert est.y0[0] != 0.0
@@ -69,16 +69,16 @@ class TestBackwardMapEstimators:
     def test_horizons_must_be_nonempty_and_increasing(self, cycle_model):
         for T_list in ((), (1.0, 0.5), (0.5, 0.5)):
             with pytest.raises(DimensionMismatch):
-                backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, T_list, 5, 0)
+                backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, T_list, 5, 0, 1e-3)
 
     def test_rao_blackwell_never_noisier(self, cycle_model):
-        _, plain, rb = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (1.0,), 60, 13)
+        _, plain, rb = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (1.0,), 60, 13, 1e-3)
         r = verify.rao_blackwell_variance_reduction(plain, rb)
         assert r.passed, r.detail
 
     def test_normalization_identity(self, cycle_model):
         # nu(y0) = 1 exactly in law
-        *_, rb = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (1.5,), 80, 17)
+        *_, rb = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (1.5,), 80, 17, 1e-3)
         r = verify.backward_map_normalization(rb, CYCLE_NU)
         assert r.passed, r.detail
 
@@ -171,7 +171,7 @@ class TestDropStandardError:
 
 @pytest.fixture(scope="module")
 def diags(cycle_model):
-    return backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (0.5, 1.5), 50, 3)[0]
+    return backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (0.5, 1.5), 50, 3, 1e-3)[0]
 
 
 class TestDecayDiagnostics:
@@ -198,7 +198,7 @@ class TestDecayDiagnostics:
 
     def test_degenerate_equal_priors(self, cycle_model):
         # mu = nu: chi2 vanishes, the ratio degrades gracefully
-        diags, _, _ = backward_map_study(cycle_model, CYCLE_NU, CYCLE_NU, (0.5,), 20, 0)
+        diags, _, _ = backward_map_study(cycle_model, CYCLE_NU, CYCLE_NU, (0.5,), 20, 0, 1e-3)
         d = diags[0]
         assert d.chi2_prior == 0.0
         assert d.a_lower == pytest.approx(1.0)
@@ -220,7 +220,7 @@ class TestTheorem2Envelope:
         # envelope(t) = (0.16/0.6) * 2^(-floor(t))
         times = np.array([0.0, 0.5, 1.0, 2.5])
         series = self._series(times, np.full((3, 4), 1e-4))
-        report = theorem2_envelope(cycle_model, CYCLE_MU, CYCLE_NU, series, 1.0, 1.0)
+        report = theorem2_envelope(cycle_model, CYCLE_MU, CYCLE_NU, series, 1.0)
         base = 0.16 / 0.6
         np.testing.assert_allclose(
             report.envelope, [base, base, base / 2.0, base / 4.0], atol=1e-12
@@ -233,7 +233,7 @@ class TestTheorem2Envelope:
         # at t = 1 the envelope is (0.16/0.6)/6 < 0.16
         times = np.linspace(0.0, 5.0, 11)
         series = self._series(times, np.full((4, 11), 0.16))
-        report = theorem2_envelope(cycle_model, CYCLE_MU, CYCLE_NU, series, 5.0, 1.0)
+        report = theorem2_envelope(cycle_model, CYCLE_MU, CYCLE_NU, series, 5.0)
         assert report.n_violations > 0
         assert report.first_violation_time == pytest.approx(1.0)
 
@@ -242,19 +242,17 @@ class TestTheorem2Envelope:
         series = self._series(times, np.full((2, 2), 0.1))
         mu = np.array([0.5, 0.5, 0.0, 0.0])
         with pytest.raises(AssumptionA1Violated):
-            theorem2_envelope(cycle_model, mu, CYCLE_NU, series, 1.0, 1.0)
+            theorem2_envelope(cycle_model, mu, CYCLE_NU, series, 1.0)
 
     def test_bad_parameters_rejected(self, cycle_model):
         series = self._series([0.0], [[0.1]])
         with pytest.raises(DimensionMismatch):
-            theorem2_envelope(cycle_model, CYCLE_MU, CYCLE_NU, series, -0.1, 1.0)
-        with pytest.raises(DimensionMismatch):
-            theorem2_envelope(cycle_model, CYCLE_MU, CYCLE_NU, series, 1.0, 0.0)
+            theorem2_envelope(cycle_model, CYCLE_MU, CYCLE_NU, series, -0.1)
 
 
 class TestBackwardMapCsv:
     def test_round_trip(self, tmp_path, cycle_model):
-        *_, est = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (0.5,), 15, 2)
+        *_, est = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (0.5,), 15, 2, 1e-3)
         p = tmp_path / "map.csv"
         write_backward_map_csv(str(p), est)
         cols = read_backward_map_csv(str(p))

@@ -111,7 +111,7 @@ class TestSamplePathBatch:
         A = random_generator_matrix(gen, d)
         if absorbing:
             A[gen.integers(d)] = 0.0
-        model = validate_model(A, gen.normal(size=(d, m)), r, allow_noiseless=True)
+        model = validate_model(A, gen.normal(size=(d, m)), r)
         law = gen.dirichlet(np.ones(d))
         x_pin = int(gen.integers(d))
         n_paths = 4
@@ -232,7 +232,7 @@ class TestRunDivergenceEnsemble:
                 [0.0, 0.0, 1.0, -1.0],
             ]
         )
-        model = validate_model(A, np.array([0.0, 1.0, 0.0, 2.0]), 0.0, allow_noiseless=True)
+        model = validate_model(A, np.array([0.0, 1.0, 0.0, 2.0]), 0.0)
         with pytest.raises(AbsoluteContinuityViolation):
             run_divergence_ensemble(model, [0.5, 0.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0], 8, 0.1, 1e-3, 0)
 
@@ -247,7 +247,7 @@ class TestRunDivergenceEnsemble:
             from filterlab.model import validate_model
 
             A = np.array([[-1.0, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [1, 0, 0, -1]])
-            model = validate_model(A, np.array([1.0, 0, 1, 0]), 0.0, allow_noiseless=True)
+            model = validate_model(A, np.array([1.0, 0, 1, 0]), 0.0)
             run_divergence_ensemble(model, [0.35, 0.35, 0.15, 0.15], [0.25] * 4, 4, 0.2, 1e-3, 0)
             print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
             """
@@ -281,7 +281,7 @@ class TestRunDivergenceSweep:
         models = [model_for_sweep_value(cfg, value) for value in values]
         args = (cfg.mu, cfg.nu, 10, 0.2, 1e-3, 11, record_integrals, 3)
         for model, ens in zip(models, run_divergence_sweep(models, *args)):
-            alone = run_divergence_ensemble(model, *args)
+            alone = next(run_divergence_sweep([model], *args))
             for got, want in [
                 (ens.series.chi2, alone.series.chi2),
                 (ens.series.kl, alone.series.kl),
@@ -308,7 +308,7 @@ def _per_step_reference(model, mu, nu, n_paths, T, dt, seed, record_integrals):
     signal_acc = np.zeros(n_paths)
     drift_acc = np.zeros(n_paths)
 
-    def observer(step, t, pis):
+    def observer(step, pis):
         p, q = pis[:, 0, :], pis[:, 1, :]
         chi2_v[:, step], kl_v[:, step], tv_v[:, step] = _divergence_batch(p, q)
         signal[:, step] = signal_acc

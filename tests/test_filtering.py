@@ -163,17 +163,17 @@ class TestEvolveEnsemble:
         increments = rng.normal(size=(3, 40, 1)) * 0.03
         seen = []
 
-        def observer(step, t, pis):
-            seen.append((step, t, pis.copy()))
+        def observer(step, pis):
+            seen.append((step, pis.copy()))
 
         terminal = evolve_ensemble(
             np.stack([CYCLE_MU, CYCLE_NU]), increments, 1e-3, cycle_model, observer
         )
         assert len(seen) == 41
-        assert seen[0][0] == 0 and seen[0][1] == 0.0
-        assert np.array_equal(seen[0][2][0, 0], CYCLE_MU)
-        assert np.array_equal(seen[-1][2], terminal)
-        steps = [s for s, _, _ in seen]
+        assert seen[0][0] == 0
+        assert np.array_equal(seen[0][1][0, 0], CYCLE_MU)
+        assert np.array_equal(seen[-1][1], terminal)
+        steps = [s for s, _ in seen]
         assert steps == list(range(41))
 
     def test_per_path_priors_equal_shared_prior_runs(self, cycle_model, rng):
@@ -216,9 +216,9 @@ class TestBlockCorrection:
         seen = []
         evolve_ensemble(
             CYCLE_MU[None], rng.normal(size=(2, self.N_STEPS, 1)) * 0.03, 1e-3, cycle_model,
-            lambda step, t, pis: seen.append((step, t)),
+            lambda step, pis: seen.append(step),
         )
-        assert seen == [(k, k * 1e-3) for k in range(self.N_STEPS + 1)]
+        assert seen == list(range(self.N_STEPS + 1))
 
     def test_blocks_equal_one_step_at_a_time(self, rng):
         # wonham_step runs a one-step block, so the blocked exponent must
@@ -240,7 +240,7 @@ class TestBlockCorrection:
         increments[1, step, 0] = np.inf
         seen = []
         with pytest.raises(DegenerateMass, match=f"^step {step}:"):
-            evolve_ensemble(CYCLE_MU[None], increments, 1e-3, cycle_model, lambda k, t, pis: seen.append(k))
+            evolve_ensemble(CYCLE_MU[None], increments, 1e-3, cycle_model, lambda k, pis: seen.append(k))
         assert seen == list(range(step + 1))
 
 
@@ -281,7 +281,6 @@ class TestExactNoiselessFilter:
             ),
             np.array([1.0, 0.0, 1.0, 0.0]),
             0.0,
-            allow_noiseless=True,
         )
         sp = state_path(model, 0, 3.0, 44)
         pis = filter_states(np.full(4, 0.25), [sp], 1e-3, model)[0, 0]
@@ -347,7 +346,7 @@ def _expm_oracle(prior, sp, A, h, dt):
 class TestNoiselessEngine:
     @pytest.fixture(scope="class")
     def model(self):
-        return validate_model(OFF_CYCLE_A, OFF_CYCLE_H, 0.0, allow_noiseless=True)
+        return validate_model(OFF_CYCLE_A, OFF_CYCLE_H, 0.0)
 
     @pytest.mark.parametrize("dt", [1e-2, 1e-3])
     def test_matches_expm_oracle_off_the_cycle(self, model, dt):
@@ -380,13 +379,13 @@ class TestNoiselessEngine:
         priors = rows[[[0, 1, 2, 0, 1, 2, 1], [1, 2, 0, 2, 0, 1, 1]]]  # (k = 2, P = 7, d)
         seen = []
 
-        def observer(step, t, pis):
-            seen.append((step, t, pis.copy()))
+        def observer(step, pis):
+            seen.append((step, pis.copy()))
 
         terminal = evolve_noiseless_ensemble(priors, paths, dt, model, observer)
         assert terminal.shape == (7, 2, 4)
-        assert [(step, t) for step, t, _ in seen] == [(k, k * dt) for k in range(6)]
-        batch = np.stack([pis for _, _, pis in seen], axis=2)  # (P, k, n + 1, d)
+        assert [step for step, _ in seen] == list(range(6))
+        batch = np.stack([pis for _, pis in seen], axis=2)  # (P, k, n + 1, d)
         assert np.array_equal(batch[:, :, -1], terminal)
         for p, sp in enumerate(paths):
             alone = filter_states(priors[:, p], [sp], dt, model)[0]
@@ -398,7 +397,7 @@ class TestNoiselessEngine:
     def test_wide_model_matches_single_paths_bitwise(self, rng):
         # d = 9 states on three levels: the mass is a sum of rows in order,
         # not numpy's pairwise sum, which one path of one prior would get
-        model = validate_model(random_generator_matrix(rng, 9), np.arange(9) % 3, 0.0, allow_noiseless=True)
+        model = validate_model(random_generator_matrix(rng, 9), np.arange(9) % 3, 0.0)
         paths = sample_path_batch(model, 6, 0.3, 1e-2, 9, initial_law=np.full(9, 1 / 9)).state_paths
         priors = rng.dirichlet(np.ones(9), size=2)
         terminal = evolve_noiseless_ensemble(priors, paths, 1e-2, model)
@@ -422,7 +421,7 @@ class TestNoiselessEngine:
             ]
         )
         h = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
-        model = validate_model(A, h, 0.0, allow_noiseless=True)
+        model = validate_model(A, h, 0.0)
         sp = state_path(model, 0, 3.0, 7)
         levels = h[sp.states]
         assert set(levels) == {0.0, 1.0, 2.0}
@@ -452,7 +451,6 @@ class TestNoiselessEngine:
             np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]]),
             np.array([0.0, 1.0, 2.0]),
             0.0,
-            allow_noiseless=True,
         )
         paths = [
             StatePath(np.array([0.0, 0.02]), np.array([0, 1]), 0.1),

@@ -1,5 +1,7 @@
 """Model validation, generator calculus, and structural diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,13 +58,25 @@ class TestValidateModel:
         with pytest.raises(RowSumNonZero):
             validate_model(A, np.zeros(2), 1.0)
 
-    def test_rejects_zero_noise_by_default(self):
-        with pytest.raises(NonPositiveNoise):
-            validate_model(CYCLE_A, CYCLE_H, 0.0)
+    def test_rejects_negative_noise(self):
+        for r in (-1.0, -1e-300):
+            with pytest.raises(NonPositiveNoise):
+                validate_model(CYCLE_A, CYCLE_H, r)
+
+    def test_rejects_nonfinite_noise(self):
+        for r in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonPositiveNoise):
+                validate_model(CYCLE_A, CYCLE_H, r)
 
     def test_noiseless_opt_in(self):
-        model = validate_model(CYCLE_A, CYCLE_H, 0.0, allow_noiseless=True)
+        model = validate_model(CYCLE_A, CYCLE_H, 0.0)
         assert model.noiseless
+
+    def test_negative_zero_noise_is_stored_as_zero(self):
+        model = validate_model(CYCLE_A, CYCLE_H, -0.0)
+        assert model.r == 0.0 and math.copysign(1.0, model.r) == 1.0
+        assert model.noiseless
+        assert np.array_equal(model.h_unit, model.H)
 
     def test_rejects_h_row_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -78,17 +92,17 @@ class TestValidateModel:
 
 class TestAsSimplex:
     def test_zeroes_clipping_noise_and_renormalizes(self):
-        out = as_simplex([1.0 + 1e-13, -1e-13])
+        out = as_simplex([1.0 + 1e-13, -1e-13], 2)
         assert out[1] == 0.0
         np.testing.assert_allclose(out.sum(), 1.0, atol=0)
 
     def test_rejects_negative_mass(self):
         with pytest.raises(DimensionMismatch):
-            as_simplex([1.2, -0.2])
+            as_simplex([1.2, -0.2], 2)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(DimensionMismatch):
-            as_simplex([2.0, 2.0])
+            as_simplex([2.0, 2.0], 2)
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(DimensionMismatch):
@@ -248,6 +262,14 @@ class TestModelFileRoundTrip:
         assert np.array_equal(loaded.A, cycle_model.A)
         assert np.array_equal(loaded.H, cycle_model.H)
         assert loaded.r == cycle_model.r
+
+    def test_noiseless_round_trip(self, tmp_path, cycle_noiseless):
+        path = tmp_path / "noiseless.json"
+        save_model(cycle_noiseless, str(path))
+        loaded = load_model(str(path))
+        assert loaded.r == 0.0 and loaded.noiseless
+        assert np.array_equal(loaded.A, cycle_noiseless.A)
+        assert np.array_equal(loaded.h_unit, cycle_noiseless.h_unit)
 
     def test_load_rejects_nonfinite(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -12,7 +12,7 @@ import filterlab.ensemble as ensemble_mod
 import filterlab.sim as sim_mod
 from conftest import filter_states
 from filterlab.config import _apply_overrides, model_for_sweep_value, preset_config
-from filterlab.ensemble import run_divergence_ensemble, sample_path_batch
+from filterlab.ensemble import run_divergence_ensemble, run_divergence_sweep, sample_path_batch
 from filterlab.model import validate_model
 from filterlab.pipeline import PI_TRAJECTORY_PATHS, _initial_chi2, run_backward_map, run_simulate
 
@@ -24,9 +24,9 @@ def _cycle_cfg(**overrides):
 
 
 def _nu_filters(cfg, model):
-    ens = run_divergence_ensemble(
-        model, cfg.mu, cfg.nu, cfg.n_paths, cfg.T, cfg.dt, cfg.master_seed, nu_paths=PI_TRAJECTORY_PATHS
-    )
+    ens = next(run_divergence_sweep(
+        [model], cfg.mu, cfg.nu, cfg.n_paths, cfg.T, cfg.dt, cfg.master_seed, nu_paths=PI_TRAJECTORY_PATHS
+    ))
     return ens.nu_filters
 
 
@@ -60,7 +60,7 @@ class TestPiTrajectories:
         model = model_for_sweep_value(cfg, 1.0)
         args = (model, cfg.mu, cfg.nu, cfg.n_paths, cfg.T, cfg.dt, cfg.master_seed)
         plain = run_divergence_ensemble(*args, record_integrals=True)
-        fused = run_divergence_ensemble(*args, record_integrals=True, nu_paths=3)
+        fused = next(run_divergence_sweep([model], *args[1:], record_integrals=True, nu_paths=3))
         assert plain.nu_filters.shape == (0, 401, 4)
         assert np.array_equal(plain.series.chi2, fused.series.chi2)
         assert np.array_equal(plain.signal_integral, fused.signal_integral)
@@ -123,7 +123,7 @@ class TestPiTrajectories:
         # step 0
         model = validate_model(blocks_model.A, 2000.0 * blocks_model.H, 1.0)
         nu = [0.1, 0.1, 0.7, 0.1]
-        ens = run_divergence_ensemble(model, [0.5, 0.5, 0.0, 0.0], nu, 20, 0.2, 1e-3, 77, nu_paths=8)
+        ens = next(run_divergence_sweep([model], [0.5, 0.5, 0.0, 0.0], nu, 20, 0.2, 1e-3, 77, nu_paths=8))
         assert np.any(ens.nu_filters[:, 1, 2] > 0.5)
 
     def test_noiseless_nu_paths_off_the_support_of_mu(self):

@@ -17,7 +17,6 @@ RING3 = validate_model(
     np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]]),
     np.array([0.0, 1.0, 2.0]),
     0.0,
-    allow_noiseless=True,
 )
 
 
