@@ -139,7 +139,7 @@ def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values.mean(axis=0), se
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DivergenceSeries:
     """Ensemble divergence summaries on a common time grid.
 
@@ -177,7 +177,7 @@ class DivergenceSeries:
         return self.chi2_mean_se[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chi2DriftTerms:
     """Local chi-square dynamics at one filter pair.
 

@@ -24,7 +24,9 @@ one pass per initial state to the largest horizon and snapshots the three
 filters and the state X_T at every horizon's grid step, so a study costs
 max(T_list) of simulation and filtering rather than sum(T_list); initial
 state row r uses the streams r * N onwards for every horizon.  It is the
-one entry point for both the diagnostics and the estimators.
+one entry point for both the diagnostics and the estimators.  A study holds
+one kept state's path batch at a time, released before the next state
+draws, so its peak is about N * max(T_list) / dt * m floats of increments.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ __all__ = [
 ENVELOPE_TAU = 1.0  # the envelope's time unit: it contracts once per ENVELOPE_TAU
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BackwardMapEstimate:
     """Monte Carlo estimate of the backward map on the state space.
 
@@ -72,7 +74,7 @@ class BackwardMapEstimate:
     skipped_states: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _StateSamples:
     """Per-state samples at one horizon T, shared by both estimators.
 
@@ -112,6 +114,52 @@ def _filter_snapshots(
     return out
 
 
+def _state_rows(
+    model: HmmModel,
+    mu: np.ndarray,
+    nu: np.ndarray,
+    x: int,
+    row: int,
+    T_list: list[float],
+    steps: list[int],
+    n_paths: int,
+    master_seed: int,
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plain, rb and chi2_T samples of kept state x, each (len(T_list), n_paths).
+
+    This frame owns the state's path batch and filter snapshots, so both
+    are released on return, before the next kept state draws its own: a
+    study holds one state's increments at a time.
+    """
+    point = np.zeros(model.d)
+    point[x] = 1.0
+    batch = sample_path_batch(
+        model,
+        n_paths,
+        T_list[-1],
+        dt,
+        master_seed,
+        initial_state=x,
+        stream_offset=row * n_paths,
+    )
+    # A path of horizon T holds only the jumps strictly before T, so X_T
+    # is the state entered at the last jump time < T.
+    states_at = np.array(
+        [sp.states[np.searchsorted(sp.jump_times, T_list, side="left") - 1] for sp in batch.state_paths]
+    )
+    snaps = _filter_snapshots(np.stack([mu, nu, point]), batch.increments, steps, dt, model)
+    plain = np.empty((len(T_list), n_paths))
+    rb = np.empty_like(plain)
+    chi2_T = np.empty_like(plain)
+    for i, pis in enumerate(snaps):
+        gamma = density_ratio(pis[:, 0, :], pis[:, 1, :])
+        plain[i] = gamma[np.arange(n_paths), states_at[:, i]]
+        rb[i] = (pis[:, 2, :] * gamma).sum(axis=1)
+        chi2_T[i] = _divergence_batch(pis[:, 0, :], pis[:, 1, :])[0]
+    return plain, rb, chi2_T
+
+
 def _horizon_samples(
     model: HmmModel,
     mu: np.ndarray,
@@ -133,30 +181,10 @@ def _horizon_samples(
     plain = np.empty(shape)
     rb = np.empty(shape)
     chi2_T = np.empty(shape)
-    paths = np.arange(n_paths)
     for row, x in enumerate(kept):
-        point = np.zeros(model.d)
-        point[x] = 1.0
-        batch = sample_path_batch(
-            model,
-            n_paths,
-            T_list[-1],
-            dt,
-            master_seed,
-            initial_state=x,
-            stream_offset=row * n_paths,
+        plain[:, row], rb[:, row], chi2_T[:, row] = _state_rows(
+            model, mu, nu, x, row, T_list, steps, n_paths, master_seed, dt
         )
-        # A path of horizon T holds only the jumps strictly before T, so X_T
-        # is the state entered at the last jump time < T.
-        states_at = np.array(
-            [sp.states[np.searchsorted(sp.jump_times, T_list, side="left") - 1] for sp in batch.state_paths]
-        )
-        snaps = _filter_snapshots(np.stack([mu, nu, point]), batch.increments, steps, dt, model)
-        for i, pis in enumerate(snaps):
-            gamma = density_ratio(pis[:, 0, :], pis[:, 1, :])
-            plain[i, row] = gamma[paths, states_at[:, i]]
-            rb[i, row] = (pis[:, 2, :] * gamma).sum(axis=1)
-            chi2_T[i, row] = _divergence_batch(pis[:, 0, :], pis[:, 1, :])[0]
     states = np.array(kept, dtype=int)
     return [
         _StateSamples(states=states, plain=plain[i], rb=rb[i], chi2_T=chi2_T[i], skipped=skipped)
@@ -375,7 +403,7 @@ def backward_map_study(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvelopeReport:
     """Comparison of a measured mean chi-square series to the decay envelope.
 

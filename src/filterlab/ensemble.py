@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathBatch:
     """A block of independent signal paths with their observation increments.
 
@@ -82,7 +82,7 @@ def sample_path_batch(
     return PathBatch(state_paths=tuple(paths), increments=increments)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleDivergence:
     """Divergence series between two filters over a path ensemble.
 

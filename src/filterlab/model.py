@@ -56,7 +56,7 @@ ROW_SUM_TOL = 1e-9
 SIMPLEX_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HmmModel:
     """Validated model container.
 

@@ -43,7 +43,7 @@ __all__ = [
 PD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiResult:
     """Smallest energy-to-variance ratio with its minimizer.
 

@@ -61,7 +61,7 @@ def spawn_rng(master_seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_stream_key(int(master_seed), int(stream_id))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StatePath:
     """Piecewise-constant trajectory on [0, T], right-continuous.
 

@@ -1,5 +1,8 @@
 """Backward-map estimators, decay diagnostics, and the decay envelope."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -123,6 +126,34 @@ class TestOnePassEngine:
                 assert np.array_equal(samples.rb[row], (pis[:, 2, :] * gamma).sum(axis=1))
         # The check above tells X_T from the terminal state on some path.
         assert moved > 0
+
+    def test_each_batch_released_before_the_next(self, cycle_model, monkeypatch):
+        # kept state r's increments must be unreferenced when state r + 1 draws
+        refs, live = [], []
+        original = dual_mod.sample_path_batch
+
+        def recording(*args, **kwargs):
+            live.append(sum(ref() is not None for ref in refs))
+            batch = original(*args, **kwargs)
+            refs.append(weakref.ref(batch.increments))
+            return batch
+
+        monkeypatch.setattr(dual_mod, "sample_path_batch", recording)
+        backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (0.1, 0.2), 10, 3, 1e-2)
+        assert live == [0, 0, 0, 0]
+
+    def test_peak_memory_is_one_state_of_increments(self, cycle_model):
+        # N = 200 paths of 1000 steps: one kept state's increments are 1.6 MB
+        args = (cycle_model, CYCLE_MU, CYCLE_NU, (0.5, 1.0), 200, 3, 1e-3)
+        one_state = 200 * 1000 * cycle_model.H.shape[1] * 8
+        backward_map_study(*args)  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            backward_map_study(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * one_state
 
     def test_horizon_off_the_grid_rejected(self, cycle_model):
         with pytest.raises(GridMismatch):
