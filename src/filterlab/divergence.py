@@ -31,7 +31,6 @@ drift = C1 + C3 . (pi_mu(h) - pi_nu(h)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -133,7 +132,13 @@ def tv(p, q) -> float:
 
 def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column means of per-path values (n, ...) and their standard errors
-    std(ddof=1) / sqrt(n), which are nan for a single path."""
+    std(ddof=1) / sqrt(n), which are nan for a single path.
+
+    numpy reduces axis 0 of a C-contiguous array of at least 2 columns by
+    adding the rows in index order, so any block of such columns gets the
+    bits of the whole array's reduction; a single column of 8 or more rows
+    is summed pairwise instead (the caveat of filtering._mass).
+    """
     n = values.shape[0]
     se = values.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.full(values.shape[1:], np.nan)
     return values.mean(axis=0), se
@@ -141,40 +146,22 @@ def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class DivergenceSeries:
-    """Ensemble divergence summaries on a common time grid.
+    """Ensemble means of chi2, kl and tv over n_paths paths, with their
+    standard errors, at each point of times.
 
-    Per-path arrays have shape (n_paths, len(times)); the ensemble mean over
-    paths and its standard error are computed once per array, on first use.
+    Each pair is _mean_se of the per-path values; the ensemble reduces a
+    block of steps at a time, over at least 2 columns, so the series equal
+    the reduction of whole (n_paths, len(times)) arrays bit for bit.
     """
 
     times: np.ndarray
-    chi2: np.ndarray
-    kl: np.ndarray
-    tv: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return self.chi2.shape[0]
-
-    @cached_property
-    def chi2_mean_se(self) -> tuple[np.ndarray, np.ndarray]:
-        return _mean_se(self.chi2)
-
-    @cached_property
-    def kl_mean_se(self) -> tuple[np.ndarray, np.ndarray]:
-        return _mean_se(self.kl)
-
-    @cached_property
-    def tv_mean_se(self) -> tuple[np.ndarray, np.ndarray]:
-        return _mean_se(self.tv)
-
-    @property
-    def chi2_mean(self) -> np.ndarray:
-        return self.chi2_mean_se[0]
-
-    @property
-    def chi2_se(self) -> np.ndarray:
-        return self.chi2_mean_se[1]
+    n_paths: int
+    chi2_mean: np.ndarray
+    chi2_se: np.ndarray
+    kl_mean: np.ndarray
+    kl_se: np.ndarray
+    tv_mean: np.ndarray
+    tv_se: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,13 +321,9 @@ SERIES_COLUMNS = ["t", "chi2_mean", "chi2_se", "kl_mean", "kl_se", "tv_mean", "t
 
 def write_series_csv(path: str, series: DivergenceSeries) -> None:
     """Dump the aggregated series; floats use repr for exact round trips."""
-    chi2_m, chi2_s = series.chi2_mean_se
-    kl_m, kl_s = series.kl_mean_se
-    tv_m, tv_s = series.tv_mean_se
+    stats = [series.chi2_mean, series.chi2_se, series.kl_mean, series.kl_se, series.tv_mean, series.tv_se]
     n_paths = np.full(len(series.times), series.n_paths)
-    _write_table(
-        path, SERIES_COLUMNS, [series.times, chi2_m, chi2_s, kl_m, kl_s, tv_m, tv_s, n_paths]
-    )
+    _write_table(path, SERIES_COLUMNS, [series.times, *stats, n_paths])
 
 
 def read_series_csv(path: str) -> dict[str, np.ndarray]:

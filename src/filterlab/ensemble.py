@@ -6,11 +6,17 @@ batch on its stream, bit for bit.  The draws (X_0, jump chain, unit
 normals) depend on neither r nor H, so a sweep draws them once and forms
 each model's increments from them.  All paths of an ensemble, and any
 extra paths sampled under nu for their nu-filters, are filtered in one
-lockstep pass; ensemble reductions happen once, in path-index order.  The
+lockstep pass; ensemble reductions add the paths in path-index order.  The
 divergence observer copies each step's filter pairs into a state-major
 (d, 2, steps, P) block and computes chi2, kl, tv and, on request, the
 signal and drift integrals once per block of steps; the values equal
-those of a reduction at every step, bit for bit.
+those of a reduction at every step, bit for bit.  It reduces each block
+at once to per-time means and standard errors: one _mean_se over a
+C-contiguous (P, 3 steps) stack of chi2, kl and tv, at least 3 columns
+wide, so the series equal the reduction of whole (P, n + 1) arrays bit
+for bit and none is kept.  Per-path values stay only where they are read:
+chi2 at t = 0, and under record_integrals the chi2 and kl series beside
+the integrals.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DivergenceSeries, _divergences, chi2_drift_batch
+from .divergence import DivergenceSeries, _divergences, _mean_se, chi2_drift_batch
 from .errors import DegenerateMass, DimensionMismatch, EmptyLevelSet, NonPositiveNoise
 from .filtering import _BLOCK_STEPS, evolve_ensemble, evolve_noiseless_ensemble
 from .model import HmmModel, as_simplex
@@ -86,11 +92,13 @@ def sample_path_batch(
 class EnsembleDivergence:
     """Divergence series between two filters over a path ensemble.
 
-    series holds per-path chi2/kl/tv.  When the integrals are recorded,
-    signal_integral[i, k] is the running integral of
-    |pi_s^mu(h/r) - pi_s^nu(h/r)|^2 up to time t_k along path i (the
+    series holds the per-time ensemble means and standard errors of
+    chi2/kl/tv; initial_chi2 is each path's chi2 at t = 0.  When the
+    integrals are recorded, chi2_paths and kl_paths hold the per-path
+    (n_paths, n + 1) series, signal_integral[i, k] is the running integral
+    of |pi_s^mu(h/r) - pi_s^nu(h/r)|^2 up to time t_k along path i (the
     quantity in the pathwise relative-entropy identity) and drift_integral
-    the integrated chi-square drift; both are None otherwise.
+    the integrated chi-square drift; all four are None otherwise.
     terminal_pis stacks the final filter states as (n_paths, 2, d) in the
     order (from_mu, from_nu).  nu_filters holds the nu-filter states
     (nu_paths, n + 1, d) of run_divergence_sweep's extra paths sampled
@@ -98,6 +106,9 @@ class EnsembleDivergence:
     """
 
     series: DivergenceSeries
+    initial_chi2: np.ndarray
+    chi2_paths: np.ndarray | None
+    kl_paths: np.ndarray | None
     signal_integral: np.ndarray | None
     drift_integral: np.ndarray | None
     terminal_pis: np.ndarray | None
@@ -119,11 +130,11 @@ def run_divergence_ensemble(
 
     The one-model run_divergence_sweep without nu paths.  Signal paths are
     sampled under mu.  A noiseless model routes every path through the
-    exact level-set filter; record_integrals, which adds the signal and
-    drift integrals, needs a noisy one (NonPositiveNoise).  The observer
-    reduces blocks of _BLOCK_STEPS steps; an AbsoluteContinuityViolation is
-    raised by the flush of its block, which runs before any later error of
-    the engine propagates.
+    exact level-set filter; record_integrals, which adds the per-path chi2
+    and kl and the signal and drift integrals, needs a noisy one
+    (NonPositiveNoise).  The observer reduces blocks of _BLOCK_STEPS steps;
+    an AbsoluteContinuityViolation is raised by the flush of its block,
+    which runs before any later error of the engine propagates.
     """
     return next(run_divergence_sweep([model], mu, nu, n_paths, T, dt, master_seed, record_integrals))
 
@@ -168,15 +179,17 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
     n_steps = len(times) - 1
     nu_paths = len(paths) - n_paths
     nu_filters = np.empty((nu_paths, n_steps + 1, model.d))
-    chi2_v = np.empty((n_paths, n_steps + 1))
-    kl_v = np.empty((n_paths, n_steps + 1))
-    tv_v = np.empty((n_paths, n_steps + 1))
-    signal = np.empty((n_paths, n_steps + 1)) if record_integrals else None
-    drift = np.empty((n_paths, n_steps + 1)) if record_integrals else None
+    means = np.empty((3, n_steps + 1))  # chi2, kl, tv
+    ses = np.empty((3, n_steps + 1))
+    initial_chi2 = np.empty(n_paths)
+    chi2_v = kl_v = signal = drift = None
+    if record_integrals:
+        chi2_v, kl_v, signal, drift = (np.empty((n_paths, n_steps + 1)) for _ in range(4))
     hu = model.h_unit
     signal_acc = np.zeros(n_paths)
     drift_acc = np.zeros(n_paths)
     block = np.empty((model.d, 2, min(_BLOCK_STEPS, n_steps + 1), n_paths))
+    stack = np.empty((n_paths, 3, block.shape[2]))
     done = seen = 0  # steps done .. seen - 1 wait in block
 
     def flush() -> None:
@@ -184,10 +197,19 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
         k0, k1 = done, seen
         done = seen
         pq = block[:, :, : k1 - k0]
-        for out, v in zip((chi2_v, kl_v, tv_v), _divergences(pq[:, 0], pq[:, 1])):
-            out[:, k0:k1] = v.T
+        values = _divergences(pq[:, 0], pq[:, 1])
+        for i, v in enumerate(values):
+            stack[:, i, : k1 - k0] = v.T
+        # one C-contiguous (P, 3 steps) array: at least 3 columns (_mean_se)
+        mean, se = _mean_se(stack[:, :, : k1 - k0].reshape(n_paths, 3 * (k1 - k0)))
+        means[:, k0:k1] = mean.reshape(3, -1)
+        ses[:, k0:k1] = se.reshape(3, -1)
+        if k0 == 0:
+            initial_chi2[:] = values[0][0]
         if signal is None:
             return
+        chi2_v[:, k0:k1] = values[0].T
+        kl_v[:, k0:k1] = values[1].T
         # the pairs of the steps before n_steps start an integral increment
         p, q = np.moveaxis(pq[:, :, : min(k1, n_steps) - k0], 0, -1)
         _accumulate(signal, signal_acc, k0, (((p - q) @ hu) ** 2).sum(axis=-1) * dt)
@@ -216,9 +238,13 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
             flush()
         raise
 
-    series = DivergenceSeries(times=times, chi2=chi2_v, kl=kl_v, tv=tv_v)
+    (chi2_m, kl_m, tv_m), (chi2_s, kl_s, tv_s) = means, ses
+    series = DivergenceSeries(times, n_paths, chi2_m, chi2_s, kl_m, kl_s, tv_m, tv_s)
     return EnsembleDivergence(
         series=series,
+        initial_chi2=initial_chi2,
+        chi2_paths=chi2_v,
+        kl_paths=kl_v,
         signal_integral=signal,
         drift_integral=drift,
         terminal_pis=terminal[:n_paths],

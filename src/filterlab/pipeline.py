@@ -3,7 +3,8 @@
 Each pipeline takes a validated ExperimentConfig, runs ensembles with
 per-path random streams, and produces a JSON-ready report plus optional CSV
 artifacts.  Everything in a report is derived from (config, master_seed)
-through per-path arrays reduced in path order, so reruns are bit-identical;
+through per-path values reduced in path order (the ensemble's series are
+reduced block by block as the filters run), so reruns are bit-identical;
 wall-clock timing lives under the separate key "wall_clock_s" that
 determinism comparisons drop.
 """
@@ -173,7 +174,7 @@ def run_simulate(
             "envelope": envelope_payload,
         }
         checks[f"initial_divergence_matches_priors[{tag}]"] = bool(
-            np.all(np.abs(series.chi2[:, 0] - _initial_chi2(model, cfg.mu, cfg.nu, ens.initial_states)) <= 1e-10)
+            np.all(np.abs(ens.initial_chi2 - _initial_chi2(model, cfg.mu, cfg.nu, ens.initial_states)) <= 1e-10)
             if model.noiseless
             else abs(series.chi2_mean[0] - prior_divergences["chi2"]) <= 1e-10
         )

@@ -100,7 +100,7 @@ def _near_zero(name: str, label: str, x, se, z: float = Z) -> CheckResult:
 
 def kl_supermartingale(ens, anchors) -> CheckResult:
     """Mean KL non-increasing between consecutive anchor indices."""
-    drop = -np.diff(ens.series.kl[:, anchors], axis=1)
+    drop = -np.diff(ens.kl_paths[:, anchors], axis=1)
     return _above("kl-supermartingale", "anchored mean KL decrease", *_mean_se(drop))
 
 
@@ -108,7 +108,7 @@ def clark_entropy_bound(ens, anchors, prior_kl: float) -> CheckResult:
     """E[KL_t + signal_t / 2] <= KL(mu|nu) at the anchors after the first
     (the first carries the prior on both sides, an exact equality)."""
     later = anchors[1:]
-    mean, se = _mean_se(ens.series.kl[:, later] + 0.5 * ens.signal_integral[:, later])
+    mean, se = _mean_se(ens.kl_paths[:, later] + 0.5 * ens.signal_integral[:, later])
     return _above("clark-entropy-bound", "slack", prior_kl - mean, se)
 
 
@@ -122,7 +122,7 @@ def terminal_absolute_continuity(ens) -> CheckResult:
 
 def chi2_weak_dynamics(ens, indices) -> CheckResult:
     """Integrated pathwise drift matches the mean chi-square increments."""
-    c = ens.series.chi2
+    c = ens.chi2_paths
     resid = c[:, indices] - c[:, [0]] - ens.drift_integral[:, indices]
     return _near_zero("chi2-weak-dynamics", "mean residual", *_mean_se(resid), z=Z_WIDE)
 
@@ -410,8 +410,8 @@ def check_rerun_determinism(seed: int) -> CheckResult:
     a = run_divergence_ensemble(model, cfg.mu, cfg.nu, 12, 0.5, 1e-3, seed, record_integrals=True)
     b = run_divergence_ensemble(model, cfg.mu, cfg.nu, 12, 0.5, 1e-3, seed, record_integrals=True)
     same = (
-        np.array_equal(a.series.chi2, b.series.chi2)
-        and np.array_equal(a.series.kl, b.series.kl)
+        np.array_equal(a.chi2_paths, b.chi2_paths)
+        and np.array_equal(a.kl_paths, b.kl_paths)
         and np.array_equal(a.terminal_pis, b.terminal_pis)
         and np.array_equal(a.signal_integral, b.signal_integral)
     )

@@ -1,9 +1,10 @@
-"""Shared fixtures: the two reference models, their priors, and rng and
-engine helpers."""
+"""Shared fixtures: the two reference models, their priors, and rng,
+engine and series helpers."""
 
 import numpy as np
 import pytest
 
+from filterlab.divergence import DivergenceSeries, _mean_se
 from filterlab.ensemble import sample_path_batch
 from filterlab.filtering import evolve_ensemble, evolve_noiseless_ensemble
 from filterlab.model import validate_model
@@ -87,3 +88,12 @@ def filter_states(priors, data, dt, model):
     evolve = evolve_noiseless_ensemble if model.noiseless else evolve_ensemble
     evolve(np.atleast_2d(priors), data, dt, model, observer=lambda step, pis: rows.append(pis.copy()))
     return np.stack(rows, axis=2)
+
+
+SERIES_FIELDS = ("chi2_mean", "chi2_se", "kl_mean", "kl_se", "tv_mean", "tv_se")
+
+
+def series_of(times, chi2_paths, kl_paths, tv_paths):
+    """The DivergenceSeries of per-path arrays (P, n + 1), reduced by _mean_se."""
+    stats = [a for v in (chi2_paths, kl_paths, tv_paths) for a in _mean_se(np.asarray(v, float))]
+    return DivergenceSeries(np.asarray(times, float), len(chi2_paths), *stats)

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CYCLE_MU, CYCLE_NU, interior_simplex, random_generator_matrix
-from filterlab import divergence
+from conftest import CYCLE_MU, CYCLE_NU, interior_simplex, random_generator_matrix, series_of
+from filterlab import ensemble
 from filterlab.divergence import (
     MIN_FIT_POINTS,
     SUPPORT_EPS,
-    DivergenceSeries,
     _divergence_batch,
     _divergences,
     chi2,
@@ -198,9 +197,9 @@ class TestChi2Drift:
 
 class TestDivergenceSeries:
     def _series(self, pis_p, pis_q, dt=0.5):
-        """The series of paired filter states (P, n + 1, d), as the ensemble builds it."""
+        """The series of paired filter states (P, n + 1, d), as the ensemble reduces them."""
         chi2_v, kl_v, tv_v = _divergence_batch(np.asarray(pis_p, float), np.asarray(pis_q, float))
-        return DivergenceSeries(times=np.arange(chi2_v.shape[1]) * dt, chi2=chi2_v, kl=kl_v, tv=tv_v)
+        return series_of(np.arange(chi2_v.shape[1]) * dt, chi2_v, kl_v, tv_v)
 
     def test_two_path_hand_aggregation(self):
         series = self._series([[[0.5, 0.5]], [[0.5, 0.5]]], [[[0.25, 0.75]], [[0.5, 0.5]]])
@@ -210,17 +209,19 @@ class TestDivergenceSeries:
         assert series.chi2_se[0] == pytest.approx(1.0 / 6.0, abs=1e-12)
         assert series.n_paths == 2
 
-    def test_mean_and_se_computed_once_per_array(self, monkeypatch):
+    def test_mean_and_se_computed_once_per_array(self, monkeypatch, cycle_model):
+        # the ensemble reduces each block's (P, 3 steps) stack once, and
+        # reading the series reduces nothing: 41 points are blocks of 16, 16, 9
         calls = []
-        real = divergence._mean_se
-        monkeypatch.setattr(divergence, "_mean_se", lambda v: calls.append(1) or real(v))
-        values = np.array([[1.0 / 3.0, 0.1], [0.2, 0.15], [0.05, 0.7]])
-        series = DivergenceSeries(times=np.array([0.0, 0.5]), chi2=values, kl=values / 2, tv=values / 4)
+        real = ensemble._mean_se
+        monkeypatch.setattr(ensemble, "_mean_se", lambda v: calls.append(v.shape) or real(v))
+        ens = ensemble.run_divergence_ensemble(cycle_model, CYCLE_MU, CYCLE_NU, 3, 0.4, 1e-2, 0, record_integrals=True)
+        series = ens.series
         for _ in range(3):
             mean, se = series.chi2_mean, series.chi2_se
-            series.kl_mean_se[1]
-        assert len(calls) == 2
-        n = values.shape[0]
+            series.kl_se[1]
+        assert calls == [(3, 48), (3, 48), (3, 27)]
+        values, n = ens.chi2_paths, 3
         assert mean.tobytes() == (values.sum(axis=0) / n).tobytes()
         assert se.tobytes() == (values.std(axis=0, ddof=1) / np.sqrt(n)).tobytes()
 
@@ -288,13 +289,11 @@ class TestSeriesCsv:
     def test_round_trip_exact(self, tmp_path):
         times = np.array([0.0, 0.5, 1.0])
         mk = lambda: np.array([[1.0 / 3.0, 0.1, 0.05], [0.2, 0.15, 0.01]])
-        series = DivergenceSeries(
-            times=times, chi2=mk(), kl=mk() / 2, tv=mk() / 4
-        )
+        series = series_of(times, mk(), mk() / 2, mk() / 4)
         p = tmp_path / "series.csv"
         write_series_csv(str(p), series)
         cols = read_series_csv(str(p))
         np.testing.assert_array_equal(cols["t"], times)
         np.testing.assert_array_equal(cols["chi2_mean"], series.chi2_mean)
-        np.testing.assert_array_equal(cols["kl_se"], series.kl_mean_se[1])
+        np.testing.assert_array_equal(cols["kl_se"], series.kl_se)
         np.testing.assert_array_equal(cols["n_paths"], [2, 2, 2])

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import filterlab.dual as dual_mod
-from conftest import BLOCKS_MU, BLOCKS_NU, CYCLE_MU, CYCLE_NU
+from conftest import BLOCKS_MU, BLOCKS_NU, CYCLE_MU, CYCLE_NU, series_of
 from filterlab import verify
-from filterlab.divergence import DivergenceSeries, chi2, density_ratio
+from filterlab.divergence import chi2, density_ratio
 from filterlab.dual import (
     backward_map_study,
     essential_infimum_ratio,
@@ -239,12 +239,7 @@ class TestDecayDiagnostics:
 class TestTheorem2Envelope:
     def _series(self, times, chi2_paths):
         vals = np.asarray(chi2_paths, dtype=float)
-        return DivergenceSeries(
-            times=np.asarray(times, float),
-            chi2=vals,
-            kl=np.zeros_like(vals),
-            tv=np.zeros_like(vals),
-        )
+        return series_of(times, vals, np.zeros_like(vals), np.zeros_like(vals))
 
     def test_frozen_envelope_values(self, cycle_model):
         # a = 0.6, chi2_prior = 0.16, c = 1, tau = 1:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import filterlab
 
-from conftest import CYCLE_MU, CYCLE_NU, random_generator_matrix
+from conftest import CYCLE_MU, CYCLE_NU, SERIES_FIELDS, random_generator_matrix, series_of
 from filterlab.config import model_for_sweep_value, preset_config
 from filterlab.divergence import _divergence_batch, chi2, chi2_drift_batch
 from filterlab.ensemble import run_divergence_ensemble, run_divergence_sweep, sample_path_batch
@@ -171,10 +172,14 @@ class TestRunDivergenceEnsemble:
         ens = run_divergence_ensemble(
             cycle_model, CYCLE_MU, CYCLE_NU, 6, 0.5, 1e-3, 0
         )
-        assert ens.series.chi2.shape == (6, 501)
+        assert ens.series.n_paths == 6
+        for name in SERIES_FIELDS:
+            assert getattr(ens.series, name).shape == (501,)
+        assert ens.chi2_paths is None and ens.kl_paths is None
         assert ens.series.times[-1] == pytest.approx(0.5)
+        assert ens.initial_chi2.shape == (6,)
         np.testing.assert_allclose(
-            ens.series.chi2[:, 0], chi2(CYCLE_MU, CYCLE_NU), atol=1e-12
+            ens.initial_chi2, chi2(CYCLE_MU, CYCLE_NU), atol=1e-12
         )
         assert ens.terminal_pis.shape == (6, 2, 4)
         np.testing.assert_allclose(ens.terminal_pis.sum(axis=2), 1.0, atol=1e-9)
@@ -196,8 +201,12 @@ class TestRunDivergenceEnsemble:
         for integral in (rec.signal_integral, rec.drift_integral):
             assert integral.shape == (3, 201)
             assert np.all(integral[:, 0] == 0.0)
+        assert rec.chi2_paths.shape == rec.kl_paths.shape == (3, 201)
         # recording must not perturb the filter path
-        assert np.array_equal(plain.series.chi2, rec.series.chi2)
+        for name in SERIES_FIELDS:
+            assert np.array_equal(getattr(plain.series, name), getattr(rec.series, name))
+        assert np.array_equal(plain.initial_chi2, rec.initial_chi2)
+        assert np.array_equal(plain.terminal_pis, rec.terminal_pis)
 
     def test_noiseless_route_uses_exact_filter(self, cycle_noiseless):
         # the cycle's level-set filter keeps the chi-square gap frozen at
@@ -205,7 +214,10 @@ class TestRunDivergenceEnsemble:
         ens = run_divergence_ensemble(
             cycle_noiseless, CYCLE_MU, CYCLE_NU, 5, 1.0, 1e-3, 0
         )
-        np.testing.assert_allclose(ens.series.chi2, 0.16, atol=1e-10)
+        # every path is within sqrt(P (P - 1)) se of the mean at each time
+        s = ens.series
+        assert np.all(np.abs(s.chi2_mean - 0.16) + np.sqrt(5 * 4) * s.chi2_se <= 1e-10)
+        np.testing.assert_allclose(ens.initial_chi2, 0.16, atol=1e-10)
 
     def test_noiseless_drift_recording_rejected(self, cycle_noiseless):
         with pytest.raises(NonPositiveNoise):
@@ -283,17 +295,38 @@ class TestRunDivergenceSweep:
         for model, ens in zip(models, run_divergence_sweep(models, *args)):
             alone = next(run_divergence_sweep([model], *args))
             for got, want in [
-                (ens.series.chi2, alone.series.chi2),
-                (ens.series.kl, alone.series.kl),
-                (ens.series.tv, alone.series.tv),
+                *((getattr(ens.series, name), getattr(alone.series, name)) for name in SERIES_FIELDS),
+                (ens.initial_chi2, alone.initial_chi2),
                 (ens.terminal_pis, alone.terminal_pis),
                 (ens.nu_filters, alone.nu_filters),
                 (ens.initial_states, alone.initial_states),
             ]:
                 assert got.tobytes() == want.tobytes()
-            for got, want in [(ens.signal_integral, alone.signal_integral), (ens.drift_integral, alone.drift_integral)]:
+            for got, want in [
+                (ens.chi2_paths, alone.chi2_paths),
+                (ens.kl_paths, alone.kl_paths),
+                (ens.signal_integral, alone.signal_integral),
+                (ens.drift_integral, alone.drift_integral),
+            ]:
                 assert (got is None) == (want is None) == (not record_integrals)
                 assert got is None or got.tobytes() == want.tobytes()
+
+    def test_peak_memory_holds_no_per_path_series(self):
+        # one sigma2 = 1 value, P = 400 paths of 1,000 steps: the normals,
+        # the drift and the increments are about one (P, n + 1) array each
+        cfg = preset_config("example-6.1")
+        models = [model_for_sweep_value(cfg, 1.0)]
+        P, T, dt = 400, 1.0, 1e-3
+        one_series = P * (round(T / dt) + 1) * 8
+        next(run_divergence_sweep(models, cfg.mu, cfg.nu, 4, 0.1, dt, 0))  # warm-up: imports numpy.random
+        tracemalloc.start()
+        try:
+            series = next(run_divergence_sweep(models, cfg.mu, cfg.nu, P, T, dt, cfg.master_seed)).series
+            series.chi2_mean, series.chi2_se
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.2 * one_series
 
     def test_models_must_share_the_generator(self, cycle_model, blocks_model):
         with pytest.raises(DimensionMismatch):
@@ -329,7 +362,7 @@ class TestBlockedObserver:
     """The block reductions equal per-step reductions bit for bit, for
     horizons that end inside, on and just after a block boundary."""
 
-    STEPS = (1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 3 * _BLOCK_STEPS + 2)
+    STEPS = (1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS - 1, 3 * _BLOCK_STEPS + 2)
 
     @pytest.mark.parametrize("n_steps", STEPS)
     @pytest.mark.parametrize("m, n_paths", [(1, 7), (2, 12)])
@@ -341,13 +374,28 @@ class TestBlockedObserver:
         ens = run_divergence_ensemble(*args, record_integrals=True)
         chi2_v, kl_v, tv_v, signal, drift = _per_step_reference(*args, record_integrals=True)
         for got, want in [
-            (ens.series.chi2, chi2_v),
-            (ens.series.kl, kl_v),
-            (ens.series.tv, tv_v),
+            (ens.chi2_paths, chi2_v),
+            (ens.kl_paths, kl_v),
+            (ens.initial_chi2, chi2_v[:, 0]),
             (ens.signal_integral, signal),
             (ens.drift_integral, drift),
         ]:
             assert got.tobytes() == want.tobytes()
+        _assert_series_of(ens.series, chi2_v, kl_v, tv_v)
+
+    # n_steps + 1 = 17 points leave 1 in the last block, 31 points 15 and 32
+    # points 16; P >= 8 is where numpy would sum a single column pairwise
+    @pytest.mark.parametrize("n_steps", [_BLOCK_STEPS, 2 * _BLOCK_STEPS - 2, 2 * _BLOCK_STEPS - 1])
+    @pytest.mark.parametrize("n_paths", [1, 2, 9, 200])
+    def test_series_are_mean_se_of_the_recorded_paths(self, n_steps, n_paths):
+        rng = np.random.default_rng(n_steps)
+        model = validate_model(random_generator_matrix(rng, 4), rng.normal(size=(4, 1)), 0.7)
+        args = (model, CYCLE_MU, CYCLE_NU, n_paths, n_steps * 0.01, 0.01, 5)
+        ens = run_divergence_ensemble(*args, record_integrals=True)
+        chi2_v, kl_v, tv_v, _, _ = _per_step_reference(*args, record_integrals=False)
+        assert ens.chi2_paths.tobytes() == chi2_v.tobytes()
+        assert ens.kl_paths.tobytes() == kl_v.tobytes()
+        _assert_series_of(ens.series, ens.chi2_paths, ens.kl_paths, tv_v)
 
     @pytest.mark.parametrize("n_steps", STEPS)
     def test_noiseless(self, cycle_noiseless, n_steps):
@@ -355,6 +403,14 @@ class TestBlockedObserver:
         args = (cycle_noiseless, CYCLE_MU, CYCLE_NU, 9, n_steps * dt, dt, 3)
         ens = run_divergence_ensemble(*args)
         chi2_v, kl_v, tv_v, _, _ = _per_step_reference(*args, record_integrals=False)
-        assert ens.signal_integral is None
-        for got, want in [(ens.series.chi2, chi2_v), (ens.series.kl, kl_v), (ens.series.tv, tv_v)]:
-            assert got.tobytes() == want.tobytes()
+        assert ens.signal_integral is None and ens.chi2_paths is None
+        assert ens.initial_chi2.tobytes() == chi2_v[:, 0].tobytes()
+        _assert_series_of(ens.series, chi2_v, kl_v, tv_v)
+
+
+def _assert_series_of(series, chi2_v, kl_v, tv_v):
+    """series holds _mean_se of the per-path arrays, bit for bit (nan se at P = 1)."""
+    want = series_of(series.times, chi2_v, kl_v, tv_v)
+    assert series.n_paths == want.n_paths
+    for name in SERIES_FIELDS:
+        assert getattr(series, name).tobytes() == getattr(want, name).tobytes()

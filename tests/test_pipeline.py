@@ -10,7 +10,7 @@ import pytest
 import filterlab.dual as dual_mod
 import filterlab.ensemble as ensemble_mod
 import filterlab.sim as sim_mod
-from conftest import filter_states
+from conftest import SERIES_FIELDS, filter_states
 from filterlab.config import _apply_overrides, model_for_sweep_value, preset_config
 from filterlab.ensemble import run_divergence_ensemble, run_divergence_sweep, sample_path_batch
 from filterlab.model import validate_model
@@ -62,7 +62,10 @@ class TestPiTrajectories:
         plain = run_divergence_ensemble(*args, record_integrals=True)
         fused = next(run_divergence_sweep([model], *args[1:], record_integrals=True, nu_paths=3))
         assert plain.nu_filters.shape == (0, 401, 4)
-        assert np.array_equal(plain.series.chi2, fused.series.chi2)
+        assert np.array_equal(plain.chi2_paths, fused.chi2_paths)
+        assert np.array_equal(plain.kl_paths, fused.kl_paths)
+        for name in SERIES_FIELDS:
+            assert np.array_equal(getattr(plain.series, name), getattr(fused.series, name))
         assert np.array_equal(plain.signal_integral, fused.signal_integral)
         assert np.array_equal(plain.terminal_pis, fused.terminal_pis)
         assert np.array_equal(plain.initial_states, fused.initial_states)
@@ -154,7 +157,7 @@ class TestInitialDivergenceCheck:
         model = model_for_sweep_value(cfg, 0.0)
         ens = run_divergence_ensemble(model, cfg.mu, cfg.nu, cfg.n_paths, cfg.T, cfg.dt, cfg.master_seed)
         expected = _initial_chi2(model, cfg.mu, cfg.nu, ens.initial_states)
-        np.testing.assert_allclose(ens.series.chi2[:, 0], expected, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(ens.initial_chi2, expected, rtol=0, atol=1e-10)
         assert len(np.unique(np.round(expected, 12))) == 2  # paths start on both levels
 
 

@@ -4,7 +4,7 @@ statistical checks must be robust across seeds at reduced ensemble size."""
 import numpy as np
 import pytest
 
-from filterlab.divergence import DivergenceSeries
+from conftest import series_of
 from filterlab.dual import BackwardMapEstimate
 from filterlab.ensemble import EnsembleDivergence
 from filterlab.verify import (
@@ -55,8 +55,16 @@ def _estimate(y0, stderr):
 
 def _ensemble(chi2_rows, drift_rows):
     c = np.array(chi2_rows)
-    series = DivergenceSeries(0.5 * np.arange(c.shape[1]), c, 0 * c, 0 * c)
-    return EnsembleDivergence(series, None, np.array(drift_rows), None, np.zeros(len(c), int))
+    return EnsembleDivergence(
+        series=series_of(0.5 * np.arange(c.shape[1]), c, 0 * c, 0 * c),
+        initial_chi2=c[:, 0],
+        chi2_paths=c,
+        kl_paths=0 * c,
+        signal_integral=None,
+        drift_integral=np.array(drift_rows),
+        terminal_pis=None,
+        initial_states=np.zeros(len(c), int),
+    )
 
 
 class TestStandardErrorRule:
