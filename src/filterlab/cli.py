@@ -33,7 +33,6 @@ from .pipeline import (
     run_structure,
     write_report,
 )
-from .verify import run_verify
 
 __all__ = ["main", "build_parser"]
 
@@ -176,6 +175,8 @@ def _cmd_backward_map(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verify
+
     report = run_verify(master_seed=args.seed, size=args.size)
     out = resolve_out_dir(args.out)
     write_report(report, out, "report_verify.json")

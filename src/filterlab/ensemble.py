@@ -4,13 +4,15 @@ Every path owns the random stream (master_seed, stream_offset + path_index),
 so its draws depend only on its index, and each path equals a one-path
 batch on its stream, bit for bit.  The draws (X_0, jump chain, unit
 normals) depend on neither r nor H, so a sweep draws them once and forms
-each model's increments from them.  All paths of an ensemble, and any
-extra paths sampled under nu for their nu-filters, are filtered in one
+each kernel block's increments from them.  All paths of an ensemble, and
+any extra paths sampled under nu for their nu-filters, are filtered in one
 lockstep pass; ensemble reductions add the paths in path-index order.  The
 divergence observer copies each step's filter pairs into a state-major
 (d, 2, steps, P) block and computes chi2, kl, tv and, on request, the
 signal and drift integrals once per block of steps; the values equal
-those of a reduction at every step, bit for bit.  It reduces each block
+those of a reduction at every step, bit for bit (the integrals' products
+taken on stacked (steps, P, d) pairs: at P = 1 a 2-D (1, d) product
+rounds differently).  It reduces each block
 at once to per-time means and standard errors: one _mean_se over a
 C-contiguous (P, 3 steps) stack of chi2, kl and tv, at least 3 columns
 wide, so the series equal the reduction of whole (P, n + 1) arrays bit
@@ -145,8 +147,10 @@ def run_divergence_sweep(models, mu, nu, n_paths, T, dt, master_seed, record_int
     The models share A and the shape of H (DimensionMismatch otherwise), so
     the paths and unit normals are drawn once; a noisy model's increments
     are r sqrt(dt) times the normals plus the exact drift of its H, which is
-    computed once per run of equal H.  Each ensemble equals its one-model
-    run bit for bit and is computed when asked for.
+    computed once per run of equal H.  The kernel forms the increments of
+    one block of steps at a time from the two, so no (P, n, m) increments
+    array of a model exists.  Each ensemble equals its one-model run bit
+    for bit and is computed when asked for.
 
     nu_paths more paths, sampled under nu on the streams n_paths .. n_paths
     + nu_paths - 1, ride in the same engine call with nu in both prior
@@ -229,8 +233,7 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
         if model.noiseless:
             terminal = evolve_noiseless_ensemble(priors, paths, dt, model, observer=observer)
         else:
-            increments = normals * (model.r * np.sqrt(dt))
-            increments += drift_steps
+            increments = _Increments(normals, model.r * np.sqrt(dt), drift_steps)
             terminal = evolve_ensemble(priors, increments, dt, model, observer=observer)
     except (DegenerateMass, EmptyLevelSet):
         # an earlier step's AbsoluteContinuityViolation wins over the engine's error
@@ -251,6 +254,26 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
         initial_states=np.array([sp.states[0] for sp in paths[:n_paths]], dtype=int),
         nu_filters=nu_filters,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class _Increments:
+    """The (P, n_steps, m) increments scale normals + drift, formed a block
+    of steps at a time: [:, a:b] makes the same two elementwise operations
+    on the same operands as the whole array would, so it is bitwise equal."""
+
+    normals: np.ndarray
+    scale: float
+    drift: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.normals.shape
+
+    def __getitem__(self, key) -> np.ndarray:
+        out = self.normals[key] * self.scale
+        out += self.drift[key]
+        return out
 
 
 def _accumulate(out: np.ndarray, acc: np.ndarray, k0: int, increments: np.ndarray) -> None:

@@ -47,7 +47,7 @@ __all__ = ["wonham_step", "evolve_ensemble", "evolve_noiseless_ensemble"]
 # Steps per block: the splitting kernel exponentiates its correction, and the
 # divergence ensemble reduces its divergences to per-time means, once per
 # block.  On the cycle sweep (simulate, 200 paths, T = 0.75) 32 and 128 add
-# about 1 and 7 MB to the 43 MB peak RSS of 16; the blocks sweep stays at 85 MB.
+# about 1 and 7 MB to the 41 MB peak RSS of 16; the blocks sweep stays at 84 MB.
 _BLOCK_STEPS = 16
 
 
@@ -142,15 +142,17 @@ def evolve_ensemble(
     """Evolve k priors through P observation paths in lockstep.
 
     priors is (k, d), shared by all paths, or (k, P, d), one row per path,
-    and increments (P, n_steps, m).  observer(step, pis) is called with
-    step = 0 and then after every update, step n holding the laws at time
-    n dt; pis is the (P, k, d) view of the state-major array, not to be
-    mutated and valid only during the call.  Returns the terminal states as
-    such a view.
+    and increments (P, n_steps, m): an array, or any object with that shape
+    whose [:, a:b] is the array of steps a .. b - 1, which the kernel reads
+    one block of _BLOCK_STEPS steps at a time.  observer(step, pis) is
+    called with step = 0 and then after every update, step n holding the
+    laws at time n dt; pis is the (P, k, d) view of the state-major array,
+    not to be mutated and valid only during the call.  Returns the terminal
+    states as such a view.
     """
     if model.noiseless:
         raise NonPositiveNoise("noiseless model: use evolve_noiseless_ensemble")
-    if increments.ndim != 3 or increments.shape[2] != model.m:
+    if len(increments.shape) != 3 or increments.shape[2] != model.m:
         raise DimensionMismatch(f"increments must be (P, n_steps, {model.m}), got {increments.shape}")
     S = np.ascontiguousarray(_path_priors(priors, increments.shape[0], model.d).transpose(2, 0, 1))
     return _split_steps(S, increments, dt, model, observer).transpose(2, 1, 0)

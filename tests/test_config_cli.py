@@ -1,10 +1,14 @@
 """Experiment configuration parsing and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import filterlab
 from filterlab.cli import main
 from filterlab.config import (
     PRESET_NAMES,
@@ -441,6 +445,20 @@ class TestCliStructureAndVerify:
         assert report["passed"] is True
         assert all(c["kind"] == "deterministic" for c in report["checks"])
         assert "checks passed" in capsys.readouterr().out
+
+    def test_only_the_verify_command_imports_verify(self):
+        # the check suites cost every simulate, structure and backward-map
+        # run about 10 ms of import time
+        src = os.path.dirname(os.path.dirname(filterlab.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, filterlab.cli; print('filterlab.verify' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("size", ["-1", "1"])
     def test_verify_size_without_standard_errors(self, size, tmp_path, capsys):

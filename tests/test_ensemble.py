@@ -311,22 +311,24 @@ class TestRunDivergenceSweep:
                 assert (got is None) == (want is None) == (not record_integrals)
                 assert got is None or got.tobytes() == want.tobytes()
 
-    def test_peak_memory_holds_no_per_path_series(self):
-        # one sigma2 = 1 value, P = 400 paths of 1,000 steps: the normals,
-        # the drift and the increments are about one (P, n + 1) array each
+    @pytest.mark.parametrize("values", [(1.0,), (0.0, 0.1, 1.0, 10.0)], ids=["one-value", "four-values"])
+    def test_peak_memory_holds_no_per_path_series(self, values):
+        # P = 400 paths of 1,000 steps: the normals and the drift are about
+        # one (P, n + 1) array each; the kernel forms the increments one
+        # block of steps at a time, so no value holds a third
         cfg = preset_config("example-6.1")
-        models = [model_for_sweep_value(cfg, 1.0)]
+        models = [model_for_sweep_value(cfg, value) for value in values]
         P, T, dt = 400, 1.0, 1e-3
         one_series = P * (round(T / dt) + 1) * 8
-        next(run_divergence_sweep(models, cfg.mu, cfg.nu, 4, 0.1, dt, 0))  # warm-up: imports numpy.random
+        next(run_divergence_sweep(models[-1:], cfg.mu, cfg.nu, 4, 0.1, dt, 0))  # warm-up: imports numpy.random
         tracemalloc.start()
         try:
-            series = next(run_divergence_sweep(models, cfg.mu, cfg.nu, P, T, dt, cfg.master_seed)).series
-            series.chi2_mean, series.chi2_se
+            for ens in run_divergence_sweep(models, cfg.mu, cfg.nu, P, T, dt, cfg.master_seed):
+                ens.series.chi2_mean, ens.series.chi2_se
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.2 * one_series
+        assert peak <= 2.9 * one_series
 
     def test_models_must_share_the_generator(self, cycle_model, blocks_model):
         with pytest.raises(DimensionMismatch):
@@ -334,27 +336,34 @@ class TestRunDivergenceSweep:
 
 
 def _per_step_reference(model, mu, nu, n_paths, T, dt, seed, record_integrals):
-    """The ensemble's outputs with every reduction done at its own step."""
+    """The ensemble's outputs with each divergence computed at its own step.
+
+    The integrals are formed as the ensemble forms them, from a state-major
+    (d, 2, steps, P) stack of the filter pairs, but one stack of the whole
+    horizon, and added up step by step: at P = 1 a 2-D (1, d) product
+    rounds differently from the stacked one.
+    """
     batch = sample_path_batch(model, n_paths, T, dt, seed, initial_law=mu)
     n_steps = round(T / dt)
-    chi2_v, kl_v, tv_v, signal, drift = (np.empty((n_paths, n_steps + 1)) for _ in range(5))
-    signal_acc = np.zeros(n_paths)
-    drift_acc = np.zeros(n_paths)
+    chi2_v, kl_v, tv_v = (np.empty((n_paths, n_steps + 1)) for _ in range(3))
+    pq = np.empty((model.d, 2, n_steps + 1, n_paths))
 
     def observer(step, pis):
-        p, q = pis[:, 0, :], pis[:, 1, :]
-        chi2_v[:, step], kl_v[:, step], tv_v[:, step] = _divergence_batch(p, q)
-        signal[:, step] = signal_acc
-        drift[:, step] = drift_acc
-        if step < n_steps and record_integrals:
-            signal_acc[:] += (((p - q) @ model.h_unit) ** 2).sum(axis=1) * dt
-            drift_acc[:] += chi2_drift_batch(p, q, model) * dt
+        chi2_v[:, step], kl_v[:, step], tv_v[:, step] = _divergence_batch(pis[:, 0, :], pis[:, 1, :])
+        pq[:, :, step] = pis.transpose(2, 1, 0)
 
     priors = np.stack([mu, nu])
     if model.noiseless:
         evolve_noiseless_ensemble(priors, batch.state_paths, dt, model, observer=observer)
     else:
         evolve_ensemble(priors, batch.increments, dt, model, observer=observer)
+    signal, drift = np.zeros((2, n_paths, n_steps + 1))
+    if record_integrals:
+        p, q = np.moveaxis(pq[:, :, :n_steps], 0, -1)
+        signal_rate = (((p - q) @ model.h_unit) ** 2).sum(axis=-1)
+        for out, rate in [(signal, signal_rate), (drift, chi2_drift_batch(p, q, model))]:
+            for step in range(n_steps):
+                out[:, step + 1] = out[:, step] + rate[step] * dt
     return chi2_v, kl_v, tv_v, signal, drift
 
 
@@ -365,8 +374,12 @@ class TestBlockedObserver:
     STEPS = (1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS - 1, 3 * _BLOCK_STEPS + 2)
 
     @pytest.mark.parametrize("n_steps", STEPS)
-    @pytest.mark.parametrize("m, n_paths", [(1, 7), (2, 12)])
+    @pytest.mark.parametrize("m, n_paths", [(1, 1), (1, 7), (2, 12)])
     def test_noisy_with_drift(self, n_steps, m, n_paths):
+        """The ensemble's filters run on the sweep's increments, formed a
+        kernel block at a time from the normals and the drift, and the
+        reference's on sample_path_batch's, formed in place in one array:
+        this is the guard that the two forms agree bit for bit."""
         rng = np.random.default_rng(n_steps + 100 * m)
         model = validate_model(random_generator_matrix(rng, 4), rng.normal(size=(4, m)), 0.7)
         dt = 0.01
