@@ -311,28 +311,39 @@ class TestRunDivergenceSweep:
                 assert (got is None) == (want is None) == (not record_integrals)
                 assert got is None or got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("values", [(1.0,), (0.0, 0.1, 1.0, 10.0)], ids=["one-value", "four-values"])
-    def test_peak_memory_holds_no_per_path_series(self, values):
+    def test_peak_memory_holds_no_per_path_series(self):
         # P = 400 paths of 1,000 steps: the normals and the drift are about
         # one (P, n + 1) array each; the kernel forms the increments one
         # block of steps at a time, so no value holds a third
-        cfg = preset_config("example-6.1")
-        models = [model_for_sweep_value(cfg, value) for value in values]
-        P, T, dt = 400, 1.0, 1e-3
-        one_series = P * (round(T / dt) + 1) * 8
-        next(run_divergence_sweep(models[-1:], cfg.mu, cfg.nu, 4, 0.1, dt, 0))  # warm-up: imports numpy.random
-        tracemalloc.start()
-        try:
-            for ens in run_divergence_sweep(models, cfg.mu, cfg.nu, P, T, dt, cfg.master_seed):
-                ens.series.chi2_mean, ens.series.chi2_se
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, one_series = _sweep_peak_memory((1.0,))
+        assert peak <= 2.9 * one_series
+
+    def test_peak_memory_of_a_four_value_sweep_holds_no_per_path_series(self):
+        # the values share the normals; each drops the last drift before it allocates its own
+        peak, one_series = _sweep_peak_memory((0.0, 0.1, 1.0, 10.0))
         assert peak <= 2.9 * one_series
 
     def test_models_must_share_the_generator(self, cycle_model, blocks_model):
         with pytest.raises(DimensionMismatch):
             next(run_divergence_sweep([cycle_model, blocks_model], CYCLE_MU, CYCLE_NU, 2, 0.1, 1e-2, 0))
+
+
+def _sweep_peak_memory(values):
+    """Peak traced bytes of an example-6.1 sweep over values at P = 400
+    paths of 1,000 steps, and the bytes of one (P, n + 1) float array."""
+    cfg = preset_config("example-6.1")
+    models = [model_for_sweep_value(cfg, value) for value in values]
+    P, T, dt = 400, 1.0, 1e-3
+    one_series = P * (round(T / dt) + 1) * 8
+    next(run_divergence_sweep(models[-1:], cfg.mu, cfg.nu, 4, 0.1, dt, 0))  # warm-up: imports numpy.random
+    tracemalloc.start()
+    try:
+        for ens in run_divergence_sweep(models, cfg.mu, cfg.nu, P, T, dt, cfg.master_seed):
+            ens.series.chi2_mean, ens.series.chi2_se
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, one_series
 
 
 def _per_step_reference(model, mu, nu, n_paths, T, dt, seed, record_integrals):
