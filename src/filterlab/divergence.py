@@ -41,7 +41,7 @@ from .errors import (
     WindowTooShort,
 )
 from .filtering import _sum_rows
-from .model import HmmModel, _read_table, _write_table, carre_du_champ
+from .model import HmmModel, _write_table, carre_du_champ
 
 __all__ = [
     "SUPPORT_EPS",
@@ -58,7 +58,6 @@ __all__ = [
     "RateFit",
     "fit_exponential_rate",
     "write_series_csv",
-    "read_series_csv",
 ]
 
 SUPPORT_EPS = 1e-14  # x is outside supp(q) when q(x) < SUPPORT_EPS
@@ -316,21 +315,9 @@ def fit_exponential_rate(times, values, window: tuple[float, float] | None = Non
     )
 
 
-SERIES_COLUMNS = ["t", "chi2_mean", "chi2_se", "kl_mean", "kl_se", "tv_mean", "tv_se", "n_paths"]
-
-
 def write_series_csv(path: str, series: DivergenceSeries) -> None:
     """Dump the aggregated series; floats use repr for exact round trips."""
     stats = [series.chi2_mean, series.chi2_se, series.kl_mean, series.kl_se, series.tv_mean, series.tv_se]
     n_paths = np.full(len(series.times), series.n_paths)
-    _write_table(path, SERIES_COLUMNS, [series.times, *stats, n_paths])
-
-
-def read_series_csv(path: str) -> dict[str, np.ndarray]:
-    """Parse a series CSV back into column arrays keyed by header name."""
-    header, body = _read_table(path)
-    if header != SERIES_COLUMNS:
-        raise DimensionMismatch(f"unexpected series header {header}")
-    cols = dict(zip(header, body.T))
-    cols["n_paths"] = cols["n_paths"].astype(int)
-    return cols
+    header = ["t", "chi2_mean", "chi2_se", "kl_mean", "kl_se", "tv_mean", "tv_se", "n_paths"]
+    _write_table(path, header, [series.times, *stats, n_paths])

@@ -113,7 +113,7 @@ class EnsembleDivergence:
     kl_paths: np.ndarray | None
     signal_integral: np.ndarray | None
     drift_integral: np.ndarray | None
-    terminal_pis: np.ndarray | None
+    terminal_pis: np.ndarray
     initial_states: np.ndarray
     nu_filters: np.ndarray | None = None
 

@@ -53,10 +53,6 @@ class DegenerateVarianceForm(FilterLabError):
     """No nonconstant direction: the variance form vanishes identically."""
 
 
-class NotSymmetric(FilterLabError):
-    """The eigensolver input matrix is not symmetric within tolerance."""
-
-
 class AssumptionA1Violated(FilterLabError):
     """essinf d(mu)/d(nu) = 0, so the decay envelope constant is undefined."""
 

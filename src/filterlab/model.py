@@ -16,9 +16,10 @@ quantities attached to the pair (A, H): the carre du champ operator, the
 invariant measure, ergodicity and observability of the pair, and the closed
 form decay-rate bounds computable from A and H alone.  It also owns the
 one CSV table layout (a header row, then one row per record, ints as ints
-and floats as repr) that every write_*_csv / read_*_csv pair in the package
-goes through.  The model JSON file is read and written by config
-(load_model, save_model), next to the config parser it shares.
+and floats as repr) that every write_*_csv writer in the package goes
+through; the files read back with np.loadtxt after the one header row.
+The model JSON file is read and written by config (load_model,
+save_model), next to the config parser it shares.
 """
 
 from __future__ import annotations
@@ -319,25 +320,9 @@ def _write_table(path: str, header, columns) -> None:
     """Write equal-length columns under a header row.
 
     Integer columns print as ints and float columns as repr, so float64
-    values round-trip exactly through _read_table.
+    values round-trip exactly through np.loadtxt after the header row.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
-
-
-def _read_table(path: str) -> tuple[list[str], np.ndarray]:
-    """Inverse of _write_table: (header, float64 body of shape (rows, cols)).
-
-    Raises DimensionMismatch when the body width differs from the header's.
-    """
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
-        rows = fh.readlines()
-    body = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, len(header)))
-    if body.shape[1] != len(header):
-        raise DimensionMismatch(
-            f"{path}: header has {len(header)} columns, body has {body.shape[1]}"
-        )
-    return header, body

@@ -89,8 +89,7 @@ def _json_fields(entry) -> dict:
 def _sweep_tag(cfg: ExperimentConfig, value: float | None) -> str:
     if value is None:
         return "base"
-    kind = "sigma2" if cfg.sweep_kind == "sigma2" else "k"
-    return f"{kind}={value:g}"
+    return f"{cfg.sweep_kind}={value:g}"
 
 
 def _fit_payload(series: DivergenceSeries, window) -> tuple[dict | None, str]:
@@ -178,11 +177,10 @@ def run_simulate(
             if model.noiseless
             else abs(series.chi2_mean[0] - prior_divergences["chi2"]) <= 1e-10
         )
-        if ens.terminal_pis is not None:
-            sums = ens.terminal_pis.sum(axis=-1)
-            checks[f"terminal_simplex[{tag}]"] = bool(
-                np.all(np.abs(sums - 1.0) <= 1e-9) and np.all(ens.terminal_pis >= -1e-12)
-            )
+        sums = ens.terminal_pis.sum(axis=-1)
+        checks[f"terminal_simplex[{tag}]"] = bool(
+            np.all(np.abs(sums - 1.0) <= 1e-9) and np.all(ens.terminal_pis >= -1e-12)
+        )
         if out_dir is not None:
             series_path = os.path.join(out_dir, f"series_{tag}.csv")
             write_series_csv(series_path, series)

@@ -29,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import AC_EPS
-from .errors import DegenerateVarianceForm, DimensionMismatch, NotSymmetric
+from .errors import DegenerateVarianceForm, DimensionMismatch
 from .model import _as_rate_matrix, as_simplex
 
 __all__ = [
     "PiResult",
-    "symmetric_eigensolver",
     "classical_pi_constant",
     "conditional_pi_constant",
     "trajectory_pi_infimum",
@@ -57,22 +56,6 @@ class PiResult:
     support: np.ndarray
 
 
-def symmetric_eigensolver(S) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectrum of a small symmetric matrix by np.linalg.eigh.
-
-    Returns (eigenvalues ascending, eigenvectors as columns) of the
-    symmetrized matrix.  Raises NotSymmetric if S deviates from its
-    transpose beyond 1e-10 relative to max(1, max |S|).
-    """
-    S = np.array(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got {S.shape}")
-    scale = max(1.0, float(np.abs(S).max(initial=0.0)))
-    if float(np.abs(S - S.T).max(initial=0.0)) > 1e-10 * scale:
-        raise NotSymmetric("matrix is not symmetric within 1e-10")
-    return np.linalg.eigh((S + S.T) / 2.0)
-
-
 def _pi_eigenproblem(A: np.ndarray, rho: np.ndarray, support: np.ndarray) -> PiResult:
     """Solve the restricted generalized problem on a support of size >= 2."""
     d = A.shape[0]
@@ -88,7 +71,7 @@ def _pi_eigenproblem(A: np.ndarray, rho: np.ndarray, support: np.ndarray) -> PiR
     _, _, vt = np.linalg.svd(rs[None, :])
     b = vt[1:].T
     cr = b.T @ c @ b
-    wc, vc = symmetric_eigensolver(cr)
+    wc, vc = np.linalg.eigh((cr + cr.T) / 2.0)
     if wc.min() <= PD_TOL * max(1.0, wc.max()):
         raise DegenerateVarianceForm(
             f"restricted variance form has eigenvalue {wc.min():.3e}"
@@ -96,7 +79,7 @@ def _pi_eigenproblem(A: np.ndarray, rho: np.ndarray, support: np.ndarray) -> PiR
     whiten = vc @ np.diag(1.0 / np.sqrt(wc)) @ vc.T
     sw = whiten @ (b.T @ m @ b) @ whiten
     sw = (sw + sw.T) / 2.0
-    ws, vs = symmetric_eigensolver(sw)
+    ws, vs = np.linalg.eigh(sw)
     f_supp = b @ (whiten @ vs[:, 0])
     f_full = np.zeros(d)
     f_full[support] = f_supp

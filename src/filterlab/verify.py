@@ -14,16 +14,12 @@ only; size = 1 is rejected, since one path has no standard error.
 
 from __future__ import annotations
 
-import os
-import tempfile
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (
-    _seed_check, load_config, load_model, model_for_sweep_value, preset_config, save_config, save_model,
-)
+from .config import _seed_check, model_for_sweep_value, preset_config
 from .divergence import (
     AC_EPS,
     SUPPORT_EPS,
@@ -34,11 +30,9 @@ from .divergence import (
     density_ratio,
     fit_exponential_rate,
     kl,
-    read_series_csv,
     tv,
-    write_series_csv,
 )
-from .dual import backward_map_study, read_backward_map_csv, write_backward_map_csv
+from .dual import backward_map_study
 from .ensemble import run_divergence_ensemble, sample_path_batch
 from .errors import ConfigError, FilterLabError, GridMismatch
 from .filtering import evolve_ensemble, evolve_noiseless_ensemble
@@ -50,11 +44,7 @@ from .model import (
     rate_bounds,
     validate_model,
 )
-from .poincare import (
-    classical_pi_constant,
-    conditional_pi_constant,
-    symmetric_eigensolver,
-)
+from .poincare import classical_pi_constant, conditional_pi_constant
 from .sim import spawn_rng
 
 __all__ = ["CheckResult", "run_verify", "DETERMINISTIC_CHECKS", "STATISTICAL_CHECKS"]
@@ -320,28 +310,6 @@ def check_pi_constants(seed: int) -> CheckResult:
     return _result("poincare-constants", "deterministic", bool(ok), "; ".join(details))
 
 
-def check_eigensolver(seed: int) -> CheckResult:
-    """Reconstruction, orthogonality, and ordering on random symmetric matrices."""
-    rng = spawn_rng(seed, 9004)
-    worst_rec, worst_orth, ordered = 0.0, 0.0, True
-    for _ in range(20):
-        k = int(rng.integers(2, 9))
-        S = rng.normal(size=(k, k))
-        S = (S + S.T) / 2.0
-        w, v = symmetric_eigensolver(S)
-        scale = max(1.0, float(np.linalg.norm(S)))
-        worst_rec = max(worst_rec, float(np.linalg.norm(v @ np.diag(w) @ v.T - S)) / scale)
-        worst_orth = max(worst_orth, float(np.linalg.norm(v.T @ v - np.eye(k))))
-        ordered &= bool(np.all(np.diff(w) >= -1e-12))
-    passed = worst_rec <= 1e-9 and worst_orth <= 1e-9 and ordered
-    return _result(
-        "symmetric-eigensolver",
-        "deterministic",
-        passed,
-        f"max reconstruction {worst_rec:.2e}, max orthogonality {worst_orth:.2e}",
-    )
-
-
 def check_rate_fit(seed: int) -> CheckResult:
     """Exact rate on a pure exponential; perturbed rate within its bound."""
     t = np.linspace(0.0, 10.0, 2001)
@@ -416,35 +384,6 @@ def check_rerun_determinism(seed: int) -> CheckResult:
         and np.array_equal(a.signal_integral, b.signal_integral)
     )
     return _result("rerun-determinism", "deterministic", same, "two same-seed runs bit-identical")
-
-
-def check_round_trips(seed: int) -> CheckResult:
-    """Every file format the artifact writes is re-read identically."""
-    cfg = preset_config("example-6.1")
-    model = _cycle_model()
-    series = run_divergence_ensemble(model, cfg.mu, cfg.nu, 3, 0.1, 1e-2, seed).series
-    *_, rb = backward_map_study(model, cfg.mu, cfg.nu, (0.1,), 2, seed, dt=1e-2)
-    ok = True
-    with tempfile.TemporaryDirectory() as tmp:
-        mp = os.path.join(tmp, "model.json")
-        save_model(model, mp)
-        m2 = load_model(mp)
-        ok &= np.array_equal(m2.A, model.A) and np.array_equal(m2.H, model.H)
-        vp = os.path.join(tmp, "series.csv")
-        write_series_csv(vp, series)
-        cols = read_series_csv(vp)
-        ok &= np.array_equal(cols["chi2_mean"], series.chi2_mean)
-        ok &= np.array_equal(cols["chi2_se"], series.chi2_se)
-        bp = os.path.join(tmp, "backward_map.csv")
-        write_backward_map_csv(bp, rb)
-        bm = read_backward_map_csv(bp)
-        ok &= np.array_equal(bm["y0"], rb.y0) and np.array_equal(bm["stderr"], rb.stderr)
-        cp = os.path.join(tmp, "config.json")
-        save_config(cfg, cp)
-        back = load_config(cp)
-        ok &= back.sweep_values == cfg.sweep_values
-        ok &= np.array_equal(back.A, cfg.A)
-    return _result("file-round-trips", "deterministic", bool(ok), "all formats")
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +485,10 @@ DETERMINISTIC_CHECKS = [
     check_divergence_values,
     check_drift_identity,
     check_pi_constants,
-    check_eigensolver,
     check_rate_fit,
     check_structure_examples,
     check_noiseless_identity,
     check_rerun_determinism,
-    check_round_trips,
 ]
 
 STATISTICAL_CHECKS = [

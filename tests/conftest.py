@@ -1,5 +1,7 @@
 """Shared fixtures: the two reference models, their priors, and rng,
-engine and series helpers."""
+engine, series and CSV helpers."""
+
+import csv
 
 import numpy as np
 import pytest
@@ -97,3 +99,11 @@ def series_of(times, chi2_paths, kl_paths, tv_paths):
     """The DivergenceSeries of per-path arrays (P, n + 1), reduced by _mean_se."""
     stats = [a for v in (chi2_paths, kl_paths, tv_paths) for a in _mean_se(np.asarray(v, float))]
     return DivergenceSeries(np.asarray(times, float), len(chi2_paths), *stats)
+
+
+def read_csv(path):
+    """A CSV table the package wrote, as {header: float64 column}."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh))
+    body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return dict(zip(header, body.T))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import filterlab
+from conftest import read_csv
 from filterlab.cli import main
 from filterlab.config import (
     PRESET_NAMES,
@@ -18,9 +19,7 @@ from filterlab.config import (
     preset_config,
     save_config,
 )
-from filterlab.divergence import read_series_csv
 from filterlab.errors import ConfigError
-from filterlab.model import _read_table
 
 
 class TestPresets:
@@ -227,6 +226,21 @@ def _tiny_config(tmp_path, **extra):
     return str(p)
 
 
+def _loaded_by_cli_import(*modules):
+    """The given modules that a fresh interpreter holds after `import filterlab.cli`."""
+    src = os.path.dirname(os.path.dirname(filterlab.__file__))
+    code = f"import json, sys, filterlab.cli; print(json.dumps([m for m in {list(modules)!r} if m in sys.modules]))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(out.stdout)
+
+
 class TestCliExitCodes:
     def test_usage_error_is_config_exit(self, capsys):
         assert main(["not-a-command"]) == 1
@@ -360,12 +374,12 @@ class TestCliSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out), "--plot-data"]) == 0
         report = json.loads((out / "report_simulate.json").read_text())
         lo, hi = report["sweep"][0]["rate_fit"]["window"]
-        series = read_series_csv(str(out / "series_sigma2=1.csv"))
+        series = read_csv(out / "series_sigma2=1.csv")
         mask = (series["t"] >= lo) & (series["t"] <= hi)
-        header, body = _read_table(str(out / "plotdata_sigma2=1.csv"))
-        assert header == ["t", "log_chi2_mean"]
-        np.testing.assert_array_equal(body[:, 0], series["t"][mask])
-        np.testing.assert_array_equal(body[:, 1], np.log(series["chi2_mean"][mask]))
+        plot = read_csv(out / "plotdata_sigma2=1.csv")
+        assert list(plot) == ["t", "log_chi2_mean"]
+        np.testing.assert_array_equal(plot["t"], series["t"][mask])
+        np.testing.assert_array_equal(plot["log_chi2_mean"], np.log(series["chi2_mean"][mask]))
 
     def test_seed_and_workers_do_not_change_results(self, tmp_path):
         # An older config's "workers" field loads and changes nothing.
@@ -449,16 +463,12 @@ class TestCliStructureAndVerify:
     def test_only_the_verify_command_imports_verify(self):
         # the check suites cost every simulate, structure and backward-map
         # run about 10 ms of import time
-        src = os.path.dirname(os.path.dirname(filterlab.__file__))
-        out = subprocess.run(
-            [sys.executable, "-c", "import sys, filterlab.cli; print('filterlab.verify' in sys.modules)"],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        )
-        assert out.stdout.strip() == "False"
+        assert _loaded_by_cli_import("filterlab.verify") == []
+
+    def test_cli_import_loads_no_scipy_linalg_or_optimize(self):
+        # the Poincare eigenproblems call np.linalg.eigh directly, and nnls is
+        # imported where structure uses it
+        assert _loaded_by_cli_import("scipy.linalg", "scipy.optimize") == []
 
     @pytest.mark.parametrize("size", ["-1", "1"])
     def test_verify_size_without_standard_errors(self, size, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CYCLE_MU, CYCLE_NU, interior_simplex, random_generator_matrix, series_of
+from conftest import CYCLE_MU, CYCLE_NU, interior_simplex, random_generator_matrix, read_csv, series_of
 from filterlab import ensemble
 from filterlab.divergence import (
     MIN_FIT_POINTS,
@@ -18,7 +18,6 @@ from filterlab.divergence import (
     density_ratio,
     fit_exponential_rate,
     kl,
-    read_series_csv,
     tv,
     write_series_csv,
 )
@@ -292,7 +291,8 @@ class TestSeriesCsv:
         series = series_of(times, mk(), mk() / 2, mk() / 4)
         p = tmp_path / "series.csv"
         write_series_csv(str(p), series)
-        cols = read_series_csv(str(p))
+        cols = read_csv(p)
+        assert list(cols) == ["t", "chi2_mean", "chi2_se", "kl_mean", "kl_se", "tv_mean", "tv_se", "n_paths"]
         np.testing.assert_array_equal(cols["t"], times)
         np.testing.assert_array_equal(cols["chi2_mean"], series.chi2_mean)
         np.testing.assert_array_equal(cols["kl_se"], series.kl_se)

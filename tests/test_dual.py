@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 import filterlab.dual as dual_mod
-from conftest import BLOCKS_MU, BLOCKS_NU, CYCLE_MU, CYCLE_NU, series_of
+from conftest import BLOCKS_MU, BLOCKS_NU, CYCLE_MU, CYCLE_NU, read_csv, series_of
 from filterlab import verify
 from filterlab.divergence import chi2, density_ratio
 from filterlab.dual import (
     backward_map_study,
     essential_infimum_ratio,
-    read_backward_map_csv,
     theorem2_envelope,
     write_backward_map_csv,
 )
@@ -281,7 +280,8 @@ class TestBackwardMapCsv:
         *_, est = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (0.5,), 15, 2, 1e-3)
         p = tmp_path / "map.csv"
         write_backward_map_csv(str(p), est)
-        cols = read_backward_map_csv(str(p))
+        cols = read_csv(p)
+        assert list(cols) == ["x", "y0", "stderr"]
         np.testing.assert_array_equal(cols["x"], np.arange(4))
         np.testing.assert_array_equal(cols["y0"], est.y0)
         np.testing.assert_array_equal(cols["stderr"], est.stderr)

@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BLOCKS_A, CYCLE_A, CYCLE_H, random_generator_matrix
-from filterlab.divergence import SERIES_COLUMNS, read_series_csv
+from conftest import BLOCKS_A, CYCLE_A, CYCLE_H, random_generator_matrix, read_csv
 from filterlab.config import load_model, save_model
-from filterlab.dual import read_backward_map_csv
 from filterlab.errors import (
     ConfigError,
     DimensionMismatch,
@@ -20,7 +18,6 @@ from filterlab.errors import (
     RowSumNonZero,
 )
 from filterlab.model import (
-    _read_table,
     _write_table,
     as_simplex,
     carre_du_champ,
@@ -288,23 +285,8 @@ class TestTableFormat:
         assert path.read_bytes() == (
             b"n,x\r\n0,0.1\r\n1,5e-324\r\n2,-0.0\r\n3,0.3333333333333333\r\n"
         )
-        header, body = _read_table(str(path))
-        assert header == ["n", "x"]
-        assert body.dtype == np.float64 and body.shape == (4, 2)
-        np.testing.assert_array_equal(body[:, 0], ints)
-        assert np.array_equal(body[:, 1].view(np.int64), floats.view(np.int64))
-
-    @pytest.mark.parametrize(
-        "reader, text, error",
-        [
-            (read_series_csv, ",".join(SERIES_COLUMNS) + "\r\n0.0,0.5\r\n", DimensionMismatch),
-            (read_series_csv, "t,chi2\r\n0.0,1.0\r\n", DimensionMismatch),
-            (read_backward_map_csv, "x,y\r\n0,1.0\r\n", DimensionMismatch),
-        ],
-        ids=["series-width", "series-header", "map-header"],
-    )
-    def test_reader_errors(self, tmp_path, reader, text, error):
-        path = tmp_path / "bad.csv"
-        path.write_bytes(text.encode())
-        with pytest.raises(error):
-            reader(str(path))
+        cols = read_csv(path)
+        assert list(cols) == ["n", "x"]
+        assert cols["x"].dtype == np.float64 and cols["x"].shape == (4,)
+        np.testing.assert_array_equal(cols["n"], ints)
+        assert np.array_equal(cols["x"].view(np.int64), floats.view(np.int64))

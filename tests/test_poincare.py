@@ -2,44 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import BLOCKS_A, CYCLE_A, interior_simplex, random_generator_matrix
-from filterlab.errors import DegenerateVarianceForm, DimensionMismatch, NotSymmetric
+from filterlab.errors import DegenerateVarianceForm, DimensionMismatch
 from filterlab.model import carre_du_champ, invariant_measure, is_ergodic
 from filterlab.poincare import (
     classical_pi_constant,
     conditional_pi_constant,
-    symmetric_eigensolver,
     trajectory_pi_infimum,
 )
-
-
-class TestSymmetricEigensolver:
-    def test_diagonal_matrix_exact(self):
-        w, v = symmetric_eigensolver(np.diag([3.0, -1.0, 2.0]))
-        np.testing.assert_allclose(w, [-1.0, 2.0, 3.0], atol=1e-12)
-        np.testing.assert_allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]], atol=1e-12)
-        w, v = symmetric_eigensolver(np.zeros((0, 0)))
-        assert w.shape == (0,) and v.shape == (0, 0)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(NotSymmetric):
-            symmetric_eigensolver(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_reconstruction_orthogonality_order(self, seed):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(1, 9))
-        S = rng.normal(size=(k, k)) * 10.0 ** rng.integers(-2, 3)
-        S = (S + S.T) / 2.0
-        w, v = symmetric_eigensolver(S)
-        scale = max(1.0, float(np.linalg.norm(S)))
-        assert np.linalg.norm(v @ np.diag(w) @ v.T - S) <= 1e-9 * scale
-        assert np.linalg.norm(v.T @ v - np.eye(k)) <= 1e-10
-        assert np.all(np.diff(w) >= -1e-12 * scale)
 
 
 class TestClassicalConstant:
