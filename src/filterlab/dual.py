@@ -19,14 +19,14 @@ E^nu chi2_T = var_nu(y0) + integral(energy) is never discretized directly;
 it is always recovered as the variance gap var_nu(gamma_T) - var_nu(y0),
 which the balance makes exact.
 
-backward_map_study is the one engine and owns the stream layout.  It runs
-one pass per initial state to the largest horizon and snapshots the three
-filters and the state X_T at every horizon's grid step, so a study costs
-max(T_list) of simulation and filtering rather than sum(T_list); initial
-state row r uses the streams r * N onwards for every horizon.  It is the
-one entry point for both the diagnostics and the estimators.  A study holds
-one kept state's path batch at a time, released before the next state
-draws, so its peak is about N * max(T_list) / dt * m floats of increments.
+backward_map_study is the one engine, the one entry point for both the
+diagnostics and the estimators, and owns the stream layout.  It runs one
+pass per initial state to the largest horizon and reduces the three filters
+and X_T at each horizon's grid step as the pass reaches it, so a study
+costs max(T_list) of simulation and filtering rather than sum(T_list);
+initial state row r uses the streams r * N onwards for every horizon.  It
+holds one kept state's path batch at a time, so its peak is about
+N * max(T_list) / dt * m floats of increments.
 """
 
 from __future__ import annotations
@@ -73,64 +73,26 @@ class BackwardMapEstimate:
     skipped_states: tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class _StateSamples:
-    """Per-state samples at one horizon T, shared by both estimators.
-
-    Arrays have shape (n_states_kept, N): plain holds gamma_T(X_T), rb holds
-    pi_T^{delta_x}(gamma_T), chi2_T holds chi2(pi_T^mu | pi_T^nu).
-    """
-
-    states: np.ndarray
-    plain: np.ndarray
-    rb: np.ndarray
-    chi2_T: np.ndarray
-    skipped: tuple[int, ...]
-
-
-def _filter_snapshots(
-    priors: np.ndarray,
-    increments: np.ndarray,
-    steps: list[int],
-    dt: float,
-    model: HmmModel,
-) -> np.ndarray:
-    """Filter states at the given grid steps from one lockstep pass.
-
-    Returns shape (len(steps), P, k, d); entry i is the state after
-    steps[i] updates, the state evolve_ensemble reaches on the increments
-    truncated to that many steps.
-    """
-    out = np.empty((len(steps), increments.shape[0]) + priors.shape)
-    index = {n: i for i, n in enumerate(steps)}
-
-    def snapshot(step: int, pis: np.ndarray) -> None:
-        i = index.get(step)
-        if i is not None:
-            out[i] = pis
-
-    evolve_ensemble(priors, increments, dt, model, observer=snapshot)
-    return out
-
-
-def _state_rows(
+def _state_samples(
     model: HmmModel,
     mu: np.ndarray,
     nu: np.ndarray,
     x: int,
     row: int,
     T_list: list[float],
-    steps: list[int],
     n_paths: int,
     master_seed: int,
     dt: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The plain, rb and chi2_T samples of kept state x, each (len(T_list), n_paths).
+) -> np.ndarray:
+    """Kept state x's samples (3, len(T_list), n_paths) from one pass to T_list[-1].
 
-    This frame owns the state's path batch and filter snapshots, so both
-    are released on return, before the next kept state draws its own: a
-    study holds one state's increments at a time.
+    Entry [:, i] is read at horizon T_list[i]'s grid step on the same paths:
+    gamma_T(X_T) (plain), pi_T^{delta_x}(gamma_T) (rb) and
+    chi2(pi_T^mu | pi_T^nu) (chi2_T).  This frame owns the state's path
+    batch, so it is released on return, before the next kept state draws
+    its own: a study holds one state's increments at a time.
     """
+    index = {_grid_steps(T, dt): i for i, T in enumerate(T_list)}
     point = np.zeros(model.d)
     point[x] = 1.0
     batch = sample_path_batch(
@@ -147,61 +109,36 @@ def _state_rows(
     states_at = np.array(
         [sp.states[np.searchsorted(sp.jump_times, T_list, side="left") - 1] for sp in batch.state_paths]
     )
-    snaps = _filter_snapshots(np.stack([mu, nu, point]), batch.increments, steps, dt, model)
-    plain = np.empty((len(T_list), n_paths))
-    rb = np.empty_like(plain)
-    chi2_T = np.empty_like(plain)
-    for i, pis in enumerate(snaps):
-        gamma = density_ratio(pis[:, 0, :], pis[:, 1, :])
-        plain[i] = gamma[np.arange(n_paths), states_at[:, i]]
-        rb[i] = (pis[:, 2, :] * gamma).sum(axis=1)
-        chi2_T[i] = _divergence_batch(pis[:, 0, :], pis[:, 1, :])[0]
-    return plain, rb, chi2_T
+    out = np.empty((3, len(T_list), n_paths))
+
+    def reduce(step: int, pis: np.ndarray) -> None:
+        i = index.get(step)
+        if i is not None:
+            # Reduce a C-contiguous copy: on the strided view numpy adds the
+            # rb rows in another order once d >= 8.
+            pis = np.ascontiguousarray(pis)
+            gamma = density_ratio(pis[:, 0, :], pis[:, 1, :])
+            out[0, i] = gamma[np.arange(n_paths), states_at[:, i]]
+            out[1, i] = (pis[:, 2, :] * gamma).sum(axis=1)
+            out[2, i] = _divergence_batch(pis[:, 0, :], pis[:, 1, :])[0]
+
+    evolve_ensemble(np.stack([mu, nu, point]), batch.increments, dt, model, observer=reduce)
+    return out
 
 
-def _horizon_samples(
-    model: HmmModel,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    T_list: list[float],
-    n_paths: int,
-    master_seed: int,
-    dt: float,
-) -> list[_StateSamples]:
-    """One _StateSamples per horizon from one pass per kept state to T_list[-1].
-
-    Kept state row r uses the streams r * n_paths onwards; every horizon
-    reads the same paths, at their state X_T and filters at step T / dt.
-    """
-    kept = [x for x in range(model.d) if nu[x] > AC_EPS]
-    skipped = tuple(x for x in range(model.d) if nu[x] <= AC_EPS)
-    steps = [_grid_steps(T, dt) for T in T_list]
-    shape = (len(T_list), len(kept), n_paths)
-    plain = np.empty(shape)
-    rb = np.empty(shape)
-    chi2_T = np.empty(shape)
-    for row, x in enumerate(kept):
-        plain[:, row], rb[:, row], chi2_T[:, row] = _state_rows(
-            model, mu, nu, x, row, T_list, steps, n_paths, master_seed, dt
-        )
-    states = np.array(kept, dtype=int)
-    return [
-        _StateSamples(states=states, plain=plain[i], rb=rb[i], chi2_T=chi2_T[i], skipped=skipped)
-        for i in range(len(T_list))
-    ]
-
-
-def _estimate_from(samples: _StateSamples, values: np.ndarray, d: int, T: float, kind: str) -> BackwardMapEstimate:
+def _estimate_from(
+    values: np.ndarray, kept: np.ndarray, skipped: tuple[int, ...], d: int, T: float, kind: str
+) -> BackwardMapEstimate:
     y0 = np.zeros(d)
     se = np.zeros(d)
-    y0[samples.states], se[samples.states] = _mean_se(values.T)
+    y0[kept], se[kept] = _mean_se(values.T)
     return BackwardMapEstimate(
         y0=y0,
         stderr=se,
         n_paths=values.shape[1],
         T=float(T),
         estimator_kind=kind,
-        skipped_states=samples.skipped,
+        skipped_states=skipped,
     )
 
 
@@ -250,10 +187,11 @@ class DecayDiagnostics:
     drop_se: float | None = None
 
 
-def _drop_se(before: _StateSamples, after: _StateSamples, nu: np.ndarray) -> float:
+def _drop_se(before: np.ndarray, after: np.ndarray, w_nu: np.ndarray) -> float:
     """Paired standard error of var_nu_y0(before) - var_nu_y0(after).
 
-    Both sample sets hold the Rao-Blackwell values of the same paths, so
+    before and after are the (n_states_kept, N) Rao-Blackwell values of the
+    same paths at two horizons and w_nu is nu on the kept states, so
     the per-state means a, b are correlated with sample covariance c next
     to the variances va, vb of the means.  Each horizon estimates
     sum_x nu(x) ((y0(x) - 1)^2 - v_x); the delta method (with the Gaussian
@@ -264,37 +202,40 @@ def _drop_se(before: _StateSamples, after: _StateSamples, nu: np.ndarray) -> flo
     ea = a - 1, eb = b - 1, weighted by nu(x)^2.  With c = 0 it reduces to
     the quadrature sum of the two var_nu_y0_se.
     """
-    n = before.rb.shape[1]
-    ea = before.rb.mean(axis=1) - 1.0
-    eb = after.rb.mean(axis=1) - 1.0
-    da = before.rb - before.rb.mean(axis=1, keepdims=True)
-    db = after.rb - after.rb.mean(axis=1, keepdims=True)
+    n = before.shape[1]
+    ea = before.mean(axis=1) - 1.0
+    eb = after.mean(axis=1) - 1.0
+    da = before - before.mean(axis=1, keepdims=True)
+    db = after - after.mean(axis=1, keepdims=True)
 
     def cov(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return (u * v).sum(axis=1) / ((n - 1) * n)
 
     va, vb, c = cov(da, da), cov(db, db), cov(da, db)
     per_state = 4.0 * (ea**2 * va + eb**2 * vb - 2.0 * ea * eb * c) + 2.0 * (va**2 + vb**2 - 2.0 * c**2)
-    return float(np.sqrt(max(float(nu[before.states] ** 2 @ per_state), 0.0)))
+    return float(np.sqrt(max(float(w_nu**2 @ per_state), 0.0)))
 
 
 def _decay_from(
-    samples: _StateSamples,
+    rb: np.ndarray,
+    chi2_T: np.ndarray,
+    kept: np.ndarray,
+    skipped: tuple[int, ...],
     mu: np.ndarray,
     nu: np.ndarray,
     T: float,
-    drop_se: float | None = None,
+    drop_se: float | None,
 ) -> DecayDiagnostics:
-    """Variance-decay diagnostics at horizon T from one set of state samples."""
+    """Variance-decay diagnostics at horizon T from the (n_states_kept, N)
+    rb and chi2_T samples of the kept states."""
     chi2_prior = chi2(mu, nu)
-    kept = samples.states
     w_nu = nu[kept]
     w_mu = mu[kept]
-    n = samples.rb.shape[1]
-    m_chi2 = samples.chi2_T.mean(axis=1)
-    v_chi2 = samples.chi2_T.var(axis=1, ddof=1) / n
-    y0 = samples.rb.mean(axis=1)
-    v_y0 = samples.rb.var(axis=1, ddof=1) / n
+    n = rb.shape[1]
+    m_chi2 = chi2_T.mean(axis=1)
+    v_chi2 = chi2_T.var(axis=1, ddof=1) / n
+    y0 = rb.mean(axis=1)
+    v_y0 = rb.var(axis=1, ddof=1) / n
 
     var_gam = float(w_nu @ m_chi2)
     var_gam_se = float(np.sqrt(w_nu**2 @ v_chi2))
@@ -348,7 +289,7 @@ def _decay_from(
         uniform_bound_slack=ub_slack,
         uniform_bound_slack_se=ub_slack_se,
         n_paths_per_state=n,
-        skipped_states=samples.skipped,
+        skipped_states=skipped,
         drop_se=drop_se,
     )
 
@@ -369,11 +310,11 @@ def backward_map_study(
     Each kept initial state (row r of the states nu charges, in index
     order) runs one lockstep pass of n_paths paths on the streams
     r * n_paths onwards up to the largest horizon; the mu, nu and delta_x
-    filters and X_T are snapshotted at every horizon's grid step.  The
+    filters and X_T are reduced at every horizon's grid step.  The
     horizons therefore share paths and are positively correlated: each
     diagnostics entry after the first carries the paired drop_se, while
     the np.hypot combination of var_nu_y0_se stays a conservative scale.
-    A one-horizon study is the same pass with a single snapshot.  The
+    A one-horizon study is the same pass with a single reduction.  The
     estimators use the last horizon's samples.  All expectations are
     stratified over initial states (exact reweighting, since path laws
     given X_0 = x do not depend on the prior), so the numerator and
@@ -389,16 +330,20 @@ def backward_map_study(
     T_list = [float(T) for T in T_list]
     if not T_list or any(b <= a for a, b in zip(T_list, T_list[1:])):
         raise DimensionMismatch("T_list must be nonempty and strictly increasing")
-    per_horizon = _horizon_samples(model, mu, nu, T_list, n_paths, master_seed, dt)
+    kept = np.flatnonzero(nu > AC_EPS)
+    skipped = tuple(int(x) for x in np.flatnonzero(nu <= AC_EPS))
+    plain, rb, chi2_T = np.stack(
+        [_state_samples(model, mu, nu, x, row, T_list, n_paths, master_seed, dt) for row, x in enumerate(kept)],
+        axis=2,
+    )
     diagnostics = [
-        _decay_from(s, mu, nu, T, None if i == 0 else _drop_se(per_horizon[i - 1], s, nu))
-        for i, (s, T) in enumerate(zip(per_horizon, T_list))
+        _decay_from(rb[i], chi2_T[i], kept, skipped, mu, nu, T, None if i == 0 else _drop_se(rb[i - 1], rb[i], nu[kept]))
+        for i, T in enumerate(T_list)
     ]
-    samples, T = per_horizon[-1], T_list[-1]
     return (
         diagnostics,
-        _estimate_from(samples, samples.plain, model.d, T, "plain"),
-        _estimate_from(samples, samples.rb, model.d, T, "rao-blackwell"),
+        _estimate_from(plain[-1], kept, skipped, model.d, T_list[-1], "plain"),
+        _estimate_from(rb[-1], kept, skipped, model.d, T_list[-1], "rao-blackwell"),
     )
 
 

@@ -43,7 +43,6 @@ ARRAY_DATACLASSES = {
     "Chi2DriftTerms": lambda: divergence.chi2_drift_terms(CYCLE_MU, CYCLE_NU, _cycle()),
     "PiResult": lambda: poincare.conditional_pi_constant(CYCLE_A, CYCLE_NU),
     "BackwardMapEstimate": lambda: dual.backward_map_study(_cycle(), CYCLE_MU, CYCLE_NU, (0.1,), 2, 0, 1e-2)[1],
-    "_StateSamples": lambda: dual._horizon_samples(_cycle(), CYCLE_MU, CYCLE_NU, [0.1], 2, 0, 1e-2)[0],
     "EnvelopeReport": lambda: dual.theorem2_envelope(_cycle(), CYCLE_MU, CYCLE_NU, _ensemble().series, 0.5),
 }
 

@@ -7,18 +7,18 @@ import numpy as np
 import pytest
 
 import filterlab.dual as dual_mod
-from conftest import BLOCKS_MU, BLOCKS_NU, CYCLE_MU, CYCLE_NU, read_csv, series_of
+from conftest import BLOCKS_MU, BLOCKS_NU, CYCLE_MU, CYCLE_NU, interior_simplex, random_generator_matrix, read_csv, series_of
 from filterlab import verify
-from filterlab.divergence import chi2, density_ratio
+from filterlab.divergence import _divergence_batch, chi2, density_ratio
 from filterlab.dual import (
     backward_map_study,
     essential_infimum_ratio,
     theorem2_envelope,
     write_backward_map_csv,
 )
-from filterlab.ensemble import sample_path_batch
 from filterlab.errors import AssumptionA1Violated, DimensionMismatch, GridMismatch
 from filterlab.filtering import evolve_ensemble
+from filterlab.model import validate_model
 from filterlab.poincare import conditional_pi_constant
 
 
@@ -85,46 +85,52 @@ class TestBackwardMapEstimators:
         assert r.passed, r.detail
 
 
+def _assert_horizons_read_on_shared_paths(model, mu, nu, monkeypatch):
+    # _state_samples of each kept state against runs on its own increments
+    # truncated to each horizon; the reference reduces a contiguous copy of
+    # the returned states, so a reduction on the observer's strided view
+    # fails here once d >= 8
+    dt, T_list, n = 1e-2, [0.2, 0.5, 1.0], 30
+    batches = []
+    original = dual_mod.sample_path_batch
+
+    def keep(*args, **kwargs):
+        batches.append(original(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(dual_mod, "sample_path_batch", keep)
+    kept = np.flatnonzero(nu > 0.0)
+    samples = [dual_mod._state_samples(model, mu, nu, x, row, T_list, n, 9, dt) for row, x in enumerate(kept)]
+    assert len(batches) == len(kept)
+    moved = 0
+    for x, batch, (plain, rb, chi2_T) in zip(kept, batches, samples):
+        priors = np.stack([mu, nu, np.eye(model.d)[x]])
+        terminal = np.array([sp.states[-1] for sp in batch.state_paths])
+        for i, T in enumerate(T_list):
+            truncated = evolve_ensemble(priors, batch.increments[:, : round(T / dt), :], dt, model)
+            pis = np.ascontiguousarray(truncated)
+            gamma = density_ratio(pis[:, 0, :], pis[:, 1, :])
+            # the state holding at T: entered at the last jump time <= T
+            x_T = np.array([sp.states[np.searchsorted(sp.jump_times, T, side="right") - 1] for sp in batch.state_paths])
+            moved += int(np.sum(x_T != terminal))
+            assert np.array_equal(plain[i], gamma[np.arange(n), x_T])
+            assert np.array_equal(rb[i], (pis[:, 2, :] * gamma).sum(axis=1))
+            assert np.array_equal(chi2_T[i], _divergence_batch(pis[:, 0, :], pis[:, 1, :])[0])
+    # The check above tells X_T from the terminal state on some path.
+    assert moved > 0
+
+
 class TestOnePassEngine:
-    def test_snapshots_equal_truncated_runs(self, cycle_model):
-        dt = 1e-2
-        batch = sample_path_batch(cycle_model, 6, 0.5, dt, 4, initial_state=1)
-        priors = np.stack([CYCLE_MU, CYCLE_NU, np.eye(4)[1]])
-        steps = [10, 30, 50]
-        snaps = dual_mod._filter_snapshots(priors, batch.increments, steps, dt, cycle_model)
-        assert snaps.shape == (3, 6, 3, 4)
-        for n, snap in zip(steps, snaps):
-            truncated = evolve_ensemble(priors, batch.increments[:, :n, :], dt, cycle_model)
-            assert np.array_equal(snap, truncated)
-
     def test_samples_read_each_horizon_on_the_shared_paths(self, cycle_model, monkeypatch):
-        dt, T_list, n = 1e-2, [0.2, 0.5, 1.0], 30
-        batches = []
-        original = dual_mod.sample_path_batch
-
-        def keep(*args, **kwargs):
-            batches.append(original(*args, **kwargs))
-            return batches[-1]
-
-        monkeypatch.setattr(dual_mod, "sample_path_batch", keep)
         nu = np.array([0.5, 0.5, 0.0, 0.0])
         mu = np.array([0.3, 0.7, 0.0, 0.0])
-        per_horizon = dual_mod._horizon_samples(cycle_model, mu, nu, T_list, n, 9, dt)
-        assert len(batches) == 2
-        moved = 0
-        for row, (x, batch) in enumerate(zip((0, 1), batches)):
-            priors = np.stack([mu, nu, np.eye(4)[x]])
-            terminal = np.array([sp.states[-1] for sp in batch.state_paths])
-            for T, samples in zip(T_list, per_horizon):
-                pis = evolve_ensemble(priors, batch.increments[:, : round(T / dt), :], dt, cycle_model)
-                gamma = density_ratio(pis[:, 0, :], pis[:, 1, :])
-                # the state holding at T: entered at the last jump time <= T
-                x_T = np.array([sp.states[np.searchsorted(sp.jump_times, T, side="right") - 1] for sp in batch.state_paths])
-                moved += int(np.sum(x_T != terminal))
-                assert np.array_equal(samples.plain[row], gamma[np.arange(n), x_T])
-                assert np.array_equal(samples.rb[row], (pis[:, 2, :] * gamma).sum(axis=1))
-        # The check above tells X_T from the terminal state on some path.
-        assert moved > 0
+        _assert_horizons_read_on_shared_paths(cycle_model, mu, nu, monkeypatch)
+
+    def test_samples_read_each_horizon_on_the_shared_paths_at_nine_states(self, rng, monkeypatch):
+        model = validate_model(random_generator_matrix(rng, 9), rng.normal(size=(9, 2)), 1.0)
+        nu = np.append(interior_simplex(rng, 7), [0.0, 0.0])
+        mu = np.append(interior_simplex(rng, 7), [0.0, 0.0])
+        _assert_horizons_read_on_shared_paths(model, mu, nu, monkeypatch)
 
     def test_each_batch_released_before_the_next(self, cycle_model, monkeypatch):
         # kept state r's increments must be unreferenced when state r + 1 draws
@@ -159,18 +165,10 @@ class TestOnePassEngine:
             backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (0.105, 0.2), 5, 0, dt=1e-2)
 
 
-def _stack(rb):
-    rb = np.asarray(rb, dtype=float)
-    return dual_mod._StateSamples(
-        states=np.arange(rb.shape[0]), plain=rb, rb=rb, chi2_T=np.ones_like(rb), skipped=()
-    )
-
-
 class TestDropStandardError:
     def test_identical_samples_give_zero(self):
         rb = np.random.default_rng(3).normal(1.0, 0.2, size=(3, 25))
-        s = _stack(rb)
-        assert dual_mod._drop_se(s, s, np.array([0.2, 0.3, 0.5])) == 0.0
+        assert dual_mod._drop_se(rb, rb, np.array([0.2, 0.3, 0.5])) == 0.0
 
     def test_hand_built_stack_matches_formula(self):
         nu = np.array([0.4, 0.6])
@@ -187,16 +185,16 @@ class TestDropStandardError:
             term = 4.0 * (ea**2 * va + eb**2 * vb - 2.0 * ea * eb * c)
             term += 2.0 * (va**2 + vb**2 - 2.0 * c**2)
             total += nu[x] ** 2 * term
-        got = dual_mod._drop_se(_stack(before), _stack(after), nu)
+        got = dual_mod._drop_se(np.array(before), np.array(after), nu)
         assert got == pytest.approx(np.sqrt(total), rel=0.0, abs=1e-12)
 
     def test_uncorrelated_samples_give_the_quadrature_sum(self):
         # Deviations (1, -1, 1, -1) and (1, 1, -1, -1) have covariance 0.
-        nu = np.array([0.4, 0.6])
-        before = _stack([[1.3, 1.1, 1.3, 1.1], [0.6, 0.4, 0.6, 0.4]])
-        after = _stack([[1.05, 1.05, 0.95, 0.95], [0.9, 0.9, 0.7, 0.7]])
-        se = [dual_mod._decay_from(s, nu, nu, 1.0).var_nu_y0_se for s in (before, after)]
-        assert dual_mod._drop_se(before, after, nu) == pytest.approx(np.hypot(*se), abs=1e-12)
+        nu, kept = np.array([0.4, 0.6]), np.arange(2)
+        before = np.array([[1.3, 1.1, 1.3, 1.1], [0.6, 0.4, 0.6, 0.4]])
+        after = np.array([[1.05, 1.05, 0.95, 0.95], [0.9, 0.9, 0.7, 0.7]])
+        se = [dual_mod._decay_from(rb, np.ones_like(rb), kept, (), nu, nu, 1.0, None).var_nu_y0_se for rb in (before, after)]
+        assert dual_mod._drop_se(before, after, nu[kept]) == pytest.approx(np.hypot(*se), abs=1e-12)
 
 
 @pytest.fixture(scope="module")

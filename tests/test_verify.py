@@ -4,7 +4,8 @@ statistical checks must be robust across seeds at reduced ensemble size."""
 import numpy as np
 import pytest
 
-from conftest import series_of
+from conftest import SERIES_FIELDS, series_of
+from filterlab import verify
 from filterlab.dual import BackwardMapEstimate
 from filterlab.ensemble import EnsembleDivergence
 from filterlab.verify import (
@@ -48,6 +49,23 @@ class TestDeterministicChecks:
         for seed in (3, 17):
             report = run_verify(master_seed=seed, size=0)
             assert report["passed"] is True
+
+    @pytest.mark.parametrize("field", ["initial_chi2", "drift_integral"] + [f"series.{n}" for n in SERIES_FIELDS])
+    def test_rerun_determinism_sees_every_recorded_array(self, monkeypatch, field):
+        # a rerun that differs only in this array fails the check
+        runs = []
+        original = verify.run_divergence_ensemble
+
+        def rerun(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if runs:
+                holder = out.series if field.startswith("series.") else out
+                getattr(holder, field.removeprefix("series."))[-1] += 1.0
+            runs.append(out)
+            return out
+
+        monkeypatch.setattr(verify, "run_divergence_ensemble", rerun)
+        assert verify.check_rerun_determinism(1).passed is False
 
 
 def _estimate(y0, stderr):
