@@ -10,10 +10,12 @@ integer >= 1 but is otherwise ignored.
 
 This module also owns the model JSON object {"d", "m", "A", "H", "r"}
 (row-major flat A and H; "m" defaults to 1): _read_model is its one reader,
-for a model file and for a config's "model" alike, and _model_json its one
-writer, behind load_model / save_model and the config echo.
+for a model file and for a config's "model" alike.  Nothing here writes a
+file; a report's "config" key (config_to_dict) is a config file that
+load_config reads back to the same run.
 
-Two presets embed the reference models used throughout:
+Two presets embed the reference models used throughout.  Each is the
+config object a user could have written, read by the one field parser:
 
   example-6.1  cyclic four-state generator with two-level observation
                h = (1, 0, 1, 0); the classical non-stable counterexample
@@ -41,10 +43,8 @@ __all__ = [
     "PRESET_NAMES",
     "preset_config",
     "load_config",
-    "save_config",
     "model_for_sweep_value",
     "load_model",
-    "save_model",
 ]
 
 
@@ -92,9 +92,10 @@ def _checked_model(A, H, r) -> HmmModel:
         raise ConfigError(f"model: {exc}") from exc
 
 
-def _grid_check(T: float, dt: float, field_name: str) -> None:
+def _grid_check(T: float, dt: float, field_name: str) -> int:
+    """The number of grid steps of size dt in [0, T], as a ConfigError fault."""
     try:
-        _grid_steps(T, dt)
+        return _grid_steps(T, dt)
     except GridMismatch as exc:
         raise ConfigError(f"{field_name}: {exc}") from exc
 
@@ -118,21 +119,10 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     _grid_check(cfg.T, cfg.dt, "grid")
     _require(cfg.n_paths >= 1, "n_paths", "must be at least 1")
     _seed_check(cfg.master_seed)
-    _require(
-        cfg.sweep_kind in (None, "sigma2", "k"),
-        "sweep_kind",
-        "must be one of null, 'sigma2', 'k'",
-    )
-    if cfg.sweep_kind is None:
-        _require(cfg.sweep_values == (), "sweep_values", "must be empty without a sweep")
-    else:
+    if cfg.sweep_kind is not None:
         _require(len(cfg.sweep_values) >= 1, "sweep_values", "must be nonempty")
-        if cfg.sweep_kind == "sigma2":
-            _require(
-                all(v >= 0.0 for v in cfg.sweep_values),
-                "sigma2_list",
-                "noise intensities must be nonnegative",
-            )
+    if cfg.sweep_kind == "sigma2":
+        _require(all(v >= 0.0 for v in cfg.sweep_values), "sigma2_list", "noise intensities must be nonnegative")
     if cfg.rate_window is not None:
         lo, hi = cfg.rate_window
         _require(0.0 <= lo < hi <= cfg.T, "rate_window", f"must satisfy 0 <= lo < hi <= T = {cfg.T}")
@@ -160,53 +150,51 @@ def model_for_sweep_value(cfg: ExperimentConfig, value: float | None) -> HmmMode
     return validate_model(cfg.A, cfg.H * float(value), cfg.r)
 
 
-_CYCLE_A = np.array(
-    [
-        [-1.0, 1.0, 0.0, 0.0],
-        [0.0, -1.0, 1.0, 0.0],
-        [0.0, 0.0, -1.0, 1.0],
-        [1.0, 0.0, 0.0, -1.0],
-    ]
-)
-_BLOCKS_A = np.array(
-    [
-        [-1.0, 1.0, 0.0, 0.0],
-        [2.0, -2.0, 0.0, 0.0],
-        [0.0, 0.0, -1.0, 1.0],
-        [0.0, 0.0, 2.0, -2.0],
-    ]
-)
+_PRESETS = {
+    "example-6.1": {
+        "model": {
+            "d": 4,
+            "A": [
+                [-1.0, 1.0, 0.0, 0.0],
+                [0.0, -1.0, 1.0, 0.0],
+                [0.0, 0.0, -1.0, 1.0],
+                [1.0, 0.0, 0.0, -1.0],
+            ],
+            "H": [1.0, 0.0, 1.0, 0.0],
+            "r": 1.0,
+        },
+        "mu": [0.35, 0.35, 0.15, 0.15],
+        "nu": [0.25, 0.25, 0.25, 0.25],
+        "sigma2_list": [0.0, 0.1, 1.0, 10.0],
+        "label": "example-6.1",
+    },
+    "example-6.2": {
+        "model": {
+            "d": 4,
+            "A": [
+                [-1.0, 1.0, 0.0, 0.0],
+                [2.0, -2.0, 0.0, 0.0],
+                [0.0, 0.0, -1.0, 1.0],
+                [0.0, 0.0, 2.0, -2.0],
+            ],
+            "H": [1.0, 0.0, -1.0, 0.0],
+            "r": 1.0,
+        },
+        "mu": [0.2, 0.6, 0.1, 0.1],
+        "nu": [0.1, 0.1, 0.1, 0.7],
+        "k_list": [0.0, 1.0, 2.0, 4.0],
+        "label": "example-6.2",
+    },
+}
 
-PRESET_NAMES = ("example-6.1", "example-6.2")
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_config(name: str) -> ExperimentConfig:
-    """Named reference configurations with the embedded matrices and priors."""
-    if name == "example-6.1":
-        cfg = ExperimentConfig(
-            A=_CYCLE_A.copy(),
-            H=np.array([[1.0], [0.0], [1.0], [0.0]]),
-            r=1.0,
-            mu=np.array([0.35, 0.35, 0.15, 0.15]),
-            nu=np.array([0.25, 0.25, 0.25, 0.25]),
-            sweep_kind="sigma2",
-            sweep_values=(0.0, 0.1, 1.0, 10.0),
-            label="example-6.1",
-        )
-    elif name == "example-6.2":
-        cfg = ExperimentConfig(
-            A=_BLOCKS_A.copy(),
-            H=np.array([[1.0], [0.0], [-1.0], [0.0]]),
-            r=1.0,
-            mu=np.array([0.2, 0.6, 0.1, 0.1]),
-            nu=np.array([0.1, 0.1, 0.1, 0.7]),
-            sweep_kind="k",
-            sweep_values=(0.0, 1.0, 2.0, 4.0),
-            label="example-6.2",
-        )
-    else:
+    """A named reference configuration, parsed from its config object."""
+    if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    return _validate(cfg)
+    return _config_from_dict(_PRESETS[name], name)
 
 
 _KINDS = {int: "an integer", float: "a number", str: "a string"}
@@ -282,32 +270,10 @@ def _read_model(raw, source: str) -> tuple[np.ndarray, np.ndarray, float]:
     )
 
 
-def _model_json(model) -> dict:
-    """The model object of an HmmModel or an ExperimentConfig."""
-    return {
-        "d": model.A.shape[0],
-        "m": model.H.shape[1],
-        "A": [float(v) for v in model.A.ravel()],
-        "H": [float(v) for v in model.H.ravel()],
-        "r": float(model.r),
-    }
-
-
-def _write_json(data: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-
-
 def load_model(path: str) -> HmmModel:
     """Read a model JSON file (r = 0 is the noiseless model); any fault in
     it is a ConfigError."""
     return _checked_model(*_read_model(path, path))
-
-
-def save_model(model: HmmModel, path: str) -> None:
-    """Write the model as JSON with row-major flat A and H."""
-    _write_json(_model_json(model), path)
 
 
 def _config_from_dict(data: dict, source: str) -> ExperimentConfig:
@@ -380,7 +346,13 @@ def load_config(path: str) -> ExperimentConfig:
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """JSON-ready echo of a configuration (row-major matrices)."""
     data = {
-        "model": _model_json(cfg),
+        "model": {
+            "d": cfg.d,
+            "m": cfg.H.shape[1],
+            "A": [float(v) for v in cfg.A.ravel()],
+            "H": [float(v) for v in cfg.H.ravel()],
+            "r": float(cfg.r),
+        },
         "mu": [float(v) for v in cfg.mu],
         "nu": [float(v) for v in cfg.nu],
         "T": cfg.T,
@@ -400,7 +372,3 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         data["out_dir"] = cfg.out_dir
     return data
 
-
-def save_config(cfg: ExperimentConfig, path: str) -> None:
-    """Write a configuration as JSON (round-trips through load_config)."""
-    _write_json(config_to_dict(cfg), path)

@@ -328,8 +328,9 @@ def backward_map_study(
     nu = as_simplex(nu, d=model.d)
     density_ratio(mu, nu)
     T_list = [float(T) for T in T_list]
-    if not T_list or any(b <= a for a, b in zip(T_list, T_list[1:])):
-        raise DimensionMismatch("T_list must be nonempty and strictly increasing")
+    steps = [_grid_steps(T, dt) for T in T_list]
+    if not steps or any(b <= a for a, b in zip(steps, steps[1:])):
+        raise DimensionMismatch("T_list must be nonempty with strictly increasing grid steps")
     kept = np.flatnonzero(nu > AC_EPS)
     skipped = tuple(int(x) for x in np.flatnonzero(nu <= AC_EPS))
     plain, rb, chi2_T = np.stack(

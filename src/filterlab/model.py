@@ -18,8 +18,8 @@ form decay-rate bounds computable from A and H alone.  It also owns the
 one CSV table layout (a header row, then one row per record, ints as ints
 and floats as repr) that every write_*_csv writer in the package goes
 through; the files read back with np.loadtxt after the one header row.
-The model JSON file is read and written by config (load_model,
-save_model), next to the config parser it shares.
+The model JSON file is read by config (load_model), next to the config
+parser it shares.
 """
 
 from __future__ import annotations

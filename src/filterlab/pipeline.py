@@ -11,13 +11,14 @@ determinism comparisons drop.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import asdict
 
 import numpy as np
 
-from .config import ExperimentConfig, _grid_check, _write_json, config_to_dict, model_for_sweep_value
+from .config import ExperimentConfig, _grid_check, config_to_dict, model_for_sweep_value
 from .divergence import (
     DivergenceSeries,
     chi2,
@@ -72,7 +73,9 @@ def resolve_out_dir(explicit: str | None, cfg_out: str | None = None) -> str:
 
 def write_report(report: dict, out_dir: str, name: str) -> str:
     path = os.path.join(out_dir, name)
-    _write_json(report, path)
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
     return path
 
 
@@ -278,13 +281,14 @@ def run_backward_map(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     the largest horizon, from one dual.backward_map_study pass.  Dumps each
     estimator as CSV.  Raises ConfigError for fewer than two paths per
     state, which leave every standard error undefined, and for a horizon
-    that dt does not divide.
+    that dt does not divide or that shares its grid step with another.
     """
     t_start = time.perf_counter()
     if cfg.n_paths < 2:
         raise ConfigError(f"n_paths: backward-map needs at least 2 paths per state, got {cfg.n_paths}")
-    for T in cfg.T_list:
-        _grid_check(T, cfg.dt, "T_list")
+    steps = [_grid_check(T, cfg.dt, "T_list") for T in cfg.T_list]
+    if any(b <= a for a, b in zip(steps, steps[1:])):
+        raise ConfigError(f"T_list: horizons {list(cfg.T_list)} must fall on distinct grid steps of dt = {cfg.dt}")
     model = model_for_sweep_value(cfg, None)
     if model.noiseless:
         raise FilterLabError(

@@ -101,6 +101,11 @@ def series_of(times, chi2_paths, kl_paths, tv_paths):
     return DivergenceSeries(np.asarray(times, float), len(chi2_paths), *stats)
 
 
+def model_object(model):
+    """The model JSON object of a report's config echo, for a model file."""
+    return {"d": model.d, "m": model.m, "A": model.A.ravel().tolist(), "H": model.H.ravel().tolist(), "r": model.r}
+
+
 def read_csv(path):
     """A CSV table the package wrote, as {header: float64 column}."""
     with open(path, newline="") as fh:

@@ -9,15 +9,26 @@ import numpy as np
 import pytest
 
 import filterlab
-from conftest import read_csv
+from conftest import (
+    BLOCKS_A,
+    BLOCKS_H,
+    BLOCKS_MU,
+    BLOCKS_NU,
+    CYCLE_A,
+    CYCLE_H,
+    CYCLE_MU,
+    CYCLE_NU,
+    model_object,
+    read_csv,
+)
 from filterlab.cli import main
 from filterlab.config import (
     PRESET_NAMES,
     _apply_overrides,
+    config_to_dict,
     load_config,
     model_for_sweep_value,
     preset_config,
-    save_config,
 )
 from filterlab.errors import ConfigError
 
@@ -26,19 +37,27 @@ class TestPresets:
     def test_names(self):
         assert PRESET_NAMES == ("example-6.1", "example-6.2")
 
+    @staticmethod
+    def _assert_fields(cfg, A, H, mu, nu, sweep_kind, sweep_values, label):
+        """Every field of a preset, bit for bit, with the shared defaults."""
+        for got, want in ((cfg.A, A), (cfg.H, H[:, None]), (cfg.mu, mu), (cfg.nu, nu)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert np.float64(cfg.r).tobytes() == np.float64(1.0).tobytes()
+        assert cfg.sweep_kind == sweep_kind
+        assert np.array(cfg.sweep_values).tobytes() == np.array(sweep_values).tobytes()
+        assert cfg.label == label
+        assert np.array([cfg.T, cfg.dt, *cfg.T_list]).tobytes() == np.array([10.0, 1e-3, 2.0, 5.0, 10.0]).tobytes()
+        assert cfg.n_paths == 200 and len(cfg.T_list) == 3
+        assert cfg.master_seed == 0 and cfg.rate_window is None and cfg.out_dir is None
+
     def test_cycle_preset_contents(self):
         cfg = preset_config("example-6.1")
-        assert cfg.sweep_kind == "sigma2"
-        assert cfg.sweep_values == (0.0, 0.1, 1.0, 10.0)
-        assert cfg.T == 10.0 and cfg.dt == 1e-3 and cfg.n_paths == 200
-        np.testing.assert_allclose(cfg.mu, [0.35, 0.35, 0.15, 0.15])
-        np.testing.assert_allclose(cfg.nu, 0.25)
+        self._assert_fields(cfg, CYCLE_A, CYCLE_H, CYCLE_MU, CYCLE_NU, "sigma2", (0.0, 0.1, 1.0, 10.0), "example-6.1")
 
     def test_blocks_preset_contents(self):
         cfg = preset_config("example-6.2")
-        assert cfg.sweep_kind == "k"
-        assert cfg.sweep_values == (0.0, 1.0, 2.0, 4.0)
-        np.testing.assert_allclose(cfg.nu, [0.1, 0.1, 0.1, 0.7])
+        self._assert_fields(cfg, BLOCKS_A, BLOCKS_H, BLOCKS_MU, BLOCKS_NU, "k", (0.0, 1.0, 2.0, 4.0), "example-6.2")
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -202,14 +221,17 @@ class TestLoadConfig:
             load_config(path)
 
     def test_round_trip(self, tmp_path):
-        cfg = _apply_overrides(preset_config("example-6.2"), {"n_paths": 11}, "test")
-        p = tmp_path / "saved.json"
-        save_config(cfg, str(p))
-        back = load_config(str(p))
-        assert back.n_paths == 11
-        assert back.sweep_kind == "k" and back.sweep_values == cfg.sweep_values
-        assert np.array_equal(back.A, cfg.A)
-        assert np.array_equal(back.H, cfg.H)
+        # a report's config echo, written as a file, loads back to the same config
+        for name, kind in zip(PRESET_NAMES, ("sigma2", "k")):
+            cfg = _apply_overrides(preset_config(name), {"n_paths": 11}, "test")
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(config_to_dict(cfg)))
+            back = load_config(str(p))
+            assert back.n_paths == 11
+            assert back.sweep_kind == kind and back.sweep_values == cfg.sweep_values
+            for field in ("A", "H", "mu", "nu"):
+                assert np.array_equal(getattr(back, field), getattr(cfg, field))
+            assert config_to_dict(back) == config_to_dict(cfg)
 
 
 def _tiny_config(tmp_path, **extra):
@@ -329,6 +351,10 @@ def test_mistyped_config_field_is_a_config_error(data, tmp_path, monkeypatch, ca
             ["backward-map", "--config", "cfg.json"],
             {"cfg.json": json.dumps({"preset": "example-6.1", "T_list": [0.5, 0.7505]})},
         ),
+        (
+            ["backward-map", "--config", "cfg.json"],
+            {"cfg.json": json.dumps({"preset": "example-6.1", "T_list": [0.5, 0.5000000000005]})},
+        ),
         (["backward-map", "--preset", "example-6.1", "--seed", "-3"], {}),
         (["verify", "--seed", "-3", "--size", "0"], {}),
     ],
@@ -337,6 +363,7 @@ def test_mistyped_config_field_is_a_config_error(data, tmp_path, monkeypatch, ca
         "malformed-model-file",
         "mistyped-model-file",
         "T_list-off-grid",
+        "T_list-same-step",
         "negative-seed",
         "verify-negative-seed",
     ],
@@ -406,14 +433,13 @@ class TestCliStructureAndVerify:
         assert "ergodic: False" in capsys.readouterr().out
 
     def test_structure_model_file(self, tmp_path):
-        from filterlab.config import save_model
         from filterlab.model import validate_model
 
         model = validate_model(
             np.array([[-1.0, 1.0], [2.0, -2.0]]), np.array([1.0, -1.0]), 1.0
         )
         mp = tmp_path / "model.json"
-        save_model(model, str(mp))
+        mp.write_text(json.dumps(model_object(model)))
         assert main(["structure", "--model", str(mp), "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "report_structure.json").read_text())["structure"]
         assert payload["ergodic"] is True

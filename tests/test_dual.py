@@ -69,7 +69,8 @@ class TestBackwardMapEstimators:
             assert est.y0[0] != 0.0
 
     def test_horizons_must_be_nonempty_and_increasing(self, cycle_model):
-        for T_list in ((), (1.0, 0.5), (0.5, 0.5)):
+        # 0.5 and 0.5000000000005 both fall on grid step 500 of dt = 1e-3
+        for T_list in ((), (1.0, 0.5), (0.5, 0.5), (0.5, 0.5000000000005)):
             with pytest.raises(DimensionMismatch):
                 backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, T_list, 5, 0, 1e-3)
 
