@@ -70,11 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the divergence sweep pipeline")
     _add_experiment_flags(p_sim)
-    p_sim.add_argument(
-        "--plot-data",
-        action="store_true",
-        help="also write (t, log chi2) fit-window points per sweep value",
-    )
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_struct = sub.add_parser("structure", help="report structural diagnostics")
@@ -115,7 +110,7 @@ def _load_experiment(args) -> "ExperimentConfig":
 def _cmd_simulate(args) -> int:
     cfg = _load_experiment(args)
     out = resolve_out_dir(args.out, cfg.out_dir)
-    report = run_simulate(cfg, out_dir=out, plot_data=args.plot_data)
+    report = run_simulate(cfg, out_dir=out)
     for entry in report["sweep"]:
         fit = entry["rate_fit"]
         if fit is not None:
@@ -177,8 +172,8 @@ def _cmd_backward_map(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_verify
 
-    report = run_verify(master_seed=args.seed, size=args.size)
     out = resolve_out_dir(args.out)
+    report = run_verify(master_seed=args.seed, size=args.size)
     write_report(report, out, "report_verify.json")
     for check in report["checks"]:
         mark = "ok  " if check["passed"] else "FAIL"

@@ -121,6 +121,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     _seed_check(cfg.master_seed)
     if cfg.sweep_kind is not None:
         _require(len(cfg.sweep_values) >= 1, "sweep_values", "must be nonempty")
+        _require(all(np.isfinite(cfg.sweep_values)), f"{cfg.sweep_kind}_list", "sweep values must be finite")
     if cfg.sweep_kind == "sigma2":
         _require(all(v >= 0.0 for v in cfg.sweep_values), "sigma2_list", "noise intensities must be nonnegative")
     if cfg.rate_window is not None:
@@ -132,7 +133,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         "T_list",
         "must be strictly increasing",
     )
-    _require(all(t > 0.0 for t in cfg.T_list), "T_list", "entries must be positive")
+    _require(all(0.0 < t < np.inf for t in cfg.T_list), "T_list", "entries must be positive and finite")
     return cfg
 
 

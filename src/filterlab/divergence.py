@@ -30,6 +30,7 @@ drift = C1 + C3 . (pi_mu(h) - pi_nu(h)).
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ from .errors import (
     WindowTooShort,
 )
 from .filtering import _sum_rows
-from .model import HmmModel, _write_table, carre_du_champ
+from .model import HmmModel, carre_du_champ
 
 __all__ = [
     "SUPPORT_EPS",
@@ -316,8 +317,15 @@ def fit_exponential_rate(times, values, window: tuple[float, float] | None = Non
 
 
 def write_series_csv(path: str, series: DivergenceSeries) -> None:
-    """Dump the aggregated series; floats use repr for exact round trips."""
+    """Write the aggregated series, the package's one CSV table.
+
+    A header row, then one row per time.  n_paths prints as an int and the
+    float columns as repr, so float64 values round-trip exactly through
+    np.loadtxt after the header row.
+    """
     stats = [series.chi2_mean, series.chi2_se, series.kl_mean, series.kl_se, series.tv_mean, series.tv_se]
     n_paths = np.full(len(series.times), series.n_paths)
-    header = ["t", "chi2_mean", "chi2_se", "kl_mean", "kl_se", "tv_mean", "tv_se", "n_paths"]
-    _write_table(path, header, [series.times, *stats, n_paths])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "chi2_mean", "chi2_se", "kl_mean", "kl_se", "tv_mean", "tv_se", "n_paths"])
+        writer.writerows(zip(*(c.tolist() for c in [series.times, *stats, n_paths])))

@@ -39,7 +39,7 @@ from .divergence import AC_EPS, _divergence_batch, _mean_se, chi2, density_ratio
 from .ensemble import sample_path_batch
 from .errors import AssumptionA1Violated, DimensionMismatch
 from .filtering import evolve_ensemble
-from .model import HmmModel, _write_table, as_simplex
+from .model import HmmModel, as_simplex
 from .sim import _grid_steps
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "EnvelopeReport",
     "theorem2_envelope",
     "essential_infimum_ratio",
-    "write_backward_map_csv",
 ]
 
 ENVELOPE_TAU = 1.0  # the envelope's time unit: it contracts once per ENVELOPE_TAU
@@ -393,8 +392,3 @@ def theorem2_envelope(model: HmmModel, mu, nu, series, c_estimate: float) -> Env
         c_estimate=float(c_estimate),
     )
 
-
-def write_backward_map_csv(path: str, estimate: BackwardMapEstimate) -> None:
-    """Dump the backward-map estimate as (x, y0, stderr) rows."""
-    x = np.arange(estimate.y0.shape[0])
-    _write_table(path, ["x", "y0", "stderr"], [x, estimate.y0, estimate.stderr])

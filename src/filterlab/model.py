@@ -14,17 +14,12 @@ derived from it, so that downstream code always works in the unit-noise form.
 This module holds the model container, its validation, and the structural
 quantities attached to the pair (A, H): the carre du champ operator, the
 invariant measure, ergodicity and observability of the pair, and the closed
-form decay-rate bounds computable from A and H alone.  It also owns the
-one CSV table layout (a header row, then one row per record, ints as ints
-and floats as repr) that every write_*_csv writer in the package goes
-through; the files read back with np.loadtxt after the one header row.
-The model JSON file is read by config (load_model), next to the config
-parser it shares.
+form decay-rate bounds computable from A and H alone.  The model JSON file
+is read by config (load_model), next to the config parser it shares.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -315,14 +310,3 @@ def nonergodic_limit_bounds(A, H, mu_bar) -> tuple[float, float]:
     u2 = 0.5 * float(mu @ gap2.sum(axis=1))
     return u1, u2
 
-
-def _write_table(path: str, header, columns) -> None:
-    """Write equal-length columns under a header row.
-
-    Integer columns print as ints and float columns as repr, so float64
-    values round-trip exactly through np.loadtxt after the header row.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))

@@ -1,12 +1,12 @@
 """End-to-end experiment pipelines behind the command-line interface.
 
 Each pipeline takes a validated ExperimentConfig, runs ensembles with
-per-path random streams, and produces a JSON-ready report plus optional CSV
-artifacts.  Everything in a report is derived from (config, master_seed)
-through per-path values reduced in path order (the ensemble's series are
-reduced block by block as the filters run), so reruns are bit-identical;
-wall-clock timing lives under the separate key "wall_clock_s" that
-determinism comparisons drop.
+per-path random streams, and produces a JSON-ready report, which it writes
+with simulate's series CSVs when given an output directory.  Everything in
+a report is derived from (config, master_seed) through per-path values
+reduced in path order (the ensemble's series are reduced block by block as
+the filters run), so reruns are bit-identical; wall-clock timing lives
+under the separate key "wall_clock_s" that determinism comparisons drop.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .divergence import (
     tv,
     write_series_csv,
 )
-from .dual import ENVELOPE_TAU, backward_map_study, theorem2_envelope, write_backward_map_csv
+from .dual import ENVELOPE_TAU, backward_map_study, theorem2_envelope
 from .ensemble import run_divergence_sweep
 from .errors import (
     AssumptionA1Violated,
@@ -41,7 +41,6 @@ from .errors import (
 from .model import (
     HmmModel,
     _same_level,
-    _write_table,
     as_simplex,
     invariant_measure,
     is_ergodic,
@@ -67,7 +66,10 @@ PI_TRAJECTORY_STRIDE = 500
 def resolve_out_dir(explicit: str | None, cfg_out: str | None = None) -> str:
     """Output directory: explicit flag, then config, then environment, then cwd."""
     out = explicit or cfg_out or os.environ.get(OUT_DIR_ENV) or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out!r} cannot be created: {exc}") from exc
     return out
 
 
@@ -103,11 +105,7 @@ def _fit_payload(series: DivergenceSeries, window) -> tuple[dict | None, str]:
     return _json_fields(fit), ""
 
 
-def run_simulate(
-    cfg: ExperimentConfig,
-    out_dir: str | None = None,
-    plot_data: bool = False,
-) -> dict:
+def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Full divergence pipeline over the configured sweep.
 
     The sweep draws its paths and unit noise once; every value sees the
@@ -117,8 +115,7 @@ def run_simulate(
     whose nu-filters give the conditional-PI infimum.  Then the divergence
     series with a chi-square rate fit, and the multiplicative decay
     envelope driven by that infimum.  Writes one series CSV per sweep value
-    (plus the (t, log mean chi2) fit points when plot_data is set) when
-    out_dir is given.
+    when out_dir is given.
     """
     t_start = time.perf_counter()
     values: list[float | None] = (
@@ -188,16 +185,6 @@ def run_simulate(
             series_path = os.path.join(out_dir, f"series_{tag}.csv")
             write_series_csv(series_path, series)
             artifacts.append(series_path)
-            if plot_data and fit_payload is not None:
-                lo, hi = fit_payload["window"]
-                mask = (series.times >= lo) & (series.times <= hi)
-                plot_path = os.path.join(out_dir, f"plotdata_{tag}.csv")
-                _write_table(
-                    plot_path,
-                    ["t", "log_chi2_mean"],
-                    [series.times[mask], np.log(series.chi2_mean[mask])],
-                )
-                artifacts.append(plot_path)
         sweep_reports.append(entry)
         # drop this value's ensemble before the next one allocates its arrays
         del ens, series
@@ -278,10 +265,10 @@ def run_backward_map(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Backward-map and variance-decay pipeline at the base model.
 
     Decay diagnostics over cfg.T_list and both backward-map estimators at
-    the largest horizon, from one dual.backward_map_study pass.  Dumps each
-    estimator as CSV.  Raises ConfigError for fewer than two paths per
-    state, which leave every standard error undefined, and for a horizon
-    that dt does not divide or that shares its grid step with another.
+    the largest horizon, from one dual.backward_map_study pass.  Raises
+    ConfigError for fewer than two paths per state, which leave every
+    standard error undefined, and for a horizon that dt does not divide or
+    that shares its grid step with another.
     """
     t_start = time.perf_counter()
     if cfg.n_paths < 2:
@@ -298,7 +285,6 @@ def run_backward_map(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     diags, plain, rb = backward_map_study(
         model, cfg.mu, cfg.nu, cfg.T_list, cfg.n_paths, cfg.master_seed, cfg.dt
     )
-    artifacts = []
     estimates = {}
     for est in (plain, rb):
         nu_mean = float(nu @ est.y0)
@@ -312,16 +298,11 @@ def run_backward_map(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             "nu_mean_se": nu_mean_se,
             "skipped_states": list(est.skipped_states),
         }
-        if out_dir is not None:
-            path = os.path.join(out_dir, f"backward_map_{est.estimator_kind}.csv")
-            write_backward_map_csv(path, est)
-            artifacts.append(path)
     report = {
         "command": "backward-map",
         "config": config_to_dict(cfg),
         "diagnostics": [_json_fields(dg) for dg in diags],
         "estimates": estimates,
-        "artifacts": [os.path.basename(a) for a in artifacts],
         "wall_clock_s": time.perf_counter() - t_start,
     }
     if out_dir is not None:

@@ -119,11 +119,13 @@ def _jump_chain(tables, x0: int, T: float, rng: np.random.Generator) -> StatePat
 
 def _grid_steps(T: float, dt: float) -> int:
     """Number of grid steps of size dt in [0, T]; dt must divide T within 1e-9."""
-    if T <= 0.0:
-        raise GridMismatch(f"horizon T = {T} must be positive")
-    if dt <= 0.0:
-        raise GridMismatch(f"dt = {dt} must be positive")
+    if not 0.0 < T < np.inf:
+        raise GridMismatch(f"horizon T = {T} must be positive and finite")
+    if not 0.0 < dt < np.inf:
+        raise GridMismatch(f"dt = {dt} must be positive and finite")
     n_float = T / dt
+    if not n_float < np.inf:
+        raise GridMismatch(f"dt = {dt} does not divide T = {T} into finitely many steps")
     n_steps = int(round(n_float))
     if n_steps < 1 or abs(n_float - n_steps) > 1e-9:
         raise GridMismatch(f"dt = {dt} does not divide T = {T}")

@@ -19,7 +19,6 @@ from conftest import (
     CYCLE_MU,
     CYCLE_NU,
     model_object,
-    read_csv,
 )
 from filterlab.cli import main
 from filterlab.config import (
@@ -357,6 +356,18 @@ def test_mistyped_config_field_is_a_config_error(data, tmp_path, monkeypatch, ca
         ),
         (["backward-map", "--preset", "example-6.1", "--seed", "-3"], {}),
         (["verify", "--seed", "-3", "--size", "0"], {}),
+        # Python's json reads NaN, Infinity and 1e400 (as inf)
+        (["simulate", "--config", "cfg.json"], {"cfg.json": '{"preset": "example-6.1", "T": 1e400}'}),
+        (["simulate", "--config", "cfg.json"], {"cfg.json": '{"preset": "example-6.1", "T": NaN}'}),
+        (["simulate", "--config", "cfg.json"], {"cfg.json": '{"preset": "example-6.1", "dt": NaN}'}),
+        (["simulate", "--config", "cfg.json"], {"cfg.json": '{"preset": "example-6.1", "T": 1.0, "dt": 5e-324}'}),
+        (["backward-map", "--config", "cfg.json"], {"cfg.json": '{"preset": "example-6.1", "T_list": [0.5, Infinity]}'}),
+        (["simulate", "--config", "cfg.json"], {"cfg.json": '{"preset": "example-6.1", "sigma2_list": [Infinity]}'}),
+        (["simulate", "--config", "cfg.json"], {"cfg.json": '{"preset": "example-6.2", "k_list": [1.0, NaN]}'}),
+        (["simulate", "--preset", "example-6.1", "--out", "taken"], {"taken": ""}),
+        (["structure", "--preset", "example-6.1", "--out", "taken/sub"], {"taken": ""}),
+        (["backward-map", "--config", "cfg.json"], {"cfg.json": '{"preset": "example-6.1", "out_dir": "taken"}', "taken": ""}),
+        (["verify", "--size", "0", "--out", "taken"], {"taken": ""}),
     ],
     ids=[
         "missing-model-file",
@@ -366,6 +377,17 @@ def test_mistyped_config_field_is_a_config_error(data, tmp_path, monkeypatch, ca
         "T_list-same-step",
         "negative-seed",
         "verify-negative-seed",
+        "T-overflow",
+        "T-nan",
+        "dt-nan",
+        "dt-subnormal",
+        "T_list-infinite",
+        "sigma2-infinite",
+        "k-nan",
+        "out-is-a-file",
+        "out-under-a-file",
+        "out_dir-is-a-file",
+        "verify-out-is-a-file",
     ],
 )
 def test_bad_cli_input_is_a_config_error(argv, files, tmp_path, monkeypatch, capsys):
@@ -378,35 +400,30 @@ def test_bad_cli_input_is_a_config_error(argv, files, tmp_path, monkeypatch, cap
     assert "Traceback" not in err
 
 
+def test_verify_checks_its_output_directory_before_the_suite(tmp_path, monkeypatch, capsys):
+    import filterlab.verify
+
+    def fail(**kwargs):
+        raise AssertionError("the suite ran before the output directory was checked")
+
+    monkeypatch.setattr(filterlab.verify, "run_verify", fail)
+    (tmp_path / "taken").write_text("")
+    assert main(["verify", "--out", str(tmp_path / "taken")]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: output directory")
+
+
 class TestCliSimulate:
     def test_tiny_run_writes_artifacts(self, tmp_path, capsys):
         cfg = _tiny_config(tmp_path)
         out = tmp_path / "out"
-        code = main(
-            ["simulate", "--config", cfg, "--out", str(out), "--seed", "99", "--plot-data"]
-        )
+        code = main(["simulate", "--config", cfg, "--out", str(out), "--seed", "99"])
         assert code == 0
         report = json.loads((out / "report_simulate.json").read_text())
         assert report["config"]["master_seed"] == 99
-        assert (out / "series_sigma2=1.csv").exists()
-        assert (out / "plotdata_sigma2=1.csv").exists() or report["sweep"][0][
-            "rate_fit"
-        ] is None
+        assert report["artifacts"] == ["series_sigma2=1.csv"]
+        assert sorted(report["artifacts"]) == sorted(p.name for p in out.glob("*.csv"))
         text = capsys.readouterr().out
         assert "chi2(0) = 0.160000" in text
-
-    def test_plot_data_reads_back(self, tmp_path):
-        cfg = _tiny_config(tmp_path, rate_window=[0.05, 0.2])
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", cfg, "--out", str(out), "--plot-data"]) == 0
-        report = json.loads((out / "report_simulate.json").read_text())
-        lo, hi = report["sweep"][0]["rate_fit"]["window"]
-        series = read_csv(out / "series_sigma2=1.csv")
-        mask = (series["t"] >= lo) & (series["t"] <= hi)
-        plot = read_csv(out / "plotdata_sigma2=1.csv")
-        assert list(plot) == ["t", "log_chi2_mean"]
-        np.testing.assert_array_equal(plot["t"], series["t"][mask])
-        np.testing.assert_array_equal(plot["log_chi2_mean"], np.log(series["chi2_mean"][mask]))
 
     def test_seed_and_workers_do_not_change_results(self, tmp_path):
         # An older config's "workers" field loads and changes nothing.
@@ -516,8 +533,7 @@ class TestCliBackwardMap:
         report = json.loads((out / "report_backward_map.json").read_text())
         assert {d["T"] for d in report["diagnostics"]} == {0.1, 0.2}
         assert set(report["estimates"]) == {"plain", "rao-blackwell"}
-        assert (out / "backward_map_plain.csv").exists()
-        assert (out / "backward_map_rao-blackwell.csv").exists()
+        assert [p.name for p in out.iterdir()] == ["report_backward_map.json"]
         assert "var_nu(y0)" in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

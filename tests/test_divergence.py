@@ -10,6 +10,7 @@ from filterlab import ensemble
 from filterlab.divergence import (
     MIN_FIT_POINTS,
     SUPPORT_EPS,
+    DivergenceSeries,
     _divergence_batch,
     _divergences,
     chi2,
@@ -297,3 +298,23 @@ class TestSeriesCsv:
         np.testing.assert_array_equal(cols["chi2_mean"], series.chi2_mean)
         np.testing.assert_array_equal(cols["kl_se"], series.kl_se)
         np.testing.assert_array_equal(cols["n_paths"], [2, 2, 2])
+
+    def test_golden_text(self, tmp_path):
+        # CRLF rows, n_paths as an int, every float column as repr
+        floats = np.array([0.1, 5e-324, -0.0, 1.0 / 3.0])
+        series = DivergenceSeries(floats, 4, *(np.roll(floats, -j) for j in range(1, 7)))
+        path = tmp_path / "series.csv"
+        write_series_csv(str(path), series)
+        assert path.read_bytes() == (
+            b"t,chi2_mean,chi2_se,kl_mean,kl_se,tv_mean,tv_se,n_paths\r\n"
+            b"0.1,5e-324,-0.0,0.3333333333333333,0.1,5e-324,-0.0,4\r\n"
+            b"5e-324,-0.0,0.3333333333333333,0.1,5e-324,-0.0,0.3333333333333333,4\r\n"
+            b"-0.0,0.3333333333333333,0.1,5e-324,-0.0,0.3333333333333333,0.1,4\r\n"
+            b"0.3333333333333333,0.1,5e-324,-0.0,0.3333333333333333,0.1,5e-324,4\r\n"
+        )
+        cols = read_csv(path)
+        assert list(cols)[0] == "t" and list(cols)[-1] == "n_paths"
+        np.testing.assert_array_equal(cols["n_paths"], [4, 4, 4, 4])
+        for j, name in enumerate(list(cols)[:-1]):
+            assert cols[name].dtype == np.float64 and cols[name].shape == (4,)
+            assert np.array_equal(cols[name].view(np.int64), np.roll(floats, -j).view(np.int64))

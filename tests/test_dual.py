@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 import filterlab.dual as dual_mod
-from conftest import BLOCKS_MU, BLOCKS_NU, CYCLE_MU, CYCLE_NU, interior_simplex, random_generator_matrix, read_csv, series_of
+from conftest import BLOCKS_MU, BLOCKS_NU, CYCLE_MU, CYCLE_NU, interior_simplex, random_generator_matrix, series_of
 from filterlab import verify
 from filterlab.divergence import _divergence_batch, chi2, density_ratio
 from filterlab.dual import (
     backward_map_study,
     essential_infimum_ratio,
     theorem2_envelope,
-    write_backward_map_csv,
 )
 from filterlab.errors import AssumptionA1Violated, DimensionMismatch, GridMismatch
 from filterlab.filtering import evolve_ensemble
@@ -273,14 +272,3 @@ class TestTheorem2Envelope:
         with pytest.raises(DimensionMismatch):
             theorem2_envelope(cycle_model, CYCLE_MU, CYCLE_NU, series, -0.1)
 
-
-class TestBackwardMapCsv:
-    def test_round_trip(self, tmp_path, cycle_model):
-        *_, est = backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (0.5,), 15, 2, 1e-3)
-        p = tmp_path / "map.csv"
-        write_backward_map_csv(str(p), est)
-        cols = read_csv(p)
-        assert list(cols) == ["x", "y0", "stderr"]
-        np.testing.assert_array_equal(cols["x"], np.arange(4))
-        np.testing.assert_array_equal(cols["y0"], est.y0)
-        np.testing.assert_array_equal(cols["stderr"], est.stderr)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BLOCKS_A, CYCLE_A, CYCLE_H, model_object, random_generator_matrix, read_csv
+from conftest import BLOCKS_A, CYCLE_A, CYCLE_H, model_object, random_generator_matrix
 from filterlab.config import load_model
 from filterlab.errors import (
     ConfigError,
@@ -19,7 +19,6 @@ from filterlab.errors import (
     RowSumNonZero,
 )
 from filterlab.model import (
-    _write_table,
     as_simplex,
     carre_du_champ,
     invariant_measure,
@@ -276,18 +275,3 @@ class TestModelFileRoundTrip:
             with pytest.raises(ConfigError):
                 load_model(str(path))
 
-
-class TestTableFormat:
-    def test_golden_text(self, tmp_path):
-        path = tmp_path / "table.csv"
-        ints = np.array([0, 1, 2, 3], dtype=np.int64)
-        floats = np.array([0.1, 5e-324, -0.0, 1.0 / 3.0])
-        _write_table(str(path), ["n", "x"], [ints, floats])
-        assert path.read_bytes() == (
-            b"n,x\r\n0,0.1\r\n1,5e-324\r\n2,-0.0\r\n3,0.3333333333333333\r\n"
-        )
-        cols = read_csv(path)
-        assert list(cols) == ["n", "x"]
-        assert cols["x"].dtype == np.float64 and cols["x"].shape == (4,)
-        np.testing.assert_array_equal(cols["n"], ints)
-        assert np.array_equal(cols["x"].view(np.int64), floats.view(np.int64))
