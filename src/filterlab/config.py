@@ -134,6 +134,13 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         "must be strictly increasing",
     )
     _require(all(0.0 < t < np.inf for t in cfg.T_list), "T_list", "entries must be positive and finite")
+    # a noisy model's filter gain H/r^2 and 4 dt |H/r|^2 (a margin for the noise term) must be finite
+    with np.errstate(over="ignore"):  # an overflow here is a ConfigError, not a warning
+        for value in (None, *cfg.sweep_values):
+            model = model_for_sweep_value(cfg, value)
+            hu = model.h_unit
+            ok = model.noiseless or np.isfinite(hu / model.r).all() and np.isfinite(4 * cfg.dt * (hu**2).max(0).sum())
+            _require(ok, "model" if value is None else f"{cfg.sweep_kind}_list: {value:g}", "the likelihood overflows")
     return cfg
 
 
@@ -142,13 +149,13 @@ def model_for_sweep_value(cfg: ExperimentConfig, value: float | None) -> HmmMode
 
     sigma2 sweeps set r = sqrt(value) on the base observation matrix (zero
     gives the noiseless model); k sweeps scale H by value at the base noise.
-    value = None returns the base model.
+    value = None returns the base model; an invalid model is a ConfigError.
     """
     if value is None or cfg.sweep_kind is None:
-        return validate_model(cfg.A, cfg.H, cfg.r)
+        return _checked_model(cfg.A, cfg.H, cfg.r)
     if cfg.sweep_kind == "sigma2":
-        return validate_model(cfg.A, cfg.H, float(np.sqrt(value)))
-    return validate_model(cfg.A, cfg.H * float(value), cfg.r)
+        return _checked_model(cfg.A, cfg.H, float(np.sqrt(value)))
+    return _checked_model(cfg.A, cfg.H * float(value), cfg.r)
 
 
 _PRESETS = {

@@ -9,16 +9,17 @@ any extra paths sampled under nu for their nu-filters, are filtered in one
 lockstep pass; ensemble reductions add the paths in path-index order.  The
 divergence observer copies each step's filter pairs into a state-major
 (d, 2, steps, P) block and computes chi2, kl, tv and, on request, the
-signal and drift integrals once per block of steps; the values equal
-those of a reduction at every step, bit for bit (the integrals' products
-taken on stacked (steps, P, d) pairs: at P = 1 a 2-D (1, d) product
-rounds differently).  It reduces each block
-at once to per-time means and standard errors: one _mean_se over a
-C-contiguous (P, 3 steps) stack of chi2, kl and tv, at least 3 columns
-wide, so the series equal the reduction of whole (P, n + 1) arrays bit
-for bit and none is kept.  Per-path values stay only where they are read:
-chi2 at t = 0, and under record_integrals the chi2 and kl series beside
-the integrals.
+per-step increments of the signal and drift integrals once per block of
+steps; one cumulative sum along each (P, n + 1) array after the pass makes
+the running integrals.  The values equal those of a reduction and a
+running sum at every step, bit for bit (the integrals' products taken on
+stacked (steps, P, d) pairs: at P = 1 a 2-D (1, d) product rounds
+differently).  It reduces each block at once to per-time means and
+standard errors: one _mean_se over a C-contiguous (P, 3 steps) stack of
+chi2, kl and tv, at least 3 columns wide, so the series equal the
+reduction of whole (P, n + 1) arrays bit for bit and none is kept.
+Per-path values stay only where they are read: chi2 at t = 0, and under
+record_integrals the chi2 and kl series beside the integrals.
 """
 
 from __future__ import annotations
@@ -190,8 +191,6 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
     if record_integrals:
         chi2_v, kl_v, signal, drift = (np.empty((n_paths, n_steps + 1)) for _ in range(4))
     hu = model.h_unit
-    signal_acc = np.zeros(n_paths)
-    drift_acc = np.zeros(n_paths)
     block = np.empty((model.d, 2, min(_BLOCK_STEPS, n_steps + 1), n_paths))
     stack = np.empty((n_paths, 3, block.shape[2]))
     done = seen = 0  # steps done .. seen - 1 wait in block
@@ -214,10 +213,10 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
             return
         chi2_v[:, k0:k1] = values[0].T
         kl_v[:, k0:k1] = values[1].T
-        # the pairs of the steps before n_steps start an integral increment
+        # step k's pair (k < n_steps) gives the integrals' increment over (t_k, t_{k+1}]
         p, q = np.moveaxis(pq[:, :, : min(k1, n_steps) - k0], 0, -1)
-        _accumulate(signal, signal_acc, k0, (((p - q) @ hu) ** 2).sum(axis=-1) * dt)
-        _accumulate(drift, drift_acc, k0, chi2_drift_batch(p, q, model) * dt)
+        signal[:, k0 + 1 : k0 + 1 + len(p)] = ((((p - q) @ hu) ** 2).sum(axis=-1) * dt).T
+        drift[:, k0 + 1 : k0 + 1 + len(p)] = (chi2_drift_batch(p, q, model) * dt).T
 
     def observer(step: int, pis: np.ndarray) -> None:
         nonlocal seen
@@ -240,6 +239,10 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
         if seen > done:
             flush()
         raise
+    if signal is not None:
+        signal[:, 0] = drift[:, 0] = 0.0
+        np.cumsum(signal, axis=1, out=signal)
+        np.cumsum(drift, axis=1, out=drift)
 
     (chi2_m, kl_m, tv_m), (chi2_s, kl_s, tv_s) = means, ses
     series = DivergenceSeries(times, n_paths, chi2_m, chi2_s, kl_m, kl_s, tv_m, tv_s)
@@ -274,15 +277,3 @@ class _Increments:
         out = self.normals[key] * self.scale
         out += self.drift[key]
         return out
-
-
-def _accumulate(out: np.ndarray, acc: np.ndarray, k0: int, increments: np.ndarray) -> None:
-    """Write the running integral acc (+ increments) into out's columns from k0.
-
-    Column k0 + i gets acc plus the first i increment rows; acc then holds
-    the sum after the last row.  The cumsum seeded with acc adds in the order
-    of acc += x step by step, so the values are bitwise the same.
-    """
-    run = np.cumsum(np.concatenate([acc[None], increments]), axis=0)
-    out[:, k0 : k0 + run.shape[0]] = run.T
-    acc[:] = run[-1]

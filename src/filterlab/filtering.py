@@ -22,11 +22,12 @@ wonham_step is one step broadcast over leading axes.
 
 For exactly noiseless observations (r = 0), evolve_noiseless_ensemble
 computes the conditional law exactly on the same (d, k, P) array, with
-priors shared or per path as well.  Between observed level changes the
-unnormalized law is pi_tau expm(A_LL (t - tau)), with A_LL the generator
-restricted to the observed level set L of h: one einsum per step with the
-block-diagonal G of the expm(A_LL dt).  At an observed level change, redone
-on the path's column, mass moves along the cross-level flux.
+priors shared or per path as well.  A_in is A with its cross-level rates
+removed, the generator of the chain killed when it leaves its observed
+level set of h.  Between observed level changes the unnormalized law is
+pi_tau expm(A_in (t - tau)): one einsum per step with G = expm(A_in dt).
+At an observed level change, redone on the path's column, mass moves along
+the cross-level flux.
 
 All exponentials come from numpy uniformization with scaling and squaring:
 its terms are nonnegative, so it has no cancellation, and it keeps
@@ -163,9 +164,10 @@ def _subgenerator_expm(Q: np.ndarray, t: float) -> np.ndarray:
 
     Uniformization (Jensen's method): with lam = max_x -Q(x, x) and the
     substochastic P = I + Q / lam, exp(Q t) = e^{-lam t} sum_n (lam t)^n / n!
-    P^n.  The series runs on t / 2^s with lam t / 2^s <= 1 until every entry
-    of a term is below rounding of the partial sum, and the result is
-    squared s times.  All terms and products are nonnegative.
+    P^n.  The series runs on t / 2^s with lam t / 2^s <= 1 for d terms, or up
+    to a zero term (all later ones are zero), and until every entry of a
+    term is below rounding of the partial sum; the result is squared s
+    times.  All terms and products are nonnegative.
     """
     d = Q.shape[0]
     lam = -float(Q.diagonal().min())
@@ -177,7 +179,7 @@ def _subgenerator_expm(Q: np.ndarray, t: float) -> np.ndarray:
     term = np.eye(d)
     total = np.eye(d)
     n, eps = 0, np.finfo(float).eps
-    while n < d or (term > eps * total).any():
+    while n < d and term.any() or (term > eps * total).any():
         n += 1
         term = (term @ P) * (x / n)
         total += term
@@ -205,64 +207,51 @@ def evolve_noiseless_ensemble(
     sequence of P paths on a common horizon T.  The law at t = 0 is each
     prior conditioned on the observed initial level, since Y_0 = h(X_0) is
     data.  Each grid step is one product of the state-major (d, k, P) array
-    with the block-diagonal G whose L x L block is expm(A_LL dt), exact as a
-    path's law is zero off its level L.  The column of a path whose observed
-    level changes in (t_k, t_{k+1}] is redone exactly: propagate to the
-    change time tau with the level's semigroup, move mass along the flux
-    pi+(y) propto sum_x pi(x) A(x, y) over y in the new level, and continue
-    to t_{k+1}; a change on a grid point belongs to the earlier step.
+    with G = expm(A_in dt), where A_in = A on pairs of states in one level
+    set of h and 0 across levels: the chain killed at an observed level
+    change.  The column of a path whose observed level changes in (t_k,
+    t_{k+1}] is redone exactly: propagate to the change time tau with
+    expm(A_in (tau - t)), move mass along the flux pi+(y) propto sum_x
+    pi(x) A(x, y) over y in the new state's level, and continue to t_{k+1};
+    a change on a grid point belongs to the earlier step.
     observer(step, pis) is called, and the states returned, as in
     evolve_ensemble.  Raises EmptyLevelSet, naming the time, when no mass is
     left on the observed level, and GridMismatch when dt does not divide T.
     """
     priors = _path_priors(priors, len(state_paths), model.d)
-    A, H = model.A, model.H
     T = state_paths[0].T
     if any(sp.T != T for sp in state_paths):
         raise GridMismatch("state paths have different horizons")
     n_steps = _grid_steps(T, dt)
     grid = np.arange(n_steps + 1) * dt
 
-    same = _same_level(H)
-    reps, level_of = np.unique(same.argmax(axis=1), return_inverse=True)
-    levels = same[reps]
-    idx = [np.flatnonzero(lv) for lv in levels]
-    sub = [A[np.ix_(i, i)] for i in idx]
-    G = np.zeros(A.shape)
-    for i, Q in zip(idx, sub):
-        G[np.ix_(i, i)] = _subgenerator_expm(Q, dt)
+    same = _same_level(model.H)
+    A_in = np.where(same, model.A, 0.0)
+    G = _subgenerator_expm(A_in, dt)
 
-    def propagate(pi: np.ndarray, lv: int, span: float) -> np.ndarray:
-        """pi expm(A_LL span) for a (d, k) law pi on level lv."""
-        out = np.zeros_like(pi)
-        out[idx[lv]] = np.einsum("xy,xk->yk", _subgenerator_expm(sub[lv], span), pi[idx[lv]])
-        return out
-
-    # events[step][path]: the path's observed level changes (tau, new level)
+    # events[step][path]: the path's observed level changes (tau, new state)
     events: dict[int, dict[int, list]] = {}
     for p, sp in enumerate(state_paths):
-        lv = level_of[sp.states]
-        changes = np.flatnonzero(lv[1:] != lv[:-1]) + 1
+        changes = np.flatnonzero(~same[sp.states[:-1], sp.states[1:]]) + 1
         steps = np.searchsorted(grid, sp.jump_times[changes], side="left") - 1
         for j, step in zip(changes, np.maximum(steps, 0)):
             if step < n_steps:
-                events.setdefault(int(step), {}).setdefault(p, []).append((float(sp.jump_times[j]), int(lv[j])))
+                events.setdefault(int(step), {}).setdefault(p, []).append((float(sp.jump_times[j]), int(sp.states[j])))
 
-    level = np.array([level_of[sp.states[0]] for sp in state_paths])
-    S = _normalized_levels(np.ascontiguousarray(priors.transpose(2, 0, 1)) * levels[level].T[:, None, :], 0)
+    x0 = [sp.states[0] for sp in state_paths]
+    S = _normalized_levels(np.ascontiguousarray(priors.transpose(2, 0, 1)) * same[x0].T[:, None, :], 0)
     if observer is not None:
         observer(0, S.transpose(2, 1, 0))
     for step in range(n_steps):
         t_end = float(grid[step + 1])
         new = np.einsum("xy,xkn->ykn", G, S)
         for p, changes in events.get(step, {}).items():
-            pi, t, lv = S[:, :, p], float(grid[step]), level[p]
-            for tau, to_level in changes:
-                pi = _normalized_levels(propagate(pi, lv, tau - t), tau)
-                pi = _normalized_levels(np.einsum("xy,xk->yk", A, pi) * levels[to_level][:, None], tau, "level jump at ")
-                t, lv = tau, to_level
-            new[:, :, p] = propagate(pi, lv, t_end - t)
-            level[p] = lv
+            pi, t = S[:, :, p], float(grid[step])
+            for tau, x in changes:
+                pi = _normalized_levels(np.einsum("xy,xk->yk", _subgenerator_expm(A_in, tau - t), pi), tau)
+                pi = _normalized_levels(np.einsum("xy,xk->yk", model.A, pi) * same[x][:, None], tau, "level jump at ")
+                t = tau
+            new[:, :, p] = np.einsum("xy,xk->yk", _subgenerator_expm(A_in, t_end - t), pi)
         S = _normalized_levels(new, t_end)
         if observer is not None:
             observer(step + 1, S.transpose(2, 1, 0))

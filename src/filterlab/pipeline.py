@@ -121,6 +121,9 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     values: list[float | None] = (
         list(cfg.sweep_values) if cfg.sweep_kind is not None else [None]
     )
+    tags = [_sweep_tag(cfg, value) for value in values]
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"{cfg.sweep_kind}_list: two values share an output tag, among {tags}")
     sweep_reports = []
     artifacts: list[str] = []
     checks: dict[str, bool] = {}
@@ -133,7 +136,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     ensembles = run_divergence_sweep(
         models, cfg.mu, cfg.nu, cfg.n_paths, cfg.T, cfg.dt, cfg.master_seed, nu_paths=PI_TRAJECTORY_PATHS
     )
-    for value, model in zip(values, models):
+    for value, model, tag in zip(values, models, tags):
         ens = next(ensembles)
         series = ens.series
         fit_payload, fit_note = _fit_payload(series, cfg.rate_window)
@@ -155,7 +158,6 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         except AssumptionA1Violated as exc:
             envelope_payload = {"skipped": str(exc)}
 
-        tag = _sweep_tag(cfg, value)
         entry = {
             "value": value,
             "tag": tag,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,21 @@ def test_mistyped_config_field_is_a_config_error(data, tmp_path, monkeypatch, ca
         (["backward-map", "--config", "cfg.json"], {"cfg.json": '{"preset": "example-6.1", "T_list": [0.5, Infinity]}'}),
         (["simulate", "--config", "cfg.json"], {"cfg.json": '{"preset": "example-6.1", "sigma2_list": [Infinity]}'}),
         (["simulate", "--config", "cfg.json"], {"cfg.json": '{"preset": "example-6.2", "k_list": [1.0, NaN]}'}),
+        # two sweep values with one tag would write one series file for both
+        (["simulate", "--config", "cfg.json"], {"cfg.json": '{"preset": "example-6.1", "sigma2_list": [1.0, 1.0]}'}),
+        (["simulate", "--config", "cfg.json"], {"cfg.json": '{"preset": "example-6.1", "sigma2_list": [1.0, 1.0000001]}'}),
+        # finite values whose likelihood |H/r|^2 dt overflows float64
+        (["simulate", "--config", "cfg.json"], {"cfg.json": '{"preset": "example-6.2", "k_list": [1e200]}'}),
+        (["simulate", "--config", "cfg.json"], {"cfg.json": '{"preset": "example-6.1", "sigma2_list": [1e-320]}'}),
+        # the gain H/r^2 overflows while dt |H/r|^2 is finite; H k is not finite
+        (
+            ["simulate", "--config", "cfg.json"],
+            {"cfg.json": json.dumps({"model": {**_TWO_STATE_MODEL, "H": [1e-11, 0.0]}, **_PRIORS, "sigma2_list": [1e-320]})},
+        ),
+        (
+            ["simulate", "--config", "cfg.json"],
+            {"cfg.json": json.dumps({"model": {**_TWO_STATE_MODEL, "H": [2.0, 0.0]}, **_PRIORS, "k_list": [1e308]})},
+        ),
         (["simulate", "--preset", "example-6.1", "--out", "taken"], {"taken": ""}),
         (["structure", "--preset", "example-6.1", "--out", "taken/sub"], {"taken": ""}),
         (["backward-map", "--config", "cfg.json"], {"cfg.json": '{"preset": "example-6.1", "out_dir": "taken"}', "taken": ""}),
@@ -384,6 +400,12 @@ def test_mistyped_config_field_is_a_config_error(data, tmp_path, monkeypatch, ca
         "T_list-infinite",
         "sigma2-infinite",
         "k-nan",
+        "sigma2-repeated",
+        "sigma2-same-tag",
+        "k-likelihood-overflow",
+        "sigma2-likelihood-overflow",
+        "sigma2-gain-overflow",
+        "k-gain-not-finite",
         "out-is-a-file",
         "out-under-a-file",
         "out_dir-is-a-file",
@@ -394,10 +416,27 @@ def test_bad_cli_input_is_a_config_error(argv, files, tmp_path, monkeypatch, cap
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    assert main(argv) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [{"preset": "example-6.2", "k_list": [1e150]}, {"preset": "example-6.1", "sigma2_list": [1e-300]}],
+    ids=["k-1e150", "sigma2-1e-300"],
+)
+def test_large_but_finite_likelihood_runs(sweep, tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({**sweep, "n_paths": 4, "T": 0.05}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(json.loads((tmp_path / "report_simulate.json").read_text())["sweep"]) == 1
 
 
 def test_verify_checks_its_output_directory_before_the_suite(tmp_path, monkeypatch, capsys):
