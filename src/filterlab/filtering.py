@@ -30,9 +30,8 @@ At an observed level change, redone on the path's column, mass moves along
 the cross-level flux.
 
 All exponentials come from numpy uniformization with scaling and squaring:
-its terms are nonnegative, so it has no cancellation, and it keeps
-scipy.linalg (about 10 MB of resident memory and a quarter second of import
-time) out of the simulate path.
+its terms are nonnegative, so it has no cancellation, and numpy is the
+package's only runtime dependency.
 """
 
 from __future__ import annotations

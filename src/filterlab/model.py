@@ -181,11 +181,16 @@ def _same_level(H: np.ndarray) -> np.ndarray:
 def invariant_measure(A, allow_nonunique: bool = False) -> np.ndarray:
     """Invariant probability vector mu with mu^T A = 0.
 
-    Solves the least-squares system [A^T; 1^T] mu = [0; 1].  When the
-    nullspace of A^T has dimension > 1 the measure is not unique and
-    NonUniqueInvariantMeasure is raised, unless allow_nonunique=True in
-    which case one nonnegative element is returned (a nonnegative
-    least-squares solution of the same system).
+    The minimum-norm least-squares solution of [A^T; 1^T] mu = [0; 1].
+    When the nullspace of A^T has dimension > 1 the measure is not unique
+    and NonUniqueInvariantMeasure is raised, unless allow_nonunique=True.
+    The invariant laws are then the mixtures sum_i a_i pi_i of the closed
+    classes' laws pi_i.  These have disjoint supports, so they are
+    orthogonal, |mu|^2 = sum_i a_i^2 |pi_i|^2, and the minimum-norm
+    solution has a_i proportional to 1 / |pi_i|^2: a strictly positive
+    mixture that charges every closed class and no transient state.
+    structure reports it with the note "minimum-norm mixture of the closed
+    classes shown".
     """
     A = _as_rate_matrix(A)
     d = A.shape[0]
@@ -199,17 +204,9 @@ def invariant_measure(A, allow_nonunique: bool = False) -> np.ndarray:
     stacked = np.vstack([A.T, np.ones((1, d))])
     rhs = np.zeros(d + 1)
     rhs[-1] = 1.0
-    if null_dim > 1:
-        from scipy.optimize import nnls
-
-        mu, _ = nnls(stacked, rhs)
-    else:
-        mu, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
+    mu, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
     mu = np.clip(mu, 0.0, None)
-    total = mu.sum()
-    if total <= 0.0:
-        raise NonUniqueInvariantMeasure("no nonnegative invariant vector found")
-    return mu / total
+    return mu / mu.sum()
 
 
 def is_ergodic(A) -> bool:

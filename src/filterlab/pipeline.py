@@ -233,7 +233,7 @@ def _structure_payload(model: HmmModel) -> dict:
     except NonUniqueInvariantMeasure as exc:
         mu_bar = invariant_measure(model.A, allow_nonunique=True)
         payload["invariant_measure"] = [float(v) for v in mu_bar]
-        payload["invariant_note"] = f"not unique ({exc}); nonnegative representative shown"
+        payload["invariant_note"] = f"not unique ({exc}); minimum-norm mixture of the closed classes shown"
     try:
         pi_res = classical_pi_constant(model.A, mu_bar)
         payload["classical_pi"] = {

@@ -17,8 +17,8 @@ state it is the conditional variant whose infimum along trajectories feeds
 the decay envelope.
 
 Both symmetric eigenproblems of the reduction (whitening the variance form,
-then the whitened energy form) go to LAPACK through np.linalg.eigh; numpy
-rather than scipy.linalg keeps scipy.linalg out of the simulate path.
+then the whitened energy form) go to LAPACK through np.linalg.eigh, since
+numpy is the package's only runtime dependency.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from .divergence import (
 from .dual import backward_map_study
 from .ensemble import run_divergence_ensemble, sample_path_batch
 from .errors import ConfigError, FilterLabError, GridMismatch
-from .filtering import evolve_ensemble, evolve_noiseless_ensemble
+from .filtering import _subgenerator_expm, evolve_ensemble, evolve_noiseless_ensemble
 from .model import (
     carre_du_champ,
     invariant_measure,
@@ -337,6 +337,10 @@ def check_structure_examples(seed: int) -> CheckResult:
     h_signed = np.array([[1.0], [0.0], [-1.0], [0.0]])
     ok &= len(observable_space(blocks, h_signed)) == 4
     ok &= len(observable_space(blocks, 0.0 * h_signed)) == 1
+    # the reported measure charges both blocks, so its constant is 0
+    mu_blocks = invariant_measure(blocks, allow_nonunique=True)
+    ok &= min(mu_blocks[:2].sum(), mu_blocks[2:].sum()) > AC_EPS
+    ok &= abs(classical_pi_constant(blocks, mu_blocks).constant) <= 1e-10
     details.append("blocks ok")
     rng = spawn_rng(seed, 9005)
     for _ in range(25):
@@ -448,14 +452,12 @@ def check_variance_decay(seed: int, size: int) -> list[CheckResult]:
 
 def check_ctmc_marginal(seed: int, size: int) -> CheckResult:
     """Empirical time-1 marginal against the matrix-exponential law."""
-    from scipy.linalg import expm
-
     model = _cycle_model()
     n = max(2000, 40 * size)
     # dt = T: each path draws its jump chain and a single increment
     batch = sample_path_batch(model, n, 1.0, 1.0, seed, initial_state=0, stream_offset=9200)
     counts = np.bincount([sp.states[-1] for sp in batch.state_paths], minlength=4)
-    target = expm(model.A.T)[:, 0]
+    target = _subgenerator_expm(model.A, 1.0)[0]
     se = np.sqrt(np.maximum(target * (1 - target), 1e-12) / n)
     return _near_zero("ctmc-marginal-law", "frequency - law", counts / n - target, se, z=Z_WIDE)
 

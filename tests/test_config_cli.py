@@ -488,6 +488,21 @@ class TestCliStructureAndVerify:
         assert payload["invariant_note"] != ""
         assert "ergodic: False" in capsys.readouterr().out
 
+    def test_structure_constants_of_the_presets(self, tmp_path):
+        # the blocks' measure charges both blocks, so the block indicator
+        # has zero energy; the cycle's constant is 2
+        constants = {}
+        for preset in ("example-6.1", "example-6.2"):
+            assert main(["structure", "--preset", preset, "--out", str(tmp_path / preset)]) == 0
+            report = json.loads((tmp_path / preset / "report_structure.json").read_text())
+            constants[preset] = report["structure"]["classical_pi"]
+        assert abs(constants["example-6.2"]["constant"]) <= 1e-10
+        f = np.array(constants["example-6.2"]["minimizer"])
+        np.testing.assert_allclose(f[1], f[0], rtol=1e-10)
+        np.testing.assert_allclose(f[3], f[2], rtol=1e-10)
+        assert f[0] * f[2] < 0.0
+        assert constants["example-6.1"]["constant"] == pytest.approx(2.0, rel=0.0, abs=1e-8)
+
     def test_structure_model_file(self, tmp_path):
         from filterlab.model import validate_model
 
@@ -548,9 +563,42 @@ class TestCliStructureAndVerify:
         assert _loaded_by_cli_import("filterlab.verify") == []
 
     def test_cli_import_loads_no_scipy_linalg_or_optimize(self):
-        # the Poincare eigenproblems call np.linalg.eigh directly, and nnls is
-        # imported where structure uses it
+        # numpy is the only runtime dependency: the Poincare eigenproblems call
+        # np.linalg.eigh and every invariant measure is one np.linalg.lstsq
         assert _loaded_by_cli_import("scipy.linalg", "scipy.optimize") == []
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # a fresh interpreter in which importing scipy raises ImportError
+        configs = {
+            "blocks": {"preset": "example-6.2", "k_list": [0.0, 1.0], "n_paths": 8, "T": 0.2},
+            "cycle": {"preset": "example-6.1", "sigma2_list": [0.0, 1.0], "n_paths": 8, "T": 0.2},
+            "bm": {"preset": "example-6.1", "n_paths": 8, "T_list": [0.1, 0.2]},
+        }
+        for name, data in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        runs = [
+            ["structure", "--preset", "example-6.2"],
+            ["simulate", "--config", str(tmp_path / "blocks.json")],
+            ["simulate", "--config", str(tmp_path / "cycle.json")],
+            ["backward-map", "--config", str(tmp_path / "bm.json")],
+            ["verify", "--size", "20"],
+        ]
+        runs = [argv + ["--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(runs)]
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from filterlab.cli import main\n"
+            f"print([main(argv) for argv in {runs!r}])"
+        )
+        src = os.path.dirname(os.path.dirname(filterlab.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]", out.stdout
 
     @pytest.mark.parametrize("size", ["-1", "1"])
     def test_verify_size_without_standard_errors(self, size, tmp_path, capsys):

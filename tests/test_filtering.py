@@ -482,5 +482,9 @@ class TestNoiselessEngine:
         assert np.all(out >= 0.0)
         np.testing.assert_allclose(out, ref, rtol=1e-11, atol=1e-12 * ref.max())
 
+    def test_subgenerator_expm_is_the_verify_marginal_law(self):
+        # verify's ctmc-marginal-law check takes its exact law from here
+        np.testing.assert_allclose(_subgenerator_expm(CYCLE_A, 1.0), expm(CYCLE_A), rtol=0.0, atol=1e-14)
+
     def test_subgenerator_expm_of_zero_block_is_identity(self):
         assert np.array_equal(_subgenerator_expm(np.zeros((3, 3)), 0.5), np.eye(3))

@@ -162,6 +162,43 @@ class TestInvariantMeasure:
         np.testing.assert_allclose(mu.sum(), 1.0, atol=1e-10)
         np.testing.assert_allclose(mu @ BLOCKS_A, np.zeros(4), atol=1e-9)
 
+    def test_disconnected_is_minimum_norm_mixture(self):
+        # both block laws are (2/3, 1/3), so the weights are equal
+        mu = invariant_measure(BLOCKS_A, allow_nonunique=True)
+        np.testing.assert_allclose(mu, [1 / 3, 1 / 6, 1 / 3, 1 / 6], rtol=0.0, atol=1e-12)
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_reducible_generators_give_minimum_norm_mixture(self, seed):
+        # 2-4 closed classes of 1-3 states, 0-2 transient states that leak
+        # into everything, states permuted
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 4, size=int(rng.integers(2, 5)))
+        n_transient = int(rng.integers(0, 3))
+        d = int(sizes.sum()) + n_transient
+        A = np.zeros((d, d))
+        classes, start = [], 0
+        for s in sizes:
+            block = slice(start, start + s)
+            A[block, block] = random_generator_matrix(rng, s)
+            classes.append(block)
+            start += s
+        A[start:] = rng.uniform(0.2, 2.0, size=(n_transient, d))
+        np.fill_diagonal(A, 0.0)
+        np.fill_diagonal(A, -A.sum(axis=1))
+        laws = np.zeros((len(classes), d))
+        for law, block in zip(laws, classes):
+            law[block] = invariant_measure(A[block, block])
+        weights = 1.0 / (laws**2).sum(axis=1)
+        expected = (weights / weights.sum()) @ laws
+        perm = rng.permutation(d)
+        A, expected = A[np.ix_(perm, perm)], expected[perm]
+        mu = invariant_measure(A, allow_nonunique=True)
+        assert np.all(mu >= 0.0)
+        np.testing.assert_allclose(mu @ A, np.zeros(d), atol=1e-9)
+        assert np.all(mu[perm >= start] <= 1e-12)
+        np.testing.assert_allclose(mu, expected, rtol=0.0, atol=1e-10)
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_random_connected_generators(self, seed):
