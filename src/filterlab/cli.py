@@ -7,6 +7,9 @@ structure     ergodicity / observability / Poincare report for a model
 backward-map  dual decay diagnostics and backward-map estimators
 verify        built-in deterministic and statistical check suites
 
+The pipelines compute and return; this module writes every report and
+series CSV into the output directory.
+
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 verification failure.
 """
@@ -25,6 +28,7 @@ from .config import (
     model_for_sweep_value,
     preset_config,
 )
+from .divergence import write_series_csv
 from .errors import ConfigError, FilterLabError
 from .pipeline import (
     resolve_out_dir,
@@ -93,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--size",
         type=int,
         default=100,
-        help="ensemble size for statistical checks (0 = deterministic only)",
+        help="ensemble size for statistical checks (0 = deterministic only; a size below the suite's minimum is rejected)",
     )
     p_ver.add_argument("--out", metavar="DIR", default=None)
     p_ver.set_defaults(func=_cmd_verify)
@@ -110,7 +114,10 @@ def _load_experiment(args) -> "ExperimentConfig":
 def _cmd_simulate(args) -> int:
     cfg = _load_experiment(args)
     out = resolve_out_dir(args.out, cfg.out_dir)
-    report = run_simulate(cfg, out_dir=out)
+    report, sweep_series = run_simulate(cfg)
+    for name, series in zip(report["artifacts"], sweep_series):
+        write_series_csv(os.path.join(out, name), series)
+    path = write_report(report, out, "report_simulate.json")
     for entry in report["sweep"]:
         fit = entry["rate_fit"]
         if fit is not None:
@@ -124,7 +131,7 @@ def _cmd_simulate(args) -> int:
     failed = sorted(k for k, v in report["checks"].items() if not v)
     for name in failed:
         print(f"consistency check failed: {name}", file=sys.stderr)
-    print(f"report: {os.path.join(out, 'report_simulate.json')}")
+    print(f"report: {path}")
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
@@ -134,7 +141,9 @@ def _cmd_structure(args) -> int:
     else:
         model = model_for_sweep_value(preset_config(args.preset), None)
     out = resolve_out_dir(args.out)
-    payload = run_structure(model, out)["structure"]
+    report = run_structure(model)
+    path = write_report(report, out, "report_structure.json")
+    payload = report["structure"]
     print(f"ergodic: {payload['ergodic']}")
     print(f"observable dimension: {payload['observable_dim']} of {payload['d']}")
     mu_txt = ", ".join(f"{v:.6f}" for v in payload["invariant_measure"])
@@ -145,14 +154,15 @@ def _cmd_structure(args) -> int:
         print(f"classical Poincare constant: {pi['constant']:.8f}")
     else:
         print(f"classical Poincare constant skipped: {pi['skipped']}")
-    print(f"report: {os.path.join(out, 'report_structure.json')}")
+    print(f"report: {path}")
     return EXIT_OK
 
 
 def _cmd_backward_map(args) -> int:
     cfg = _load_experiment(args)
     out = resolve_out_dir(args.out, cfg.out_dir)
-    report = run_backward_map(cfg, out_dir=out)
+    report = run_backward_map(cfg)
+    path = write_report(report, out, "report_backward_map.json")
     for entry in report["diagnostics"]:
         r_txt = "n/a" if entry["r_T"] is None else f"{entry['r_T']:.4f}"
         print(
@@ -165,7 +175,7 @@ def _cmd_backward_map(args) -> int:
             f"{kind}: nu(y0) = {est['nu_mean']:.5f} +- {est['nu_mean_se']:.5f} "
             f"at T = {est['T']:g}"
         )
-    print(f"report: {os.path.join(out, 'report_backward_map.json')}")
+    print(f"report: {path}")
     return EXIT_OK
 
 
@@ -174,7 +184,7 @@ def _cmd_verify(args) -> int:
 
     out = resolve_out_dir(args.out)
     report = run_verify(master_seed=args.seed, size=args.size)
-    write_report(report, out, "report_verify.json")
+    path = write_report(report, out, "report_verify.json")
     for check in report["checks"]:
         mark = "ok  " if check["passed"] else "FAIL"
         print(f"[{mark}] {check['name']}: {check['detail']}")
@@ -182,7 +192,7 @@ def _cmd_verify(args) -> int:
         f"{report['n_checks'] - report['n_failed']}/{report['n_checks']} checks passed "
         f"in {report['wall_clock_s']:.1f} s"
     )
-    print(f"report: {os.path.join(out, 'report_verify.json')}")
+    print(f"report: {path}")
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 

@@ -100,7 +100,7 @@ def _state_samples(
         T_list[-1],
         dt,
         master_seed,
-        initial_state=x,
+        x,
         stream_offset=row * n_paths,
     )
     # A path of horizon T holds only the jumps strictly before T, so X_T

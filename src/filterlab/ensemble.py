@@ -62,27 +62,26 @@ def sample_path_batch(
     T: float,
     dt: float,
     master_seed: int,
-    initial_law=None,
-    initial_state: int | None = None,
+    start,
     stream_offset: int = 0,
 ) -> PathBatch:
     """Sample n_paths signal paths and observation paths with owned streams.
 
-    Path i uses the stream (master_seed, stream_offset + i) for its initial
-    state (from initial_law, unless initial_state pins it), its jump
-    skeleton, and its unit observation noise (none for a noiseless model,
-    whose batch carries no increments), drawn in that order from the start
-    of the stream; increments are r sqrt(dt) times the noise plus the exact
-    drift.  Either initial_law or initial_state must be given, and T
-    must be positive and dt divide it within 1e-9 (GridMismatch otherwise,
-    for every model).
+    start is a state index, which pins X_0, or a law on the states, from
+    which X_0 is drawn.  Path i uses the stream (master_seed, stream_offset
+    + i) for its initial state, its jump skeleton, and its unit observation
+    noise (none for a noiseless model, whose batch carries no increments),
+    drawn in that order from the start of the stream; increments are
+    r sqrt(dt) times the noise plus the exact drift.  T must be positive
+    and dt divide it within 1e-9 (GridMismatch otherwise, for every model).
     """
-    if (initial_law is None) == (initial_state is None):
-        raise DimensionMismatch("give exactly one of initial_law, initial_state")
     n_steps = _grid_steps(T, dt)
-    if initial_state is not None and not 0 <= initial_state < model.d:
-        raise DimensionMismatch(f"x0 = {initial_state} outside state space of size {model.d}")
-    start = int(initial_state) if initial_law is None else np.cumsum(as_simplex(initial_law, d=model.d)).tolist()
+    if isinstance(start, (int, np.integer)):
+        if not 0 <= start < model.d:
+            raise DimensionMismatch(f"x0 = {start} outside state space of size {model.d}")
+        start = int(start)
+    else:
+        start = np.cumsum(as_simplex(start, d=model.d)).tolist()
     increments = None if model.noiseless else np.empty((n_paths, n_steps, model.m))
     paths = _draw_paths(_jump_tables(model.A), [start] * n_paths, float(T), master_seed, stream_offset, increments)
     if increments is not None:

@@ -220,17 +220,11 @@ def is_ergodic(A) -> bool:
     """
     A = _as_rate_matrix(A)
     d = A.shape[0]
-    adj = (A > 0.0) | (A.T > 0.0)
-    seen = np.zeros(d, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        x = stack.pop()
-        for y in np.flatnonzero(adj[x]):
-            if not seen[y]:
-                seen[y] = True
-                stack.append(int(y))
-    return bool(seen.all())
+    # reach[x, y] after k squarings: a path of at most 2^k edges joins x and y
+    reach = (A > 0.0) | (A.T > 0.0) | np.eye(d, dtype=bool)
+    for _ in range((d - 1).bit_length()):
+        reach = reach @ reach
+    return bool(reach[0].all())
 
 
 def observable_space(A, H) -> np.ndarray:

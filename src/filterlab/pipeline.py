@@ -1,8 +1,9 @@
 """End-to-end experiment pipelines behind the command-line interface.
 
 Each pipeline takes a validated ExperimentConfig, runs ensembles with
-per-path random streams, and produces a JSON-ready report, which it writes
-with simulate's series CSVs when given an output directory.  Everything in
+per-path random streams, and returns a JSON-ready report; it writes
+nothing, and the command-line interface writes every report and series CSV
+through write_report and write_series_csv.  Everything in
 a report is derived from (config, master_seed) through per-path values
 reduced in path order (the ensemble's series are reduced block by block as
 the filters run), so reruns are bit-identical; wall-clock timing lives
@@ -19,14 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .config import ExperimentConfig, _grid_check, config_to_dict, model_for_sweep_value
-from .divergence import (
-    DivergenceSeries,
-    chi2,
-    fit_exponential_rate,
-    kl,
-    tv,
-    write_series_csv,
-)
+from .divergence import DivergenceSeries, chi2, fit_exponential_rate, kl, tv
 from .dual import ENVELOPE_TAU, backward_map_study, theorem2_envelope
 from .ensemble import run_divergence_sweep
 from .errors import (
@@ -105,7 +99,7 @@ def _fit_payload(series: DivergenceSeries, window) -> tuple[dict | None, str]:
     return _json_fields(fit), ""
 
 
-def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
+def run_simulate(cfg: ExperimentConfig) -> tuple[dict, list[DivergenceSeries]]:
     """Full divergence pipeline over the configured sweep.
 
     The sweep draws its paths and unit noise once; every value sees the
@@ -114,8 +108,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     PI_TRAJECTORY_PATHS paths sampled under nu on the streams after it,
     whose nu-filters give the conditional-PI infimum.  Then the divergence
     series with a chi-square rate fit, and the multiplicative decay
-    envelope driven by that infimum.  Writes one series CSV per sweep value
-    when out_dir is given.
+    envelope driven by that infimum.  Returns the report and the series in
+    sweep order; report["artifacts"] names each series' CSV file.
     """
     t_start = time.perf_counter()
     values: list[float | None] = (
@@ -125,13 +119,11 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     if len(set(tags)) < len(tags):
         raise ConfigError(f"{cfg.sweep_kind}_list: two values share an output tag, among {tags}")
     sweep_reports = []
-    artifacts: list[str] = []
+    sweep_series: list[DivergenceSeries] = []
     checks: dict[str, bool] = {}
-    prior_divergences = {
-        "chi2": chi2(cfg.mu, cfg.nu),
-        "kl": kl(cfg.mu, cfg.nu),
-        "tv": tv(cfg.mu, cfg.nu),
-    }
+    # the filters start from the priors as simplex points; so do the checks
+    mu, nu = as_simplex(cfg.mu, d=cfg.d), as_simplex(cfg.nu, d=cfg.d)
+    prior_divergences = {"chi2": chi2(mu, nu), "kl": kl(mu, nu), "tv": tv(mu, nu)}
     models = [model_for_sweep_value(cfg, value) for value in values]
     ensembles = run_divergence_sweep(
         models, cfg.mu, cfg.nu, cfg.n_paths, cfg.T, cfg.dt, cfg.master_seed, nu_paths=PI_TRAJECTORY_PATHS
@@ -141,7 +133,9 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         series = ens.series
         fit_payload, fit_note = _fit_payload(series, cfg.rate_window)
 
-        c_inf, c_where = trajectory_pi_infimum(model.A, ens.nu_filters, cfg.dt, stride=PI_TRAJECTORY_STRIDE)
+        c_inf, c_where = trajectory_pi_infimum(
+            model.A, ens.nu_filters[:, ::PI_TRAJECTORY_STRIDE], series.times[::PI_TRAJECTORY_STRIDE]
+        )
         c_path, c_time = c_where if c_where is not None else (None, None)
 
         c_env = max(c_inf, 0.0) if np.isfinite(c_inf) else 0.0
@@ -175,7 +169,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             "envelope": envelope_payload,
         }
         checks[f"initial_divergence_matches_priors[{tag}]"] = bool(
-            np.all(np.abs(ens.initial_chi2 - _initial_chi2(model, cfg.mu, cfg.nu, ens.initial_states)) <= 1e-10)
+            np.all(np.abs(ens.initial_chi2 - _initial_chi2(model, mu, nu, ens.initial_states)) <= 1e-10)
             if model.noiseless
             else abs(series.chi2_mean[0] - prior_divergences["chi2"]) <= 1e-10
         )
@@ -183,11 +177,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         checks[f"terminal_simplex[{tag}]"] = bool(
             np.all(np.abs(sums - 1.0) <= 1e-9) and np.all(ens.terminal_pis >= -1e-12)
         )
-        if out_dir is not None:
-            series_path = os.path.join(out_dir, f"series_{tag}.csv")
-            write_series_csv(series_path, series)
-            artifacts.append(series_path)
         sweep_reports.append(entry)
+        sweep_series.append(series)
         # drop this value's ensemble before the next one allocates its arrays
         del ens, series
 
@@ -198,12 +189,10 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         "sweep": sweep_reports,
         "structure": _structure_payload(model_for_sweep_value(cfg, None)),
         "checks": checks,
-        "artifacts": [os.path.basename(a) for a in artifacts],
+        "artifacts": [f"series_{tag}.csv" for tag in tags],
         "wall_clock_s": time.perf_counter() - t_start,
     }
-    if out_dir is not None:
-        write_report(report, out_dir, "report_simulate.json")
-    return report
+    return report, sweep_series
 
 
 def _initial_chi2(model: HmmModel, mu, nu, initial_states: np.ndarray) -> np.ndarray:
@@ -249,7 +238,7 @@ def _structure_payload(model: HmmModel) -> dict:
     return payload
 
 
-def run_structure(model: HmmModel, out_dir: str | None = None) -> dict:
+def run_structure(model: HmmModel) -> dict:
     """Structural report: ergodicity, observability, invariant measure,
     the classical Poincare constant, and the rate-bound table."""
     t_start = time.perf_counter()
@@ -258,12 +247,10 @@ def run_structure(model: HmmModel, out_dir: str | None = None) -> dict:
         "structure": _structure_payload(model),
         "wall_clock_s": time.perf_counter() - t_start,
     }
-    if out_dir is not None:
-        write_report(report, out_dir, "report_structure.json")
     return report
 
 
-def run_backward_map(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
+def run_backward_map(cfg: ExperimentConfig) -> dict:
     """Backward-map and variance-decay pipeline at the base model.
 
     Decay diagnostics over cfg.T_list and both backward-map estimators at
@@ -307,6 +294,4 @@ def run_backward_map(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         "estimates": estimates,
         "wall_clock_s": time.perf_counter() - t_start,
     }
-    if out_dir is not None:
-        write_report(report, out_dir, "report_backward_map.json")
     return report

@@ -123,26 +123,24 @@ def conditional_pi_constant(A, rho) -> PiResult:
     return _pi_eigenproblem(A, rho, support)
 
 
-def trajectory_pi_infimum(A, pis, dt: float, stride: int):
+def trajectory_pi_infimum(A, pis, times):
     """Infimum of the conditional constant along filter trajectories.
 
-    pis holds the filter states (P, n + 1, d) of P paths on the grid with
-    step dt.  Evaluates conditional_pi_constant at every stride-th state of
-    every path and returns (c_inf, (path_index, time)); +inf values (point
-    masses, degenerate variance forms) are ignored.  When nothing finite is
-    found the result is (inf, None).
+    pis holds the filter states (P, k, d) of P paths at the k times in
+    times.  Evaluates conditional_pi_constant at every state and returns
+    (c_inf, (path_index, time)); +inf values (point masses, degenerate
+    variance forms) are ignored.  When nothing finite is found the result
+    is (inf, None).
     """
-    if stride < 1:
-        raise DimensionMismatch(f"stride must be >= 1, got {stride}")
     best = math.inf
     where = None
     for i, path in enumerate(pis):
-        for k in range(0, path.shape[0], stride):
+        for pi, t in zip(path, times, strict=True):
             try:
-                res = conditional_pi_constant(A, path[k])
+                res = conditional_pi_constant(A, pi)
             except DegenerateVarianceForm:
                 continue
             if res.constant < best:
                 best = res.constant
-                where = (i, float(k * dt))
+                where = (i, float(t))
     return best, where

@@ -78,7 +78,7 @@ def interior_simplex(rng, d, floor=0.05):
 
 def state_path(model, x0, T, seed, stream=0):
     """One signal path from x0 on [0, T]: a one-path batch on (seed, stream)."""
-    batch = sample_path_batch(model, 1, T, T, seed, initial_state=x0, stream_offset=stream)
+    batch = sample_path_batch(model, 1, T, T, seed, x0, stream_offset=stream)
     return batch.state_paths[0]
 
 

@@ -128,7 +128,7 @@ def test_criterion_03_noiseless_cycle_alternation_and_gap(cycle_cfg):
     model = model_for_sweep_value(cycle_cfg, 0.0)
     assert model.noiseless
     dt = 1e-3
-    batch = sample_path_batch(model, 1, 10.0, dt, SEED, initial_law=cycle_cfg.mu)
+    batch = sample_path_batch(model, 1, 10.0, dt, SEED, cycle_cfg.mu)
     path = batch.state_paths[0]
     pis_mu, pis_nu = filter_states(np.stack([cycle_cfg.mu, cycle_cfg.nu]), [path], dt, model)[0]
 
@@ -294,9 +294,9 @@ def test_envelope_with_trajectory_surrogate_is_reported(sweep61, cycle_cfg):
     threshold is attached to it beyond structural sanity."""
     ens = sweep61[0][1.0]
     model = model_for_sweep_value(cycle_cfg, 1.0)
-    batch = sample_path_batch(model, 5, 10.0, 1e-3, SEED + 99, initial_law=cycle_cfg.nu)
+    batch = sample_path_batch(model, 5, 10.0, 1e-3, SEED + 99, cycle_cfg.nu)
     pis = filter_states(cycle_cfg.nu, batch.increments, 1e-3, model)[:, 0]
-    c_inf, _ = trajectory_pi_infimum(model.A, pis, 1e-3, stride=100)
+    c_inf, _ = trajectory_pi_infimum(model.A, pis[:, ::100], np.arange(0, pis.shape[1], 100) * 1e-3)
     c_env = max(float(c_inf), 0.0) if np.isfinite(c_inf) else 0.0
     report = theorem2_envelope(model, cycle_cfg.mu, cycle_cfg.nu, ens.series, c_env)
     assert report.a_lower == pytest.approx(0.6)

@@ -25,7 +25,7 @@ def _cycle():
 
 
 def _batch():
-    return ensemble.sample_path_batch(_cycle(), 2, 0.1, 1e-2, 0, initial_state=0)
+    return ensemble.sample_path_batch(_cycle(), 2, 0.1, 1e-2, 0, 0)
 
 
 def _ensemble():

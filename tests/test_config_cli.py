@@ -31,6 +31,7 @@ from filterlab.config import (
     preset_config,
 )
 from filterlab.errors import ConfigError
+from filterlab.verify import MIN_SIZE
 
 
 class TestPresets:
@@ -451,6 +452,32 @@ def test_verify_checks_its_output_directory_before_the_suite(tmp_path, monkeypat
     assert capsys.readouterr().err.startswith("configuration error: output directory")
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["simulate", "--config", "tiny.json"], "report_simulate.json"),
+        (["structure", "--preset", "example-6.1"], "report_structure.json"),
+        (["backward-map", "--config", "tiny.json"], "report_backward_map.json"),
+        (["verify", "--size", "0"], "report_verify.json"),
+    ],
+    ids=["simulate", "structure", "backward-map", "verify"],
+)
+def test_printed_report_is_written_beside_only_its_series(argv, name, tmp_path, monkeypatch, capsys):
+    # the pipelines write nothing: the CLI writes the report it prints and
+    # the series CSVs that the report's artifacts name, and no other file
+    monkeypatch.chdir(tmp_path)
+    _tiny_config(tmp_path, sigma2_list=[0.0, 1.0])
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1]
+    assert printed == f"report: {out / name}"
+    report = json.loads((out / name).read_text())
+    artifacts = report.get("artifacts", [])
+    if argv[0] == "simulate":
+        assert artifacts == ["series_sigma2=0.csv", "series_sigma2=1.csv"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([name, *artifacts])
+
+
 class TestCliSimulate:
     def test_tiny_run_writes_artifacts(self, tmp_path, capsys):
         cfg = _tiny_config(tmp_path)
@@ -581,7 +608,7 @@ class TestCliStructureAndVerify:
             ["simulate", "--config", str(tmp_path / "blocks.json")],
             ["simulate", "--config", str(tmp_path / "cycle.json")],
             ["backward-map", "--config", str(tmp_path / "bm.json")],
-            ["verify", "--size", "20"],
+            ["verify", "--size", str(MIN_SIZE)],
         ]
         runs = [argv + ["--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(runs)]
         code = (
@@ -600,7 +627,8 @@ class TestCliStructureAndVerify:
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]", out.stdout
 
-    @pytest.mark.parametrize("size", ["-1", "1"])
+    # below MIN_SIZE the statistical suite fails by chance
+    @pytest.mark.parametrize("size", ["-1", "1", "4", str(MIN_SIZE - 1)])
     def test_verify_size_without_standard_errors(self, size, tmp_path, capsys):
         assert main(["verify", "--size", size, "--out", str(tmp_path)]) == 1
         assert "configuration error: size" in capsys.readouterr().err

@@ -39,15 +39,15 @@ def _first_draws(seed, stream, law):
 
 class TestSamplePathBatch:
     def test_requires_exactly_one_initial_spec(self, cycle_model):
-        with pytest.raises(DimensionMismatch):
+        # the one start is a state index or a law on the d states
+        with pytest.raises(TypeError):
             sample_path_batch(cycle_model, 2, 1.0, 1e-2, 0)
-        with pytest.raises(DimensionMismatch):
-            sample_path_batch(
-                cycle_model, 2, 1.0, 1e-2, 0, initial_law=CYCLE_MU, initial_state=1
-            )
+        for start in (1.0, [0.5, 0.5]):
+            with pytest.raises(DimensionMismatch):
+                sample_path_batch(cycle_model, 2, 1.0, 1e-2, 0, start)
 
     def test_pinned_initial_state(self, cycle_model):
-        batch = sample_path_batch(cycle_model, 5, 0.5, 1e-2, 3, initial_state=2)
+        batch = sample_path_batch(cycle_model, 5, 0.5, 1e-2, 3, 2)
         assert [sp.states[0] for sp in batch.state_paths] == [2] * 5
         assert batch.increments.shape == (5, 50, 1)
 
@@ -56,7 +56,7 @@ class TestSamplePathBatch:
         # first jump after its first exponential holding time
         offset = 11
         batch = sample_path_batch(
-            cycle_model, 4, 1.0, 1e-2, 9, initial_law=CYCLE_MU, stream_offset=offset
+            cycle_model, 4, 1.0, 1e-2, 9, CYCLE_MU, stream_offset=offset
         )
         for i, sp in enumerate(batch.state_paths):
             x0, hold = _first_draws(9, offset + i, CYCLE_MU)
@@ -66,7 +66,7 @@ class TestSamplePathBatch:
     def test_noiseless_batch_replays_streams_without_increments(self, cycle_noiseless):
         offset = 8
         batch = sample_path_batch(
-            cycle_noiseless, 6, 1.0, 1e-2, 9, initial_law=CYCLE_NU, stream_offset=offset
+            cycle_noiseless, 6, 1.0, 1e-2, 9, CYCLE_NU, stream_offset=offset
         )
         assert batch.increments is None
         assert len(batch.state_paths) == 6
@@ -80,16 +80,16 @@ class TestSamplePathBatch:
         # 0.07 does not divide 0.3: no model may sample an off-grid batch
         for model in (cycle_model, cycle_noiseless):
             with pytest.raises(GridMismatch):
-                sample_path_batch(model, 2, 0.3, 0.07, 0, initial_law=CYCLE_MU)
+                sample_path_batch(model, 2, 0.3, 0.07, 0, CYCLE_MU)
 
     def test_pinned_state_outside_space_rejected(self, cycle_model):
         with pytest.raises(DimensionMismatch):
-            sample_path_batch(cycle_model, 2, 1.0, 1e-2, 0, initial_state=4)
+            sample_path_batch(cycle_model, 2, 1.0, 1e-2, 0, 4)
 
     @pytest.mark.parametrize("T", [0.0, -1.0])
     def test_nonpositive_horizon_rejected(self, cycle_model, T):
         with pytest.raises(GridMismatch, match=f"horizon T = {T} must be positive"):
-            sample_path_batch(cycle_model, 2, T, 1e-2, 0, initial_state=0)
+            sample_path_batch(cycle_model, 2, T, 1e-2, 0, 0)
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -116,11 +116,11 @@ class TestSamplePathBatch:
         law = gen.dirichlet(np.ones(d))
         x_pin = int(gen.integers(d))
         n_paths = 4
-        spec = {"initial_state": x_pin} if pinned else {"initial_law": law}
-        batch = sample_path_batch(model, n_paths, T, dt, seed, stream_offset=stream_offset, **spec)
+        start = x_pin if pinned else law
+        batch = sample_path_batch(model, n_paths, T, dt, seed, start, stream_offset=stream_offset)
         assert (batch.increments is None) == model.noiseless
         for i in range(n_paths):
-            alone = sample_path_batch(model, 1, T, dt, seed, stream_offset=stream_offset + i, **spec)
+            alone = sample_path_batch(model, 1, T, dt, seed, start, stream_offset=stream_offset + i)
             got, want = batch.state_paths[i], alone.state_paths[0]
             assert np.array_equal(got.jump_times, want.jump_times)
             assert np.array_equal(got.states, want.states)
@@ -131,7 +131,7 @@ class TestSamplePathBatch:
 
 class TestTerminalFilterStates:
     def test_matches_per_path_run_filter(self, cycle_model):
-        batch = sample_path_batch(cycle_model, 5, 0.5, 1e-3, 2, initial_law=CYCLE_MU)
+        batch = sample_path_batch(cycle_model, 5, 0.5, 1e-3, 2, CYCLE_MU)
         priors = np.stack([CYCLE_MU, CYCLE_NU])
         out = evolve_ensemble(priors, batch.increments, 1e-3, cycle_model)
         assert out.shape == (5, 2, 4)
@@ -141,7 +141,7 @@ class TestTerminalFilterStates:
                 assert np.array_equal(out[i, k], alone[0, 0])
 
     def test_noiseless_batch_rejected(self, cycle_noiseless):
-        batch = sample_path_batch(cycle_noiseless, 3, 0.2, 1e-2, 1, initial_law=CYCLE_MU)
+        batch = sample_path_batch(cycle_noiseless, 3, 0.2, 1e-2, 1, CYCLE_MU)
         with pytest.raises(NonPositiveNoise):
             evolve_ensemble(np.stack([CYCLE_MU, CYCLE_NU]), batch.increments, 1e-2, cycle_noiseless)
 
@@ -354,7 +354,7 @@ def _per_step_reference(model, mu, nu, n_paths, T, dt, seed, record_integrals):
     horizon, and added up step by step: at P = 1 a 2-D (1, d) product
     rounds differently from the stacked one.
     """
-    batch = sample_path_batch(model, n_paths, T, dt, seed, initial_law=mu)
+    batch = sample_path_batch(model, n_paths, T, dt, seed, mu)
     n_steps = round(T / dt)
     chi2_v, kl_v, tv_v = (np.empty((n_paths, n_steps + 1)) for _ in range(3))
     pq = np.empty((model.d, 2, n_steps + 1, n_paths))

@@ -113,7 +113,7 @@ class TestRunFilter:
         cases = []
         for sigma2 in (1.0, 0.1):
             model = model_for_sweep_value(cfg, sigma2)
-            batch = sample_path_batch(model, 200, 1.0, ORDER_DT, 20260814, initial_law=cfg.mu)
+            batch = sample_path_batch(model, 200, 1.0, ORDER_DT, 20260814, cfg.mu)
             cases.append((f"sigma2={sigma2:g}", model, batch.increments))
         result = splitting_strong_order(cases, cfg.mu, ORDER_DT)
         assert result.passed, result.detail
@@ -398,7 +398,7 @@ class TestNoiselessEngine:
         # d = 9 states on three levels: the mass is a sum of rows in order,
         # not numpy's pairwise sum, which one path of one prior would get
         model = validate_model(random_generator_matrix(rng, 9), np.arange(9) % 3, 0.0)
-        paths = sample_path_batch(model, 6, 0.3, 1e-2, 9, initial_law=np.full(9, 1 / 9)).state_paths
+        paths = sample_path_batch(model, 6, 0.3, 1e-2, 9, np.full(9, 1 / 9)).state_paths
         priors = rng.dirichlet(np.ones(9), size=2)
         terminal = evolve_noiseless_ensemble(priors, paths, 1e-2, model)
         for p, sp in enumerate(paths):

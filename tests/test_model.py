@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from conftest import BLOCKS_A, CYCLE_A, CYCLE_H, model_object, random_generator_matrix
 from filterlab.config import load_model
@@ -220,6 +221,16 @@ class TestErgodicityAndObservability:
     def test_two_state_boundary(self):
         assert not is_ergodic(np.zeros((2, 2)))
         assert is_ergodic(np.array([[-0.3, 0.3], [0.0, 0.0]]))
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_ergodic_iff_one_weak_component(self, seed, d, density):
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(0.1, 2.0, (d, d)) * (rng.random((d, d)) < density)
+        np.fill_diagonal(A, 0.0)
+        np.fill_diagonal(A, -A.sum(axis=1))
+        n_components, _ = connected_components(A > 0.0, directed=True, connection="weak")
+        assert is_ergodic(A) == (n_components == 1)
 
     def test_cycle_observable_dim_two(self):
         V = observable_space(CYCLE_A, CYCLE_H.reshape(4, 1))

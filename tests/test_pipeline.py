@@ -1,6 +1,7 @@
 """Experiment pipelines: the conditional-PI paths in the ensemble pass and
 the backward-map pass."""
 
+import json
 import sys
 import weakref
 
@@ -11,10 +12,10 @@ import filterlab.dual as dual_mod
 import filterlab.ensemble as ensemble_mod
 import filterlab.sim as sim_mod
 from conftest import SERIES_FIELDS, filter_states
-from filterlab.config import _apply_overrides, model_for_sweep_value, preset_config
+from filterlab.config import _apply_overrides, load_config, model_for_sweep_value, preset_config
 from filterlab.ensemble import run_divergence_ensemble, run_divergence_sweep, sample_path_batch
 from filterlab.model import validate_model
-from filterlab.pipeline import PI_TRAJECTORY_PATHS, _initial_chi2, run_backward_map, run_simulate
+from filterlab.pipeline import PI_TRAJECTORY_PATHS, _initial_chi2, run_backward_map, run_simulate, run_structure
 
 
 def _cycle_cfg(**overrides):
@@ -39,10 +40,22 @@ def _assert_paths_filtered_alone(sigma2):
     assert pis.shape == (PI_TRAJECTORY_PATHS, 401, 4)
     for i in range(PI_TRAJECTORY_PATHS):
         batch = sample_path_batch(
-            model, 1, cfg.T, cfg.dt, cfg.master_seed, initial_law=cfg.nu, stream_offset=cfg.n_paths + i
+            model, 1, cfg.T, cfg.dt, cfg.master_seed, cfg.nu, stream_offset=cfg.n_paths + i
         )
         data = batch.state_paths if model.noiseless else batch.increments
         assert np.array_equal(pis[i], filter_states(cfg.nu, data, cfg.dt, model)[0, 0])
+
+
+def test_pipelines_write_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("FILTERLAB_OUT", str(tmp_path))
+    cfg = _cycle_cfg(n_paths=4, T=0.2, dt=1e-2, sigma2_list=[0.0, 1.0], T_list=(0.1, 0.2))
+    report, series = run_simulate(cfg)
+    assert report["artifacts"] == ["series_sigma2=0.csv", "series_sigma2=1.csv"]
+    assert [s.chi2_mean[0] for s in series] == [e["chi2_initial"] for e in report["sweep"]]
+    run_structure(model_for_sweep_value(cfg, None))
+    run_backward_map(cfg)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestPiTrajectories:
@@ -135,7 +148,7 @@ class TestPiTrajectories:
         cfg = _cycle_cfg(mu=[0.5, 0.0, 0.5, 0.0], nu=[0.25] * 4, sigma2_list=[0.0, 1.0])
         pis = _nu_filters(cfg, model_for_sweep_value(cfg, 0.0))
         assert np.any(pis[:, 0] @ np.array([0.0, 1.0, 0.0, 1.0]) == 1.0)
-        report = run_simulate(cfg)
+        report, _ = run_simulate(cfg)
         assert all(entry["conditional_pi_infimum"]["constant"] is not None for entry in report["sweep"])
 
 
@@ -146,11 +159,26 @@ class TestInitialDivergenceCheck:
 
     def test_asymmetric_priors_pass_every_check(self):
         cfg = _apply_overrides(preset_config("example-6.1"), self.ASYMMETRIC, "test")
-        report = run_simulate(cfg)
+        report, _ = run_simulate(cfg)
         assert len(report["checks"]) == 8 and all(report["checks"].values())
         noiseless = report["sweep"][0]
         assert noiseless["noiseless"]
         assert abs(noiseless["chi2_initial"] - report["prior_divergences"]["chi2"]) > 0.1
+
+    def test_prior_within_simplex_tolerance_passes_every_check(self, tmp_path):
+        # mu sums to 1 - 9e-11, within SIMPLEX_TOL: the filters start from
+        # mu renormalized, so the prior divergences must be taken there too
+        data = {
+            "model": {"d": 2, "A": [-1, 1, 2, -2], "H": [1, -1], "r": 1},
+            "mu": [0.9, 0.09999999991],
+            "nu": [0.001, 0.999],
+            "T": 0.2,
+            "n_paths": 4,
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(data))
+        report, _ = run_simulate(load_config(str(tmp_path / "cfg.json")))
+        assert all(report["checks"].values()), report["checks"]
+        assert report["config"]["mu"] == data["mu"]
 
     def test_noiseless_paths_start_from_the_conditioned_priors(self):
         cfg = _cycle_cfg(**self.ASYMMETRIC)

@@ -143,33 +143,30 @@ class TestConditionalConstant:
 
 
 class TestTrajectoryInfimum:
-    DT = 0.1
+    TIMES = np.array([0.0, 0.1, 0.2])
 
     def test_finds_the_strided_minimum(self):
         uniform = np.full(4, 0.25)
         tilted = np.array([0.7, 0.1, 0.1, 0.1])
         split = np.array([0.5, 0.0, 0.5, 0.0])  # constant 0 on the cycle
         pis = np.array([[uniform, tilted, uniform], [uniform, split, uniform]])
-        c, where = trajectory_pi_infimum(CYCLE_A, pis, self.DT, stride=1)
+        c, where = trajectory_pi_infimum(CYCLE_A, pis, self.TIMES)
         assert c == pytest.approx(0.0, abs=1e-10)
         assert where == (1, 0.1)
 
     def test_stride_skips_rows(self):
+        # a caller strides by slicing the states and their times alike
         uniform = np.full(4, 0.25)
         split = np.array([0.5, 0.0, 0.5, 0.0])
         pis = np.array([[uniform, split, uniform]])
-        c_all, _ = trajectory_pi_infimum(CYCLE_A, pis, self.DT, stride=1)
-        c_skip, where = trajectory_pi_infimum(CYCLE_A, pis, self.DT, stride=2)
+        c_all, _ = trajectory_pi_infimum(CYCLE_A, pis, self.TIMES)
+        c_skip, where = trajectory_pi_infimum(CYCLE_A, pis[:, ::2], self.TIMES[::2])
         assert c_all == pytest.approx(0.0, abs=1e-10)
         assert c_skip > 0.0
         assert where[1] in (0.0, 0.2)
 
     def test_all_point_masses_yield_inf(self):
         point = np.array([0.0, 1.0, 0.0, 0.0])
-        c, where = trajectory_pi_infimum(CYCLE_A, np.array([[point, point]]), self.DT, stride=1)
+        c, where = trajectory_pi_infimum(CYCLE_A, np.array([[point, point]]), self.TIMES[:2])
         assert c == np.inf
         assert where is None
-
-    def test_bad_stride_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            trajectory_pi_infimum(CYCLE_A, np.full((1, 1, 4), 0.25), self.DT, stride=0)

@@ -76,13 +76,13 @@ class TestStreams:
 
 class TestSampleInitialState:
     def test_point_mass(self):
-        batch = sample_path_batch(RING3, 20, 1.0, 1.0, 4, initial_law=[0.0, 1.0, 0.0])
+        batch = sample_path_batch(RING3, 20, 1.0, 1.0, 4, [0.0, 1.0, 0.0])
         assert [sp.states[0] for sp in batch.state_paths] == [1] * 20
 
     def test_marginal_frequencies(self):
         law = np.array([0.2, 0.5, 0.3])
         n = 20_000
-        batch = sample_path_batch(RING3, n, 1e-3, 1e-3, 20260814, initial_law=law)
+        batch = sample_path_batch(RING3, n, 1e-3, 1e-3, 20260814, law)
         freq = np.bincount([sp.states[0] for sp in batch.state_paths], minlength=3) / n
         se = np.sqrt(law * (1 - law) / n)
         assert np.all(np.abs(freq - law) <= 4.0 * se)
@@ -112,7 +112,7 @@ class TestSampleCtmcPath:
     def test_marginal_law_matches_matrix_exponential(self, cycle_noiseless):
         # independent oracle: P(X_1 = y | X_0 = 0) = expm(A^T) e_0
         n = 3000
-        batch = sample_path_batch(cycle_noiseless, n, 1.0, 1.0, 123, initial_state=0)
+        batch = sample_path_batch(cycle_noiseless, n, 1.0, 1.0, 123, 0)
         counts = np.bincount([sp.states[-1] for sp in batch.state_paths], minlength=4)
         freq = counts / n
         target = expm(CYCLE_A.T)[:, 0]
@@ -122,12 +122,12 @@ class TestSampleCtmcPath:
 
 class TestIntegrateObservation:
     def test_shapes_and_grid(self, cycle_model):
-        batch = sample_path_batch(cycle_model, 1, 2.0, 1e-2, 6, initial_state=0)
+        batch = sample_path_batch(cycle_model, 1, 2.0, 1e-2, 6, 0)
         assert batch.increments.shape == (1, 200, 1)
 
     def test_reproducible_from_stream(self, cycle_model):
         outs = [
-            sample_path_batch(cycle_model, 1, 1.0, 1e-3, 5, initial_state=0, stream_offset=9).increments
+            sample_path_batch(cycle_model, 1, 1.0, 1e-3, 5, 0, stream_offset=9).increments
             for _ in range(2)
         ]
         assert np.array_equal(outs[0], outs[1])
@@ -146,15 +146,15 @@ class TestIntegrateObservation:
         # dZ = h dt + r dW: state 0 with h = 3 and r = 2 drifts 3 dt/step
         model = validate_model(np.zeros((2, 2)), np.array([3.0, -1.0]), 2.0)
         n_rep, dt = 400, 1e-2
-        batch = sample_path_batch(model, n_rep, 1.0, dt, 8, initial_state=0)
+        batch = sample_path_batch(model, n_rep, 1.0, dt, 8, 0)
         means = batch.increments.mean(axis=(1, 2))
         se = means.std(ddof=1) / np.sqrt(n_rep)
         assert abs(means.mean() - 3.0 * dt) <= 4.0 * se
 
     def test_bad_dt_rejected(self, cycle_model):
         with pytest.raises(GridMismatch):
-            sample_path_batch(cycle_model, 1, 1.0, -0.1, 0, initial_state=0)
+            sample_path_batch(cycle_model, 1, 1.0, -0.1, 0, 0)
 
     def test_nondividing_dt_rejected(self, cycle_model):
         with pytest.raises(GridMismatch):
-            sample_path_batch(cycle_model, 1, 1.0, 0.3, 0, initial_state=0)
+            sample_path_batch(cycle_model, 1, 1.0, 0.3, 0, 0)
