@@ -71,42 +71,80 @@ def density_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     Raises AbsoluteContinuityViolation when p has mass above AC_EPS on a
     state with q below SUPPORT_EPS.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    return _ratio(np.asarray(p, dtype=float), np.asarray(q, dtype=float))[0]
+
+
+def _ratio(p: np.ndarray, q: np.ndarray, g=None, outside=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """density_ratio, written into g when given, and the mask q < SUPPORT_EPS
+    (into outside when given), None when q is inside its support everywhere.
+
+    The masked ratio divides p by q with 1 put outside and then writes 0
+    there: the bits of np.where.
+    """
     if p.shape != q.shape:
         raise DimensionMismatch(f"shapes {p.shape} and {q.shape} differ")
     if q.min(initial=np.inf) >= SUPPORT_EPS:
-        return p / q
-    outside = q < SUPPORT_EPS
-    if np.any(outside & (p > AC_EPS)):
-        bad = float(p[outside].max())
-        raise AbsoluteContinuityViolation(
-            f"p has mass {bad:.3e} outside supp(q)"
-        )
-    return np.where(outside, 0.0, p / np.where(outside, 1.0, q))
+        return np.divide(p, q, out=g), None
+    outside = np.less(q, SUPPORT_EPS, out=outside)
+    bad = float(np.fmax.reduce(p, axis=None, where=outside, initial=-np.inf))
+    if bad > AC_EPS:
+        raise AbsoluteContinuityViolation(f"p has mass {bad:.3e} outside supp(q)")
+    g = np.empty_like(q) if g is None else g
+    np.copyto(g, q)
+    np.copyto(g, 1.0, where=outside)
+    np.divide(p, g, out=g)
+    np.copyto(g, 0.0, where=outside)
+    return g, outside
 
 
-def _divergences(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """chi2, kl and tv of state-major pairs (d, ...) as sums of rows.
+def _work(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """_divergences' work arrays for pairs of this shape (d, ...): the ratio,
+    one term and one mask like the pairs, and the three sums (3, ...)."""
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool), np.empty((3, *shape[1:]))
 
-    The one definition of the three formulas; one density_ratio call checks
-    absolute continuity for the whole block.
+
+def _divergences(p: np.ndarray, q: np.ndarray, work=None) -> np.ndarray:
+    """chi2, kl and tv of state-major pairs (d, ...) as sums of rows, (3, ...).
+
+    The one definition of the three formulas; one density ratio checks
+    absolute continuity for the whole block.  work is _work(p.shape), or
+    views of that shape into larger work arrays, allocated when not given;
+    the sums returned are its last array.  Each term is formed in place by
+    the elementwise operations of the formulas, so the bits do not depend
+    on work.  A term outside supp(q), and a log term where gamma <= 0, is 0.
     """
-    g = density_ratio(p, q)
-    q_inside = q if q.min(initial=np.inf) >= SUPPORT_EPS else np.where(q >= SUPPORT_EPS, q, 0.0)
+    g, t, mask, sums = _work(p.shape) if work is None else work
+    _, outside = _ratio(p, q, g, mask)
+    np.subtract(g, 1.0, out=t)
+    np.square(t, out=t)
+    np.multiply(t, q, out=t)
+    if outside is not None:
+        np.copyto(t, 0.0, where=outside)
+    _sum_rows(t, sums[0, ...])  # a view also when the pairs are single laws
     if g.min(initial=np.inf) > 0.0:
-        log_terms = g * np.log(g)
+        np.log(g, out=t)
+        np.multiply(t, g, out=t)
+        np.multiply(t, q, out=t)
     else:
-        log_terms = np.where(g > 0.0, g * np.log(np.where(g > 0.0, g, 1.0)), 0.0)
-    chi2_terms = ((g - 1.0) ** 2) * q_inside
-    return _sum_rows(chi2_terms), _sum_rows(log_terms * q_inside), _tv_rows(p, q)
+        positive = np.greater(g, 0.0, out=mask)  # g is 0 outside supp(q)
+        t.fill(0.0)
+        np.log(g, out=t, where=positive)
+        np.multiply(t, g, out=t, where=positive)
+        np.multiply(t, q, out=t, where=positive)
+    _sum_rows(t, sums[1, ...])
+    _tv_rows(p, q, t, sums[2, ...])
+    return sums
 
 
-def _tv_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return 0.5 * _sum_rows(np.abs(p - q))
+def _tv_rows(p: np.ndarray, q: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.subtract(p, q, out=t)
+    np.abs(t, out=t)
+    _sum_rows(t, out)
+    out *= 0.5
+    return out
 
 
-def _divergence_batch(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _divergence_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """chi2, kl and tv of stacked pairs (..., d): _divergences on the state-major view."""
     return _divergences(np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0))
 
@@ -127,7 +165,8 @@ def tv(p, q) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise DimensionMismatch(f"shapes {p.shape} and {q.shape} differ")
-    return float(_tv_rows(np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)))
+    p, q = np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)
+    return float(_tv_rows(p, q, np.empty(p.shape), np.empty(p.shape[1:])))
 
 
 def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,16 +8,18 @@ each kernel block's increments from them.  All paths of an ensemble, and
 any extra paths sampled under nu for their nu-filters, are filtered in one
 lockstep pass; ensemble reductions add the paths in path-index order.  The
 divergence observer copies each step's filter pairs into a state-major
-(d, 2, steps, P) block and computes chi2, kl, tv and, on request, the
+(2, d, steps, P) block and computes chi2, kl, tv and, on request, the
 per-step increments of the signal and drift integrals once per block of
 steps; one cumulative sum along each (P, n + 1) array after the pass makes
 the running integrals.  The values equal those of a reduction and a
 running sum at every step, bit for bit (the integrals' products taken on
 stacked (steps, P, d) pairs: at P = 1 a 2-D (1, d) product rounds
-differently).  It reduces each block at once to per-time means and
-standard errors: one _mean_se over a C-contiguous (P, 3 steps) stack of
-chi2, kl and tv, at least 3 columns wide, so the series equal the
-reduction of whole (P, n + 1) arrays bit for bit and none is kept.
+differently).  The block, the divergences' work arrays and the stack
+below are allocated once per pass, so the divergences of a flush
+allocate nothing block-sized.  It reduces each block at once to per-time
+means and standard errors: one _mean_se over a C-contiguous (P, 3 steps)
+stack of chi2, kl and tv, at least 3 columns wide, so the series equal
+the reduction of whole (P, n + 1) arrays bit for bit and none is kept.
 Per-path values stay only where they are read: chi2 at t = 0, and under
 record_integrals the chi2 and kl series beside the integrals.
 """
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DivergenceSeries, _divergences, _mean_se, chi2_drift_batch
+from .divergence import DivergenceSeries, _divergences, _mean_se, _work, chi2_drift_batch
 from .errors import DegenerateMass, DimensionMismatch, EmptyLevelSet, NonPositiveNoise
 from .filtering import _BLOCK_STEPS, evolve_ensemble, evolve_noiseless_ensemble
 from .model import HmmModel, as_simplex
@@ -190,7 +192,8 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
     if record_integrals:
         chi2_v, kl_v, signal, drift = (np.empty((n_paths, n_steps + 1)) for _ in range(4))
     hu = model.h_unit
-    block = np.empty((model.d, 2, min(_BLOCK_STEPS, n_steps + 1), n_paths))
+    block = np.empty((2, model.d, min(_BLOCK_STEPS, n_steps + 1), n_paths))
+    work = _work(block.shape[1:])
     stack = np.empty((n_paths, 3, block.shape[2]))
     done = seen = 0  # steps done .. seen - 1 wait in block
 
@@ -199,27 +202,26 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
         k0, k1 = done, seen
         done = seen
         pq = block[:, :, : k1 - k0]
-        values = _divergences(pq[:, 0], pq[:, 1])
-        for i, v in enumerate(values):
-            stack[:, i, : k1 - k0] = v.T
+        values = stack[:, :, : k1 - k0]
+        values[...] = _divergences(pq[0], pq[1], [w[:, : k1 - k0] for w in work]).transpose(2, 0, 1)
         # one C-contiguous (P, 3 steps) array: at least 3 columns (_mean_se)
-        mean, se = _mean_se(stack[:, :, : k1 - k0].reshape(n_paths, 3 * (k1 - k0)))
+        mean, se = _mean_se(values.reshape(n_paths, 3 * (k1 - k0)))
         means[:, k0:k1] = mean.reshape(3, -1)
         ses[:, k0:k1] = se.reshape(3, -1)
         if k0 == 0:
-            initial_chi2[:] = values[0][0]
+            initial_chi2[:] = values[:, 0, 0]
         if signal is None:
             return
-        chi2_v[:, k0:k1] = values[0].T
-        kl_v[:, k0:k1] = values[1].T
+        chi2_v[:, k0:k1] = values[:, 0]
+        kl_v[:, k0:k1] = values[:, 1]
         # step k's pair (k < n_steps) gives the integrals' increment over (t_k, t_{k+1}]
-        p, q = np.moveaxis(pq[:, :, : min(k1, n_steps) - k0], 0, -1)
+        p, q = np.moveaxis(pq[:, :, : min(k1, n_steps) - k0], 1, -1)
         signal[:, k0 + 1 : k0 + 1 + len(p)] = ((((p - q) @ hu) ** 2).sum(axis=-1) * dt).T
         drift[:, k0 + 1 : k0 + 1 + len(p)] = (chi2_drift_batch(p, q, model) * dt).T
 
     def observer(step: int, pis: np.ndarray) -> None:
         nonlocal seen
-        block[:, :, step - done] = pis[:n_paths].transpose(2, 1, 0)
+        block[:, :, step - done] = pis[:n_paths].transpose(1, 2, 0)
         nu_filters[:, step] = pis[n_paths:, 1]
         seen = step + 1
         if seen - done == block.shape[2] or step == n_steps:

@@ -51,16 +51,18 @@ __all__ = ["wonham_step", "evolve_ensemble", "evolve_noiseless_ensemble"]
 _BLOCK_STEPS = 16
 
 
-def _sum_rows(x: np.ndarray) -> np.ndarray:
-    """x[0] + x[1] + ... added in row order.
+def _sum_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x[0] + x[1] + ... added in row order, into out when given.
 
     A sum over the leading (state) axis of a state-major array; for fewer
     than 8 rows it is bitwise equal to .sum over a trailing state axis.
     """
-    acc = x[0].copy()
+    if out is None:
+        out = np.empty(x.shape[1:])
+    np.copyto(out, x[0])
     for row in x[1:]:
-        acc += row
-    return acc
+        out += row
+    return out
 
 
 def _mass(S: np.ndarray) -> np.ndarray:

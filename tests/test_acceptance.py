@@ -196,8 +196,9 @@ def test_criterion_05_blocks_rates_increase_with_observation_gain(sweep62):
 
 
 def test_criterion_06_divergence_chain_on_random_pairs():
-    """Criterion 6: 2 TV^2 <= KL <= chi^2 holds exactly on ten thousand
-    random absolutely continuous simplex pairs of dimension at most 8."""
+    """Criterion 6: 2 TV^2 <= KL <= chi^2 holds to rounding, (2d + 6) eps
+    (1 + chi2) per pair, on ten thousand random absolutely continuous
+    simplex pairs of dimension at most 8."""
     start = time.perf_counter()
     rng = np.random.default_rng(SEED)
     ps, qs = [], []

@@ -1,5 +1,7 @@
 """Divergence functionals, chi-square drift terms, and rate fitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from filterlab.divergence import (
     DivergenceSeries,
     _divergence_batch,
     _divergences,
+    _work,
     chi2,
     chi2_drift_batch,
     chi2_drift_terms,
@@ -145,6 +148,60 @@ class TestStateMajorKernel:
             assert _same_bits(values, reference)
             for i in range(n):
                 assert _same_bits(values[i], scalar(p[i], q[i]))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_work_arrays_give_the_allocating_bits(self, data):
+        # the flush's call: views of a (2, d, steps, P) block into views of
+        # longer work arrays that hold stale values, used twice
+        d = data.draw(st.integers(2, 7), label="d")
+        steps = data.draw(st.integers(1, 5), label="steps")
+        n = data.draw(st.integers(1, 6), label="paths")
+        case = data.draw(st.sampled_from(["fast", "outside", "zero"]), label="case")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        block = np.empty((2, d, steps + data.draw(st.integers(0, 3), label="spare"), n))
+        pq = block[:, :, :steps]
+        pq[...] = rng.dirichlet(np.ones(d), size=(2, steps, n)).transpose(0, 3, 1, 2)
+        if case != "fast":
+            # p vanishes (or keeps less than AC_EPS) at one state of some pairs;
+            # in the "outside" case q drops below SUPPORT_EPS there as well
+            hit = rng.random((steps, n)) < 0.5
+            hit[0, 0] = True
+            state = rng.integers(d, size=(steps, n))
+            rows, cols = np.nonzero(hit)
+            pq[0, state[hit], rows, cols] = rng.choice([0.0, 1e-13], size=len(rows)) if case == "outside" else 0.0
+            if case == "outside":
+                pq[1, state[hit], rows, cols] = rng.choice([0.0, 1e-15], size=len(rows))
+        p, q = pq[0], pq[1]
+        reference = _divergences(p, q)
+        longer = _work((d, block.shape[2], n))
+        for w in longer:
+            w.fill(True if w.dtype == bool else np.nan)
+        for _ in range(2):
+            assert _same_bits(_divergences(p, q, [w[:, :steps] for w in longer]), reference)
+        assert _same_bits(_divergences(np.ascontiguousarray(p), np.ascontiguousarray(q), _work(p.shape)), reference)
+
+    @pytest.mark.parametrize("case", ["fast", "masked"])
+    def test_work_arrays_bound_the_peak_memory(self, rng, case):
+        # with its work arrays a (4, 16, 200) call allocates no block-sized
+        # array, also on a slice of a longer block; the bound, three (16, 200)
+        # arrays and 4 KiB, holds the 52 KB buffer numpy's iterator takes for
+        # operands that are not contiguous
+        d, steps, n = 4, 16, 200
+        block = rng.dirichlet(np.ones(d), size=(2, steps + 1, n)).transpose(0, 3, 1, 2).copy()
+        if case == "masked":
+            block[:, 1, :, ::3] = 0.0
+        work = _work((d, steps + 1, n))
+        for views in ([a[:, :steps] for a in block], [np.ascontiguousarray(a[:, :steps]) for a in block]):
+            args = (*views, [w[:, :steps] for w in work])
+            _divergences(*args)
+            tracemalloc.start()
+            try:
+                _divergences(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * steps * n * 8 + 4096
 
 
 class TestChi2Drift:

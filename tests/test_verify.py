@@ -1,6 +1,8 @@
 """Self-verification suite: deterministic checks must always pass and the
 statistical checks must be robust across seeds at reduced ensemble size."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,52 @@ class TestDeterministicChecks:
 
         monkeypatch.setattr(verify, "run_divergence_ensemble", rerun)
         assert verify.check_rerun_determinism(1).passed is False
+
+
+class TestRoundingBounds:
+    """The two deterministic checks that compare rounding allow the rounding
+    of their terms: they pass at the seeds where a fixed bound failed, and a
+    residual 100 times the bound fails."""
+
+    def test_both_checks_at_the_seeds_a_fixed_bound_failed(self):
+        # seed 18 has a drift near 1e6, seed 146 a two-state pair with KL = 2e-15
+        seeds = [18, 37, 65, 77, 84, 86, 114, 138, 146, 159, 165, 195, 197, *range(20)]
+        for check in (verify.check_drift_identity, verify.check_divergence_chain):
+            for seed in seeds:
+                result = check(seed)
+                assert result.passed, (seed, result.detail)
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_drift_residual_of_100_bounds_fails(self, monkeypatch, which):
+        # which = 0 shifts the identity's drift, 1 the constant-h drift, 2 c2
+        terms_of = verify.chi2_drift_terms
+
+        def shifted(p, q, model):
+            terms = terms_of(p, q, model)
+            constant_h = np.ptp(model.H) == 0.0
+            if constant_h != (which > 0):
+                return terms
+            bound = verify._drift_bounds(p, q, model)[which]
+            if which == 2:
+                return dataclasses.replace(terms, c2=terms.c2 + 100.0 * bound)
+            return dataclasses.replace(terms, drift=terms.drift + 100.0 * bound)
+
+        monkeypatch.setattr(verify, "chi2_drift_terms", shifted)
+        assert verify.check_drift_identity(18).passed is False
+
+    @pytest.mark.parametrize("side", ["kl-tv", "chi2-kl"])
+    def test_chain_deficit_of_100_bounds_fails(self, monkeypatch, side):
+        batch = verify._divergence_batch
+
+        def lowered(p, q):
+            values = batch(p, q)
+            c, k, t = values
+            deficit = 100.0 * verify._rounding_bound(2 * p.shape[-1] + 6, 1.0 + c[0])
+            k[0] = 2.0 * t[0] ** 2 - deficit if side == "kl-tv" else c[0] + deficit
+            return values
+
+        monkeypatch.setattr(verify, "_divergence_batch", lowered)
+        assert verify.check_divergence_chain(146).passed is False
 
 
 def _estimate(y0, stderr):
