@@ -26,7 +26,9 @@ and X_T at each horizon's grid step as the pass reaches it, so a study
 costs max(T_list) of simulation and filtering rather than sum(T_list);
 initial state row r uses the streams r * N onwards for every horizon.  It
 holds one kept state's path batch at a time, so its peak is about
-N * max(T_list) / dt * m floats of increments.
+N * max(T_list) / dt * m floats of increments.  Every standard error of a
+study reads one _moments pass over its samples: the per-state means and
+their covariances between the horizons that share each state's paths.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import AC_EPS, _divergence_batch, _mean_se, chi2, density_ratio
+from .divergence import AC_EPS, _divergence_batch, chi2, density_ratio
 from .ensemble import sample_path_batch
 from .errors import AssumptionA1Violated, DimensionMismatch
 from .filtering import evolve_ensemble
@@ -125,20 +127,53 @@ def _state_samples(
     return out
 
 
+def _moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state means (3, H, K) of the study's samples (3, H, K, N) and the
+    covariances (3, K, H, H) of those means between the H horizons, which
+    share each state's N paths; the diagonal is var(ddof=1) / N."""
+    n = samples.shape[-1]
+    means = samples.mean(axis=-1)
+    dev = samples - means[..., None]
+    return means, np.einsum("ahkn,agkn->akhg", dev, dev) / ((n - 1) * n)
+
+
+def _stratified(w: np.ndarray, m: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """The stratified mean w . m of per-state means m with variances v, and
+    its standard error sqrt(w^2 . v)."""
+    return float(w @ m), float(np.sqrt(w**2 @ v))
+
+
+def _nu_mean(est: BackwardMapEstimate, nu) -> tuple[float, float]:
+    """nu(y0) of a backward-map estimate and its standard error, over nu
+    normalized to the simplex; nu(y0) = 1 in law."""
+    return _stratified(as_simplex(nu, d=est.y0.shape[0]), est.y0, est.stderr**2)
+
+
+def _var_nu_y0_se(a: np.ndarray, e: np.ndarray, cov: np.ndarray, w_nu: np.ndarray) -> float:
+    """Delta-method standard error of sum_h a_h var_nu_y0(T_h).
+
+    e (H, K) is y0_hat - 1 and cov (K, H, H) the covariances of the
+    Rao-Blackwell means at the H horizons, w_nu is nu on the K kept states.
+    Each horizon estimates sum_x nu(x) ((y0(x) - 1)^2 - C_hh(x)); the delta
+    method, with its Gaussian second-order term, gives
+
+        sum_x nu(x)^2 sum_{g,h} a_g a_h (4 e_g e_h C_gh + 2 C_gh^2).
+
+    The unit vector a = 1_h gives var_nu_y0_se at T_h and a = 1_{h-1} - 1_h
+    the drop_se there.
+    """
+    ee = np.einsum("gk,hk->kgh", e, e)
+    per_state = np.einsum("g,kgh,h->k", a, 4.0 * ee * cov + 2.0 * cov**2, a)
+    return float(np.sqrt(max(float(w_nu**2 @ per_state), 0.0)))
+
+
 def _estimate_from(
-    values: np.ndarray, kept: np.ndarray, skipped: tuple[int, ...], d: int, T: float, kind: str
+    mean: np.ndarray, var: np.ndarray, kept: np.ndarray, skipped: tuple[int, ...], d: int, T: float, n: int, kind: str
 ) -> BackwardMapEstimate:
     y0 = np.zeros(d)
     se = np.zeros(d)
-    y0[kept], se[kept] = _mean_se(values.T)
-    return BackwardMapEstimate(
-        y0=y0,
-        stderr=se,
-        n_paths=values.shape[1],
-        T=float(T),
-        estimator_kind=kind,
-        skipped_states=skipped,
-    )
+    y0[kept], se[kept] = mean, np.sqrt(var)
+    return BackwardMapEstimate(y0=y0, stderr=se, n_paths=n, T=float(T), estimator_kind=kind, skipped_states=skipped)
 
 
 def essential_infimum_ratio(mu, nu) -> float:
@@ -162,8 +197,9 @@ class DecayDiagnostics:
     are both nonnegative in expectation; their standard errors combine the
     ingredient errors in quadrature (cross-covariances neglected).
     drop_se is the standard error of the drop var_nu_y0(previous horizon) -
-    var_nu_y0(T) on the paths both horizons share (see _drop_se); it is None
-    at the first horizon of a study.
+    var_nu_y0(T) on the paths both horizons share, from the same quadratic
+    form as var_nu_y0_se (see _var_nu_y0_se); it is None at the first
+    horizon of a study.
     """
 
     T: float
@@ -186,64 +222,24 @@ class DecayDiagnostics:
     drop_se: float | None = None
 
 
-def _drop_se(before: np.ndarray, after: np.ndarray, w_nu: np.ndarray) -> float:
-    """Paired standard error of var_nu_y0(before) - var_nu_y0(after).
-
-    before and after are the (n_states_kept, N) Rao-Blackwell values of the
-    same paths at two horizons and w_nu is nu on the kept states, so
-    the per-state means a, b are correlated with sample covariance c next
-    to the variances va, vb of the means.  Each horizon estimates
-    sum_x nu(x) ((y0(x) - 1)^2 - v_x); the delta method (with the Gaussian
-    second-order term that var_nu_y0_se also carries) gives per state
-
-        4 (ea^2 va + eb^2 vb - 2 ea eb c) + 2 (va^2 + vb^2 - 2 c^2),
-
-    ea = a - 1, eb = b - 1, weighted by nu(x)^2.  With c = 0 it reduces to
-    the quadrature sum of the two var_nu_y0_se.
-    """
-    n = before.shape[1]
-    ea = before.mean(axis=1) - 1.0
-    eb = after.mean(axis=1) - 1.0
-    da = before - before.mean(axis=1, keepdims=True)
-    db = after - after.mean(axis=1, keepdims=True)
-
-    def cov(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return (u * v).sum(axis=1) / ((n - 1) * n)
-
-    va, vb, c = cov(da, da), cov(db, db), cov(da, db)
-    per_state = 4.0 * (ea**2 * va + eb**2 * vb - 2.0 * ea * eb * c) + 2.0 * (va**2 + vb**2 - 2.0 * c**2)
-    return float(np.sqrt(max(float(w_nu**2 @ per_state), 0.0)))
-
-
 def _decay_from(
-    rb: np.ndarray,
-    chi2_T: np.ndarray,
-    kept: np.ndarray,
-    skipped: tuple[int, ...],
-    mu: np.ndarray,
-    nu: np.ndarray,
-    T: float,
-    drop_se: float | None,
+    means: np.ndarray, cov: np.ndarray, i: int, kept: np.ndarray, skipped: tuple[int, ...],
+    mu: np.ndarray, nu: np.ndarray, T: float, n: int,
 ) -> DecayDiagnostics:
-    """Variance-decay diagnostics at horizon T from the (n_states_kept, N)
-    rb and chi2_T samples of the kept states."""
+    """Variance-decay diagnostics at horizon i of a study from the _moments
+    of its samples."""
     chi2_prior = chi2(mu, nu)
     w_nu = nu[kept]
     w_mu = mu[kept]
-    n = rb.shape[1]
-    m_chi2 = chi2_T.mean(axis=1)
-    v_chi2 = chi2_T.var(axis=1, ddof=1) / n
-    y0 = rb.mean(axis=1)
-    v_y0 = rb.var(axis=1, ddof=1) / n
+    v_chi2 = cov[2, :, i, i]
+    var_gam, var_gam_se = _stratified(w_nu, means[2, i], v_chi2)
+    mean_mu, mean_mu_se = _stratified(w_mu, means[2, i], v_chi2)
 
-    var_gam = float(w_nu @ m_chi2)
-    var_gam_se = float(np.sqrt(w_nu**2 @ v_chi2))
-    mean_mu = float(w_mu @ m_chi2)
-    mean_mu_se = float(np.sqrt(w_mu**2 @ v_chi2))
-
-    dev2 = (y0 - 1.0) ** 2
-    var_y0 = float(w_nu @ (dev2 - v_y0))
-    var_y0_se = float(np.sqrt(w_nu**2 @ (4.0 * dev2 * v_y0 + 2.0 * v_y0**2)))
+    e = means[1] - 1.0
+    unit = np.eye(len(e))
+    var_y0 = float(w_nu @ (e[i] ** 2 - cov[1, :, i, i]))
+    var_y0_se = _var_nu_y0_se(unit[i], e, cov[1], w_nu)
+    drop_se = None if i == 0 else _var_nu_y0_se(unit[i - 1] - unit[i], e, cov[1], w_nu)
 
     if var_gam > 0.0:
         r = mean_mu / var_gam
@@ -332,18 +328,17 @@ def backward_map_study(
         raise DimensionMismatch("T_list must be nonempty with strictly increasing grid steps")
     kept = np.flatnonzero(nu > AC_EPS)
     skipped = tuple(int(x) for x in np.flatnonzero(nu <= AC_EPS))
-    plain, rb, chi2_T = np.stack(
-        [_state_samples(model, mu, nu, x, row, T_list, n_paths, master_seed, dt) for row, x in enumerate(kept)],
-        axis=2,
+    means, cov = _moments(
+        np.stack(
+            [_state_samples(model, mu, nu, x, row, T_list, n_paths, master_seed, dt) for row, x in enumerate(kept)],
+            axis=2,
+        )
     )
-    diagnostics = [
-        _decay_from(rb[i], chi2_T[i], kept, skipped, mu, nu, T, None if i == 0 else _drop_se(rb[i - 1], rb[i], nu[kept]))
-        for i, T in enumerate(T_list)
-    ]
+    diagnostics = [_decay_from(means, cov, i, kept, skipped, mu, nu, T, n_paths) for i, T in enumerate(T_list)]
     return (
         diagnostics,
-        _estimate_from(plain[-1], kept, skipped, model.d, T_list[-1], "plain"),
-        _estimate_from(rb[-1], kept, skipped, model.d, T_list[-1], "rao-blackwell"),
+        _estimate_from(means[0, -1], cov[0, :, -1, -1], kept, skipped, model.d, T_list[-1], n_paths, "plain"),
+        _estimate_from(means[1, -1], cov[1, :, -1, -1], kept, skipped, model.d, T_list[-1], n_paths, "rao-blackwell"),
     )
 
 

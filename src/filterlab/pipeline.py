@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import ExperimentConfig, _grid_check, config_to_dict, model_for_sweep_value
 from .divergence import DivergenceSeries, chi2, fit_exponential_rate, kl, tv
-from .dual import ENVELOPE_TAU, backward_map_study, theorem2_envelope
+from .dual import ENVELOPE_TAU, _nu_mean, backward_map_study, theorem2_envelope
 from .ensemble import run_divergence_sweep
 from .errors import (
     AssumptionA1Violated,
@@ -270,14 +270,12 @@ def run_backward_map(cfg: ExperimentConfig) -> dict:
         raise FilterLabError(
             "backward-map diagnostics need a noisy observation model (r > 0)"
         )
-    nu = as_simplex(cfg.nu, d=model.d)
     diags, plain, rb = backward_map_study(
         model, cfg.mu, cfg.nu, cfg.T_list, cfg.n_paths, cfg.master_seed, cfg.dt
     )
     estimates = {}
     for est in (plain, rb):
-        nu_mean = float(nu @ est.y0)
-        nu_mean_se = float(np.sqrt(nu**2 @ est.stderr**2))
+        nu_mean, nu_mean_se = _nu_mean(est, cfg.nu)
         estimates[est.estimator_kind] = {
             "T": est.T,
             "n_paths_per_state": est.n_paths,

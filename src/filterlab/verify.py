@@ -33,7 +33,7 @@ from .divergence import (
     kl,
     tv,
 )
-from .dual import backward_map_study
+from .dual import _nu_mean, backward_map_study
 from .ensemble import run_divergence_ensemble, sample_path_batch
 from .errors import ConfigError, FilterLabError, GridMismatch
 from .filtering import _subgenerator_expm, evolve_ensemble, evolve_noiseless_ensemble
@@ -136,9 +136,8 @@ def rao_blackwell_variance_reduction(plain, rb) -> CheckResult:
 
 def backward_map_normalization(est, nu) -> CheckResult:
     """nu(y0) = 1, the normalization of the backward map."""
-    nu = np.asarray(nu, dtype=float)
-    se = np.sqrt(nu**2 @ est.stderr**2)
-    return _near_zero("backward-map-normalization", "nu(y0) - 1", nu @ est.y0 - 1.0, se)
+    mean, se = _nu_mean(est, nu)
+    return _near_zero("backward-map-normalization", "nu(y0) - 1", mean - 1.0, se)
 
 
 def variance_decay_monotone(diags) -> CheckResult:

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filterlab.dual as dual_mod
 from conftest import BLOCKS_MU, BLOCKS_NU, CYCLE_MU, CYCLE_NU, interior_simplex, random_generator_matrix, series_of
@@ -165,10 +167,23 @@ class TestOnePassEngine:
             backward_map_study(cycle_model, CYCLE_MU, CYCLE_NU, (0.105, 0.2), 5, 0, dt=1e-2)
 
 
+def _rb_moments(*horizons):
+    """_moments of a study whose Rao-Blackwell samples are the given (K, N)
+    arrays, one per horizon; the plain and chi2 samples are ones."""
+    rb = np.array(horizons, dtype=float)
+    return dual_mod._moments(np.stack([np.ones_like(rb), rb, np.ones_like(rb)]))
+
+
+def _drop_se(before, after, w_nu):
+    """Standard error of var_nu_y0(before) - var_nu_y0(after), a = (1, -1)."""
+    means, cov = _rb_moments(before, after)
+    return dual_mod._var_nu_y0_se(np.array([1.0, -1.0]), means[1] - 1.0, cov[1], w_nu)
+
+
 class TestDropStandardError:
     def test_identical_samples_give_zero(self):
         rb = np.random.default_rng(3).normal(1.0, 0.2, size=(3, 25))
-        assert dual_mod._drop_se(rb, rb, np.array([0.2, 0.3, 0.5])) == 0.0
+        assert _drop_se(rb, rb, np.array([0.2, 0.3, 0.5])) == 0.0
 
     def test_hand_built_stack_matches_formula(self):
         nu = np.array([0.4, 0.6])
@@ -185,7 +200,7 @@ class TestDropStandardError:
             term = 4.0 * (ea**2 * va + eb**2 * vb - 2.0 * ea * eb * c)
             term += 2.0 * (va**2 + vb**2 - 2.0 * c**2)
             total += nu[x] ** 2 * term
-        got = dual_mod._drop_se(np.array(before), np.array(after), nu)
+        got = _drop_se(np.array(before), np.array(after), nu)
         assert got == pytest.approx(np.sqrt(total), rel=0.0, abs=1e-12)
 
     def test_uncorrelated_samples_give_the_quadrature_sum(self):
@@ -193,8 +208,59 @@ class TestDropStandardError:
         nu, kept = np.array([0.4, 0.6]), np.arange(2)
         before = np.array([[1.3, 1.1, 1.3, 1.1], [0.6, 0.4, 0.6, 0.4]])
         after = np.array([[1.05, 1.05, 0.95, 0.95], [0.9, 0.9, 0.7, 0.7]])
-        se = [dual_mod._decay_from(rb, np.ones_like(rb), kept, (), nu, nu, 1.0, None).var_nu_y0_se for rb in (before, after)]
-        assert dual_mod._drop_se(before, after, nu[kept]) == pytest.approx(np.hypot(*se), abs=1e-12)
+        se = [dual_mod._decay_from(*_rb_moments(rb), 0, kept, (), nu, nu, 1.0, 4).var_nu_y0_se for rb in (before, after)]
+        assert _drop_se(before, after, nu[kept]) == pytest.approx(np.hypot(*se), abs=1e-12)
+
+
+def _samples(seed, H, K, N):
+    # (3, H, K, N) samples whose horizons share paths: each is the one before plus noise
+    rng = np.random.default_rng(seed)
+    return 1.0 + np.cumsum(rng.normal(0.0, 0.3, size=(3, H, K, N)), axis=1)
+
+
+def _rb_terms(x):
+    """(y0_hat - 1, covariances) of the Rao-Blackwell means of samples x."""
+    means, cov = dual_mod._moments(x)
+    return means[1] - 1.0, cov[1]
+
+
+class TestMoments:
+    @given(seed=st.integers(0, 2**31 - 1), H=st.integers(1, 4), K=st.integers(1, 4), N=st.integers(2, 50))
+    @settings(max_examples=100, deadline=None)
+    def test_covariances_are_those_of_the_means(self, seed, H, K, N):
+        # each entry within 1e-12 of its scale sqrt(C_gg C_hh): an entry near 0
+        # cancels, so a relative bound on it alone measures only rounding
+        x = _samples(seed, H, K, N)
+        means, cov = dual_mod._moments(x)
+        assert means.shape == (3, H, K) and cov.shape == (3, K, H, H)
+        np.testing.assert_array_equal(means, x.mean(axis=-1))
+        for j in range(3):
+            for k in range(K):
+                ref = np.atleast_2d(np.cov(x[j, :, k], ddof=1)) / N
+                scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+                assert np.all(np.abs(cov[j, k] - ref) <= 1e-12 * scale)
+
+    @given(seed=st.integers(0, 2**31 - 1), H=st.integers(1, 4), K=st.integers(1, 4), N=st.integers(2, 50))
+    @settings(max_examples=100, deadline=None)
+    def test_unit_vector_is_the_closed_form(self, seed, H, K, N):
+        x = _samples(seed, H, K, N)
+        w_nu = interior_simplex(np.random.default_rng(seed), K)
+        for h in range(H):
+            e = x[1, h].mean(axis=1) - 1.0
+            v = x[1, h].var(axis=1, ddof=1) / N
+            closed = np.sqrt(w_nu**2 @ (4.0 * e**2 * v + 2.0 * v**2))
+            got = dual_mod._var_nu_y0_se(np.eye(H)[h], *_rb_terms(x), w_nu)
+            assert got == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+    @given(seed=st.integers(0, 2**31 - 1), K=st.integers(1, 4), N=st.integers(2, 50))
+    @settings(max_examples=100, deadline=None)
+    def test_drop_ignores_the_other_horizons(self, seed, K, N):
+        x = _samples(seed, 3, K, N)
+        w_nu = interior_simplex(np.random.default_rng(seed), K)
+        a = np.array([0.0, 1.0, -1.0])
+        before = dual_mod._var_nu_y0_se(a, *_rb_terms(x), w_nu)
+        x[:, 0] = np.random.default_rng(seed + 1).normal(1.0, 2.0, size=(3, K, N))
+        assert dual_mod._var_nu_y0_se(a, *_rb_terms(x), w_nu) == before
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ import filterlab.dual as dual_mod
 import filterlab.ensemble as ensemble_mod
 import filterlab.sim as sim_mod
 from conftest import SERIES_FIELDS, filter_states
+from filterlab import verify
 from filterlab.config import _apply_overrides, load_config, model_for_sweep_value, preset_config
 from filterlab.ensemble import run_divergence_ensemble, run_divergence_sweep, sample_path_batch
 from filterlab.model import validate_model
@@ -227,6 +228,19 @@ class TestRunBackwardMap:
             report["diagnostics"][-1]["var_nu_y0"],
             rtol=1e-12,
         )
+
+    def test_normalization_check_reads_the_report_nu_mean(self, monkeypatch):
+        # nu sums to 1 + 5e-11, within the simplex tolerance: the report and
+        # verify's check both read nu(y0) over the normalized nu
+        cfg = _cycle_cfg(n_paths=20, T_list=(0.2,), dt=1e-2, nu=[0.25, 0.25, 0.25, 0.25 + 5e-11])
+        est = run_backward_map(cfg)["estimates"]["rao-blackwell"]
+        *_, rb = dual_mod.backward_map_study(
+            model_for_sweep_value(cfg, None), cfg.mu, cfg.nu, cfg.T_list, cfg.n_paths, cfg.master_seed, cfg.dt
+        )
+        seen = []
+        monkeypatch.setattr(verify, "_near_zero", lambda name, label, x, se: seen.append((x, se)))
+        verify.backward_map_normalization(rb, cfg.nu)
+        assert seen == [(est["nu_mean"] - 1.0, est["nu_mean_se"])]
 
     def test_diagnostics_match_decay_diagnostics(self):
         cfg = _cycle_cfg(n_paths=20, T_list=(0.1, 0.3), dt=1e-2)
