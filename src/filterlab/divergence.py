@@ -78,21 +78,22 @@ def _ratio(p: np.ndarray, q: np.ndarray, g=None, outside=None) -> tuple[np.ndarr
     """density_ratio, written into g when given, and the mask q < SUPPORT_EPS
     (into outside when given), None when q is inside its support everywhere.
 
-    The masked ratio divides p by q with 1 put outside and then writes 0
-    there: the bits of np.where.
+    No ufunc runs masked: the ratio is p / q with 0 written outside, the
+    bits of np.where, and p's mass outside is p max(sign(SUPPORT_EPS - q), 0).
     """
     if p.shape != q.shape:
         raise DimensionMismatch(f"shapes {p.shape} and {q.shape} differ")
     if q.min(initial=np.inf) >= SUPPORT_EPS:
         return np.divide(p, q, out=g), None
     outside = np.less(q, SUPPORT_EPS, out=outside)
-    bad = float(np.fmax.reduce(p, axis=None, where=outside, initial=-np.inf))
+    g = np.empty_like(q) if g is None else g
+    np.subtract(SUPPORT_EPS, q, out=g)
+    np.fmax(np.sign(g, out=g), 0.0, out=g)
+    bad = float(np.fmax.reduce(np.multiply(p, g, out=g), axis=None))
     if bad > AC_EPS:
         raise AbsoluteContinuityViolation(f"p has mass {bad:.3e} outside supp(q)")
-    g = np.empty_like(q) if g is None else g
-    np.copyto(g, q)
-    np.copyto(g, 1.0, where=outside)
-    np.divide(p, g, out=g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(p, q, out=g)
     np.copyto(g, 0.0, where=outside)
     return g, outside
 
@@ -111,7 +112,7 @@ def _divergences(p: np.ndarray, q: np.ndarray, work=None) -> np.ndarray:
     views of that shape into larger work arrays, allocated when not given;
     the sums returned are its last array.  Each term is formed in place by
     the elementwise operations of the formulas, so the bits do not depend
-    on work.  A term outside supp(q), and a log term where gamma <= 0, is 0.
+    on work.  A term outside supp(q), and a log term unless gamma > 0, is 0.
     """
     g, t, mask, sums = _work(p.shape) if work is None else work
     _, outside = _ratio(p, q, g, mask)
@@ -121,16 +122,12 @@ def _divergences(p: np.ndarray, q: np.ndarray, work=None) -> np.ndarray:
     if outside is not None:
         np.copyto(t, 0.0, where=outside)
     _sum_rows(t, sums[0, ...])  # a view also when the pairs are single laws
-    if g.min(initial=np.inf) > 0.0:
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0, then 0 * inf
         np.log(g, out=t)
         np.multiply(t, g, out=t)
         np.multiply(t, q, out=t)
-    else:
-        positive = np.greater(g, 0.0, out=mask)  # g is 0 outside supp(q)
-        t.fill(0.0)
-        np.log(g, out=t, where=positive)
-        np.multiply(t, g, out=t, where=positive)
-        np.multiply(t, q, out=t, where=positive)
+    if not g.min(initial=np.inf) > 0.0:  # g is 0 outside supp(q), or nan
+        np.copyto(t, 0.0, where=np.logical_not(np.greater(g, 0.0, out=mask), out=mask))
     _sum_rows(t, sums[1, ...])
     _tv_rows(p, q, t, sums[2, ...])
     return sums

@@ -9,10 +9,10 @@ any extra paths sampled under nu for their nu-filters, are filtered in one
 lockstep pass; ensemble reductions add the paths in path-index order.  The
 divergence observer copies each step's filter pairs into a state-major
 (2, d, steps, P) block and computes chi2, kl, tv and, on request, the
-per-step increments of the signal and drift integrals once per block of
-steps; one cumulative sum along each (P, n + 1) array after the pass makes
-the running integrals.  The values equal those of a reduction and a
-running sum at every step, bit for bit (the integrals' products taken on
+signal integral's increments and the drift at every step once per block;
+after the pass, trapezoid steps of the drift and one cumulative sum along
+each (P, n + 1) array make the running integrals.  Values equal a per-step
+reduction and running sum, bit for bit (the integrals' products taken on
 stacked (steps, P, d) pairs: at P = 1 a 2-D (1, d) product rounds
 differently).  The block, the divergences' work arrays and the stack
 below are allocated once per pass, so the divergences of a flush
@@ -102,7 +102,7 @@ class EnsembleDivergence:
     (n_paths, n + 1) series, signal_integral[i, k] is the running integral
     of |pi_s^mu(h/r) - pi_s^nu(h/r)|^2 up to time t_k along path i (the
     quantity in the pathwise relative-entropy identity) and drift_integral
-    the integrated chi-square drift; all four are None otherwise.
+    the chi-square drift's trapezoid-rule integral; all four are None otherwise.
     terminal_pis stacks the final filter states as (n_paths, 2, d) in the
     order (from_mu, from_nu).  nu_filters holds the nu-filter states
     (nu_paths, n + 1, d) of run_divergence_sweep's extra paths sampled
@@ -214,10 +214,11 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
             return
         chi2_v[:, k0:k1] = values[:, 0]
         kl_v[:, k0:k1] = values[:, 1]
-        # step k's pair (k < n_steps) gives the integrals' increment over (t_k, t_{k+1}]
-        p, q = np.moveaxis(pq[:, :, : min(k1, n_steps) - k0], 1, -1)
-        signal[:, k0 + 1 : k0 + 1 + len(p)] = ((((p - q) @ hu) ** 2).sum(axis=-1) * dt).T
-        drift[:, k0 + 1 : k0 + 1 + len(p)] = (chi2_drift_batch(p, q, model) * dt).T
+        # the drift at every step; step k < n_steps gives the signal's increment over (t_k, t_{k+1}]
+        p, q = np.moveaxis(pq, 1, -1)
+        drift[:, k0:k1] = chi2_drift_batch(p, q, model).T
+        p, q = p[: n_steps - k0], q[: n_steps - k0]
+        signal[:, k0 + 1 : k1 + 1] = ((((p - q) @ hu) ** 2).sum(axis=-1) * dt).T
 
     def observer(step: int, pis: np.ndarray) -> None:
         nonlocal seen
@@ -241,6 +242,8 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
             flush()
         raise
     if signal is not None:
+        drift[:, 1:] += drift[:, :-1]  # the trapezoid rule: (d_k + d_{k+1}) dt / 2 at k + 1
+        drift[:, 1:] *= 0.5 * dt
         signal[:, 0] = drift[:, 0] = 0.0
         np.cumsum(signal, axis=1, out=signal)
         np.cumsum(drift, axis=1, out=drift)

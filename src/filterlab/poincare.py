@@ -1,4 +1,4 @@
-"""Markov Poincare constants as generalized eigenvalue problems.
+"""Markov Poincare constants as spectral gaps of symmetrized energy forms.
 
 For a probability vector rho and generator A, the constant reported here is
 the largest c with
@@ -16,9 +16,13 @@ measure this is the classical Markov Poincare constant; with rho a filter
 state it is the conditional variant whose infimum along trajectories feeds
 the decay envelope.
 
-Both symmetric eigenproblems of the reduction (whitening the variance form,
-then the whitened energy form) go to LAPACK through np.linalg.eigh, since
-numpy is the package's only runtime dependency.
+With D = diag(rho) and M the energy form's matrix on the support,
+K = D^{-1/2} M D^{-1/2} is positive semidefinite with K sqrt(rho) = 0, so
+the constant is K's second eigenvalue: one symmetric eigenproblem, solved
+by np.linalg.eigh (numpy is the package's only runtime dependency), and
+clamped at 0, since a negative value is rounding.  The D^{-1/2} scaling
+loses accuracy when the support's masses span more than 1/PD_TOL, and
+such a support raises DegenerateVarianceForm.
 """
 
 from __future__ import annotations
@@ -57,33 +61,25 @@ class PiResult:
 
 
 def _pi_eigenproblem(A: np.ndarray, rho: np.ndarray, support: np.ndarray) -> PiResult:
-    """Solve the restricted generalized problem on a support of size >= 2."""
-    d = A.shape[0]
+    """Solve the symmetrized problem on a support of size >= 2."""
     rs = rho[support]
     rs = rs / rs.sum()
+    if rs.min() <= PD_TOL * rs.max():
+        raise DegenerateVarianceForm(f"support masses span {rs.min():.3e} to {rs.max():.3e}")
     asub = A[np.ix_(support, support)].copy()
     np.fill_diagonal(asub, 0.0)
     w_pair = rs[:, None] * asub
     sym = w_pair + w_pair.T
     m = np.diag(sym.sum(axis=1)) - sym
-    m = (m + m.T) / 2.0
-    c = np.diag(rs) - np.outer(rs, rs)
-    _, _, vt = np.linalg.svd(rs[None, :])
-    b = vt[1:].T
-    cr = b.T @ c @ b
-    wc, vc = np.linalg.eigh((cr + cr.T) / 2.0)
-    if wc.min() <= PD_TOL * max(1.0, wc.max()):
-        raise DegenerateVarianceForm(
-            f"restricted variance form has eigenvalue {wc.min():.3e}"
-        )
-    whiten = vc @ np.diag(1.0 / np.sqrt(wc)) @ vc.T
-    sw = whiten @ (b.T @ m @ b) @ whiten
-    sw = (sw + sw.T) / 2.0
-    ws, vs = np.linalg.eigh(sw)
-    f_supp = b @ (whiten @ vs[:, 0])
-    f_full = np.zeros(d)
-    f_full[support] = f_supp
-    return PiResult(constant=float(ws[0]), minimizer=f_full, support=support.copy())
+    root = np.sqrt(rs)
+    w, v = np.linalg.eigh(m / np.outer(root, root))
+    # off sqrt(rs): when the eigenvalue 0 is repeated, sqrt(rs) can lie in any
+    # rotation of the first two eigenvectors, so keep the one farther from it
+    u = v[:, :2] - np.outer(root, root @ v[:, :2])
+    u = u[:, np.argmax(np.linalg.norm(u, axis=0))]
+    f_full = np.zeros(A.shape[0])
+    f_full[support] = u / (np.linalg.norm(u) * root)
+    return PiResult(constant=max(float(w[1]), 0.0), minimizer=f_full, support=support.copy())
 
 
 def classical_pi_constant(A, mu_bar) -> PiResult:

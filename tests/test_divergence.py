@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import CYCLE_MU, CYCLE_NU, interior_simplex, random_generator_matrix, read_csv, series_of
 from filterlab import ensemble
 from filterlab.divergence import (
+    AC_EPS,
     MIN_FIT_POINTS,
     SUPPORT_EPS,
     DivergenceSeries,
@@ -30,6 +31,7 @@ from filterlab.errors import (
     NonPositiveSeries,
     WindowTooShort,
 )
+from filterlab.filtering import _sum_rows
 from filterlab.model import carre_du_champ, validate_model
 
 positive_masses = st.lists(
@@ -97,6 +99,34 @@ class TestDivergenceValues:
 
 def _same_bits(a, b) -> bool:
     return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+
+def _where_divergences(p, q):
+    """chi2, kl and tv of state-major pairs as written with masked (where=)
+    ufuncs: the oracle of the unmasked branch of _ratio and _divergences."""
+    outside = q < SUPPORT_EPS
+    if not outside.any():
+        g, outside = p / q, None
+    else:
+        bad = float(np.fmax.reduce(p, axis=None, where=outside, initial=-np.inf))
+        if bad > AC_EPS:
+            raise AbsoluteContinuityViolation(f"p has mass {bad:.3e} outside supp(q)")
+        g = q.copy()
+        np.copyto(g, 1.0, where=outside)
+        np.divide(p, g, out=g)
+        np.copyto(g, 0.0, where=outside)
+    t = np.square(g - 1.0) * q
+    if outside is not None:
+        np.copyto(t, 0.0, where=outside)
+    chi2_sum = _sum_rows(t)
+    positive = g > 0.0
+    t = np.zeros_like(g)
+    np.log(g, out=t, where=positive)
+    np.multiply(t, g, out=t, where=positive)
+    np.multiply(t, q, out=t, where=positive)
+    tv_sum = _sum_rows(np.abs(p - q))
+    tv_sum *= 0.5
+    return np.stack([chi2_sum, _sum_rows(t), tv_sum])
 
 
 class TestStateMajorKernel:
@@ -180,6 +210,32 @@ class TestStateMajorKernel:
         for _ in range(2):
             assert _same_bits(_divergences(p, q, [w[:, :steps] for w in longer]), reference)
         assert _same_bits(_divergences(np.ascontiguousarray(p), np.ascontiguousarray(q), _work(p.shape)), reference)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_masked_branch_equals_the_where_formulas(self, data):
+        # entries: exact zeros, q in (0, SUPPORT_EPS), p below and above AC_EPS
+        # outside supp(q), ordinary masses and nan, in any mix
+        d = data.draw(st.integers(2, 6), label="d")
+        n = data.draw(st.integers(1, 5), label="n")
+        entry = st.one_of(
+            st.just(0.0),
+            st.just(np.nan),
+            st.floats(0.0, SUPPORT_EPS, exclude_max=True),
+            st.floats(0.0, 10 * AC_EPS),
+            st.floats(0.01, 1.0),
+        )
+        p, q = (np.array(data.draw(st.lists(entry, min_size=d * n, max_size=d * n))).reshape(d, n) for _ in range(2))
+        try:
+            want = _where_divergences(p, q)
+        except AbsoluteContinuityViolation:
+            want = None
+        for work in (None, [w[:, :n] for w in _work((d, n + 2))]):
+            if want is None:
+                with pytest.raises(AbsoluteContinuityViolation):
+                    _divergences(p, q, work)
+            else:
+                assert _same_bits(_divergences(p, q, work), want)
 
     @pytest.mark.parametrize("case", ["fast", "masked"])
     def test_work_arrays_bound_the_peak_memory(self, rng, case):

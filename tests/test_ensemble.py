@@ -351,7 +351,8 @@ def _per_step_reference(model, mu, nu, n_paths, T, dt, seed, record_integrals):
 
     The integrals are formed as the ensemble forms them, from a state-major
     (d, 2, steps, P) stack of the filter pairs, but one stack of the whole
-    horizon, and added up step by step: at P = 1 a 2-D (1, d) product
+    horizon, and added up step by step, the signal by the left-point rule
+    and the drift by the trapezoid rule: at P = 1 a 2-D (1, d) product
     rounds differently from the stacked one.
     """
     batch = sample_path_batch(model, n_paths, T, dt, seed, mu)
@@ -370,11 +371,13 @@ def _per_step_reference(model, mu, nu, n_paths, T, dt, seed, record_integrals):
         evolve_ensemble(priors, batch.increments, dt, model, observer=observer)
     signal, drift = np.zeros((2, n_paths, n_steps + 1))
     if record_integrals:
-        p, q = np.moveaxis(pq[:, :, :n_steps], 0, -1)
-        signal_rate = (((p - q) @ model.h_unit) ** 2).sum(axis=-1)
-        for out, rate in [(signal, signal_rate), (drift, chi2_drift_batch(p, q, model))]:
-            for step in range(n_steps):
-                out[:, step + 1] = out[:, step] + rate[step] * dt
+        p, q = np.moveaxis(pq, 0, -1)
+        signal_rate = (((p[:n_steps] - q[:n_steps]) @ model.h_unit) ** 2).sum(axis=-1)
+        drift_rate = chi2_drift_batch(p, q, model)
+        for step in range(n_steps):
+            signal[:, step + 1] = signal[:, step] + signal_rate[step] * dt
+            # the trapezoid rule: the drift at both ends of the step
+            drift[:, step + 1] = drift[:, step] + (drift_rate[step] + drift_rate[step + 1]) * (0.5 * dt)
     return chi2_v, kl_v, tv_v, signal, drift
 
 

@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BLOCKS_A, CYCLE_A, interior_simplex, random_generator_matrix
+from filterlab.config import _apply_overrides, preset_config
 from filterlab.errors import DegenerateVarianceForm, DimensionMismatch
 from filterlab.model import carre_du_champ, invariant_measure, is_ergodic
+from filterlab.pipeline import run_simulate
 from filterlab.poincare import (
+    PD_TOL,
     classical_pi_constant,
     conditional_pi_constant,
     trajectory_pi_infimum,
@@ -16,7 +22,7 @@ from filterlab.poincare import (
 class TestClassicalConstant:
     def test_cycle_frozen_value(self):
         res = classical_pi_constant(CYCLE_A, np.full(4, 0.25))
-        assert res.constant == pytest.approx(2.0, abs=1e-8)
+        assert res.constant == pytest.approx(2.0, abs=1e-15)
 
     def test_two_state_closed_form(self, rng):
         # for rates (l12, l21) the only nonconstant direction gives
@@ -114,6 +120,50 @@ class TestCertification:
         P = np.eye(5)[perm]
         permuted = conditional_pi_constant(P @ A @ P.T, rho[perm]).constant
         assert permuted == pytest.approx(conditional_pi_constant(A, rho).constant, rel=1e-9)
+
+
+class TestSpectralGap:
+    """The constant is the smallest eigenvalue of the generalized problem
+    (energy form, variance form) on the rho-mean-zero subspace."""
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_generalized_eigenvalue(self, d, seed):
+        rng = np.random.default_rng(seed)
+        A = random_generator_matrix(rng, d)
+        rho = interior_simplex(rng, d)
+        # Q(f) = sum_{x != y} rho(x) A(x, y) (f(x) - f(y))^2 and V_rho
+        M = np.zeros((d, d))
+        for x in range(d):
+            for y in range(d):
+                if x != y:
+                    e = np.eye(d)[x] - np.eye(d)[y]
+                    M += rho[x] * A[x, y] * np.outer(e, e)
+        C = np.diag(rho) - np.outer(rho, rho)
+        B = scipy.linalg.null_space(rho[None, :])
+        want = scipy.linalg.eigh(B.T @ M @ B, B.T @ C @ B, eigvals_only=True)[0]
+        assert conditional_pi_constant(A, rho).constant == pytest.approx(want, rel=1e-10)
+
+    def test_blocks_state_with_a_faint_block_is_zero(self):
+        # a nu-filter state of the blocks preset at k = 2: both blocks are
+        # charged, the first with masses near 1e-10
+        rho = np.array([8.2e-11, 7.0e-11, 0.479, 0.521])
+        res = conditional_pi_constant(BLOCKS_A, rho / rho.sum())
+        assert 0.0 <= res.constant <= 1e-12
+        f = res.minimizer
+        assert f[0] == pytest.approx(f[1]) and f[2] == pytest.approx(f[3])
+
+    def test_masses_spanning_more_than_the_tolerance_raise(self):
+        rho = np.array([PD_TOL / 2, 0.3, 0.7 - PD_TOL / 2])
+        with pytest.raises(DegenerateVarianceForm):
+            conditional_pi_constant(random_generator_matrix(np.random.default_rng(0), 3), rho)
+
+    def test_simulate_reports_no_negative_constant_on_the_blocks(self):
+        overrides = {"k_list": [1.0, 2.0, 4.0], "n_paths": 8, "T": 0.5}
+        report, _ = run_simulate(_apply_overrides(preset_config("example-6.2"), overrides, "test"))
+        constants = [entry["conditional_pi_infimum"]["constant"] for entry in report["sweep"]]
+        assert all(c is not None and 0.0 <= c <= 1e-12 for c in constants), constants
+        assert 0.0 <= report["structure"]["classical_pi"]["constant"] <= 1e-12
 
 
 class TestConditionalConstant:
