@@ -24,11 +24,11 @@ diagnostics and the estimators, and owns the stream layout.  It runs one
 pass per initial state to the largest horizon and reduces the three filters
 and X_T at each horizon's grid step as the pass reaches it, so a study
 costs max(T_list) of simulation and filtering rather than sum(T_list);
-initial state row r uses the streams r * N onwards for every horizon.  It
-holds one kept state's path batch at a time, so its peak is about
-N * max(T_list) / dt * m floats of increments.  Every standard error of a
-study reads one _moments pass over its samples: the per-state means and
-their covariances between the horizons that share each state's paths.
+initial state row r uses the streams r * N onwards for every horizon.  Each
+process (a forked child may take the later states: ensemble._split_run)
+holds one kept state's path batch, N * max(T_list) / dt * m floats, at a
+time.  Every standard error reads one _moments pass: the per-state means
+and their covariances between horizons, which share each state's paths.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import AC_EPS, _divergence_batch, chi2, density_ratio
-from .ensemble import sample_path_batch
+from .ensemble import _split_run, sample_path_batch
 from .errors import AssumptionA1Violated, DimensionMismatch
 from .filtering import evolve_ensemble
 from .model import HmmModel, as_simplex
@@ -90,8 +90,7 @@ def _state_samples(
     Entry [:, i] is read at horizon T_list[i]'s grid step on the same paths:
     gamma_T(X_T) (plain), pi_T^{delta_x}(gamma_T) (rb) and
     chi2(pi_T^mu | pi_T^nu) (chi2_T).  This frame owns the state's path
-    batch, so it is released on return, before the next kept state draws
-    its own: a study holds one state's increments at a time.
+    batch, released on return: a process holds one state's increments at a time.
     """
     index = {_grid_steps(T, dt): i for i, T in enumerate(T_list)}
     point = np.zeros(model.d)
@@ -328,12 +327,12 @@ def backward_map_study(
         raise DimensionMismatch("T_list must be nonempty with strictly increasing grid steps")
     kept = np.flatnonzero(nu > AC_EPS)
     skipped = tuple(int(x) for x in np.flatnonzero(nu <= AC_EPS))
-    means, cov = _moments(
-        np.stack(
-            [_state_samples(model, mu, nu, x, row, T_list, n_paths, master_seed, dt) for row, x in enumerate(kept)],
-            axis=2,
-        )
+    samples = _split_run(
+        lambda rows: (_state_samples(model, mu, nu, x, row, T_list, n_paths, master_seed, dt) for row, x in rows),
+        enumerate(kept),
+        n_paths * steps[-1],
     )
+    means, cov = _moments(np.stack(list(samples), axis=2))
     diagnostics = [_decay_from(means, cov, i, kept, skipped, mu, nu, T, n_paths) for i, T in enumerate(T_list)]
     return (
         diagnostics,

@@ -26,6 +26,8 @@ record_integrals the chi2 and kl series beside the integrals.
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,9 @@ __all__ = [
     "run_divergence_ensemble",
     "run_divergence_sweep",
 ]
+
+# a child's share of fewer path-steps runs in the parent (break-even in CHANGES.md)
+FORK_MIN_PATH_STEPS = 50_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +157,8 @@ def run_divergence_sweep(models, mu, nu, n_paths, T, dt, master_seed, record_int
     computed once per run of equal H.  The kernel forms the increments of
     one block of steps at a time from the two, so no (P, n, m) increments
     array of a model exists.  Each ensemble equals its one-model run bit
-    for bit and is computed when asked for.
+    for bit.  The first half is computed when asked for; the later half may
+    run at once in a forked child (_split_run) with a drift of its own.
 
     nu_paths more paths, sampled under nu on the streams n_paths .. n_paths
     + nu_paths - 1, ride in the same engine call with nu in both prior
@@ -171,13 +177,59 @@ def run_divergence_sweep(models, mu, nu, n_paths, T, dt, master_seed, record_int
     starts = [np.cumsum(mu).tolist()] * n_paths + [np.cumsum(nu).tolist()] * nu_paths
     normals = None if all(m.noiseless for m in models) else np.empty((len(starts), len(grid) - 1, models[0].m))
     paths = _draw_paths(_jump_tables(models[0].A), starts, float(T), master_seed, 0, normals)
-    H = drift = None
-    for model in models:
-        if not model.noiseless and not np.array_equal(model.H, H):
-            H, drift = model.H, None  # drop the old drift before allocating the new
-            drift = np.zeros_like(normals)
-            _add_drift(drift, paths, H, grid)
-        yield _divergence_pass(model, mu, nu, paths, n_paths, grid, dt, record_integrals, normals, drift)
+
+    def passes(part):
+        H = drift = None
+        for model in part:
+            if not model.noiseless and not np.array_equal(model.H, H):
+                H, drift = model.H, None  # drop the old drift before allocating the new
+                drift = np.zeros_like(normals)
+                _add_drift(drift, paths, H, grid)
+            yield _divergence_pass(model, mu, nu, paths, n_paths, grid, dt, record_integrals, normals, drift)
+
+    yield from _split_run(passes, models, len(starts) * (len(grid) - 1))
+
+
+def _split_run(run, items, path_steps):
+    """Yield run(items), where run maps a list of items, each path_steps of
+    work, to an iterator over their results.  Given a second CPU, two items
+    and a later half of at least FORK_MIN_PATH_STEPS, a child made by
+    os.fork runs that half on the parent's arrays (copy-on-write) and
+    pickles back its results, up to its first exception, through a pipe.
+    They come out in item order, as in a serial run, once the child is reaped."""
+    items = list(items)
+    half = len(items) // 2  # the child, which post-processes nothing, takes an odd count's extra item
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2 or half == 0 or (len(items) - half) * path_steps < FORK_MIN_PATH_STEPS:
+        yield from run(items)
+        return
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child sends its outcomes and exits without returning
+        try:
+            os.close(read)  # so that a parent gone unread breaks the pipe instead of blocking the child
+            outcomes = []
+            try:
+                for result in run(items[half:]):
+                    outcomes.append((True, result))
+            except Exception as exc:
+                outcomes.append((False, exc))
+            with open(write, "wb") as fh:
+                pickle.dump(outcomes, fh, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        with open(read, "rb") as fh:
+            yield from run(items[:half])
+            outcomes = pickle.load(fh)
+    finally:  # the child has nothing left to do once its outcomes are read, or once the parent raised
+        os.kill(pid, 9)  # SIGKILL
+        os.waitpid(pid, 0)
+    for ok, result in outcomes:
+        if not ok:
+            raise result
+        yield result
 
 
 def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals, normals, drift_steps):

@@ -12,6 +12,7 @@ under the separate key "wall_clock_s" that determinism comparisons drop.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -112,9 +113,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, list[DivergenceSeries]]:
     sweep order; report["artifacts"] names each series' CSV file.
     """
     t_start = time.perf_counter()
-    values: list[float | None] = (
-        list(cfg.sweep_values) if cfg.sweep_kind is not None else [None]
-    )
+    values: list[float | None] = list(cfg.sweep_values) if cfg.sweep_kind is not None else [None]
     tags = [_sweep_tag(cfg, value) for value in values]
     if len(set(tags)) < len(tags):
         raise ConfigError(f"{cfg.sweep_kind}_list: two values share an output tag, among {tags}")
@@ -125,62 +124,62 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, list[DivergenceSeries]]:
     mu, nu = as_simplex(cfg.mu, d=cfg.d), as_simplex(cfg.nu, d=cfg.d)
     prior_divergences = {"chi2": chi2(mu, nu), "kl": kl(mu, nu), "tv": tv(mu, nu)}
     models = [model_for_sweep_value(cfg, value) for value in values]
-    ensembles = run_divergence_sweep(
+    # closing reaps a forked half of the sweep at once if a value's post-processing raises
+    with contextlib.closing(run_divergence_sweep(
         models, cfg.mu, cfg.nu, cfg.n_paths, cfg.T, cfg.dt, cfg.master_seed, nu_paths=PI_TRAJECTORY_PATHS
-    )
-    for value, model, tag in zip(values, models, tags):
-        ens = next(ensembles)
-        series = ens.series
-        fit_payload, fit_note = _fit_payload(series, cfg.rate_window)
+    )) as ensembles:
+        for value, model, tag in zip(values, models, tags):
+            ens = next(ensembles)
+            series = ens.series
+            fit_payload, fit_note = _fit_payload(series, cfg.rate_window)
 
-        c_inf, c_where = trajectory_pi_infimum(
-            model.A, ens.nu_filters[:, ::PI_TRAJECTORY_STRIDE], series.times[::PI_TRAJECTORY_STRIDE]
-        )
-        c_path, c_time = c_where if c_where is not None else (None, None)
+            c_inf, c_where = trajectory_pi_infimum(
+                model.A, ens.nu_filters[:, ::PI_TRAJECTORY_STRIDE], series.times[::PI_TRAJECTORY_STRIDE]
+            )
+            c_path, c_time = c_where if c_where is not None else (None, None)
 
-        c_env = max(c_inf, 0.0) if np.isfinite(c_inf) else 0.0
-        envelope_payload = None
-        try:
-            report = theorem2_envelope(model, cfg.mu, cfg.nu, series, c_env)
-            envelope_payload = {
-                "c_estimate": report.c_estimate,
-                "tau": ENVELOPE_TAU,
-                "a_lower": report.a_lower,
-                "n_violations": report.n_violations,
-                "first_violation_time": report.first_violation_time,
+            c_env = max(c_inf, 0.0) if np.isfinite(c_inf) else 0.0
+            try:
+                report = theorem2_envelope(model, cfg.mu, cfg.nu, series, c_env)
+                envelope_payload = {
+                    "c_estimate": report.c_estimate,
+                    "tau": ENVELOPE_TAU,
+                    "a_lower": report.a_lower,
+                    "n_violations": report.n_violations,
+                    "first_violation_time": report.first_violation_time,
+                }
+            except AssumptionA1Violated as exc:
+                envelope_payload = {"skipped": str(exc)}
+
+            entry = {
+                "value": value,
+                "tag": tag,
+                "noiseless": model.noiseless,
+                "rate_fit": fit_payload,
+                "note": fit_note,
+                "chi2_initial": float(series.chi2_mean[0]),
+                "chi2_terminal_mean": float(series.chi2_mean[-1]),
+                "chi2_terminal_se": _json_float(series.chi2_se[-1]),
+                "conditional_pi_infimum": {
+                    "constant": c_inf if np.isfinite(c_inf) else None,
+                    "path": c_path,
+                    "time": c_time,
+                },
+                "envelope": envelope_payload,
             }
-        except AssumptionA1Violated as exc:
-            envelope_payload = {"skipped": str(exc)}
-
-        entry = {
-            "value": value,
-            "tag": tag,
-            "noiseless": model.noiseless,
-            "rate_fit": fit_payload,
-            "note": fit_note,
-            "chi2_initial": float(series.chi2_mean[0]),
-            "chi2_terminal_mean": float(series.chi2_mean[-1]),
-            "chi2_terminal_se": _json_float(series.chi2_se[-1]),
-            "conditional_pi_infimum": {
-                "constant": c_inf if np.isfinite(c_inf) else None,
-                "path": c_path,
-                "time": c_time,
-            },
-            "envelope": envelope_payload,
-        }
-        checks[f"initial_divergence_matches_priors[{tag}]"] = bool(
-            np.all(np.abs(ens.initial_chi2 - _initial_chi2(model, mu, nu, ens.initial_states)) <= 1e-10)
-            if model.noiseless
-            else abs(series.chi2_mean[0] - prior_divergences["chi2"]) <= 1e-10
-        )
-        sums = ens.terminal_pis.sum(axis=-1)
-        checks[f"terminal_simplex[{tag}]"] = bool(
-            np.all(np.abs(sums - 1.0) <= 1e-9) and np.all(ens.terminal_pis >= -1e-12)
-        )
-        sweep_reports.append(entry)
-        sweep_series.append(series)
-        # drop this value's ensemble before the next one allocates its arrays
-        del ens, series
+            checks[f"initial_divergence_matches_priors[{tag}]"] = bool(
+                np.all(np.abs(ens.initial_chi2 - _initial_chi2(model, mu, nu, ens.initial_states)) <= 1e-10)
+                if model.noiseless
+                else abs(series.chi2_mean[0] - prior_divergences["chi2"]) <= 1e-10
+            )
+            sums = ens.terminal_pis.sum(axis=-1)
+            checks[f"terminal_simplex[{tag}]"] = bool(
+                np.all(np.abs(sums - 1.0) <= 1e-9) and np.all(ens.terminal_pis >= -1e-12)
+            )
+            sweep_reports.append(entry)
+            sweep_series.append(series)
+            # drop this value's ensemble before the next one allocates its arrays
+            del ens, series
 
     report = {
         "command": "simulate",

@@ -123,10 +123,10 @@ def trajectory_pi_infimum(A, pis, times):
     """Infimum of the conditional constant along filter trajectories.
 
     pis holds the filter states (P, k, d) of P paths at the k times in
-    times.  Evaluates conditional_pi_constant at every state and returns
-    (c_inf, (path_index, time)); +inf values (point masses, degenerate
-    variance forms) are ignored.  When nothing finite is found the result
-    is (inf, None).
+    times.  Evaluates conditional_pi_constant at each state, in order, up
+    to the first that reaches 0, and returns (c_inf, (path_index, time));
+    +inf values (point masses, degenerate variance forms) are ignored.
+    When nothing finite is found the result is (inf, None).
     """
     best = math.inf
     where = None
@@ -139,4 +139,6 @@ def trajectory_pi_infimum(A, pis, times):
             if res.constant < best:
                 best = res.constant
                 where = (i, float(t))
+                if best == 0.0:  # constants are clamped at 0, so no later state is lower
+                    return best, where
     return best, where

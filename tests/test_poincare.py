@@ -6,8 +6,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BLOCKS_A, CYCLE_A, interior_simplex, random_generator_matrix
+import filterlab.poincare as poincare_mod
+from conftest import BLOCKS_A, BLOCKS_NU, CYCLE_A, interior_simplex, random_generator_matrix
 from filterlab.config import _apply_overrides, preset_config
+from filterlab.ensemble import run_divergence_sweep
 from filterlab.errors import DegenerateVarianceForm, DimensionMismatch
 from filterlab.model import carre_du_champ, invariant_measure, is_ergodic
 from filterlab.pipeline import run_simulate
@@ -214,6 +216,29 @@ class TestTrajectoryInfimum:
         assert c_all == pytest.approx(0.0, abs=1e-10)
         assert c_skip > 0.0
         assert where[1] in (0.0, 0.2)
+
+    def test_stops_at_the_first_zero(self, blocks_model, monkeypatch):
+        # nu-filters that stay in one block (positive constants), then
+        # nu-filters that charge both blocks (constant 0 from t = 0)
+        pis, times = [], None
+        for prior in ([0.5, 0.5, 0.0, 0.0], BLOCKS_NU):
+            ens = next(run_divergence_sweep([blocks_model], prior, prior, 4, 0.3, 1e-3, 5, nu_paths=4))
+            pis.append(ens.nu_filters[:, ::50])
+            times = ens.series.times[::50]
+        pis = np.concatenate(pis)
+        # the exhaustive loop: the first state, in order, at the smallest constant
+        constants = [[conditional_pi_constant(BLOCKS_A, pi).constant for pi in path] for path in pis]
+        best = min(min(path) for path in constants)
+        where = next((i, float(times[k])) for i, path in enumerate(constants) for k, c in enumerate(path) if c == best)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return conditional_pi_constant(*args)
+
+        monkeypatch.setattr(poincare_mod, "conditional_pi_constant", counting)
+        assert trajectory_pi_infimum(BLOCKS_A, pis, times) == (best, where) == (0.0, (4, 0.0))
+        assert len(calls) == 4 * len(times) + 1
 
     def test_all_point_masses_yield_inf(self):
         point = np.array([0.0, 1.0, 0.0, 0.0])
