@@ -92,7 +92,7 @@ def _ratio(p: np.ndarray, q: np.ndarray, g=None, outside=None) -> tuple[np.ndarr
     bad = float(np.fmax.reduce(np.multiply(p, g, out=g), axis=None))
     if bad > AC_EPS:
         raise AbsoluteContinuityViolation(f"p has mass {bad:.3e} outside supp(q)")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # all outside supp(q), zeroed next
         np.divide(p, q, out=g)
     np.copyto(g, 0.0, where=outside)
     return g, outside
@@ -183,10 +183,10 @@ def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class DivergenceSeries:
     """Ensemble means of chi2, kl and tv over n_paths paths, with their
-    standard errors, at each point of times.
+    standard errors, at each point of times: an ensemble's report times.
 
     Each pair is _mean_se of the per-path values; the ensemble reduces a
-    block of steps at a time, over at least 2 columns, so the series equal
+    block of points at a time, over at least 2 columns, so the series equal
     the reduction of whole (n_paths, len(times)) arrays bit for bit.
     """
 
@@ -275,8 +275,8 @@ MIN_FIT_POINTS = 10  # decimated points a rate fit needs in its window
 class RateFit:
     """Least-squares exponential rate of a positive series on a window.
 
-    rate is minus the slope of log(series) against time; stderr is the
-    ordinary least-squares slope error on the decimated points.
+    rate is minus the slope of log(series) against time; stderr is the OLS
+    slope error on n_points points, every stride-th point of the series.
     """
 
     rate: float

@@ -346,10 +346,10 @@ class EnvelopeReport:
     """Comparison of a measured mean chi-square series to the decay envelope.
 
     envelope(t) = (1/a_lower) (1 + tau c)^(-floor(t/tau)) chi2_prior, tau =
-    ENVELOPE_TAU.  A grid time violates the envelope when mean - 3 se exceeds
-    it; violations are evidence that c_estimate exceeds the true filter
-    constant (the surrogate is not a certified lower bound), so they are
-    reported, not raised.
+    ENVELOPE_TAU.  A time of the series (an ensemble's report time) violates
+    it when mean - 3 se exceeds it, and n_violations counts those times;
+    violations are evidence that c_estimate exceeds the true filter constant
+    (the surrogate is not a certified lower bound), so they are reported.
     """
 
     envelope: np.ndarray

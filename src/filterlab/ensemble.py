@@ -1,27 +1,25 @@
 """Reproducible Monte Carlo ensembles of signal paths and filter statistics.
 
 Every path owns the random stream (master_seed, stream_offset + path_index),
-so its draws depend only on its index, and each path equals a one-path
-batch on its stream, bit for bit.  The draws (X_0, jump chain, unit
-normals) depend on neither r nor H, so a sweep draws them once and forms
-each kernel block's increments from them.  All paths of an ensemble, and
-any extra paths sampled under nu for their nu-filters, are filtered in one
-lockstep pass; ensemble reductions add the paths in path-index order.  The
-divergence observer copies each step's filter pairs into a state-major
-(2, d, steps, P) block and computes chi2, kl, tv and, on request, the
-signal integral's increments and the drift at every step once per block;
-after the pass, trapezoid steps of the drift and one cumulative sum along
-each (P, n + 1) array make the running integrals.  Values equal a per-step
-reduction and running sum, bit for bit (the integrals' products taken on
-stacked (steps, P, d) pairs: at P = 1 a 2-D (1, d) product rounds
-differently).  The block, the divergences' work arrays and the stack
-below are allocated once per pass, so the divergences of a flush
-allocate nothing block-sized.  It reduces each block at once to per-time
-means and standard errors: one _mean_se over a C-contiguous (P, 3 steps)
-stack of chi2, kl and tv, at least 3 columns wide, so the series equal
-the reduction of whole (P, n + 1) arrays bit for bit and none is kept.
-Per-path values stay only where they are read: chi2 at t = 0, and under
-record_integrals the chi2 and kl series beside the integrals.
+so each path equals a one-path batch on its stream, bit for bit.  The draws
+(X_0, jump chain, unit normals) depend on neither r nor H, so a sweep draws
+them once and forms each kernel block's increments from them.  All paths of
+an ensemble, and any extra paths sampled under nu for their nu-filters, are
+filtered in one lockstep pass; reductions add the paths in path-index order.
+A pass reports every REPORT_STEPS-th step and the last, or every step under
+record_integrals: the noiseless engine, exact on any grid, steps those
+times, and the noisy kernel steps every dt with an absolute-continuity
+check at the steps between them.  The observer copies the report points'
+filter pairs into a state-major (2, d, points, P) block, allocated once per
+pass with the divergences' work arrays, and reduces a full block at once:
+one _mean_se over a C-contiguous (P, 3 points) stack of chi2, kl and tv, at
+least 3 columns wide, so the series equal the reduction of whole (P, points)
+arrays bit for bit and none is kept.  Per-path values stay only for chi2 at
+t = 0 and, under record_integrals, for the chi2 and kl series and the
+signal and drift integrals: the drift's trapezoid steps and one cumulative
+sum along each (P, n + 1) array give a per-step running sum's bits (the
+products taken on stacked (steps, P, d) pairs, as at P = 1 a 2-D (1, d)
+product rounds differently).
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DivergenceSeries, _divergences, _mean_se, _work, chi2_drift_batch
+from .divergence import SUPPORT_EPS, DivergenceSeries, _divergences, _mean_se, _ratio, _work, chi2_drift_batch
 from .errors import DegenerateMass, DimensionMismatch, EmptyLevelSet, NonPositiveNoise
 from .filtering import _BLOCK_STEPS, evolve_ensemble, evolve_noiseless_ensemble
 from .model import HmmModel, as_simplex
@@ -48,6 +46,8 @@ __all__ = [
 
 # a child's share of fewer path-steps runs in the parent (break-even in CHANGES.md)
 FORK_MIN_PATH_STEPS = 50_000
+# a pass reduces and keeps every REPORT_STEPS-th step and the last (every step under record_integrals)
+REPORT_STEPS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,17 +101,17 @@ def sample_path_batch(
 class EnsembleDivergence:
     """Divergence series between two filters over a path ensemble.
 
-    series holds the per-time ensemble means and standard errors of
-    chi2/kl/tv; initial_chi2 is each path's chi2 at t = 0.  When the
-    integrals are recorded, chi2_paths and kl_paths hold the per-path
-    (n_paths, n + 1) series, signal_integral[i, k] is the running integral
-    of |pi_s^mu(h/r) - pi_s^nu(h/r)|^2 up to time t_k along path i (the
-    quantity in the pathwise relative-entropy identity) and drift_integral
-    the chi-square drift's trapezoid-rule integral; all four are None otherwise.
-    terminal_pis stacks the final filter states as (n_paths, 2, d) in the
-    order (from_mu, from_nu).  nu_filters holds the nu-filter states
-    (nu_paths, n + 1, d) of run_divergence_sweep's extra paths sampled
-    under nu.
+    series holds the ensemble means and standard errors of chi2/kl/tv at
+    the report times; initial_chi2 is each path's chi2 at t = 0.  When the
+    integrals are recorded, which reports every step, chi2_paths and
+    kl_paths hold the per-path (n_paths, n + 1) series, signal_integral[i,
+    k] is the running integral of |pi_s^mu(h/r) - pi_s^nu(h/r)|^2 up to t_k
+    along path i (the quantity in the pathwise relative-entropy identity)
+    and drift_integral the chi-square drift's trapezoid-rule integral; all
+    four are None otherwise.  terminal_pis stacks the final filter states as
+    (n_paths, 2, d) in the order (from_mu, from_nu).  nu_filters holds the
+    nu-filter states (nu_paths, points, d) at the report times of
+    run_divergence_sweep's extra paths sampled under nu.
     """
 
     series: DivergenceSeries
@@ -141,9 +141,10 @@ def run_divergence_ensemble(
     sampled under mu.  A noiseless model routes every path through the
     exact level-set filter; record_integrals, which adds the per-path chi2
     and kl and the signal and drift integrals, needs a noisy one
-    (NonPositiveNoise).  The observer reduces blocks of _BLOCK_STEPS steps;
-    an AbsoluteContinuityViolation is raised by the flush of its block,
-    which runs before any later error of the engine propagates.
+    (NonPositiveNoise).  An AbsoluteContinuityViolation is raised at its
+    step between report points, or at a report point by the flush of its
+    block of _BLOCK_STEPS points, which runs before any later error of the
+    engine propagates.
     """
     return next(run_divergence_sweep([model], mu, nu, n_paths, T, dt, master_seed, record_integrals))
 
@@ -235,31 +236,28 @@ def _split_run(run, items, path_steps):
 def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals, normals, drift_steps):
     """One lockstep pass of the mu and nu filters with the block divergence observer."""
     n_steps = len(times) - 1
+    report = np.append(np.arange(0, n_steps, 1 if record_integrals else REPORT_STEPS), n_steps)  # the steps kept
+    n = len(report) - 1  # the last report point
     nu_paths = len(paths) - n_paths
-    nu_filters = np.empty((nu_paths, n_steps + 1, model.d))
-    means = np.empty((3, n_steps + 1))  # chi2, kl, tv
-    ses = np.empty((3, n_steps + 1))
+    nu_filters = np.empty((nu_paths, n + 1, model.d))
+    stats = np.empty((3, 2, n + 1))  # the mean and se of chi2, kl and tv
     initial_chi2 = np.empty(n_paths)
     chi2_v = kl_v = signal = drift = None
     if record_integrals:
-        chi2_v, kl_v, signal, drift = (np.empty((n_paths, n_steps + 1)) for _ in range(4))
-    hu = model.h_unit
-    block = np.empty((2, model.d, min(_BLOCK_STEPS, n_steps + 1), n_paths))
+        chi2_v, kl_v, signal, drift = (np.empty((n_paths, n + 1)) for _ in range(4))
+    block = np.empty((2, model.d, min(_BLOCK_STEPS, n + 1), n_paths))
     work = _work(block.shape[1:])
     stack = np.empty((n_paths, 3, block.shape[2]))
-    done = seen = 0  # steps done .. seen - 1 wait in block
+    done = seen = 0  # report points done .. seen - 1 wait in block
 
     def flush() -> None:
         nonlocal done
-        k0, k1 = done, seen
-        done = seen
+        k0, k1, done = done, seen, seen
         pq = block[:, :, : k1 - k0]
         values = stack[:, :, : k1 - k0]
         values[...] = _divergences(pq[0], pq[1], [w[:, : k1 - k0] for w in work]).transpose(2, 0, 1)
-        # one C-contiguous (P, 3 steps) array: at least 3 columns (_mean_se)
-        mean, se = _mean_se(values.reshape(n_paths, 3 * (k1 - k0)))
-        means[:, k0:k1] = mean.reshape(3, -1)
-        ses[:, k0:k1] = se.reshape(3, -1)
+        # one C-contiguous (P, 3 points) array: at least 3 columns (_mean_se)
+        stats[:, :, k0:k1] = np.reshape(_mean_se(values.reshape(n_paths, 3 * (k1 - k0))), (2, 3, -1)).swapaxes(0, 1)
         if k0 == 0:
             initial_chi2[:] = values[:, 0, 0]
         if signal is None:
@@ -269,22 +267,28 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
         # the drift at every step; step k < n_steps gives the signal's increment over (t_k, t_{k+1}]
         p, q = np.moveaxis(pq, 1, -1)
         drift[:, k0:k1] = chi2_drift_batch(p, q, model).T
-        p, q = p[: n_steps - k0], q[: n_steps - k0]
-        signal[:, k0 + 1 : k1 + 1] = ((((p - q) @ hu) ** 2).sum(axis=-1) * dt).T
+        p, q = p[: n - k0], q[: n - k0]
+        signal[:, k0 + 1 : k1 + 1] = ((((p - q) @ model.h_unit) ** 2).sum(axis=-1) * dt).T
 
-    def observer(step: int, pis: np.ndarray) -> None:
+    def observe(step: int, pis: np.ndarray) -> None:  # a report point
         nonlocal seen
-        block[:, :, step - done] = pis[:n_paths].transpose(1, 2, 0)
-        nu_filters[:, step] = pis[n_paths:, 1]
-        seen = step + 1
-        if seen - done == block.shape[2] or step == n_steps:
+        block[:, :, seen - done] = pis[:n_paths].transpose(1, 2, 0)
+        nu_filters[:, seen] = pis[n_paths:, 1]
+        seen += 1
+        if seen - done == block.shape[2] or seen > n:
             flush()
+
+    def observer(step: int, pis: np.ndarray) -> None:  # every step of the noisy kernel
+        if step == report[seen]:
+            observe(step, pis)
+        elif pis[:n_paths, 1].min() < SUPPORT_EPS:  # the step's own absolute-continuity check
+            _ratio(pis[:n_paths, 0], pis[:n_paths, 1])
 
     pairs = np.repeat(np.stack([mu, nu])[:, None], n_paths, axis=1)
     priors = np.concatenate([pairs, np.broadcast_to(nu, (2, nu_paths, model.d))], axis=1)
     try:
         if model.noiseless:
-            terminal = evolve_noiseless_ensemble(priors, paths, dt, model, observer=observer)
+            terminal = evolve_noiseless_ensemble(priors, paths, times[report], model, observer=observe)
         else:
             increments = _Increments(normals, model.r * np.sqrt(dt), drift_steps)
             terminal = evolve_ensemble(priors, increments, dt, model, observer=observer)
@@ -300,18 +304,11 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
         np.cumsum(signal, axis=1, out=signal)
         np.cumsum(drift, axis=1, out=drift)
 
-    (chi2_m, kl_m, tv_m), (chi2_s, kl_s, tv_s) = means, ses
-    series = DivergenceSeries(times, n_paths, chi2_m, chi2_s, kl_m, kl_s, tv_m, tv_s)
     return EnsembleDivergence(
-        series=series,
-        initial_chi2=initial_chi2,
-        chi2_paths=chi2_v,
-        kl_paths=kl_v,
-        signal_integral=signal,
-        drift_integral=drift,
-        terminal_pis=terminal[:n_paths],
+        series=DivergenceSeries(times[report], n_paths, *stats.reshape(6, -1)),
+        initial_chi2=initial_chi2, chi2_paths=chi2_v, kl_paths=kl_v, signal_integral=signal, drift_integral=drift,
+        terminal_pis=terminal[:n_paths], nu_filters=nu_filters,
         initial_states=np.array([sp.states[0] for sp in paths[:n_paths]], dtype=int),
-        nu_filters=nu_filters,
     )
 
 

@@ -25,9 +25,9 @@ computes the conditional law exactly on the same (d, k, P) array, with
 priors shared or per path as well.  A_in is A with its cross-level rates
 removed, the generator of the chain killed when it leaves its observed
 level set of h.  Between observed level changes the unnormalized law is
-pi_tau expm(A_in (t - tau)): one einsum per step with G = expm(A_in dt).
-At an observed level change, redone on the path's column, mass moves along
-the cross-level flux.
+pi_tau expm(A_in (t - tau)): one einsum per interval of the grid it is
+given, exact on any grid.  At an observed level change, redone on the
+path's column, mass moves along the cross-level flux.
 
 All exponentials come from numpy uniformization with scaling and squaring:
 its terms are nonnegative, so it has no cancellation, and numpy is the
@@ -40,14 +40,13 @@ import numpy as np
 
 from .errors import DegenerateMass, DimensionMismatch, EmptyLevelSet, GridMismatch, NonPositiveNoise
 from .model import HmmModel, _same_level, as_simplex
-from .sim import _grid_steps
 
 __all__ = ["wonham_step", "evolve_ensemble", "evolve_noiseless_ensemble"]
 
-# Steps per block: the splitting kernel exponentiates its correction, and the
-# divergence ensemble reduces its divergences to per-time means, once per
-# block.  On the cycle sweep (simulate, 200 paths, T = 0.75) 32 and 128 add
-# about 1 and 7 MB to the 41 MB peak RSS of 16; the blocks sweep stays at 84 MB.
+# The splitting kernel exponentiates its correction once per block of steps,
+# and the divergence ensemble reduces its report points to means once per block
+# of points.  When it reduced every step, 32 and 128 added about 1 and 7 MB to
+# the 41 MB peak RSS of 16 on the cycle sweep (simulate, 200 paths, T = 0.75).
 _BLOCK_STEPS = 16
 
 
@@ -200,35 +199,41 @@ def _normalized_levels(S: np.ndarray, t: float, event: str = "") -> np.ndarray:
 
 
 def evolve_noiseless_ensemble(
-    priors: np.ndarray, state_paths, dt: float, model: HmmModel, observer=None
+    priors: np.ndarray, state_paths, grid, model: HmmModel, observer=None
 ) -> np.ndarray:
-    """Exact conditional laws for noiseless observation Y_t = h(X_t).
+    """Exact conditional laws for noiseless observation Y_t = h(X_t) at the grid times.
 
-    priors is (k, d) or (k, P, d) as in evolve_ensemble, and state_paths a
-    sequence of P paths on a common horizon T.  The law at t = 0 is each
-    prior conditioned on the observed initial level, since Y_0 = h(X_0) is
-    data.  Each grid step is one product of the state-major (d, k, P) array
-    with G = expm(A_in dt), where A_in = A on pairs of states in one level
-    set of h and 0 across levels: the chain killed at an observed level
-    change.  The column of a path whose observed level changes in (t_k,
-    t_{k+1}] is redone exactly: propagate to the change time tau with
-    expm(A_in (tau - t)), move mass along the flux pi+(y) propto sum_x
-    pi(x) A(x, y) over y in the new state's level, and continue to t_{k+1};
-    a change on a grid point belongs to the earlier step.
-    observer(step, pis) is called, and the states returned, as in
-    evolve_ensemble.  Raises EmptyLevelSet, naming the time, when no mass is
-    left on the observed level, and GridMismatch when dt does not divide T.
+    priors is (k, d) or (k, P, d) as in evolve_ensemble, state_paths a
+    sequence of P paths on a common horizon T, and grid the rising times
+    0 = t_0 < ... < t_n = T (within 1e-9 T).  The law at t = 0 is each prior
+    conditioned on the observed initial level, since Y_0 = h(X_0) is data.
+    Each interval is one product of the state-major (d, k, P) array with
+    G = expm(A_in h), one per distinct length h, where A_in = A within the
+    level sets of h and 0 across them: the chain killed at an observed level
+    change.  A path's column whose level changes in (t_k, t_{k+1}] (a change
+    on t_{k+1} included) is redone: expm(A_in (tau - t)) to the change time
+    tau, the flux pi+(y) propto sum_x pi(x) A(x, y) over y in the new level,
+    and on to t_{k+1}.  Nothing is discretized, so any grid gives the same
+    laws at its times up to rounding, at a cost that scales with the level
+    changes.  The unnormalized law is a positive linear map of the prior, so
+    p_0 <= C q_0 gives p_t <= C q_t: absolute continuity checked at the grid
+    times holds between them.  observer(step, pis) sees the laws at t_step,
+    and the states are returned, as in evolve_ensemble.  Raises
+    EmptyLevelSet, naming the time, when no mass is left on the observed
+    level at a grid time or a redo, and GridMismatch for any other grid.
     """
     priors = _path_priors(priors, len(state_paths), model.d)
     T = state_paths[0].T
     if any(sp.T != T for sp in state_paths):
         raise GridMismatch("state paths have different horizons")
-    n_steps = _grid_steps(T, dt)
-    grid = np.arange(n_steps + 1) * dt
+    grid = np.array(grid, dtype=float, ndmin=1)
+    spans = np.diff(grid)
+    if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0 or not spans.min() > 0.0 or not abs(grid[-1] - T) <= 1e-9 * T:
+        raise GridMismatch(f"the grid must rise from 0 to the horizon T = {T}")
 
     same = _same_level(model.H)
     A_in = np.where(same, model.A, 0.0)
-    G = _subgenerator_expm(A_in, dt)
+    G = {h: _subgenerator_expm(A_in, h) for h in set(spans.tolist())}  # no np.unique: it imports numpy.ma
 
     # events[step][path]: the path's observed level changes (tau, new state)
     events: dict[int, dict[int, list]] = {}
@@ -236,18 +241,18 @@ def evolve_noiseless_ensemble(
         changes = np.flatnonzero(~same[sp.states[:-1], sp.states[1:]]) + 1
         steps = np.searchsorted(grid, sp.jump_times[changes], side="left") - 1
         for j, step in zip(changes, np.maximum(steps, 0)):
-            if step < n_steps:
+            if step < len(spans):
                 events.setdefault(int(step), {}).setdefault(p, []).append((float(sp.jump_times[j]), int(sp.states[j])))
 
     x0 = [sp.states[0] for sp in state_paths]
     S = _normalized_levels(np.ascontiguousarray(priors.transpose(2, 0, 1)) * same[x0].T[:, None, :], 0)
     if observer is not None:
         observer(0, S.transpose(2, 1, 0))
-    for step in range(n_steps):
-        t_end = float(grid[step + 1])
-        new = np.einsum("xy,xkn->ykn", G, S)
+    for step in range(len(spans)):
+        t_start, t_end = float(grid[step]), float(grid[step + 1])
+        new = np.einsum("xy,xkn->ykn", G[t_end - t_start], S)
         for p, changes in events.get(step, {}).items():
-            pi, t = S[:, :, p], float(grid[step])
+            pi, t = S[:, :, p], t_start
             for tau, x in changes:
                 pi = _normalized_levels(np.einsum("xy,xk->yk", _subgenerator_expm(A_in, tau - t), pi), tau)
                 pi = _normalized_levels(np.einsum("xy,xk->yk", model.A, pi) * same[x][:, None], tau, "level jump at ")

@@ -3,11 +3,11 @@
 Each pipeline takes a validated ExperimentConfig, runs ensembles with
 per-path random streams, and returns a JSON-ready report; it writes
 nothing, and the command-line interface writes every report and series CSV
-through write_report and write_series_csv.  Everything in
-a report is derived from (config, master_seed) through per-path values
-reduced in path order (the ensemble's series are reduced block by block as
-the filters run), so reruns are bit-identical; wall-clock timing lives
-under the separate key "wall_clock_s" that determinism comparisons drop.
+through write_report and write_series_csv.  Everything in a report is
+derived from (config, master_seed) through per-path values reduced in path
+order (the ensemble's series are reduced at its report times, a block at a
+time, as the filters run), so reruns are bit-identical; wall-clock timing
+lives under the separate key "wall_clock_s" that determinism comparisons drop.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .config import ExperimentConfig, _grid_check, config_to_dict, model_for_sweep_value
 from .divergence import DivergenceSeries, chi2, fit_exponential_rate, kl, tv
 from .dual import ENVELOPE_TAU, _nu_mean, backward_map_study, theorem2_envelope
-from .ensemble import run_divergence_sweep
+from .ensemble import REPORT_STEPS, run_divergence_sweep
 from .errors import (
     AssumptionA1Violated,
     ConfigError,
@@ -55,7 +55,8 @@ __all__ = [
 
 OUT_DIR_ENV = "FILTERLAB_OUT"
 PI_TRAJECTORY_PATHS = 8
-PI_TRAJECTORY_STRIDE = 500
+PI_TRAJECTORY_STRIDE = 500  # steps between the states the infimum reads, on the report grid
+assert PI_TRAJECTORY_STRIDE % REPORT_STEPS == 0
 
 
 def resolve_out_dir(explicit: str | None, cfg_out: str | None = None) -> str:
@@ -87,9 +88,7 @@ def _json_fields(entry) -> dict:
 
 
 def _sweep_tag(cfg: ExperimentConfig, value: float | None) -> str:
-    if value is None:
-        return "base"
-    return f"{cfg.sweep_kind}={value:g}"
+    return "base" if value is None else f"{cfg.sweep_kind}={value:g}"
 
 
 def _fit_payload(series: DivergenceSeries, window) -> tuple[dict | None, str]:
@@ -107,10 +106,11 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, list[DivergenceSeries]]:
     same paths.  Per value, one lockstep filter pass: the ensemble under
     the mu path law, filtered from mu and nu on shared observations, plus
     PI_TRAJECTORY_PATHS paths sampled under nu on the streams after it,
-    whose nu-filters give the conditional-PI infimum.  Then the divergence
-    series with a chi-square rate fit, and the multiplicative decay
-    envelope driven by that infimum.  Returns the report and the series in
-    sweep order; report["artifacts"] names each series' CSV file.
+    whose nu-filters at every PI_TRAJECTORY_STRIDE-th step give the
+    conditional-PI infimum.  Then the divergence series at the report times
+    with a chi-square rate fit, and the decay envelope driven by that
+    infimum.  Returns the report and the series in sweep order;
+    report["artifacts"] names each series' CSV file.
     """
     t_start = time.perf_counter()
     values: list[float | None] = list(cfg.sweep_values) if cfg.sweep_kind is not None else [None]
@@ -133,9 +133,8 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, list[DivergenceSeries]]:
             series = ens.series
             fit_payload, fit_note = _fit_payload(series, cfg.rate_window)
 
-            c_inf, c_where = trajectory_pi_infimum(
-                model.A, ens.nu_filters[:, ::PI_TRAJECTORY_STRIDE], series.times[::PI_TRAJECTORY_STRIDE]
-            )
+            at = np.arange(0, round(cfg.T / cfg.dt) + 1, PI_TRAJECTORY_STRIDE) // REPORT_STEPS  # report points
+            c_inf, c_where = trajectory_pi_infimum(model.A, ens.nu_filters[:, at], series.times[at])
             c_path, c_time = c_where if c_where is not None else (None, None)
 
             c_env = max(c_inf, 0.0) if np.isfinite(c_inf) else 0.0
@@ -241,12 +240,11 @@ def run_structure(model: HmmModel) -> dict:
     """Structural report: ergodicity, observability, invariant measure,
     the classical Poincare constant, and the rate-bound table."""
     t_start = time.perf_counter()
-    report = {
+    return {
         "command": "structure",
         "structure": _structure_payload(model),
         "wall_clock_s": time.perf_counter() - t_start,
     }
-    return report
 
 
 def run_backward_map(cfg: ExperimentConfig) -> dict:

@@ -416,9 +416,9 @@ def check_noiseless_identity(seed: int) -> CheckResult:
     cfg = preset_config("example-6.1")
     model = model_for_sweep_value(cfg, 0.0)
     batch = sample_path_batch(model, 1, 5.0, 1e-3, seed, 0, stream_offset=9006)
-    rows = []
+    grid, rows = np.arange(5001) * 1e-3, []  # every step of dt = 1e-3 on [0, 5]
     evolve_noiseless_ensemble(
-        np.stack([cfg.mu, cfg.nu]), batch.state_paths, 1e-3, model, observer=lambda step, pis: rows.append(pis[0].copy())
+        np.stack([cfg.mu, cfg.nu]), batch.state_paths, grid, model, observer=lambda k, pis: rows.append(pis[0].copy())
     )
     pis = np.stack(rows, axis=1)  # (2, n + 1, d): the mu and nu filters
     gap = np.abs(pis[0] - pis[1]).sum(axis=1)

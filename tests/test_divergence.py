@@ -1,6 +1,7 @@
 """Divergence functionals, chi-square drift terms, and rate fitting."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,14 @@ class TestDivergenceValues:
         q = interior_simplex(rng, 5)
         np.testing.assert_allclose(density_ratio(p, q) * q, p, atol=1e-14)
 
+
+    def test_ratio_outside_the_support_does_not_warn(self):
+        # q(0) = 5e-324 is outside supp(q) and p(0) = 1e-13 is below AC_EPS:
+        # p / q overflows there before it is zeroed, which must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = density_ratio([1e-13, 1.0 - 1e-13], [5e-324, 1.0])
+        assert g[0] == 0.0 and g[1] == 1.0 - 1e-13
 
 def _same_bits(a, b) -> bool:
     return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()

@@ -13,10 +13,14 @@ from hypothesis import strategies as st
 
 import filterlab
 
-from conftest import CYCLE_MU, CYCLE_NU, SERIES_FIELDS, random_generator_matrix, series_of
+from conftest import (
+    CYCLE_MU, CYCLE_NU, NOISELESS_ATOL, SERIES_FIELDS, filter_states, random_generator_matrix, report_steps, series_of,
+    step_grid,
+)
 from filterlab.config import model_for_sweep_value, preset_config
 from filterlab.divergence import _divergence_batch, chi2, chi2_drift_batch
-from filterlab.ensemble import run_divergence_ensemble, run_divergence_sweep, sample_path_batch
+from filterlab import ensemble as ensemble_mod
+from filterlab.ensemble import REPORT_STEPS, run_divergence_ensemble, run_divergence_sweep, sample_path_batch
 from filterlab.errors import (
     AbsoluteContinuityViolation,
     DimensionMismatch,
@@ -174,8 +178,9 @@ class TestRunDivergenceEnsemble:
         )
         assert ens.series.n_paths == 6
         for name in SERIES_FIELDS:
-            assert getattr(ens.series, name).shape == (501,)
+            assert getattr(ens.series, name).shape == (26,)  # every 20th of 500 steps, the last included
         assert ens.chi2_paths is None and ens.kl_paths is None
+        assert ens.series.times.tobytes() == step_grid(0.5, 1e-3)[::REPORT_STEPS].tobytes()
         assert ens.series.times[-1] == pytest.approx(0.5)
         assert ens.initial_chi2.shape == (6,)
         np.testing.assert_allclose(
@@ -202,9 +207,10 @@ class TestRunDivergenceEnsemble:
             assert integral.shape == (3, 201)
             assert np.all(integral[:, 0] == 0.0)
         assert rec.chi2_paths.shape == rec.kl_paths.shape == (3, 201)
-        # recording must not perturb the filter path
-        for name in SERIES_FIELDS:
-            assert np.array_equal(getattr(plain.series, name), getattr(rec.series, name))
+        # recording reports every step and must not perturb the filter path
+        assert rec.series.times.shape == (201,)
+        for name in ("times", *SERIES_FIELDS):
+            assert np.array_equal(getattr(plain.series, name), getattr(rec.series, name)[::REPORT_STEPS])
         assert np.array_equal(plain.initial_chi2, rec.initial_chi2)
         assert np.array_equal(plain.terminal_pis, rec.terminal_pis)
 
@@ -248,6 +254,23 @@ class TestRunDivergenceEnsemble:
         with pytest.raises(AbsoluteContinuityViolation):
             run_divergence_ensemble(model, [0.5, 0.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0], 8, 0.1, 1e-3, 0)
 
+    def test_violation_between_report_points_raises_at_its_step(self, monkeypatch):
+        # H is constant, so each filter is its prior's prediction.  State 2
+        # only drains, at rate 28: nu's mass 2e-14 there falls below
+        # SUPPORT_EPS at step 25 (e^{-28 t} < 1/2 from t = 0.0248), between
+        # the report points 20 and 30, while mu's stays near 1/4
+        A = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [28.0, 0.0, -28.0]])
+        model = validate_model(A, np.ones(3), 1.0)
+        steps, engine = [], ensemble_mod.evolve_ensemble
+
+        def recording(priors, increments, dt, model, observer):
+            return engine(priors, increments, dt, model, lambda step, pis: (steps.append(step), observer(step, pis)))
+
+        monkeypatch.setattr(ensemble_mod, "evolve_ensemble", recording)
+        with pytest.raises(AbsoluteContinuityViolation):
+            run_divergence_ensemble(model, [0.25, 0.25, 0.5], [0.5 - 1e-14, 0.5 - 1e-14, 2e-14], 4, 0.03, 1e-3, 0)
+        assert steps == list(range(26)) and 25 not in report_steps(30)
+
     def test_noiseless_route_leaves_scipy_linalg_unimported(self):
         # scipy.linalg costs about 10 MB of resident memory and a quarter
         # second of import time, so the noiseless engine does without it
@@ -274,6 +297,34 @@ class TestRunDivergenceEnsemble:
             check=True,
         )
         assert out.stdout.strip() == "[]"
+
+
+class TestReportGrid:
+    """A pass keeps every REPORT_STEPS-th step and the last; each value it
+    keeps is the per-step run's value at that time, bit for bit."""
+
+    @pytest.mark.parametrize("n_steps", [19, 20, 21, 41])
+    @pytest.mark.parametrize("n_paths", [1, 7, 200])
+    def test_noisy_series_equal_per_step_series_at_report_times(self, n_steps, n_paths):
+        rng = np.random.default_rng(n_steps)
+        model = validate_model(random_generator_matrix(rng, 4), rng.normal(size=(4, 1)), 0.7)
+        report = report_steps(n_steps)
+        assert report.tolist() == [*range(0, n_steps, 20), n_steps]
+        args = ([model], CYCLE_MU, CYCLE_NU, n_paths, n_steps * 1e-3, 1e-3, 5)
+        ens = next(run_divergence_sweep(*args, False, 3))
+        per_step = next(run_divergence_sweep(*args, True, 3))  # record_integrals reports every step
+        assert per_step.series.times.shape == (n_steps + 1,)
+        for got, want in [
+            *((getattr(ens.series, name), getattr(per_step.series, name)[report]) for name in ("times", *SERIES_FIELDS)),
+            (ens.nu_filters, per_step.nu_filters[:, report]),
+            (ens.initial_chi2, per_step.initial_chi2),
+            (ens.terminal_pis, per_step.terminal_pis),
+        ]:
+            assert got.tobytes() == want.tobytes()
+        # and the reduction of whole per-step (P, n + 1) arrays, taken at the report steps
+        want = series_of(per_step.series.times, *_per_step_reference(model, *args[1:], record_integrals=False)[:3])
+        for name in SERIES_FIELDS:
+            assert getattr(ens.series, name).tobytes() == getattr(want, name)[report].tobytes()
 
 
 class TestRunDivergenceSweep:
@@ -366,7 +417,7 @@ def _per_step_reference(model, mu, nu, n_paths, T, dt, seed, record_integrals):
 
     priors = np.stack([mu, nu])
     if model.noiseless:
-        evolve_noiseless_ensemble(priors, batch.state_paths, dt, model, observer=observer)
+        evolve_noiseless_ensemble(priors, batch.state_paths, step_grid(T, dt), model, observer=observer)
     else:
         evolve_ensemble(priors, batch.increments, dt, model, observer=observer)
     signal, drift = np.zeros((2, n_paths, n_steps + 1))
@@ -426,13 +477,27 @@ class TestBlockedObserver:
 
     @pytest.mark.parametrize("n_steps", STEPS)
     def test_noiseless(self, cycle_noiseless, n_steps):
+        """The noiseless engine steps the report grid: its own per-point
+        reduction bit for bit, the engine run at every step within NOISELESS_ATOL."""
         dt = 0.01
         args = (cycle_noiseless, CYCLE_MU, CYCLE_NU, 9, n_steps * dt, dt, 3)
         ens = run_divergence_ensemble(*args)
         chi2_v, kl_v, tv_v, _, _ = _per_step_reference(*args, record_integrals=False)
         assert ens.signal_integral is None and ens.chi2_paths is None
         assert ens.initial_chi2.tobytes() == chi2_v[:, 0].tobytes()
-        _assert_series_of(ens.series, chi2_v, kl_v, tv_v)
+        report = report_steps(n_steps)
+        assert ens.series.times.tobytes() == step_grid(n_steps * dt, dt)[report].tobytes()
+        _assert_series_of(ens.series, *_report_grid_reference(*args))
+        want = series_of(step_grid(n_steps * dt, dt), chi2_v, kl_v, tv_v)
+        for name in SERIES_FIELDS:
+            np.testing.assert_allclose(getattr(ens.series, name), getattr(want, name)[report], rtol=0, atol=NOISELESS_ATOL)
+
+
+def _report_grid_reference(model, mu, nu, n_paths, T, dt, seed):
+    """chi2, kl and tv (P, points) of the noiseless engine stepped on the report grid."""
+    batch = sample_path_batch(model, n_paths, T, dt, seed, mu)
+    pis = filter_states(np.stack([mu, nu]), batch.state_paths, step_grid(T, dt)[report_steps(round(T / dt))], model)
+    return _divergence_batch(pis[:, 0], pis[:, 1])
 
 
 def _assert_series_of(series, chi2_v, kl_v, tv_v):

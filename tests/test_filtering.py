@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import CYCLE_A, CYCLE_H, CYCLE_MU, CYCLE_NU, filter_states, random_generator_matrix, state_path
+from conftest import CYCLE_A, CYCLE_H, CYCLE_MU, CYCLE_NU, filter_states, random_generator_matrix, state_path, step_grid
 from filterlab.config import model_for_sweep_value, preset_config
 from filterlab.ensemble import sample_path_batch
 from filterlab.errors import (
@@ -294,12 +294,14 @@ class TestExactNoiselessFilter:
     def test_prior_without_level_mass_raises(self, cycle_noiseless):
         sp = state_path(cycle_noiseless, 0, 1.0, 45)  # starts on level 1
         with pytest.raises(EmptyLevelSet):
-            evolve_noiseless_ensemble(np.array([[0.0, 0.5, 0.0, 0.5]]), [sp], 1e-3, cycle_noiseless)
+            evolve_noiseless_ensemble(np.array([[0.0, 0.5, 0.0, 0.5]]), [sp], step_grid(1.0, 1e-3), cycle_noiseless)
 
     def test_nondividing_dt_rejected(self, cycle_noiseless):
+        # steps of 0.3 end at 0.9, short of the horizon; a grid must rise from 0 to T
         sp = state_path(cycle_noiseless, 0, 1.0, 46)
-        with pytest.raises(GridMismatch):
-            evolve_noiseless_ensemble(CYCLE_MU[None], [sp], 0.3, cycle_noiseless)
+        for grid in (np.arange(4) * 0.3, 1e-3, [0.0], [0.0, 0.5, 0.5, 1.0], [0.1, 1.0], np.arange(5) * 0.3):
+            with pytest.raises(GridMismatch):
+                evolve_noiseless_ensemble(CYCLE_MU[None], [sp], grid, cycle_noiseless)
 
 
 # The 4-state model of test_support_tracks_observed_level: levels {0, 2} and
@@ -382,7 +384,7 @@ class TestNoiselessEngine:
         def observer(step, pis):
             seen.append((step, pis.copy()))
 
-        terminal = evolve_noiseless_ensemble(priors, paths, dt, model, observer)
+        terminal = evolve_noiseless_ensemble(priors, paths, grid, model, observer)
         assert terminal.shape == (7, 2, 4)
         assert [step for step, _ in seen] == list(range(6))
         batch = np.stack([pis for _, pis in seen], axis=2)  # (P, k, n + 1, d)
@@ -400,10 +402,10 @@ class TestNoiselessEngine:
         model = validate_model(random_generator_matrix(rng, 9), np.arange(9) % 3, 0.0)
         paths = sample_path_batch(model, 6, 0.3, 1e-2, 9, np.full(9, 1 / 9)).state_paths
         priors = rng.dirichlet(np.ones(9), size=2)
-        terminal = evolve_noiseless_ensemble(priors, paths, 1e-2, model)
+        terminal = evolve_noiseless_ensemble(priors, paths, step_grid(0.3, 1e-2), model)
         for p, sp in enumerate(paths):
             for k, prior in enumerate(priors):
-                alone = evolve_noiseless_ensemble(prior[None], [sp], 1e-2, model)
+                alone = evolve_noiseless_ensemble(prior[None], [sp], step_grid(0.3, 1e-2), model)
                 assert np.array_equal(terminal[p, k], alone[0, 0])
 
     @pytest.mark.parametrize("dt", [1e-2, 1e-3])
@@ -433,7 +435,7 @@ class TestNoiselessEngine:
 
     def test_empty_ensemble_rejected(self, model):
         with pytest.raises(DimensionMismatch, match="got 0 paths"):
-            evolve_noiseless_ensemble(np.full((1, 4), 0.25), [], 1e-2, model)
+            evolve_noiseless_ensemble(np.full((1, 4), 0.25), [], step_grid(0.1, 1e-2), model)
 
     def test_per_path_priors_equal_shared_prior_runs(self, model):
         paths = [state_path(model, x0, 0.5, 11, stream=x0) for x0 in range(4)]
@@ -442,7 +444,7 @@ class TestNoiselessEngine:
     def test_per_path_priors_must_match_the_paths(self, model):
         paths = [state_path(model, 0, 0.5, 11)]
         with pytest.raises(DimensionMismatch):
-            evolve_noiseless_ensemble(np.full((1, 2, 4), 0.25), paths, 1e-2, model)
+            evolve_noiseless_ensemble(np.full((1, 2, 4), 0.25), paths, step_grid(0.5, 1e-2), model)
 
     def test_empty_level_set_inside_batch(self):
         # each state is its own level and the chain only moves 0 -> 1 -> 2 -> 0,
@@ -457,12 +459,12 @@ class TestNoiselessEngine:
             StatePath(np.array([0.0, 0.031]), np.array([0, 2]), 0.1),
         ]
         with pytest.raises(EmptyLevelSet, match="t = 0.031"):
-            evolve_noiseless_ensemble(np.full((1, 3), 1 / 3), paths, 1e-2, ring)
+            evolve_noiseless_ensemble(np.full((1, 3), 1 / 3), paths, step_grid(0.1, 1e-2), ring)
 
     def test_mismatched_horizons_rejected(self, model):
         paths = [StatePath(np.array([0.0]), np.array([0]), T) for T in (0.1, 0.2)]
         with pytest.raises(GridMismatch):
-            evolve_noiseless_ensemble(np.full((1, 4), 0.25), paths, 1e-2, model)
+            evolve_noiseless_ensemble(np.full((1, 4), 0.25), paths, step_grid(0.1, 1e-2), model)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=200, deadline=None)

@@ -10,11 +10,13 @@ import pytest
 
 import filterlab.dual as dual_mod
 import filterlab.ensemble as ensemble_mod
+import filterlab.pipeline as pipeline_mod
 import filterlab.sim as sim_mod
-from conftest import SERIES_FIELDS, filter_states
+from conftest import NOISELESS_ATOL, SERIES_FIELDS, filter_states, report_steps, step_grid
 from filterlab import verify
 from filterlab.config import _apply_overrides, load_config, model_for_sweep_value, preset_config
 from filterlab.ensemble import run_divergence_ensemble, run_divergence_sweep, sample_path_batch
+from filterlab.divergence import MIN_FIT_POINTS
 from filterlab.model import validate_model
 from filterlab.pipeline import PI_TRAJECTORY_PATHS, _initial_chi2, run_backward_map, run_simulate, run_structure
 
@@ -34,17 +36,27 @@ def _nu_filters(cfg, model):
 
 def _assert_paths_filtered_alone(sigma2):
     """Each conditional-PI path equals its one-path batch from nu, on the
-    stream after the ensemble block, filtered alone by the model's engine."""
+    stream after the ensemble block, filtered alone by the model's engine,
+    at the report times: a noisy engine's states bit for bit; the noiseless
+    engine's bit for bit on the report grid, and within NOISELESS_ATOL of
+    the engine run at every step."""
     cfg = _cycle_cfg()
     model = model_for_sweep_value(cfg, sigma2)
     pis = _nu_filters(cfg, model)
-    assert pis.shape == (PI_TRAJECTORY_PATHS, 401, 4)
+    report = report_steps(400)
+    assert pis.shape == (PI_TRAJECTORY_PATHS, 21, 4)
     for i in range(PI_TRAJECTORY_PATHS):
         batch = sample_path_batch(
             model, 1, cfg.T, cfg.dt, cfg.master_seed, cfg.nu, stream_offset=cfg.n_paths + i
         )
         data = batch.state_paths if model.noiseless else batch.increments
-        assert np.array_equal(pis[i], filter_states(cfg.nu, data, cfg.dt, model)[0, 0])
+        per_step = filter_states(cfg.nu, data, cfg.dt, model)[0, 0][report]
+        if model.noiseless:
+            alone = filter_states(cfg.nu, data, step_grid(cfg.T, cfg.dt)[report], model)[0, 0]
+            assert np.array_equal(pis[i], alone)
+            np.testing.assert_allclose(pis[i], per_step, rtol=0, atol=NOISELESS_ATOL)
+        else:
+            assert np.array_equal(pis[i], per_step)
 
 
 def test_pipelines_write_nothing(tmp_path, monkeypatch):
@@ -57,6 +69,27 @@ def test_pipelines_write_nothing(tmp_path, monkeypatch):
     run_structure(model_for_sweep_value(cfg, None))
     run_backward_map(cfg)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_short_horizon_skips_the_rate_fit():
+    # the default window [0.2 T, 0.9 T] holds 8 report times at T = 0.2, fewer
+    # than MIN_FIT_POINTS, and 11 at T = 0.3 (dt = 1e-3, every 20th step)
+    for T, skipped in ((0.2, True), (0.3, False)):
+        report, (series,) = run_simulate(_cycle_cfg(n_paths=8, T=T, sigma2_list=[1.0]))
+        in_window = np.count_nonzero((series.times >= 0.2 * T) & (series.times <= 0.9 * T))
+        assert (in_window < MIN_FIT_POINTS) == skipped
+        entry = report["sweep"][0]
+        assert (entry["rate_fit"] is None) == skipped
+        assert entry["note"].startswith("rate fit skipped") == skipped
+
+
+def test_pi_infimum_reads_every_500th_step(monkeypatch):
+    # 485 steps report 0, 20, ..., 480 and 485: the 26th report point is no 500th step
+    times, real = [], pipeline_mod.trajectory_pi_infimum
+    monkeypatch.setattr(pipeline_mod, "trajectory_pi_infimum", lambda A, pis, t: times.append(t.tolist()) or real(A, pis, t))
+    for T, want in ((0.485, [0.0]), (1.0, [0.0, 0.5, 1.0])):
+        run_simulate(_cycle_cfg(n_paths=4, T=T, sigma2_list=[1.0]))
+        assert times.pop() == pytest.approx(want)
 
 
 class TestPiTrajectories:
