@@ -6,20 +6,15 @@ so each path equals a one-path batch on its stream, bit for bit.  The draws
 them once and forms each kernel block's increments from them.  All paths of
 an ensemble, and any extra paths sampled under nu for their nu-filters, are
 filtered in one lockstep pass; reductions add the paths in path-index order.
-A pass reports every REPORT_STEPS-th step and the last, or every step under
-record_integrals: the noiseless engine, exact on any grid, steps those
-times, and the noisy kernel steps every dt with an absolute-continuity
-check at the steps between them.  The observer copies the report points'
-filter pairs into a state-major (2, d, points, P) block, allocated once per
-pass with the divergences' work arrays, and reduces a full block at once:
-one _mean_se over a C-contiguous (P, 3 points) stack of chi2, kl and tv, at
-least 3 columns wide, so the series equal the reduction of whole (P, points)
-arrays bit for bit and none is kept.  Per-path values stay only for chi2 at
-t = 0 and, under record_integrals, for the chi2 and kl series and the
-signal and drift integrals: the drift's trapezoid steps and one cumulative
-sum along each (P, n + 1) array give a per-step running sum's bits (the
-products taken on stacked (steps, P, d) pairs, as at P = 1 a 2-D (1, d)
-product rounds differently).
+A pass reports every REPORT_STEPS-th step and the last: the noiseless
+engine, exact on any grid, steps those times, and the noisy kernel steps
+every dt with an absolute-continuity check at the steps between them.  The
+observer copies the report points' filter pairs into a state-major (2, d,
+points, P) block, allocated once per pass with the divergences' work arrays,
+and reduces a full block at once: one _mean_se over a C-contiguous (P, 3
+points) stack of chi2, kl and tv, at least 3 columns wide, so the series
+equal the reduction of whole (P, points) arrays bit for bit and none is
+kept.  Per-path values stay only for chi2 at t = 0 (verify records its own).
 """
 
 from __future__ import annotations
@@ -30,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import SUPPORT_EPS, DivergenceSeries, _divergences, _mean_se, _ratio, _work, chi2_drift_batch
-from .errors import DegenerateMass, DimensionMismatch, EmptyLevelSet, NonPositiveNoise
+from .divergence import SUPPORT_EPS, DivergenceSeries, _divergences, _mean_se, _ratio, _work
+from .errors import DegenerateMass, DimensionMismatch, EmptyLevelSet
 from .filtering import _BLOCK_STEPS, evolve_ensemble, evolve_noiseless_ensemble
 from .model import HmmModel, as_simplex
 from .sim import StatePath, _add_drift, _draw_paths, _grid_steps, _jump_tables
@@ -46,7 +41,7 @@ __all__ = [
 
 # a child's share of fewer path-steps runs in the parent (break-even in CHANGES.md)
 FORK_MIN_PATH_STEPS = 50_000
-# a pass reduces and keeps every REPORT_STEPS-th step and the last (every step under record_integrals)
+# a pass reduces and keeps every REPORT_STEPS-th step and the last
 REPORT_STEPS = 20
 
 
@@ -101,55 +96,36 @@ def sample_path_batch(
 class EnsembleDivergence:
     """Divergence series between two filters over a path ensemble.
 
-    series holds the ensemble means and standard errors of chi2/kl/tv at
-    the report times; initial_chi2 is each path's chi2 at t = 0.  When the
-    integrals are recorded, which reports every step, chi2_paths and
-    kl_paths hold the per-path (n_paths, n + 1) series, signal_integral[i,
-    k] is the running integral of |pi_s^mu(h/r) - pi_s^nu(h/r)|^2 up to t_k
-    along path i (the quantity in the pathwise relative-entropy identity)
-    and drift_integral the chi-square drift's trapezoid-rule integral; all
-    four are None otherwise.  terminal_pis stacks the final filter states as
-    (n_paths, 2, d) in the order (from_mu, from_nu).  nu_filters holds the
-    nu-filter states (nu_paths, points, d) at the report times of
-    run_divergence_sweep's extra paths sampled under nu.
+    series holds the means and standard errors of chi2/kl/tv at the report
+    times, initial_chi2 each path's chi2 at t = 0, and terminal_pis the
+    final filter states (n_paths, 2, d) in the order (from_mu, from_nu).
+    nu_filters holds the nu-filter states (nu_paths, points, d) at the
+    report times of run_divergence_sweep's extra paths sampled under nu.
     """
 
     series: DivergenceSeries
     initial_chi2: np.ndarray
-    chi2_paths: np.ndarray | None
-    kl_paths: np.ndarray | None
-    signal_integral: np.ndarray | None
-    drift_integral: np.ndarray | None
     terminal_pis: np.ndarray
     initial_states: np.ndarray
     nu_filters: np.ndarray | None = None
 
 
 def run_divergence_ensemble(
-    model: HmmModel,
-    mu,
-    nu,
-    n_paths: int,
-    T: float,
-    dt: float,
-    master_seed: int,
-    record_integrals: bool = False,
+    model: HmmModel, mu, nu, n_paths: int, T: float, dt: float, master_seed: int
 ) -> EnsembleDivergence:
     """Divergence series between the filters started from mu and nu.
 
     The one-model run_divergence_sweep without nu paths.  Signal paths are
     sampled under mu.  A noiseless model routes every path through the
-    exact level-set filter; record_integrals, which adds the per-path chi2
-    and kl and the signal and drift integrals, needs a noisy one
-    (NonPositiveNoise).  An AbsoluteContinuityViolation is raised at its
+    exact level-set filter.  An AbsoluteContinuityViolation is raised at its
     step between report points, or at a report point by the flush of its
     block of _BLOCK_STEPS points, which runs before any later error of the
     engine propagates.
     """
-    return next(run_divergence_sweep([model], mu, nu, n_paths, T, dt, master_seed, record_integrals))
+    return next(run_divergence_sweep([model], mu, nu, n_paths, T, dt, master_seed))
 
 
-def run_divergence_sweep(models, mu, nu, n_paths, T, dt, master_seed, record_integrals=False, nu_paths=0):
+def run_divergence_sweep(models, mu, nu, n_paths, T, dt, master_seed, nu_paths=0):
     """Yield run_divergence_ensemble of each model in turn, from one draw.
 
     The models share A and the shape of H (DimensionMismatch otherwise), so
@@ -171,8 +147,6 @@ def run_divergence_sweep(models, mu, nu, n_paths, T, dt, master_seed, record_int
     models = list(models)
     if not models or any(not np.array_equal(m.A, models[0].A) or m.H.shape != models[0].H.shape for m in models):
         raise DimensionMismatch("a sweep needs models that share A and the shape of H")
-    if record_integrals and any(m.noiseless for m in models):
-        raise NonPositiveNoise("the signal and drift integrals need a noisy observation model")
     mu, nu = as_simplex(mu, d=models[0].d), as_simplex(nu, d=models[0].d)
     grid = np.arange(_grid_steps(T, dt) + 1) * dt
     starts = [np.cumsum(mu).tolist()] * n_paths + [np.cumsum(nu).tolist()] * nu_paths
@@ -186,7 +160,7 @@ def run_divergence_sweep(models, mu, nu, n_paths, T, dt, master_seed, record_int
                 H, drift = model.H, None  # drop the old drift before allocating the new
                 drift = np.zeros_like(normals)
                 _add_drift(drift, paths, H, grid)
-            yield _divergence_pass(model, mu, nu, paths, n_paths, grid, dt, record_integrals, normals, drift)
+            yield _divergence_pass(model, mu, nu, paths, n_paths, grid, dt, normals, drift)
 
     yield from _split_run(passes, models, len(starts) * (len(grid) - 1))
 
@@ -233,18 +207,15 @@ def _split_run(run, items, path_steps):
         yield result
 
 
-def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals, normals, drift_steps):
+def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, normals, drift_steps):
     """One lockstep pass of the mu and nu filters with the block divergence observer."""
     n_steps = len(times) - 1
-    report = np.append(np.arange(0, n_steps, 1 if record_integrals else REPORT_STEPS), n_steps)  # the steps kept
+    report = np.append(np.arange(0, n_steps, REPORT_STEPS), n_steps)  # the steps kept
     n = len(report) - 1  # the last report point
     nu_paths = len(paths) - n_paths
     nu_filters = np.empty((nu_paths, n + 1, model.d))
     stats = np.empty((3, 2, n + 1))  # the mean and se of chi2, kl and tv
     initial_chi2 = np.empty(n_paths)
-    chi2_v = kl_v = signal = drift = None
-    if record_integrals:
-        chi2_v, kl_v, signal, drift = (np.empty((n_paths, n + 1)) for _ in range(4))
     block = np.empty((2, model.d, min(_BLOCK_STEPS, n + 1), n_paths))
     work = _work(block.shape[1:])
     stack = np.empty((n_paths, 3, block.shape[2]))
@@ -260,15 +231,6 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
         stats[:, :, k0:k1] = np.reshape(_mean_se(values.reshape(n_paths, 3 * (k1 - k0))), (2, 3, -1)).swapaxes(0, 1)
         if k0 == 0:
             initial_chi2[:] = values[:, 0, 0]
-        if signal is None:
-            return
-        chi2_v[:, k0:k1] = values[:, 0]
-        kl_v[:, k0:k1] = values[:, 1]
-        # the drift at every step; step k < n_steps gives the signal's increment over (t_k, t_{k+1}]
-        p, q = np.moveaxis(pq, 1, -1)
-        drift[:, k0:k1] = chi2_drift_batch(p, q, model).T
-        p, q = p[: n - k0], q[: n - k0]
-        signal[:, k0 + 1 : k1 + 1] = ((((p - q) @ model.h_unit) ** 2).sum(axis=-1) * dt).T
 
     def observe(step: int, pis: np.ndarray) -> None:  # a report point
         nonlocal seen
@@ -297,17 +259,10 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, record_integrals,
         if seen > done:
             flush()
         raise
-    if signal is not None:
-        drift[:, 1:] += drift[:, :-1]  # the trapezoid rule: (d_k + d_{k+1}) dt / 2 at k + 1
-        drift[:, 1:] *= 0.5 * dt
-        signal[:, 0] = drift[:, 0] = 0.0
-        np.cumsum(signal, axis=1, out=signal)
-        np.cumsum(drift, axis=1, out=drift)
 
     return EnsembleDivergence(
         series=DivergenceSeries(times[report], n_paths, *stats.reshape(6, -1)),
-        initial_chi2=initial_chi2, chi2_paths=chi2_v, kl_paths=kl_v, signal_integral=signal, drift_integral=drift,
-        terminal_pis=terminal[:n_paths], nu_filters=nu_filters,
+        initial_chi2=initial_chi2, terminal_pis=terminal[:n_paths], nu_filters=nu_filters,
         initial_states=np.array([sp.states[0] for sp in paths[:n_paths]], dtype=int),
     )
 

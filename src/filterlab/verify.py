@@ -4,13 +4,14 @@ definition of each statistical check.
 The check functions (kl_supermartingale ... splitting_strong_order) take
 objects that are already computed and return a CheckResult; the `check_*`
 suites build their inputs at (seed, size) and call them, as do the
-acceptance tests on their own inputs.  A statistical check allows Z
-standard errors (Z_WIDE where the per-path variance is largest), compared
-as |x| <= z se or x >= -z se: a nan standard error fails, and a zero one
-passes only an exact zero; splitting_strong_order bounds ratios of
-discretization errors instead.  size = 0 runs the deterministic suite
-only; a size below MIN_SIZE is rejected, since the suites' tolerances do
-not hold at such sizes.
+acceptance tests on their own inputs.  The pathwise checks read the filter
+pair at every step, which record_filter_pair records: the divergence
+ensemble keeps its report grid only.  A statistical check allows Z standard
+errors (Z_WIDE where the per-path variance is largest), compared as |x| <=
+z se or x >= -z se: a nan standard error fails, and a zero one passes only
+an exact zero; splitting_strong_order bounds ratios of discretization
+errors instead.  size = 0 runs the deterministic suite only; a size below
+MIN_SIZE is rejected, since the suites' tolerances do not hold at such sizes.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .divergence import (
     _divergence_batch,
     _mean_se,
     chi2,
+    chi2_drift_batch,
     chi2_drift_terms,
     density_ratio,
     fit_exponential_rate,
@@ -35,9 +37,10 @@ from .divergence import (
 )
 from .dual import _nu_mean, backward_map_study
 from .ensemble import run_divergence_ensemble, sample_path_batch
-from .errors import ConfigError, FilterLabError, GridMismatch
-from .filtering import _subgenerator_expm, evolve_ensemble, evolve_noiseless_ensemble
+from .errors import ConfigError, FilterLabError, GridMismatch, NonPositiveNoise
+from .filtering import _BLOCK_STEPS, _subgenerator_expm, evolve_ensemble, evolve_noiseless_ensemble
 from .model import (
+    as_simplex,
     carre_du_champ,
     invariant_measure,
     is_ergodic,
@@ -48,7 +51,7 @@ from .model import (
 from .poincare import classical_pi_constant, conditional_pi_constant
 from .sim import spawn_rng
 
-__all__ = ["CheckResult", "run_verify", "DETERMINISTIC_CHECKS", "STATISTICAL_CHECKS", "MIN_SIZE"]
+__all__ = ["CheckResult", "record_filter_pair", "run_verify", "DETERMINISTIC_CHECKS", "STATISTICAL_CHECKS", "MIN_SIZE"]
 
 Z = 3.0
 Z_WIDE = 4.0
@@ -92,32 +95,69 @@ def _near_zero(name: str, label: str, x, se, z: float = Z) -> CheckResult:
     return _result(name, "statistical", np.all(x <= z * se), detail)
 
 
-def kl_supermartingale(ens, anchors) -> CheckResult:
+def record_filter_pair(model, mu, nu, n_paths, T, dt, seed):
+    """(chi2, kl, signal, drift, terminal) of run_divergence_ensemble's paths
+    and filters at every step: chi2 and kl (n_paths, n + 1); signal[i, k],
+    the left-point integral of |pi^mu(h/r) - pi^nu(h/r)|^2 to t_k on path i
+    (the pathwise relative-entropy identity's); drift, chi2_drift_batch's
+    trapezoid-rule integral; the final states (n_paths, 2, d), mu's first.
+    Pairs are reduced a full state-major (d, 2, _BLOCK_STEPS, P) buffer at a
+    time (other layouts move the products' bits), and one cumulative sum per
+    array gives a per-step running sum's bits.  Noiseless: NonPositiveNoise."""
+    if model.noiseless:
+        raise NonPositiveNoise("the signal and drift integrals need a noisy observation model")
+    batch = sample_path_batch(model, n_paths, T, dt, seed, mu)
+    n = batch.increments.shape[1]
+    # four arrays: one freed 4-array block would raise malloc's mmap threshold past later arrays
+    chi2_v, kl_v, signal, drift = (np.empty((n_paths, n + 1)) for _ in range(4))
+    block = np.empty((model.d, 2, min(_BLOCK_STEPS, n + 1), n_paths))
+
+    def observer(step: int, pis: np.ndarray) -> None:
+        j = step % block.shape[2]
+        block[:, :, j] = pis.transpose(2, 1, 0)
+        if j + 1 == block.shape[2] or step == n:  # a full buffer, or the last step's
+            k0, k1 = step - j, step + 1
+            p, q = np.moveaxis(block[:, :, : j + 1], 0, -1)
+            chi2_v[:, k0:k1], kl_v[:, k0:k1] = _divergence_batch(p, q)[:2].transpose(0, 2, 1)
+            drift[:, k0:k1] = chi2_drift_batch(p, q, model).T
+            # step k < n gives the signal's increment over (t_k, t_{k+1}]
+            p, q = p[: n - k0], q[: n - k0]
+            signal[:, k0 + 1 : k1 + 1] = ((((p - q) @ model.h_unit) ** 2).sum(axis=-1) * dt).T
+
+    priors = np.stack([as_simplex(mu, d=model.d), as_simplex(nu, d=model.d)])  # as the ensemble passes them
+    terminal = evolve_ensemble(priors, batch.increments, dt, model, observer=observer)
+    drift[:, 1:] += drift[:, :-1]  # the trapezoid rule: (d_k + d_{k+1}) dt / 2 at k + 1
+    drift[:, 1:] *= 0.5 * dt
+    signal[:, 0] = drift[:, 0] = 0.0
+    np.cumsum(signal, axis=1, out=signal)
+    np.cumsum(drift, axis=1, out=drift)
+    return chi2_v, kl_v, signal, drift, terminal
+
+
+def kl_supermartingale(kl_paths, anchors) -> CheckResult:
     """Mean KL non-increasing between consecutive anchor indices."""
-    drop = -np.diff(ens.kl_paths[:, anchors], axis=1)
+    drop = -np.diff(kl_paths[:, anchors], axis=1)
     return _above("kl-supermartingale", "anchored mean KL decrease", *_mean_se(drop))
 
 
-def clark_entropy_bound(ens, anchors, prior_kl: float) -> CheckResult:
+def clark_entropy_bound(kl_paths, signal, anchors, prior_kl: float) -> CheckResult:
     """E[KL_t + signal_t / 2] <= KL(mu|nu) at the anchors after the first
     (the first carries the prior on both sides, an exact equality)."""
     later = anchors[1:]
-    mean, se = _mean_se(ens.kl_paths[:, later] + 0.5 * ens.signal_integral[:, later])
+    mean, se = _mean_se(kl_paths[:, later] + 0.5 * signal[:, later])
     return _above("clark-entropy-bound", "slack", prior_kl - mean, se)
 
 
-def terminal_absolute_continuity(ens) -> CheckResult:
+def terminal_absolute_continuity(term) -> CheckResult:
     """pi_T^mu charges no state outside supp(pi_T^nu), by divergence's support rule."""
-    term = ens.terminal_pis
     passed = np.all(term[:, 0, :][term[:, 1, :] < SUPPORT_EPS] <= AC_EPS)
     detail = f"pi_T^mu below {AC_EPS:g} wherever pi_T^nu below {SUPPORT_EPS:g}"
     return _result("terminal-absolute-continuity", "statistical", passed, detail)
 
 
-def chi2_weak_dynamics(ens, indices) -> CheckResult:
+def chi2_weak_dynamics(c, drift, indices) -> CheckResult:
     """Trapezoid-integrated pathwise drift matches the mean chi-square increments."""
-    c = ens.chi2_paths
-    resid = c[:, indices] - c[:, [0]] - ens.drift_integral[:, indices]
+    resid = c[:, indices] - c[:, [0]] - drift[:, indices]
     return _near_zero("chi2-weak-dynamics", "mean residual", *_mean_se(resid), z=Z_WIDE)
 
 
@@ -431,17 +471,17 @@ def check_noiseless_identity(seed: int) -> CheckResult:
 
 
 def check_rerun_determinism(seed: int) -> CheckResult:
-    """Two same-seed ensembles are bit-identical in every field, series included."""
+    """Two same-seed ensembles (series included) and recordings are bit-identical in every array."""
     cfg = preset_config("example-6.1")
-    model = _cycle_model()
-    a = run_divergence_ensemble(model, cfg.mu, cfg.nu, 12, 0.5, 1e-3, seed, record_integrals=True)
-    b = run_divergence_ensemble(model, cfg.mu, cfg.nu, 12, 0.5, 1e-3, seed, record_integrals=True)
+    args = (_cycle_model(), cfg.mu, cfg.nu, 12, 0.5, 1e-3, seed)
+    a, b = run_divergence_ensemble(*args), run_divergence_ensemble(*args)
     same = all(
         np.array_equal(getattr(u, f.name), getattr(v, f.name))
         for u, v in ((a, b), (a.series, b.series))
         for f in fields(u)
         if f.name != "series"
     )
+    same &= all(np.array_equal(u, v) for u, v in zip(record_filter_pair(*args), record_filter_pair(*args)))
     return _result("rerun-determinism", "deterministic", same, "two same-seed runs bit-identical")
 
 
@@ -450,21 +490,15 @@ def check_rerun_determinism(seed: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _anchor_indices(times: np.ndarray, spacing: float) -> np.ndarray:
-    step = max(1, int(round(spacing / (times[1] - times[0]))))
-    return np.arange(0, times.size, step)
-
-
 def check_kl_supermartingale_and_clark(seed: int, size: int) -> list[CheckResult]:
     """Mean KL non-increasing at anchors; pathwise entropy bound at anchors."""
     cfg = preset_config("example-6.1")
-    model = _cycle_model()
-    ens = run_divergence_ensemble(model, cfg.mu, cfg.nu, size, 5.0, 1e-3, seed, record_integrals=True)
-    anchors = _anchor_indices(ens.series.times, 0.1)
+    _, kl_v, signal, _, terminal = record_filter_pair(_cycle_model(), cfg.mu, cfg.nu, size, 5.0, 1e-3, seed)
+    anchors = np.arange(0, kl_v.shape[1], 100)  # every 0.1
     return [
-        kl_supermartingale(ens, anchors),
-        clark_entropy_bound(ens, anchors, kl(cfg.mu, cfg.nu)),
-        terminal_absolute_continuity(ens),
+        kl_supermartingale(kl_v, anchors),
+        clark_entropy_bound(kl_v, signal, anchors, kl(cfg.mu, cfg.nu)),
+        terminal_absolute_continuity(terminal),
     ]
 
 
@@ -477,8 +511,8 @@ def check_weak_drift(seed: int, size: int) -> CheckResult:
     model = validate_model(A, H, 1.0)
     mu = 0.85 * rng.dirichlet(np.ones(d)) + 0.05
     nu = 0.85 * rng.dirichlet(np.ones(d)) + 0.05
-    ens = run_divergence_ensemble(model, mu, nu, size, 2.0, 1e-3, seed, record_integrals=True)
-    return chi2_weak_dynamics(ens, _anchor_indices(ens.series.times, 0.5)[1:])
+    chi2_v, _, _, drift, _ = record_filter_pair(model, mu, nu, size, 2.0, 1e-3, seed)
+    return chi2_weak_dynamics(chi2_v, drift, np.arange(500, chi2_v.shape[1], 500))  # every 0.5
 
 
 def check_backward_map(seed: int, size: int) -> list[CheckResult]:

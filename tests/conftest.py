@@ -117,8 +117,10 @@ SERIES_FIELDS = ("chi2_mean", "chi2_se", "kl_mean", "kl_se", "tv_mean", "tv_se")
 
 
 def series_of(times, chi2_paths, kl_paths, tv_paths):
-    """The DivergenceSeries of per-path arrays (P, n + 1), reduced by _mean_se."""
-    stats = [a for v in (chi2_paths, kl_paths, tv_paths) for a in _mean_se(np.asarray(v, float))]
+    """The DivergenceSeries of per-path arrays (P, n + 1), reduced by _mean_se
+    as C-contiguous arrays (a column selection such as v[:, steps] is
+    Fortran-ordered, which numpy may sum pairwise along the paths)."""
+    stats = [a for v in (chi2_paths, kl_paths, tv_paths) for a in _mean_se(np.ascontiguousarray(v, float))]
     return DivergenceSeries(np.asarray(times, float), len(chi2_paths), *stats)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CYCLE_MU, CYCLE_NU, interior_simplex, random_generator_matrix, read_csv, series_of
+from conftest import CYCLE_MU, CYCLE_NU, interior_simplex, random_generator_matrix, read_csv, report_steps, series_of
 from filterlab import ensemble
 from filterlab.divergence import (
     AC_EPS,
@@ -34,6 +34,7 @@ from filterlab.errors import (
 )
 from filterlab.filtering import _sum_rows
 from filterlab.model import carre_du_champ, validate_model
+from filterlab.verify import record_filter_pair
 
 positive_masses = st.lists(
     st.floats(0.05, 50.0, allow_nan=False), min_size=2, max_size=8
@@ -332,18 +333,18 @@ class TestDivergenceSeries:
         assert series.n_paths == 2
 
     def test_mean_and_se_computed_once_per_array(self, monkeypatch, cycle_model):
-        # the ensemble reduces each block's (P, 3 steps) stack once, and
-        # reading the series reduces nothing: 41 points are blocks of 16, 16, 9
+        # the ensemble reduces each block's (P, 3 points) stack once, and
+        # reading the series reduces nothing: 41 report points are blocks of 16, 16, 9
         calls = []
         real = ensemble._mean_se
         monkeypatch.setattr(ensemble, "_mean_se", lambda v: calls.append(v.shape) or real(v))
-        ens = ensemble.run_divergence_ensemble(cycle_model, CYCLE_MU, CYCLE_NU, 3, 0.4, 1e-2, 0, record_integrals=True)
-        series = ens.series
+        args = (cycle_model, CYCLE_MU, CYCLE_NU, 3, 8.0, 1e-2, 0)
+        series = ensemble.run_divergence_ensemble(*args).series
         for _ in range(3):
             mean, se = series.chi2_mean, series.chi2_se
             series.kl_se[1]
         assert calls == [(3, 48), (3, 48), (3, 27)]
-        values, n = ens.chi2_paths, 3
+        values, n = np.ascontiguousarray(record_filter_pair(*args)[0][:, report_steps(800)]), 3
         assert mean.tobytes() == (values.sum(axis=0) / n).tobytes()
         assert se.tobytes() == (values.std(axis=0, ddof=1) / np.sqrt(n)).tobytes()
 

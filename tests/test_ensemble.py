@@ -1,5 +1,6 @@
 """Ensemble orchestration: stream layout, batched filtering, recorders."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,11 +15,11 @@ from hypothesis import strategies as st
 import filterlab
 
 from conftest import (
-    CYCLE_MU, CYCLE_NU, NOISELESS_ATOL, SERIES_FIELDS, filter_states, random_generator_matrix, report_steps, series_of,
-    step_grid,
+    CYCLE_MU, CYCLE_NU, NOISELESS_ATOL, SERIES_FIELDS, filter_states, interior_simplex, random_generator_matrix,
+    report_steps, series_of, step_grid,
 )
 from filterlab.config import model_for_sweep_value, preset_config
-from filterlab.divergence import _divergence_batch, chi2, chi2_drift_batch
+from filterlab.divergence import _divergence_batch, _mean_se, chi2, chi2_drift_batch
 from filterlab import ensemble as ensemble_mod
 from filterlab.ensemble import REPORT_STEPS, run_divergence_ensemble, run_divergence_sweep, sample_path_batch
 from filterlab.errors import (
@@ -28,8 +29,9 @@ from filterlab.errors import (
     NonPositiveNoise,
 )
 from filterlab.filtering import _BLOCK_STEPS, evolve_ensemble, evolve_noiseless_ensemble
-from filterlab.model import validate_model
+from filterlab.model import as_simplex, validate_model
 from filterlab.sim import spawn_rng
+from filterlab.verify import record_filter_pair
 
 
 def _first_draws(seed, stream, law):
@@ -179,7 +181,10 @@ class TestRunDivergenceEnsemble:
         assert ens.series.n_paths == 6
         for name in SERIES_FIELDS:
             assert getattr(ens.series, name).shape == (26,)  # every 20th of 500 steps, the last included
-        assert ens.chi2_paths is None and ens.kl_paths is None
+        # no per-path series or integrals: record_filter_pair records those
+        assert [f.name for f in dataclasses.fields(ens)] == [
+            "series", "initial_chi2", "terminal_pis", "initial_states", "nu_filters"
+        ]
         assert ens.series.times.tobytes() == step_grid(0.5, 1e-3)[::REPORT_STEPS].tobytes()
         assert ens.series.times[-1] == pytest.approx(0.5)
         assert ens.initial_chi2.shape == (6,)
@@ -190,29 +195,38 @@ class TestRunDivergenceEnsemble:
         np.testing.assert_allclose(ens.terminal_pis.sum(axis=2), 1.0, atol=1e-9)
 
     def test_signal_integral_starts_at_zero_and_grows(self, cycle_model):
-        ens = run_divergence_ensemble(
-            cycle_model, CYCLE_MU, CYCLE_NU, 4, 0.5, 1e-3, 1, record_integrals=True
-        )
-        assert np.all(ens.signal_integral[:, 0] == 0.0)
-        assert np.all(np.diff(ens.signal_integral, axis=1) >= 0.0)
+        _, _, signal, _, _ = record_filter_pair(cycle_model, CYCLE_MU, CYCLE_NU, 4, 0.5, 1e-3, 1)
+        assert np.all(signal[:, 0] == 0.0)
+        assert np.all(np.diff(signal, axis=1) >= 0.0)
 
     def test_drift_recording_optional(self, cycle_model):
-        # both integrals are computed only on request
+        # the ensemble keeps the report grid only; the recorder keeps every step
         plain = run_divergence_ensemble(cycle_model, CYCLE_MU, CYCLE_NU, 3, 0.2, 1e-3, 0)
-        assert plain.signal_integral is None and plain.drift_integral is None
-        rec = run_divergence_ensemble(
-            cycle_model, CYCLE_MU, CYCLE_NU, 3, 0.2, 1e-3, 0, record_integrals=True
-        )
-        for integral in (rec.signal_integral, rec.drift_integral):
+        assert plain.series.times.shape == (11,)
+        chi2_v, kl_v, signal, drift, terminal = record_filter_pair(cycle_model, CYCLE_MU, CYCLE_NU, 3, 0.2, 1e-3, 0)
+        for integral in (signal, drift):
             assert integral.shape == (3, 201)
             assert np.all(integral[:, 0] == 0.0)
-        assert rec.chi2_paths.shape == rec.kl_paths.shape == (3, 201)
-        # recording reports every step and must not perturb the filter path
-        assert rec.series.times.shape == (201,)
-        for name in ("times", *SERIES_FIELDS):
-            assert np.array_equal(getattr(plain.series, name), getattr(rec.series, name)[::REPORT_STEPS])
-        assert np.array_equal(plain.initial_chi2, rec.initial_chi2)
-        assert np.array_equal(plain.terminal_pis, rec.terminal_pis)
+        assert chi2_v.shape == kl_v.shape == (3, 201)
+        assert terminal.shape == (3, 2, 4)
+
+    def test_recorder_shares_the_ensembles_paths(self):
+        # the recorder samples and filters the ensemble's paths, bit for bit;
+        # a mu that as_simplex rounds again takes the ensemble's rounding of its priors
+        rng = np.random.default_rng(2)
+        model = validate_model(random_generator_matrix(rng, 3), rng.normal(size=(3, 1)), 0.7)
+        mu, nu = interior_simplex(rng, 3), interior_simplex(rng, 3)
+        assert as_simplex(mu, 3).tobytes() != as_simplex(as_simplex(mu, 3), 3).tobytes()
+        args = (model, mu, nu, 9, 0.5, 1e-3, 4)
+        ens = run_divergence_ensemble(*args)
+        chi2_v, kl_v, _, _, terminal = record_filter_pair(*args)
+        assert terminal.tobytes() == ens.terminal_pis.tobytes()
+        assert chi2_v[:, 0].tobytes() == ens.initial_chi2.tobytes()
+        report = report_steps(500)
+        for name, values in (("chi2", chi2_v), ("kl", kl_v)):
+            mean, se = _mean_se(np.ascontiguousarray(values[:, report]))
+            assert mean.tobytes() == getattr(ens.series, f"{name}_mean").tobytes()
+            assert se.tobytes() == getattr(ens.series, f"{name}_se").tobytes()
 
     def test_noiseless_route_uses_exact_filter(self, cycle_noiseless):
         # the cycle's level-set filter keeps the chi-square gap frozen at
@@ -226,10 +240,9 @@ class TestRunDivergenceEnsemble:
         np.testing.assert_allclose(ens.initial_chi2, 0.16, atol=1e-10)
 
     def test_noiseless_drift_recording_rejected(self, cycle_noiseless):
+        # raised before the batch's increments, None for a noiseless model, are read
         with pytest.raises(NonPositiveNoise):
-            run_divergence_ensemble(
-                cycle_noiseless, CYCLE_MU, CYCLE_NU, 2, 0.5, 1e-3, 0, record_integrals=True
-            )
+            record_filter_pair(cycle_noiseless, CYCLE_MU, CYCLE_NU, 2, 0.5, 1e-3, 0)
 
     def test_absolute_continuity_violation_raised(self, cycle_model):
         # nu has no mass on states 2 and 3, where mu has
@@ -310,19 +323,20 @@ class TestReportGrid:
         model = validate_model(random_generator_matrix(rng, 4), rng.normal(size=(4, 1)), 0.7)
         report = report_steps(n_steps)
         assert report.tolist() == [*range(0, n_steps, 20), n_steps]
-        args = ([model], CYCLE_MU, CYCLE_NU, n_paths, n_steps * 1e-3, 1e-3, 5)
-        ens = next(run_divergence_sweep(*args, False, 3))
-        per_step = next(run_divergence_sweep(*args, True, 3))  # record_integrals reports every step
-        assert per_step.series.times.shape == (n_steps + 1,)
+        T, dt = n_steps * 1e-3, 1e-3
+        ens = next(run_divergence_sweep([model], CYCLE_MU, CYCLE_NU, n_paths, T, dt, 5, 3))
+        mu_paths = sample_path_batch(model, n_paths, T, dt, 5, CYCLE_MU).increments
+        nu_paths = sample_path_batch(model, 3, T, dt, 5, CYCLE_NU, stream_offset=n_paths).increments
         for got, want in [
-            *((getattr(ens.series, name), getattr(per_step.series, name)[report]) for name in ("times", *SERIES_FIELDS)),
-            (ens.nu_filters, per_step.nu_filters[:, report]),
-            (ens.initial_chi2, per_step.initial_chi2),
-            (ens.terminal_pis, per_step.terminal_pis),
+            (ens.series.times, step_grid(T, dt)[report]),
+            (ens.nu_filters, filter_states(CYCLE_NU, nu_paths, dt, model)[:, 0, report]),
+            (ens.terminal_pis, filter_states(np.stack([CYCLE_MU, CYCLE_NU]), mu_paths, dt, model)[:, :, -1]),
         ]:
             assert got.tobytes() == want.tobytes()
         # and the reduction of whole per-step (P, n + 1) arrays, taken at the report steps
-        want = series_of(per_step.series.times, *_per_step_reference(model, *args[1:], record_integrals=False)[:3])
+        chi2_v, kl_v, tv_v = _per_step_reference(model, CYCLE_MU, CYCLE_NU, n_paths, T, dt, 5)[:3]
+        assert ens.initial_chi2.tobytes() == chi2_v[:, 0].tobytes()
+        want = series_of(step_grid(T, dt), chi2_v, kl_v, tv_v)
         for name in SERIES_FIELDS:
             assert getattr(ens.series, name).tobytes() == getattr(want, name)[report].tobytes()
 
@@ -332,17 +346,17 @@ class TestRunDivergenceSweep:
     its one-model run bit for bit."""
 
     @pytest.mark.parametrize(
-        "preset, values, record_integrals",
+        "preset, values",
         [
-            ("example-6.1", (0.0, 0.1, 1.0, 10.0), False),
+            ("example-6.1", (0.0, 0.1, 1.0, 10.0)),
             # k = 2.5: the drift of k H is not k times the drift of H
-            ("example-6.2", (0.0, 1.0, 2.5), True),
+            ("example-6.2", (0.0, 1.0, 2.5)),
         ],
     )
-    def test_each_value_equals_its_one_model_run(self, preset, values, record_integrals):
+    def test_each_value_equals_its_one_model_run(self, preset, values):
         cfg = preset_config(preset)
         models = [model_for_sweep_value(cfg, value) for value in values]
-        args = (cfg.mu, cfg.nu, 10, 0.2, 1e-3, 11, record_integrals, 3)
+        args = (cfg.mu, cfg.nu, 10, 0.2, 1e-3, 11, 3)
         for model, ens in zip(models, run_divergence_sweep(models, *args)):
             alone = next(run_divergence_sweep([model], *args))
             for got, want in [
@@ -353,14 +367,6 @@ class TestRunDivergenceSweep:
                 (ens.initial_states, alone.initial_states),
             ]:
                 assert got.tobytes() == want.tobytes()
-            for got, want in [
-                (ens.chi2_paths, alone.chi2_paths),
-                (ens.kl_paths, alone.kl_paths),
-                (ens.signal_integral, alone.signal_integral),
-                (ens.drift_integral, alone.drift_integral),
-            ]:
-                assert (got is None) == (want is None) == (not record_integrals)
-                assert got is None or got.tobytes() == want.tobytes()
 
     def test_peak_memory_holds_no_per_path_series(self):
         # P = 400 paths of 1,000 steps: the normals and the drift are about
@@ -397,14 +403,15 @@ def _sweep_peak_memory(values):
     return peak, one_series
 
 
-def _per_step_reference(model, mu, nu, n_paths, T, dt, seed, record_integrals):
-    """The ensemble's outputs with each divergence computed at its own step.
+def _per_step_reference(model, mu, nu, n_paths, T, dt, seed):
+    """Per-path chi2, kl and tv with each divergence computed at its own
+    step, and for a noisy model the signal and drift integrals.
 
-    The integrals are formed as the ensemble forms them, from a state-major
-    (d, 2, steps, P) stack of the filter pairs, but one stack of the whole
-    horizon, and added up step by step, the signal by the left-point rule
-    and the drift by the trapezoid rule: at P = 1 a 2-D (1, d) product
-    rounds differently from the stacked one.
+    The integrals are formed as record_filter_pair forms them, from a
+    state-major (d, 2, steps, P) stack of the filter pairs, but one stack of
+    the whole horizon, and added up step by step, the signal by the
+    left-point rule and the drift by the trapezoid rule: at P = 1 a 2-D
+    (1, d) product rounds differently from the stacked one.
     """
     batch = sample_path_batch(model, n_paths, T, dt, seed, mu)
     n_steps = round(T / dt)
@@ -421,7 +428,7 @@ def _per_step_reference(model, mu, nu, n_paths, T, dt, seed, record_integrals):
     else:
         evolve_ensemble(priors, batch.increments, dt, model, observer=observer)
     signal, drift = np.zeros((2, n_paths, n_steps + 1))
-    if record_integrals:
+    if not model.noiseless:
         p, q = np.moveaxis(pq, 0, -1)
         signal_rate = (((p[:n_steps] - q[:n_steps]) @ model.h_unit) ** 2).sum(axis=-1)
         drift_rate = chi2_drift_batch(p, q, model)
@@ -441,39 +448,41 @@ class TestBlockedObserver:
     @pytest.mark.parametrize("n_steps", STEPS)
     @pytest.mark.parametrize("m, n_paths", [(1, 1), (1, 7), (2, 12)])
     def test_noisy_with_drift(self, n_steps, m, n_paths):
-        """The ensemble's filters run on the sweep's increments, formed a
-        kernel block at a time from the normals and the drift, and the
-        reference's on sample_path_batch's, formed in place in one array:
-        this is the guard that the two forms agree bit for bit."""
+        """record_filter_pair, which reduces a buffer of steps at once, equals
+        the reference bit for bit.  The ensemble's filters run on the
+        sweep's increments, formed a kernel block at a time from the normals
+        and the drift, and the reference's on sample_path_batch's, formed in
+        place in one array: this is the guard that the two forms agree bit
+        for bit."""
         rng = np.random.default_rng(n_steps + 100 * m)
         model = validate_model(random_generator_matrix(rng, 4), rng.normal(size=(4, m)), 0.7)
         dt = 0.01
         args = (model, CYCLE_MU, CYCLE_NU, n_paths, n_steps * dt, dt, 5)
-        ens = run_divergence_ensemble(*args, record_integrals=True)
-        chi2_v, kl_v, tv_v, signal, drift = _per_step_reference(*args, record_integrals=True)
-        for got, want in [
-            (ens.chi2_paths, chi2_v),
-            (ens.kl_paths, kl_v),
-            (ens.initial_chi2, chi2_v[:, 0]),
-            (ens.signal_integral, signal),
-            (ens.drift_integral, drift),
-        ]:
+        chi2_v, kl_v, tv_v, signal, drift = _per_step_reference(*args)
+        for got, want in zip(record_filter_pair(*args), (chi2_v, kl_v, signal, drift)):
             assert got.tobytes() == want.tobytes()
-        _assert_series_of(ens.series, chi2_v, kl_v, tv_v)
+        ens = run_divergence_ensemble(*args)
+        assert ens.initial_chi2.tobytes() == chi2_v[:, 0].tobytes()
+        report = report_steps(n_steps)
+        _assert_series_of(ens.series, chi2_v[:, report], kl_v[:, report], tv_v[:, report])
 
-    # n_steps + 1 = 17 points leave 1 in the last block, 31 points 15 and 32
-    # points 16; P >= 8 is where numpy would sum a single column pairwise
+    # n_points = 17 report points leave 1 in the last block, 31 points 15 and
+    # 32 points 16; P >= 8 is where numpy would sum a single column pairwise
     @pytest.mark.parametrize("n_steps", [_BLOCK_STEPS, 2 * _BLOCK_STEPS - 2, 2 * _BLOCK_STEPS - 1])
     @pytest.mark.parametrize("n_paths", [1, 2, 9, 200])
     def test_series_are_mean_se_of_the_recorded_paths(self, n_steps, n_paths):
         rng = np.random.default_rng(n_steps)
         model = validate_model(random_generator_matrix(rng, 4), rng.normal(size=(4, 1)), 0.7)
-        args = (model, CYCLE_MU, CYCLE_NU, n_paths, n_steps * 0.01, 0.01, 5)
-        ens = run_divergence_ensemble(*args, record_integrals=True)
-        chi2_v, kl_v, tv_v, _, _ = _per_step_reference(*args, record_integrals=False)
-        assert ens.chi2_paths.tobytes() == chi2_v.tobytes()
-        assert ens.kl_paths.tobytes() == kl_v.tobytes()
-        _assert_series_of(ens.series, ens.chi2_paths, ens.kl_paths, tv_v)
+        n_points = n_steps + 1
+        args = (model, CYCLE_MU, CYCLE_NU, n_paths, n_steps * REPORT_STEPS * 0.01, 0.01, 5)
+        ens = run_divergence_ensemble(*args)
+        chi2_v, kl_v, _, _, _ = record_filter_pair(*args)
+        chi2_r, kl_r, tv_r, _, _ = _per_step_reference(*args)
+        assert chi2_v.tobytes() == chi2_r.tobytes()
+        assert kl_v.tobytes() == kl_r.tobytes()
+        report = report_steps(n_steps * REPORT_STEPS)
+        assert len(report) == n_points
+        _assert_series_of(ens.series, chi2_v[:, report], kl_v[:, report], tv_r[:, report])
 
     @pytest.mark.parametrize("n_steps", STEPS)
     def test_noiseless(self, cycle_noiseless, n_steps):
@@ -482,8 +491,7 @@ class TestBlockedObserver:
         dt = 0.01
         args = (cycle_noiseless, CYCLE_MU, CYCLE_NU, 9, n_steps * dt, dt, 3)
         ens = run_divergence_ensemble(*args)
-        chi2_v, kl_v, tv_v, _, _ = _per_step_reference(*args, record_integrals=False)
-        assert ens.signal_integral is None and ens.chi2_paths is None
+        chi2_v, kl_v, tv_v, _, _ = _per_step_reference(*args)
         assert ens.initial_chi2.tobytes() == chi2_v[:, 0].tobytes()
         report = report_steps(n_steps)
         assert ens.series.times.tobytes() == step_grid(n_steps * dt, dt)[report].tobytes()

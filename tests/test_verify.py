@@ -6,10 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import SERIES_FIELDS, series_of
+from conftest import SERIES_FIELDS
 from filterlab import verify
 from filterlab.dual import BackwardMapEstimate
-from filterlab.ensemble import EnsembleDivergence
 from filterlab.verify import (
     DETERMINISTIC_CHECKS,
     MIN_SIZE,
@@ -32,6 +31,10 @@ CHECK_NAMES = """
     ctmc-marginal-law stream-independence splitting-strong-order
 """.split()
 
+# what check_rerun_determinism compares: the ensemble's fields, and record_filter_pair's arrays in order
+ENSEMBLE_FIELDS = ["initial_chi2", "terminal_pis", "initial_states"] + [f"series.{n}" for n in SERIES_FIELDS]
+RECORDED = ["chi2_paths", "kl_paths", "signal_integral", "drift_integral", "terminal"]
+
 
 class TestDeterministicChecks:
     def test_all_pass(self):
@@ -53,21 +56,23 @@ class TestDeterministicChecks:
             report = run_verify(master_seed=seed, size=0)
             assert report["passed"] is True
 
-    @pytest.mark.parametrize("field", ["initial_chi2", "drift_integral"] + [f"series.{n}" for n in SERIES_FIELDS])
+    @pytest.mark.parametrize("field", ENSEMBLE_FIELDS + RECORDED)
     def test_rerun_determinism_sees_every_recorded_array(self, monkeypatch, field):
         # a rerun that differs only in this array fails the check
         runs = []
-        original = verify.run_divergence_ensemble
+        original = verify.record_filter_pair if field in RECORDED else verify.run_divergence_ensemble
 
-        def rerun(*args, **kwargs):
-            out = original(*args, **kwargs)
-            if runs:
+        def rerun(*args):
+            out = original(*args)
+            if runs and field in RECORDED:
+                out[RECORDED.index(field)][-1] += 1
+            elif runs:
                 holder = out.series if field.startswith("series.") else out
-                getattr(holder, field.removeprefix("series."))[-1] += 1.0
+                getattr(holder, field.removeprefix("series."))[-1] += 1
             runs.append(out)
             return out
 
-        monkeypatch.setattr(verify, "run_divergence_ensemble", rerun)
+        monkeypatch.setattr(verify, original.__name__, rerun)
         assert verify.check_rerun_determinism(1).passed is False
 
 
@@ -121,20 +126,6 @@ def _estimate(y0, stderr):
     return BackwardMapEstimate(np.array(y0), np.array(stderr), 2, 1.0, "plain", ())
 
 
-def _ensemble(chi2_rows, drift_rows):
-    c = np.array(chi2_rows)
-    return EnsembleDivergence(
-        series=series_of(0.5 * np.arange(c.shape[1]), c, 0 * c, 0 * c),
-        initial_chi2=c[:, 0],
-        chi2_paths=c,
-        kl_paths=0 * c,
-        signal_integral=None,
-        drift_integral=np.array(drift_rows),
-        terminal_pis=np.full((len(c), 2, 1), 1.0),
-        initial_states=np.zeros(len(c), int),
-    )
-
-
 class TestStandardErrorRule:
     """A nan standard error fails; a zero one passes only an exact zero."""
 
@@ -147,11 +138,10 @@ class TestStandardErrorRule:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_chi2_weak_dynamics(self):
-        chi2_rows = [[1.0, 0.8, 0.6], [1.0, 0.8, 0.6]]
-        one_path = _ensemble(chi2_rows[:1], [[0.0, -0.1, -0.3]])
-        assert not chi2_weak_dynamics(one_path, [1, 2]).passed
-        constant = _ensemble(chi2_rows, [[0.0, -0.1, -0.3], [0.0, -0.1, -0.3]])
-        assert not chi2_weak_dynamics(constant, [1, 2]).passed
+        chi2_rows = np.array([[1.0, 0.8, 0.6], [1.0, 0.8, 0.6]])
+        assert not chi2_weak_dynamics(chi2_rows[:1], np.array([[0.0, -0.1, -0.3]]), [1, 2]).passed
+        constant = np.array([[0.0, -0.1, -0.3], [0.0, -0.1, -0.3]])
+        assert not chi2_weak_dynamics(chi2_rows, constant, [1, 2]).passed
 
 
 class TestStatisticalChecks:
