@@ -14,8 +14,8 @@ and essential_infimum_ratio's supp(nu) (dual), the support of rho in the
 Poincare problems (poincare) and verify's terminal check count against the
 same two constants.  tv is defined for all pairs.  The three
 formulas are written once, for state-major pairs (d, ...) reduced as sums
-of rows, so a block of many steps and paths costs one call; stacked pairs
-(..., d) and single laws go through the same code on a moved-axis view.
+of rows, so a block of many steps and paths costs one call, and a single
+pair of laws (d,) goes through the same code.
 
 The module also evaluates the exact local dynamics of the chi-square
 divergence between two filters driven by the same observation: the drift
@@ -141,19 +141,14 @@ def _tv_rows(p: np.ndarray, q: np.ndarray, t: np.ndarray, out: np.ndarray) -> np
     return out
 
 
-def _divergence_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """chi2, kl and tv of stacked pairs (..., d): _divergences on the state-major view."""
-    return _divergences(np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0))
-
-
 def chi2(p, q) -> float:
     """Chi-square divergence sum (gamma - 1)^2 q over supp(q)."""
-    return float(_divergence_batch(np.asarray(p, float), np.asarray(q, float))[0])
+    return float(_divergences(np.asarray(p, float), np.asarray(q, float))[0])
 
 
 def kl(p, q) -> float:
     """Relative entropy sum gamma log(gamma) q over supp(q), 0 log 0 = 0."""
-    return float(_divergence_batch(np.asarray(p, float), np.asarray(q, float))[1])
+    return float(_divergences(np.asarray(p, float), np.asarray(q, float))[1])
 
 
 def tv(p, q) -> float:
@@ -162,7 +157,6 @@ def tv(p, q) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise DimensionMismatch(f"shapes {p.shape} and {q.shape} differ")
-    p, q = np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)
     return float(_tv_rows(p, q, np.empty(p.shape), np.empty(p.shape[1:])))
 
 

@@ -21,8 +21,9 @@ which the balance makes exact.
 
 backward_map_study is the one engine, the one entry point for both the
 diagnostics and the estimators, and owns the stream layout.  It runs one
-pass per initial state to the largest horizon and reduces the three filters
-and X_T at each horizon's grid step as the pass reaches it, so a study
+pass per initial state to the largest horizon and reduces the engine's
+state-major (d, 3, P) array of the three filters, adding the states in row
+order, and X_T at each horizon's grid step as the pass reaches it, so a study
 costs max(T_list) of simulation and filtering rather than sum(T_list);
 initial state row r uses the streams r * N onwards for every horizon.  Each
 process (a forked child may take the later states: ensemble._split_run)
@@ -37,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import AC_EPS, _divergence_batch, chi2, density_ratio
+from .divergence import AC_EPS, _divergences, chi2, density_ratio
 from .ensemble import _split_run, sample_path_batch
 from .errors import AssumptionA1Violated, DimensionMismatch
-from .filtering import evolve_ensemble
+from .filtering import _sum_rows, evolve_ensemble
 from .model import HmmModel, as_simplex
 from .sim import _grid_steps
 
@@ -76,8 +77,8 @@ class BackwardMapEstimate:
 
 def _state_samples(
     model: HmmModel,
-    mu: np.ndarray,
-    nu: np.ndarray,
+    mu,
+    nu,
     x: int,
     row: int,
     T_list: list[float],
@@ -111,16 +112,13 @@ def _state_samples(
     )
     out = np.empty((3, len(T_list), n_paths))
 
-    def reduce(step: int, pis: np.ndarray) -> None:
+    def reduce(step: int, S: np.ndarray) -> None:
         i = index.get(step)
         if i is not None:
-            # Reduce a C-contiguous copy: on the strided view numpy adds the
-            # rb rows in another order once d >= 8.
-            pis = np.ascontiguousarray(pis)
-            gamma = density_ratio(pis[:, 0, :], pis[:, 1, :])
-            out[0, i] = gamma[np.arange(n_paths), states_at[:, i]]
-            out[1, i] = (pis[:, 2, :] * gamma).sum(axis=1)
-            out[2, i] = _divergence_batch(pis[:, 0, :], pis[:, 1, :])[0]
+            gamma = density_ratio(S[:, 0], S[:, 1])
+            out[0, i] = gamma[states_at[:, i], np.arange(n_paths)]
+            out[1, i] = _sum_rows(S[:, 2] * gamma)
+            out[2, i] = _divergences(S[:, 0], S[:, 1])[0]
 
     evolve_ensemble(np.stack([mu, nu, point]), batch.increments, dt, model, observer=reduce)
     return out
@@ -318,6 +316,7 @@ def backward_map_study(
     conservative scale for the comparison.  Raises GridMismatch when dt
     does not divide a horizon.
     """
+    priors = mu, nu  # as the caller gave them: the engine's as_simplex is the one the filters see
     mu = as_simplex(mu, d=model.d)
     nu = as_simplex(nu, d=model.d)
     density_ratio(mu, nu)
@@ -328,7 +327,7 @@ def backward_map_study(
     kept = np.flatnonzero(nu > AC_EPS)
     skipped = tuple(int(x) for x in np.flatnonzero(nu <= AC_EPS))
     samples = _split_run(
-        lambda rows: (_state_samples(model, mu, nu, x, row, T_list, n_paths, master_seed, dt) for row, x in rows),
+        lambda rows: (_state_samples(model, *priors, x, row, T_list, n_paths, master_seed, dt) for row, x in rows),
         enumerate(kept),
         n_paths * steps[-1],
     )

@@ -9,12 +9,13 @@ filtered in one lockstep pass; reductions add the paths in path-index order.
 A pass reports every REPORT_STEPS-th step and the last: the noiseless
 engine, exact on any grid, steps those times, and the noisy kernel steps
 every dt with an absolute-continuity check at the steps between them.  The
-observer copies the report points' filter pairs into a state-major (2, d,
-points, P) block, allocated once per pass with the divergences' work arrays,
-and reduces a full block at once: one _mean_se over a C-contiguous (P, 3
-points) stack of chi2, kl and tv, at least 3 columns wide, so the series
-equal the reduction of whole (P, points) arrays bit for bit and none is
-kept.  Per-path values stay only for chi2 at t = 0 (verify records its own).
+observer copies the report points' pairs from the engine's (d, 2, P) array
+into a (2, d, points, P) block, allocated once per pass with the
+divergences' work arrays, and reduces a full block at once: one _mean_se
+over a C-contiguous (P, 3 points) stack of chi2, kl and tv, at least 3
+columns wide, so the series equal the reduction of whole (P, points) arrays
+bit for bit and none is kept.  Per-path values stay only for chi2 at t = 0
+(verify records its own).
 """
 
 from __future__ import annotations
@@ -147,9 +148,12 @@ def run_divergence_sweep(models, mu, nu, n_paths, T, dt, master_seed, nu_paths=0
     models = list(models)
     if not models or any(not np.array_equal(m.A, models[0].A) or m.H.shape != models[0].H.shape for m in models):
         raise DimensionMismatch("a sweep needs models that share A and the shape of H")
-    mu, nu = as_simplex(mu, d=models[0].d), as_simplex(nu, d=models[0].d)
+    d = models[0].d
     grid = np.arange(_grid_steps(T, dt) + 1) * dt
-    starts = [np.cumsum(mu).tolist()] * n_paths + [np.cumsum(nu).tolist()] * nu_paths
+    starts = [np.cumsum(as_simplex(mu, d=d)).tolist()] * n_paths + [np.cumsum(as_simplex(nu, d=d)).tolist()] * nu_paths
+    # the filters start from the caller's priors: the engine's as_simplex is their one normalization
+    pairs = np.repeat(np.stack([mu, nu])[:, None], n_paths, axis=1)
+    priors = np.concatenate([pairs, np.broadcast_to(nu, (2, nu_paths, d))], axis=1)
     normals = None if all(m.noiseless for m in models) else np.empty((len(starts), len(grid) - 1, models[0].m))
     paths = _draw_paths(_jump_tables(models[0].A), starts, float(T), master_seed, 0, normals)
 
@@ -160,7 +164,7 @@ def run_divergence_sweep(models, mu, nu, n_paths, T, dt, master_seed, nu_paths=0
                 H, drift = model.H, None  # drop the old drift before allocating the new
                 drift = np.zeros_like(normals)
                 _add_drift(drift, paths, H, grid)
-            yield _divergence_pass(model, mu, nu, paths, n_paths, grid, dt, normals, drift)
+            yield _divergence_pass(model, priors, paths, n_paths, grid, dt, normals, drift)
 
     yield from _split_run(passes, models, len(starts) * (len(grid) - 1))
 
@@ -207,8 +211,8 @@ def _split_run(run, items, path_steps):
         yield result
 
 
-def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, normals, drift_steps):
-    """One lockstep pass of the mu and nu filters with the block divergence observer."""
+def _divergence_pass(model, priors, paths, n_paths, times, dt, normals, drift_steps):
+    """One lockstep pass of the filters from priors (2, P, d) with the block divergence observer."""
     n_steps = len(times) - 1
     report = np.append(np.arange(0, n_steps, REPORT_STEPS), n_steps)  # the steps kept
     n = len(report) - 1  # the last report point
@@ -232,22 +236,20 @@ def _divergence_pass(model, mu, nu, paths, n_paths, times, dt, normals, drift_st
         if k0 == 0:
             initial_chi2[:] = values[:, 0, 0]
 
-    def observe(step: int, pis: np.ndarray) -> None:  # a report point
+    def observe(step: int, S: np.ndarray) -> None:  # a report point
         nonlocal seen
-        block[:, :, seen - done] = pis[:n_paths].transpose(1, 2, 0)
-        nu_filters[:, seen] = pis[n_paths:, 1]
+        block[:, :, seen - done] = S[:, :, :n_paths].swapaxes(0, 1)
+        nu_filters[:, seen] = S[:, 1, n_paths:].T
         seen += 1
         if seen - done == block.shape[2] or seen > n:
             flush()
 
-    def observer(step: int, pis: np.ndarray) -> None:  # every step of the noisy kernel
+    def observer(step: int, S: np.ndarray) -> None:  # every step of the noisy kernel
         if step == report[seen]:
-            observe(step, pis)
-        elif pis[:n_paths, 1].min() < SUPPORT_EPS:  # the step's own absolute-continuity check
-            _ratio(pis[:n_paths, 0], pis[:n_paths, 1])
+            observe(step, S)
+        elif S[:, 1, :n_paths].min() < SUPPORT_EPS:  # the step's own absolute-continuity check
+            _ratio(S[:, 0, :n_paths], S[:, 1, :n_paths])
 
-    pairs = np.repeat(np.stack([mu, nu])[:, None], n_paths, axis=1)
-    priors = np.concatenate([pairs, np.broadcast_to(nu, (2, nu_paths, model.d))], axis=1)
     try:
         if model.noiseless:
             terminal = evolve_noiseless_ensemble(priors, paths, times[report], model, observer=observe)

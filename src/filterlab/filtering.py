@@ -17,8 +17,9 @@ pairwise reduction, so a path gets bitwise the same numbers alone as in any
 batch.  The correction is exponentiated once per block of _BLOCK_STEPS
 steps, elementwise, so a block gives the bits of one step at a time.
 evolve_ensemble runs the kernel over a path ensemble, with priors shared
-by all paths or one per path, and every noisy pipeline calls it;
-wonham_step is one step broadcast over leading axes.
+by all paths or one per path, and every noisy pipeline calls it; its
+observers read the (d, k, P) array itself, and only the states it returns,
+like wonham_step's one step broadcast over leading axes, are path-major.
 
 For exactly noiseless observations (r = 0), evolve_noiseless_ensemble
 computes the conditional law exactly on the same (d, k, P) array, with
@@ -76,15 +77,15 @@ def _split_steps(S: np.ndarray, increments: np.ndarray, dt: float, model: HmmMod
     The correction exponent of a block of _BLOCK_STEPS steps is computed in
     (b, d, P) layout, shifted by its per-(step, path) maximum and
     exponentiated at once; each step shares its (d, P) slice by the k priors.
-    observer(step, pis) gets the (P, k, d) view of the states at step 0
-    and after every update.  Returns the terminal array.
+    observer(step, S) gets S itself at step 0 and after every update.
+    Returns the terminal array.
     """
     E = _subgenerator_expm(model.A, dt)
     hu = model.h_unit
     gain = hu / model.r
     half = 0.5 * dt * (hu**2).sum(axis=1)[:, None]
     if observer is not None:
-        observer(0, S.transpose(2, 1, 0))
+        observer(0, S)
     for start in range(0, increments.shape[1], _BLOCK_STEPS):
         dz = increments[:, start : start + _BLOCK_STEPS].transpose(2, 1, 0)[:, :, None, :]
         lw = gain[:, :1] * dz[0]
@@ -100,7 +101,7 @@ def _split_steps(S: np.ndarray, increments: np.ndarray, dt: float, model: HmmMod
                 raise DegenerateMass(f"step {step}: filter mass vanished; check the increments")
             S /= mass
             if observer is not None:
-                observer(step + 1, S.transpose(2, 1, 0))
+                observer(step + 1, S)
     return S
 
 
@@ -145,11 +146,11 @@ def evolve_ensemble(
     priors is (k, d), shared by all paths, or (k, P, d), one row per path,
     and increments (P, n_steps, m): an array, or any object with that shape
     whose [:, a:b] is the array of steps a .. b - 1, which the kernel reads
-    one block of _BLOCK_STEPS steps at a time.  observer(step, pis) is
+    one block of _BLOCK_STEPS steps at a time.  observer(step, S) is
     called with step = 0 and then after every update, step n holding the
-    laws at time n dt; pis is the (P, k, d) view of the state-major array,
-    not to be mutated and valid only during the call.  Returns the terminal
-    states as such a view.
+    laws at time n dt; S is the engine's state-major (d, k, P) array,
+    read-only and valid only during the call.  Returns the terminal states
+    as a (P, k, d) view.
     """
     if model.noiseless:
         raise NonPositiveNoise("noiseless model: use evolve_noiseless_ensemble")
@@ -217,8 +218,8 @@ def evolve_noiseless_ensemble(
     laws at its times up to rounding, at a cost that scales with the level
     changes.  The unnormalized law is a positive linear map of the prior, so
     p_0 <= C q_0 gives p_t <= C q_t: absolute continuity checked at the grid
-    times holds between them.  observer(step, pis) sees the laws at t_step,
-    and the states are returned, as in evolve_ensemble.  Raises
+    times holds between them.  observer(step, S) sees the (d, k, P) laws at
+    t_step, and the states are returned, as in evolve_ensemble.  Raises
     EmptyLevelSet, naming the time, when no mass is left on the observed
     level at a grid time or a redo, and GridMismatch for any other grid.
     """
@@ -247,7 +248,7 @@ def evolve_noiseless_ensemble(
     x0 = [sp.states[0] for sp in state_paths]
     S = _normalized_levels(np.ascontiguousarray(priors.transpose(2, 0, 1)) * same[x0].T[:, None, :], 0)
     if observer is not None:
-        observer(0, S.transpose(2, 1, 0))
+        observer(0, S)
     for step in range(len(spans)):
         t_start, t_end = float(grid[step]), float(grid[step + 1])
         new = np.einsum("xy,xkn->ykn", G[t_end - t_start], S)
@@ -260,5 +261,5 @@ def evolve_noiseless_ensemble(
             new[:, :, p] = np.einsum("xy,xk->yk", _subgenerator_expm(A_in, t_end - t), pi)
         S = _normalized_levels(new, t_end)
         if observer is not None:
-            observer(step + 1, S.transpose(2, 1, 0))
+            observer(step + 1, S)
     return S.transpose(2, 1, 0)

@@ -5,7 +5,7 @@ The check functions (kl_supermartingale ... splitting_strong_order) take
 objects that are already computed and return a CheckResult; the `check_*`
 suites build their inputs at (seed, size) and call them, as do the
 acceptance tests on their own inputs.  The pathwise checks read the filter
-pair at every step, which record_filter_pair records: the divergence
+pair at every step, which record_filter_pair copies from the engine: the
 ensemble keeps its report grid only.  A statistical check allows Z standard
 errors (Z_WIDE where the per-path variance is largest), compared as |x| <=
 z se or x >= -z se: a nan standard error fails, and a zero one passes only
@@ -25,7 +25,7 @@ from .config import _seed_check, model_for_sweep_value, preset_config
 from .divergence import (
     AC_EPS,
     SUPPORT_EPS,
-    _divergence_batch,
+    _divergences,
     _mean_se,
     chi2,
     chi2_drift_batch,
@@ -40,7 +40,6 @@ from .ensemble import run_divergence_ensemble, sample_path_batch
 from .errors import ConfigError, FilterLabError, GridMismatch, NonPositiveNoise
 from .filtering import _BLOCK_STEPS, _subgenerator_expm, evolve_ensemble, evolve_noiseless_ensemble
 from .model import (
-    as_simplex,
     carre_du_champ,
     invariant_measure,
     is_ergodic,
@@ -106,26 +105,27 @@ def record_filter_pair(model, mu, nu, n_paths, T, dt, seed):
     array gives a per-step running sum's bits.  Noiseless: NonPositiveNoise."""
     if model.noiseless:
         raise NonPositiveNoise("the signal and drift integrals need a noisy observation model")
+    density_ratio(mu, nu)  # mu << nu, and a DimensionMismatch, not np.stack's ValueError, for unequal lengths
     batch = sample_path_batch(model, n_paths, T, dt, seed, mu)
     n = batch.increments.shape[1]
     # four arrays: one freed 4-array block would raise malloc's mmap threshold past later arrays
     chi2_v, kl_v, signal, drift = (np.empty((n_paths, n + 1)) for _ in range(4))
     block = np.empty((model.d, 2, min(_BLOCK_STEPS, n + 1), n_paths))
 
-    def observer(step: int, pis: np.ndarray) -> None:
+    def observer(step: int, S: np.ndarray) -> None:
         j = step % block.shape[2]
-        block[:, :, j] = pis.transpose(2, 1, 0)
+        block[:, :, j] = S
         if j + 1 == block.shape[2] or step == n:  # a full buffer, or the last step's
             k0, k1 = step - j, step + 1
-            p, q = np.moveaxis(block[:, :, : j + 1], 0, -1)
-            chi2_v[:, k0:k1], kl_v[:, k0:k1] = _divergence_batch(p, q)[:2].transpose(0, 2, 1)
+            pq = block[:, :, : j + 1]
+            chi2_v[:, k0:k1], kl_v[:, k0:k1] = _divergences(pq[:, 0], pq[:, 1])[:2].transpose(0, 2, 1)
+            p, q = np.moveaxis(pq, 0, -1)  # (step, path, state): the matmuls read laws as rows
             drift[:, k0:k1] = chi2_drift_batch(p, q, model).T
             # step k < n gives the signal's increment over (t_k, t_{k+1}]
             p, q = p[: n - k0], q[: n - k0]
             signal[:, k0 + 1 : k1 + 1] = ((((p - q) @ model.h_unit) ** 2).sum(axis=-1) * dt).T
 
-    priors = np.stack([as_simplex(mu, d=model.d), as_simplex(nu, d=model.d)])  # as the ensemble passes them
-    terminal = evolve_ensemble(priors, batch.increments, dt, model, observer=observer)
+    terminal = evolve_ensemble(np.stack([mu, nu]), batch.increments, dt, model, observer=observer)
     drift[:, 1:] += drift[:, :-1]  # the trapezoid rule: (d_k + d_{k+1}) dt / 2 at k + 1
     drift[:, 1:] *= 0.5 * dt
     signal[:, 0] = drift[:, 0] = 0.0
@@ -233,7 +233,7 @@ def divergence_chain(p, q) -> CheckResult:
     """
     lo, hi, passed = np.inf, np.inf, True
     for pk, qk in zip(p, q):
-        c, k, t = _divergence_batch(pk, qk)
+        c, k, t = _divergences(pk.T, qk.T)
         slack = _rounding_bound(2 * pk.shape[-1] + 6, 1.0 + c)
         passed &= bool(np.all(k - 2.0 * t**2 >= -slack) and np.all(c - k >= -slack))
         lo = min(lo, float((k - 2.0 * t**2).min()))
@@ -458,13 +458,13 @@ def check_noiseless_identity(seed: int) -> CheckResult:
     batch = sample_path_batch(model, 1, 5.0, 1e-3, seed, 0, stream_offset=9006)
     grid, rows = np.arange(5001) * 1e-3, []  # every step of dt = 1e-3 on [0, 5]
     evolve_noiseless_ensemble(
-        np.stack([cfg.mu, cfg.nu]), batch.state_paths, grid, model, observer=lambda k, pis: rows.append(pis[0].copy())
+        np.stack([cfg.mu, cfg.nu]), batch.state_paths, grid, model, observer=lambda k, S: rows.append(S[:, :, 0].copy())
     )
-    pis = np.stack(rows, axis=1)  # (2, n + 1, d): the mu and nu filters
-    gap = np.abs(pis[0] - pis[1]).sum(axis=1)
+    pis = np.stack(rows, axis=2)  # (d, 2, n + 1): the mu and nu filters
+    gap = np.abs(pis[:, 0] - pis[:, 1]).sum(axis=0)
     p, pp = (prior[0] / (prior[0] + prior[2]) for prior in (cfg.mu, cfg.nu))
     err_gap = float(np.abs(gap - 2.0 * (p - pp)).max())
-    level_pi = conditional_pi_constant(model.A, pis[0, 0])
+    level_pi = conditional_pi_constant(model.A, pis[:, 0, 0])
     passed = err_gap <= 1e-10 and abs(level_pi.constant) <= 1e-10
     detail = f"max |L1 gap - 2(p - p')| = {err_gap:.2e}"
     return _result("noiseless-filter-identity", "deterministic", passed, detail)

@@ -109,7 +109,7 @@ def filter_states(priors, data, dt, model):
         evolve, step = evolve_noiseless_ensemble, dt if np.ndim(dt) else step_grid(data[0].T, dt)
     else:
         evolve, step = evolve_ensemble, dt
-    evolve(np.atleast_2d(priors), data, step, model, observer=lambda k, pis: rows.append(pis.copy()))
+    evolve(np.atleast_2d(priors), data, step, model, observer=lambda k, S: rows.append(S.T.copy()))
     return np.stack(rows, axis=2)
 
 

@@ -15,7 +15,6 @@ from filterlab.divergence import (
     MIN_FIT_POINTS,
     SUPPORT_EPS,
     DivergenceSeries,
-    _divergence_batch,
     _divergences,
     _work,
     chi2,
@@ -321,7 +320,7 @@ class TestChi2Drift:
 class TestDivergenceSeries:
     def _series(self, pis_p, pis_q, dt=0.5):
         """The series of paired filter states (P, n + 1, d), as the ensemble reduces them."""
-        chi2_v, kl_v, tv_v = _divergence_batch(np.asarray(pis_p, float), np.asarray(pis_q, float))
+        chi2_v, kl_v, tv_v = _divergences(*(np.moveaxis(np.asarray(x, float), -1, 0) for x in (pis_p, pis_q)))
         return series_of(np.arange(chi2_v.shape[1]) * dt, chi2_v, kl_v, tv_v)
 
     def test_two_path_hand_aggregation(self):

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 import filterlab.dual as dual_mod
 from conftest import BLOCKS_MU, BLOCKS_NU, CYCLE_MU, CYCLE_NU, interior_simplex, random_generator_matrix, series_of
 from filterlab import verify
-from filterlab.divergence import _divergence_batch, chi2, density_ratio
+from filterlab.divergence import _divergences, chi2, density_ratio
 from filterlab.dual import (
     backward_map_study,
     essential_infimum_ratio,
     theorem2_envelope,
 )
 from filterlab.errors import AssumptionA1Violated, DimensionMismatch, GridMismatch
-from filterlab.filtering import evolve_ensemble
+from filterlab.filtering import _sum_rows, evolve_ensemble
 from filterlab.model import validate_model
 from filterlab.poincare import conditional_pi_constant
 
@@ -89,9 +89,9 @@ class TestBackwardMapEstimators:
 
 def _assert_horizons_read_on_shared_paths(model, mu, nu, monkeypatch):
     # _state_samples of each kept state against runs on its own increments
-    # truncated to each horizon; the reference reduces a contiguous copy of
-    # the returned states, so a reduction on the observer's strided view
-    # fails here once d >= 8
+    # truncated to each horizon, reduced on the state-major (d, 3, P) view of
+    # the returned states: every sum over the states adds their rows in order
+    # (a path-major .sum moves the rb bits once d >= 8)
     dt, T_list, n = 1e-2, [0.2, 0.5, 1.0], 30
     batches = []
     original = dual_mod.sample_path_batch
@@ -110,14 +110,14 @@ def _assert_horizons_read_on_shared_paths(model, mu, nu, monkeypatch):
         terminal = np.array([sp.states[-1] for sp in batch.state_paths])
         for i, T in enumerate(T_list):
             truncated = evolve_ensemble(priors, batch.increments[:, : round(T / dt), :], dt, model)
-            pis = np.ascontiguousarray(truncated)
-            gamma = density_ratio(pis[:, 0, :], pis[:, 1, :])
+            S = truncated.T
+            gamma = density_ratio(S[:, 0], S[:, 1])
             # the state holding at T: entered at the last jump time <= T
             x_T = np.array([sp.states[np.searchsorted(sp.jump_times, T, side="right") - 1] for sp in batch.state_paths])
             moved += int(np.sum(x_T != terminal))
-            assert np.array_equal(plain[i], gamma[np.arange(n), x_T])
-            assert np.array_equal(rb[i], (pis[:, 2, :] * gamma).sum(axis=1))
-            assert np.array_equal(chi2_T[i], _divergence_batch(pis[:, 0, :], pis[:, 1, :])[0])
+            assert np.array_equal(plain[i], gamma[x_T, np.arange(n)])
+            assert np.array_equal(rb[i], _sum_rows(S[:, 2] * gamma))
+            assert np.array_equal(chi2_T[i], _divergences(S[:, 0], S[:, 1])[0])
     # The check above tells X_T from the terminal state on some path.
     assert moved > 0
 

@@ -19,7 +19,7 @@ from conftest import (
     report_steps, series_of, step_grid,
 )
 from filterlab.config import model_for_sweep_value, preset_config
-from filterlab.divergence import _divergence_batch, _mean_se, chi2, chi2_drift_batch
+from filterlab.divergence import _divergences, _mean_se, chi2, chi2_drift_batch
 from filterlab import ensemble as ensemble_mod
 from filterlab.ensemble import REPORT_STEPS, run_divergence_ensemble, run_divergence_sweep, sample_path_batch
 from filterlab.errors import (
@@ -211,8 +211,8 @@ class TestRunDivergenceEnsemble:
         assert terminal.shape == (3, 2, 4)
 
     def test_recorder_shares_the_ensembles_paths(self):
-        # the recorder samples and filters the ensemble's paths, bit for bit;
-        # a mu that as_simplex rounds again takes the ensemble's rounding of its priors
+        # the recorder samples and filters the ensemble's paths, bit for bit,
+        # also from a mu that a second as_simplex would round again
         rng = np.random.default_rng(2)
         model = validate_model(random_generator_matrix(rng, 3), rng.normal(size=(3, 1)), 0.7)
         mu, nu = interior_simplex(rng, 3), interior_simplex(rng, 3)
@@ -227,6 +227,28 @@ class TestRunDivergenceEnsemble:
             mean, se = _mean_se(np.ascontiguousarray(values[:, report]))
             assert mean.tobytes() == getattr(ens.series, f"{name}_mean").tobytes()
             assert se.tobytes() == getattr(ens.series, f"{name}_se").tobytes()
+
+    def test_filters_start_from_one_normalization_of_the_priors(self, cycle_model, monkeypatch):
+        # the first Dirichlet pair whose mu a second as_simplex moves: the
+        # filters start from as_simplex(mu), the law the paths are drawn from
+        rng = np.random.default_rng(3)
+        pairs = (rng.dirichlet(np.ones(4), size=2) for _ in range(100))
+        mu, nu = next(p for p in pairs if as_simplex(p[0], 4).tobytes() != as_simplex(as_simplex(p[0], 4), 4).tobytes())
+        starts, engine = [], ensemble_mod.evolve_ensemble
+
+        def recording(priors, increments, dt, model, observer):
+            def first(step, S):
+                if step == 0:
+                    starts.append(S.copy())
+                observer(step, S)
+
+            return engine(priors, increments, dt, model, first)
+
+        monkeypatch.setattr(ensemble_mod, "evolve_ensemble", recording)
+        ens = run_divergence_ensemble(cycle_model, mu, nu, 6, 0.05, 1e-3, 0)
+        law = as_simplex(mu, 4)
+        assert ens.initial_chi2.tobytes() == np.full(6, chi2(law, as_simplex(nu, 4))).tobytes()
+        assert starts[0][:, 0].tobytes() == np.repeat(law[:, None], 6, axis=1).tobytes()
 
     def test_noiseless_route_uses_exact_filter(self, cycle_noiseless):
         # the cycle's level-set filter keeps the chi-square gap frozen at
@@ -277,7 +299,7 @@ class TestRunDivergenceEnsemble:
         steps, engine = [], ensemble_mod.evolve_ensemble
 
         def recording(priors, increments, dt, model, observer):
-            return engine(priors, increments, dt, model, lambda step, pis: (steps.append(step), observer(step, pis)))
+            return engine(priors, increments, dt, model, lambda step, S: (steps.append(step), observer(step, S)))
 
         monkeypatch.setattr(ensemble_mod, "evolve_ensemble", recording)
         with pytest.raises(AbsoluteContinuityViolation):
@@ -418,9 +440,9 @@ def _per_step_reference(model, mu, nu, n_paths, T, dt, seed):
     chi2_v, kl_v, tv_v = (np.empty((n_paths, n_steps + 1)) for _ in range(3))
     pq = np.empty((model.d, 2, n_steps + 1, n_paths))
 
-    def observer(step, pis):
-        chi2_v[:, step], kl_v[:, step], tv_v[:, step] = _divergence_batch(pis[:, 0, :], pis[:, 1, :])
-        pq[:, :, step] = pis.transpose(2, 1, 0)
+    def observer(step, S):
+        chi2_v[:, step], kl_v[:, step], tv_v[:, step] = _divergences(S[:, 0], S[:, 1])
+        pq[:, :, step] = S
 
     priors = np.stack([mu, nu])
     if model.noiseless:
@@ -505,7 +527,8 @@ def _report_grid_reference(model, mu, nu, n_paths, T, dt, seed):
     """chi2, kl and tv (P, points) of the noiseless engine stepped on the report grid."""
     batch = sample_path_batch(model, n_paths, T, dt, seed, mu)
     pis = filter_states(np.stack([mu, nu]), batch.state_paths, step_grid(T, dt)[report_steps(round(T / dt))], model)
-    return _divergence_batch(pis[:, 0], pis[:, 1])
+    S = np.moveaxis(pis, -1, 0)  # (d, P, k, points)
+    return _divergences(S[:, :, 0], S[:, :, 1])
 
 
 def _assert_series_of(series, chi2_v, kl_v, tv_v):

@@ -23,7 +23,7 @@ from filterlab.filtering import (
     evolve_noiseless_ensemble,
     wonham_step,
 )
-from filterlab.model import validate_model
+from filterlab.model import as_simplex, validate_model
 from filterlab.sim import StatePath
 from filterlab.verify import ORDER_BAND, ORDER_DT, ORDER_FACTORS, splitting_strong_order
 
@@ -163,16 +163,16 @@ class TestEvolveEnsemble:
         increments = rng.normal(size=(3, 40, 1)) * 0.03
         seen = []
 
-        def observer(step, pis):
-            seen.append((step, pis.copy()))
+        def observer(step, S):
+            seen.append((step, S.copy()))
 
         terminal = evolve_ensemble(
             np.stack([CYCLE_MU, CYCLE_NU]), increments, 1e-3, cycle_model, observer
         )
         assert len(seen) == 41
         assert seen[0][0] == 0
-        assert np.array_equal(seen[0][1][0, 0], CYCLE_MU)
-        assert np.array_equal(seen[-1][1], terminal)
+        assert np.array_equal(seen[0][1][:, 0, 0], CYCLE_MU)
+        assert np.array_equal(seen[-1][1], terminal.T)
         steps = [s for s, _ in seen]
         assert steps == list(range(41))
 
@@ -196,6 +196,42 @@ class TestEvolveEnsemble:
             evolve_ensemble(np.zeros((0, 4)), np.zeros((3, 10, 1)), 1e-3, cycle_model)
 
 
+@pytest.mark.parametrize("per_path", [False, True], ids=["shared", "per-path"])
+@pytest.mark.parametrize("noiseless", [False, True], ids=["noisy", "noiseless"])
+def test_observer_array_is_the_state_of_a_run_truncated_there(rng, noiseless, per_path):
+    # observer(step, S) gets the engine's state-major (d, k, P) array; its
+    # transpose is, bit for bit, the (P, k, d) state that a run stopped at
+    # that step returns, for k = 3 priors and 37 steps (inside a third block)
+    model = validate_model(CYCLE_A, CYCLE_H, 0.0 if noiseless else 1.0)
+    n, dt = 37, 0.05
+    priors = rng.dirichlet(np.ones(4), size=(3, 5) if per_path else 3)
+    batch = sample_path_batch(model, 5, n * dt, dt, 7, CYCLE_MU)
+    grid, seen = step_grid(n * dt, dt), []
+
+    def observer(step, S):
+        seen.append((step, S.T.copy()))
+
+    if noiseless:
+        evolve_noiseless_ensemble(priors, batch.state_paths, grid, model, observer)
+    else:
+        evolve_ensemble(priors, batch.increments, dt, model, observer)
+    assert [step for step, _ in seen] == list(range(n + 1))
+    for step, state in seen:
+        if not noiseless:
+            stopped = evolve_ensemble(priors, batch.increments[:, :step], dt, model)
+        elif step == 0:  # no grid of one time: each prior's law conditioned on the observed level
+            level = CYCLE_H[[sp.states[0] for sp in batch.state_paths]][:, None] == CYCLE_H
+            laws = np.apply_along_axis(as_simplex, -1, np.broadcast_to(priors.reshape(3, -1, 4), (3, 5, 4)), 4)
+            stopped = laws.swapaxes(0, 1) * level[:, None]
+            stopped = stopped / stopped.sum(axis=-1, keepdims=True)
+        else:
+            t = grid[step]
+            before = [sp.jump_times < t for sp in batch.state_paths]
+            paths = [StatePath(sp.jump_times[b], sp.states[b], t) for sp, b in zip(batch.state_paths, before)]
+            stopped = evolve_noiseless_ensemble(priors, paths, grid[: step + 1], model)
+        assert state.tobytes() == np.ascontiguousarray(stopped).tobytes()
+
+
 def _assert_per_path_priors_filtered_alone(data, dt, model):
     """(k, P, d) priors give each path the numbers of its own (k, d) run."""
     rows = np.stack([np.full(4, 0.25), np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.4, 0.3, 0.2, 0.1])])
@@ -216,7 +252,7 @@ class TestBlockCorrection:
         seen = []
         evolve_ensemble(
             CYCLE_MU[None], rng.normal(size=(2, self.N_STEPS, 1)) * 0.03, 1e-3, cycle_model,
-            lambda step, pis: seen.append(step),
+            lambda step, S: seen.append(step),
         )
         assert seen == list(range(self.N_STEPS + 1))
 
@@ -240,7 +276,7 @@ class TestBlockCorrection:
         increments[1, step, 0] = np.inf
         seen = []
         with pytest.raises(DegenerateMass, match=f"^step {step}:"):
-            evolve_ensemble(CYCLE_MU[None], increments, 1e-3, cycle_model, lambda k, pis: seen.append(k))
+            evolve_ensemble(CYCLE_MU[None], increments, 1e-3, cycle_model, lambda k, S: seen.append(k))
         assert seen == list(range(step + 1))
 
 
@@ -381,13 +417,13 @@ class TestNoiselessEngine:
         priors = rows[[[0, 1, 2, 0, 1, 2, 1], [1, 2, 0, 2, 0, 1, 1]]]  # (k = 2, P = 7, d)
         seen = []
 
-        def observer(step, pis):
-            seen.append((step, pis.copy()))
+        def observer(step, S):
+            seen.append((step, S.copy()))
 
         terminal = evolve_noiseless_ensemble(priors, paths, grid, model, observer)
         assert terminal.shape == (7, 2, 4)
         assert [step for step, _ in seen] == list(range(6))
-        batch = np.stack([pis for _, pis in seen], axis=2)  # (P, k, n + 1, d)
+        batch = np.stack([S.T for _, S in seen], axis=2)  # (P, k, n + 1, d)
         assert np.array_equal(batch[:, :, -1], terminal)
         for p, sp in enumerate(paths):
             alone = filter_states(priors[:, p], [sp], dt, model)[0]

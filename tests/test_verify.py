@@ -109,16 +109,16 @@ class TestRoundingBounds:
 
     @pytest.mark.parametrize("side", ["kl-tv", "chi2-kl"])
     def test_chain_deficit_of_100_bounds_fails(self, monkeypatch, side):
-        batch = verify._divergence_batch
+        divergences = verify._divergences
 
-        def lowered(p, q):
-            values = batch(p, q)
+        def lowered(p, q):  # state-major pairs (d, n)
+            values = divergences(p, q)
             c, k, t = values
-            deficit = 100.0 * verify._rounding_bound(2 * p.shape[-1] + 6, 1.0 + c[0])
+            deficit = 100.0 * verify._rounding_bound(2 * len(p) + 6, 1.0 + c[0])
             k[0] = 2.0 * t[0] ** 2 - deficit if side == "kl-tv" else c[0] + deficit
             return values
 
-        monkeypatch.setattr(verify, "_divergence_batch", lowered)
+        monkeypatch.setattr(verify, "_divergences", lowered)
         assert verify.check_divergence_chain(146).passed is False
 
 
